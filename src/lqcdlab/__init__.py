@@ -25,7 +25,7 @@ from .fields import (
 from .geometry import LatticeGeometry, RankGrid, decompose
 from .gmres import GmresConfig, GmresResult, gmres_solve, solve_dirac
 from .halo import MultiRankExecutor, apply_dirac_multirank
-from .oddeven import SchurOperator, apply_schur, reconstruct_full
+from .oddeven import SchurOperator
 from .perf import arithmetic_intensity, effective_bandwidth, read_write_ratio, theoretical_perf
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "account_traffic",
     "apply_dirac",
     "apply_dirac_multirank",
-    "apply_schur",
     "arithmetic_intensity",
     "canonical",
     "config_hash",
@@ -60,7 +59,6 @@ __all__ = [
     "make_rng",
     "parse_config",
     "read_write_ratio",
-    "reconstruct_full",
     "solve_dirac",
     "theoretical_perf",
 ]

@@ -24,7 +24,7 @@ from . import __version__
 from .config import (ConfigError, RunConfig, canonical, config_hash, layout_of,
                      load_config, set_key, validate)
 from .costmodel import AbstractMachine, CostWeights, cost as weighted_cost, delta_cost, run_kernel
-from .dirac import DiracParams, DiracPerfRecord, account_traffic, apply_dirac, FLOPS_PER_SITE_RHS
+from .dirac import DiracParams, account_traffic, apply_dirac
 from .fields import (RNG_ALGORITHM, BlockSpinorField, gen_clover, gen_gauge, gen_spinor,
                      write_clover, write_gauge, write_spinor)
 from .geometry import LatticeGeometry, RankGrid, decompose
@@ -109,13 +109,12 @@ def cmd_bench_dirac(args) -> int:
             apply_dirac(params, gauge, clover, psi)  # warmup
             times = []
             for _ in range(args.reps):
-                perf: list[DiracPerfRecord] = []
                 t0 = time.perf_counter()
-                apply_dirac(params, gauge, clover, psi, perf=perf)
+                apply_dirac(params, gauge, clover, psi)
                 times.append(time.perf_counter() - t0)
             seconds = statistics.median(times)
-            flops = FLOPS_PER_SITE_RHS * geom.n_sites * b
             traffic = account_traffic(b)
+            flops = traffic["flops_per_site"] * geom.n_sites
             records.append({
                 "b": b,
                 "layout": layout,

@@ -28,7 +28,6 @@ class RunConfig:
     clover_scale: float = 0.1
     gauge_mode: str = "random"
     seed: int = 0
-    threads: int = 1
     tol: float = 1e-8
     restart_len: int = 10
     restarts: int = 10
@@ -51,7 +50,6 @@ KEY_MAP = {
     "clover.scale": "clover_scale",
     "gauge.mode": "gauge_mode",
     "seed": "seed",
-    "threads": "threads",
     "solver.tol": "tol",
     "solver.restart_len": "restart_len",
     "solver.restarts": "restarts",
@@ -167,8 +165,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"gauge.mode must be unit or random, got {cfg.gauge_mode!r}")
     if cfg.clover_scale < 0:
         raise ConfigError("clover.scale must be nonnegative")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     if not cfg.tol > 0:
         raise ConfigError("solver.tol must be positive")
     if cfg.restart_len < 1 or cfg.restarts < 1:

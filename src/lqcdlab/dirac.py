@@ -9,10 +9,15 @@ The apply runs in the staged order of the stencil:
     eta(x)  -=  reconstruct[ chi_mu(x) ]                         per mu
 
 with every lam/chi workspace materialized for all four directions before the
-accumulation stages run.  Single-rank applies read neighbors through the
-periodic wrap; when a communicator is passed, the same stages run with halo
-sends posted after each workspace is built and receives completed right
-before the consuming accumulation (see halo module).
+accumulation stages run.  One generator, :func:`hop_stages`, defines this
+order for the four hop stages.  The single-rank apply runs it to completion
+with the periodic neighbor tables; the multi-rank executor (halo module)
+runs it once per rank with the rank's tables and communicator, so halo sends
+are posted after each workspace is built and receives completed right
+before the consuming accumulation.  Both therefore perform the same numpy
+operations in the same order on the same per-site values; rank-local fields
+only permute the site axis, which is why the multi-rank result is bitwise
+equal to the single-rank one.
 
 Per-mu half-spinor compression keeps 6 of 12 components; the reconstruction
 restores the other 6 from the monomial spin blocks.  Flop accounting follows
@@ -22,23 +27,13 @@ flops, a complex add 2, a real-by-complex scale 2.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import BlockSpinorField, CloverField, GaugeField
 from .geometry import NDIM
-from .projectors import (
-    HALF_SPINOR_LEN,
-    N_COLOR,
-    N_SPIN,
-    SPINOR_LEN,
-    ProjectorTable,
-    apply_block_adjoint,
-    compress,
-    table,
-)
+from .projectors import N_COLOR, N_SPIN, SPINOR_LEN, apply_block_adjoint, compress
 
 # traffic ledger of one operator application, per lattice site:
 # 2574*b flop and (168*b + 114) complex values = (168*b + 114)*16 byte
@@ -53,11 +48,6 @@ class DiracParams:
     """Mass parameter of the operator; the lattice spacing is pinned to 1."""
 
     m0: float = -0.5
-    a: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.a != 1.0:
-            raise ValueError("lattice spacing is fixed to 1")
 
 
 @dataclass
@@ -73,41 +63,6 @@ class FlopCounter:
         return 6 * self.cmul + 2 * self.cadd + 2 * self.rmul
 
 
-@dataclass
-class DiracPerfRecord:
-    """One operator application, as consumed by the perf model and the CLI."""
-
-    seconds: float
-    sites: int
-    b: int
-    layout: int
-    flops: int
-    bytes: int
-
-    @property
-    def gflops(self) -> float:
-        return self.flops / self.seconds / 1e9 if self.seconds > 0 else float("inf")
-
-    def as_dict(self) -> dict:
-        return {
-            "seconds": self.seconds,
-            "sites": self.sites,
-            "b": self.b,
-            "layout": self.layout,
-            "flops": self.flops,
-            "bytes": self.bytes,
-            "gflops": self.gflops,
-        }
-
-
-@dataclass
-class HoppingWorkspace:
-    """Per-direction half-spinor stages of one apply."""
-
-    lam: list[BlockSpinorField] = dc_field(default_factory=list)
-    chi: list[BlockSpinorField] = dc_field(default_factory=list)
-
-
 def account_traffic(b: int) -> dict:
     """Per-site flop and byte ledger of one apply with b right-hand sides."""
     if b < 1:
@@ -121,10 +76,6 @@ def account_traffic(b: int) -> dict:
 def _spin_view(field: BlockSpinorField) -> np.ndarray:
     """(n_sites, 4, 3, b) array of a full spinor field; may copy for Layout 1."""
     return field.ksi().reshape(field.n_sites, N_SPIN, N_COLOR, field.b)
-
-
-def _half_view(field: BlockSpinorField) -> np.ndarray:
-    return field.ksi().reshape(field.n_sites, 2, N_COLOR, field.b)
 
 
 def _check_field(psi: BlockSpinorField, gauge: GaugeField) -> None:
@@ -157,105 +108,9 @@ def apply_self_coupling(
     return eta
 
 
-def _half_like(psi: BlockSpinorField) -> BlockSpinorField:
-    return BlockSpinorField.zeros(psi.n_sites, psi.b, psi.layout, s=HALF_SPINOR_LEN, geom=psi.geom)
 
 
-def _count_compress(flops: FlopCounter | None, n: int, b: int) -> None:
-    if flops is not None:
-        per = n * b
-        flops.cmul += 6 * per   # monomial spin block
-        flops.cadd += 6 * per   # upper -+ swapped lower
-        flops.rmul += 6 * per   # factor 1/2
-
-
-def project_minus(
-    proj: ProjectorTable,
-    psi: BlockSpinorField,
-    mu: int,
-    flops: FlopCounter | None = None,
-) -> BlockSpinorField:
-    """lam_mu: compressed (I + gamma_mu)/2 psi, 6 components per site."""
-    out = _half_like(psi)
-    _half_view(out)[...] = compress(_spin_view(psi), mu, -1)
-    _count_compress(flops, psi.n_sites, psi.b)
-    return out
-
-
-def project_plus_apply_udag(
-    proj: ProjectorTable,
-    gauge: GaugeField,
-    psi: BlockSpinorField,
-    mu: int,
-    flops: FlopCounter | None = None,
-) -> BlockSpinorField:
-    """chi_mu at x + mu^: U_mu^H(x) applied to compressed (I - gamma_mu)/2 psi(x).
-
-    The result field is indexed by destination site, so entry y holds the
-    value computed at y - mu^.
-    """
-    _check_field(psi, gauge)
-    vals = _chi_source_values(gauge, psi, mu, flops)
-    out = _half_like(psi)
-    back = psi.geom.neighbor_table(mu, -1) if psi.geom is not None else gauge.geom.neighbor_table(mu, -1)
-    _half_view(out)[...] = vals[back]
-    return out
-
-
-def _chi_source_values(
-    gauge: GaugeField,
-    psi: BlockSpinorField,
-    mu: int,
-    flops: FlopCounter | None = None,
-) -> np.ndarray:
-    """chi values indexed by the source site where they are computed."""
-    half = compress(_spin_view(psi), mu, +1)
-    _count_compress(flops, psi.n_sites, psi.b)
-    links = gauge.mu(mu)
-    if flops is not None:
-        per = psi.n_sites * psi.b
-        flops.cmul += 18 * per
-        flops.cadd += 12 * per
-    return np.einsum("xdc,xsdb->xscb", links.conj(), half)
-
-
-def accumulate_hop_minus(
-    proj: ProjectorTable,
-    gauge: GaugeField,
-    lam: BlockSpinorField,
-    eta: BlockSpinorField,
-    mu: int,
-    flops: FlopCounter | None = None,
-    lam_at_forward: np.ndarray | None = None,
-) -> None:
-    """eta(x) -= reconstruct[ U_mu(x) lam_mu(x + mu^) ], in place.
-
-    ``lam_at_forward`` supplies pre-gathered neighbor values (the multi-rank
-    path, where off-rank entries came out of the halo exchange); by default
-    the periodic wrap of the single-rank lattice is used.
-    """
-    if lam_at_forward is None:
-        geom = eta.geom if eta.geom is not None else gauge.geom
-        lam_at_forward = _half_view(lam)[geom.neighbor_table(mu, +1)]
-    moved = np.einsum("xcd,xsdb->xscb", gauge.mu(mu), lam_at_forward)
-    _subtract_reconstruction(eta, moved, mu, -1)
-    if flops is not None:
-        per = eta.n_sites * eta.b
-        flops.cmul += 18 * per
-        flops.cadd += 12 * per
-
-
-def accumulate_hop_plus(
-    chi: BlockSpinorField,
-    eta: BlockSpinorField,
-    mu: int,
-    flops: FlopCounter | None = None,
-) -> None:
-    """eta(x) -= reconstruct[ chi_mu(x) ], in place."""
-    _subtract_reconstruction(eta, _half_view(chi), mu, +1)
-
-
-def _subtract_reconstruction(eta: BlockSpinorField, half: np.ndarray, mu: int, sign: int, flops: FlopCounter | None = None) -> None:
+def _subtract_reconstruction(eta: BlockSpinorField, half: np.ndarray, mu: int, sign: int) -> None:
     ev = eta.ksi()
     n, b = eta.n_sites, eta.b
     ev[:, :6, :] -= half.reshape(n, 6, b)
@@ -263,11 +118,68 @@ def _subtract_reconstruction(eta: BlockSpinorField, half: np.ndarray, mu: int, s
     ev[:, 6:, :] -= lower.reshape(n, 6, b)
 
 
-def _count_reconstruction(flops: FlopCounter | None, n: int, b: int) -> None:
+def _count_hops(flops: FlopCounter | None, n: int, b: int) -> None:
     if flops is not None:
-        per = n * b
-        flops.cmul += 6 * per   # monomial adjoint block
-        flops.cadd += 12 * per  # two 6-component subtractions into eta
+        per = NDIM * n * b
+        flops.cmul += (2 * 6 + 2 * 18 + 2 * 6) * per   # monomial blocks, link multiplies, adjoint blocks
+        flops.cadd += (2 * 6 + 2 * 12 + 2 * 12) * per  # compression, link multiplies, subtractions into eta
+        flops.rmul += 2 * 6 * per                      # factor 1/2 of both compressions
+
+
+def hop_stages(
+    gauge: GaugeField,
+    psi: BlockSpinorField,
+    eta: BlockSpinorField,
+    fwd: list[np.ndarray],
+    back: list[np.ndarray],
+    comm=None,
+    boundary: dict | None = None,
+    flops: FlopCounter | None = None,
+):
+    """Generator running the four hop stages of one rank, subtracting into eta.
+
+    Yields at the three phase barriers: all lam built and their faces posted;
+    all chi built and their faces posted; the link-multiplied accumulations
+    done, mu ascending.  The adjoint-link accumulations run after the last
+    barrier.  ``fwd[mu]``/``back[mu]`` map each local site to its +mu/-mu
+    neighbor.  With a rank endpoint ``comm`` and its ``boundary`` face sets,
+    ``fwd`` sends +mu face sites past the end of the local field, into the lam
+    halo received from the +mu neighbor rank, and the chi values received
+    from the -mu neighbor rank replace the -mu face.
+    """
+    spin = _spin_view(psi)
+    lam = [compress(spin, mu, -1) for mu in range(NDIM)]
+    if comm is not None:
+        for mu in range(NDIM):
+            comm.post_send(mu, -1, lam[mu][boundary[(mu, -1)]])
+    yield
+
+    chi = []
+    for mu in range(NDIM):
+        # computed at the source site x, consumed at x + mu^
+        vals = np.einsum("xdc,xsdb->xscb", gauge.mu(mu).conj(), compress(spin, mu, +1))
+        chi.append(vals[back[mu]])
+        if comm is not None:
+            comm.post_send(mu, +1, vals[boundary[(mu, 1)]])
+    yield
+
+    for mu in range(NDIM):
+        ext = lam[mu]
+        if comm is not None:
+            halo = comm.complete_recv(mu, -1)
+            if len(halo):
+                ext = np.concatenate([ext, halo], axis=0)
+        moved = np.einsum("xcd,xsdb->xscb", gauge.mu(mu), ext[fwd[mu]])
+        _subtract_reconstruction(eta, moved, mu, -1)
+    yield
+
+    for mu in range(NDIM):
+        if comm is not None:
+            halo = comm.complete_recv(mu, +1)
+            if len(halo):
+                chi[mu][boundary[(mu, -1)]] = halo
+        _subtract_reconstruction(eta, chi[mu], mu, +1)
+    _count_hops(flops, eta.n_sites, eta.b)
 
 
 def subtract_hops(
@@ -278,22 +190,15 @@ def subtract_hops(
 ) -> None:
     """Run all four hop stages of the stencil, subtracting into eta in place.
 
-    Staging matches the single-rank apply: all lam then all chi workspaces
-    are materialized, then the link-multiplied accumulations run for mu
-    ascending, then the adjoint-link ones.
+    The single-rank apply: :func:`hop_stages` run to completion with the
+    periodic neighbor tables of the whole lattice and no rank endpoint.
     """
     _check_field(psi, gauge)
-    proj = table()
-    work = HoppingWorkspace(
-        lam=[project_minus(proj, psi, mu, flops=flops) for mu in range(NDIM)],
-        chi=[project_plus_apply_udag(proj, gauge, psi, mu, flops=flops) for mu in range(NDIM)],
-    )
-    for mu in range(NDIM):
-        accumulate_hop_minus(proj, gauge, work.lam[mu], eta, mu, flops=flops)
-        _count_reconstruction(flops, eta.n_sites, eta.b)
-    for mu in range(NDIM):
-        accumulate_hop_plus(work.chi[mu], eta, mu, flops=flops)
-        _count_reconstruction(flops, eta.n_sites, eta.b)
+    geom = gauge.geom
+    fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
+    back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
+    for _ in hop_stages(gauge, psi, eta, fwd, back, flops=flops):
+        pass
 
 
 def apply_dirac(
@@ -303,7 +208,6 @@ def apply_dirac(
     psi: BlockSpinorField,
     comm=None,
     flops: FlopCounter | None = None,
-    perf: list | None = None,
 ) -> BlockSpinorField:
     """eta = D psi over all rhs columns; optionally through a communicator.
 
@@ -311,24 +215,8 @@ def apply_dirac(
     reads neighbors directly through the periodic wrap.
     """
     if comm is not None:
-        return comm.apply_dirac(params, gauge, clover, psi, flops=flops, perf=perf)
+        return comm.apply_dirac(params, gauge, clover, psi, flops=flops)
     _check_field(psi, gauge)
-    t0 = time.perf_counter()
-
     eta = apply_self_coupling(params, clover, psi, flops=flops)
     subtract_hops(gauge, psi, eta, flops=flops)
-
-    if perf is not None:
-        seconds = time.perf_counter() - t0
-        ledger = account_traffic(psi.b)
-        perf.append(
-            DiracPerfRecord(
-                seconds=seconds,
-                sites=psi.n_sites,
-                b=psi.b,
-                layout=int(psi.layout),
-                flops=ledger["flops_per_site"] * psi.n_sites,
-                bytes=ledger["bytes_per_site"] * psi.n_sites,
-            )
-        )
     return eta

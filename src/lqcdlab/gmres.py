@@ -25,7 +25,7 @@ across layouts and block sizes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -285,14 +285,7 @@ def gamma_residual_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | Non
     expanded and the true residual formed, which is exactly what the rotation
     recurrence claims to track.
     """
-    cfg = GmresConfig(
-        restart_len=cfg.restart_len,
-        restarts=cfg.restarts,
-        tol=cfg.tol,
-        fixed_iterations=True,
-        dot_strategy=cfg.dot_strategy,
-        reorthogonalize=cfg.reorthogonalize,
-    )
+    cfg = replace(cfg, fixed_iterations=True)
     psi = BlockSpinorField.zeros_like(eta) if psi0 is None else psi0.copy()
     eta_norms = block_norms(eta)
     ws = SolverWorkspace.allocate(eta, cfg.restart_len, eta_norms)

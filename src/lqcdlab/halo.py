@@ -17,23 +17,24 @@ completed right before the accumulation that consumes them.  Channels with a
 single rank in their direction degenerate to loopback mailboxes carrying
 empty payloads, so the epoch audit stays uniform across grid shapes.
 
-The multi-rank apply is bit-identical to the single-rank one: both run the
-same kernels in the same stage order, and rank-local slices only permute the
-site axis.
+The multi-rank apply is bit-identical to the single-rank one because both
+run the one stage generator :func:`lqcdlab.dirac.hop_stages`: each rank
+drives it with its own neighbor tables and communicator, the single-rank
+apply with the periodic tables and none.  Rank-local slices only permute the
+site axis, so every site sees the same operations in the same order.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dirac as _dirac
 from .fields import BlockSpinorField, CloverField, GaugeField
 from .geometry import NDIM, LatticeGeometry, RankDomain, RankGrid, decompose
-from .projectors import N_COLOR, table
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -197,20 +198,15 @@ class Communicator:
         return self._last_stats
 
 
-def exchange_epoch_stats(comm: Communicator) -> EpochStats | None:
-    return comm.exchange_epoch_stats()
-
-
 @dataclass
 class _RankPlan:
-    """Static gather/scatter tables of one rank, reused across applies."""
+    """Geometry-derived gather tables of one rank, reused across applies."""
 
     domain: RankDomain
-    gauge: GaugeField
-    clover: CloverField
     # per mu: local forward-neighbor index with boundary entries redirected
     # past the end of the local field, into the received halo block
-    ext_fwd: list[np.ndarray] = dc_field(default_factory=list)
+    fwd: list[np.ndarray]
+    back: list[np.ndarray]
 
 
 class MultiRankExecutor:
@@ -219,7 +215,9 @@ class MultiRankExecutor:
     Accepts whole-lattice fields, splits them by ownership, executes every
     rank (sequentially in phase lockstep, or one thread per rank), and merges
     the local results.  Passing an instance as ``comm`` to
-    :func:`lqcdlab.dirac.apply_dirac` routes the apply through here.
+    :func:`lqcdlab.dirac.apply_dirac` routes the apply through here.  Only
+    the geometry-derived tables are cached; the gauge and clover slices are
+    gathered on every apply, so in-place updates of the fields take effect.
     """
 
     def __init__(self, grid: RankGrid, mode: str = "sequential", timeout: float = DEFAULT_TIMEOUT):
@@ -229,29 +227,22 @@ class MultiRankExecutor:
         self.mode = mode
         self.commset = CommunicatorSet(grid, timeout)
         self._plans: list[_RankPlan] | None = None
-        self._plan_key: tuple | None = None
+        self._plan_dims: tuple | None = None
         self.last_stats: list[EpochStats] = []
 
-    def _plans_for(self, gauge: GaugeField, clover: CloverField) -> list[_RankPlan]:
-        key = (gauge.geom.dims, id(gauge.data), id(clover.data))
-        if self._plan_key == key and self._plans is not None:
-            return self._plans
-        domains = decompose(gauge.geom, self.grid)
-        plans = []
-        for dom in domains:
-            local_gauge = GaugeField(dom.local_geom, np.ascontiguousarray(gauge.data[dom.global_sites]))
-            local_clover = CloverField(dom.local_geom, np.ascontiguousarray(clover.data[dom.global_sites]))
-            plan = _RankPlan(dom, local_gauge, local_clover)
-            n_loc = dom.local_geom.n_sites
-            for mu in range(NDIM):
-                fwd = dom.local_geom.neighbor_table(mu, +1).copy()
-                bnd = dom.boundary[(mu, 1)]
-                fwd[bnd] = n_loc + np.arange(len(bnd))
-                plan.ext_fwd.append(fwd)
-            plans.append(plan)
-        self._plans = plans
-        self._plan_key = key
-        return plans
+    def _plans_for(self, geom: LatticeGeometry) -> list[_RankPlan]:
+        if self._plan_dims != geom.dims:
+            self._plans = []
+            for dom in decompose(geom, self.grid):
+                local = dom.local_geom
+                fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
+                for mu in range(NDIM):
+                    bnd = dom.boundary[(mu, 1)]
+                    fwd[mu][bnd] = local.n_sites + np.arange(len(bnd))
+                back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
+                self._plans.append(_RankPlan(dom, fwd, back))
+            self._plan_dims = geom.dims
+        return self._plans
 
     def apply_dirac(
         self,
@@ -260,12 +251,10 @@ class MultiRankExecutor:
         clover: CloverField,
         psi: BlockSpinorField,
         flops: _dirac.FlopCounter | None = None,
-        perf: list | None = None,
     ) -> BlockSpinorField:
         if psi.n_sites != gauge.geom.n_sites:
             raise ValueError(f"field has {psi.n_sites} sites, lattice has {gauge.geom.n_sites}")
-        t0 = time.perf_counter()
-        plans = self._plans_for(gauge, clover)
+        plans = self._plans_for(gauge.geom)
         psi_view = psi.ksi()
         locals_psi = []
         for plan in plans:
@@ -277,7 +266,7 @@ class MultiRankExecutor:
 
         self.commset.begin_epoch()
         runners = [
-            self._rank_phases(plan, self.commset.rank_comm(plan.domain.rank), params, loc, flops)
+            self._rank_phases(plan, self.commset.rank_comm(plan.domain.rank), params, gauge, clover, loc, flops)
             for plan, loc in zip(plans, locals_psi)
         ]
         results: list[BlockSpinorField | None] = [None] * len(plans)
@@ -321,19 +310,6 @@ class MultiRankExecutor:
         ev = eta.ksi()
         for plan, res in zip(plans, results):
             ev[plan.domain.global_sites] = res.ksi()
-        if perf is not None:
-            seconds = time.perf_counter() - t0
-            ledger = _dirac.account_traffic(psi.b)
-            perf.append(
-                _dirac.DiracPerfRecord(
-                    seconds=seconds,
-                    sites=psi.n_sites,
-                    b=psi.b,
-                    layout=int(psi.layout),
-                    flops=ledger["flops_per_site"] * psi.n_sites,
-                    bytes=ledger["bytes_per_site"] * psi.n_sites,
-                )
-            )
         return eta
 
     def _rank_phases(
@@ -341,49 +317,19 @@ class MultiRankExecutor:
         plan: _RankPlan,
         comm: Communicator,
         params: _dirac.DiracParams,
+        gauge: GaugeField,
+        clover: CloverField,
         psi: BlockSpinorField,
         flops: _dirac.FlopCounter | None,
     ):
         """Generator running one rank's apply; yields at phase barriers."""
-        proj = table()
         dom = plan.domain
-        b = psi.b
-
-        # stage 1: self coupling, lam workspaces, post lam sends downward
-        eta = _dirac.apply_self_coupling(params, plan.clover, psi, flops=flops)
-        lam = [_dirac.project_minus(proj, psi, mu, flops=flops) for mu in range(NDIM)]
-        lam_views = [_dirac._half_view(f) for f in lam]
-        for mu in range(NDIM):
-            comm.post_send(mu, -1, lam_views[mu][dom.boundary[(mu, -1)]])
-        yield
-
-        # stage 2: chi workspaces at local destinations, post chi sends upward
-        chi = []
-        for mu in range(NDIM):
-            vals = _dirac._chi_source_values(plan.gauge, psi, mu, flops=flops)
-            field = BlockSpinorField.zeros(dom.local_geom.n_sites, b, psi.layout, s=6, geom=dom.local_geom)
-            _dirac._half_view(field)[...] = vals[dom.local_geom.neighbor_table(mu, -1)]
-            comm.post_send(mu, +1, vals[dom.boundary[(mu, 1)]])
-            chi.append(field)
-        yield
-
-        # stage 3: receive lam halos, accumulate the link-multiplied hop
-        for mu in range(NDIM):
-            halo = comm.complete_recv(mu, -1)
-            ext = np.concatenate([lam_views[mu], halo], axis=0) if len(halo) else lam_views[mu]
-            _dirac.accumulate_hop_minus(
-                proj, plan.gauge, lam[mu], eta, mu, flops=flops, lam_at_forward=ext[plan.ext_fwd[mu]]
-            )
-            _dirac._count_reconstruction(flops, eta.n_sites, b)
-        yield
-
-        # stage 4: receive chi halos onto the -mu faces, accumulate
-        for mu in range(NDIM):
-            halo = comm.complete_recv(mu, +1)
-            if len(halo):
-                _dirac._half_view(chi[mu])[dom.boundary[(mu, -1)]] = halo
-            _dirac.accumulate_hop_plus(chi[mu], eta, mu, flops=flops)
-            _dirac._count_reconstruction(flops, eta.n_sites, b)
+        local_gauge = GaugeField(dom.local_geom, gauge.data[dom.global_sites])
+        local_clover = CloverField(dom.local_geom, clover.data[dom.global_sites])
+        eta = _dirac.apply_self_coupling(params, local_clover, psi, flops=flops)
+        yield from _dirac.hop_stages(
+            local_gauge, psi, eta, plan.fwd, plan.back, comm, dom.boundary, flops=flops
+        )
         return eta
 
 

@@ -200,23 +200,3 @@ class SchurOperator:
             return merge_fields(x_kept, x_elim, self.split)
         return merge_fields(x_elim, x_kept, self.split)
 
-
-def apply_schur(
-    params: DiracParams,
-    gauge: GaugeField,
-    clover: CloverField,
-    v_even: BlockSpinorField,
-) -> BlockSpinorField:
-    """One-shot S v on even sites; builds the factorization cache each call."""
-    return SchurOperator(params, gauge, clover).apply(v_even)
-
-
-def reconstruct_full(
-    params: DiracParams,
-    gauge: GaugeField,
-    clover: CloverField,
-    x_even: BlockSpinorField,
-    rhs_odd: BlockSpinorField,
-) -> BlockSpinorField:
-    """One-shot back substitution for the odd half."""
-    return SchurOperator(params, gauge, clover).reconstruct(x_even, rhs_odd)

@@ -88,7 +88,6 @@ def test_set_key():
         ("solver.tol = 0", "tol"),
         ("solver.restart_len = 0", "restart"),
         ("output.format = yaml", "format"),
-        ("threads = 0", "threads"),
         ("lattice.antiperiodic_time = true", "not implemented"),
     ],
 )

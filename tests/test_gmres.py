@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lqcdlab import gmres
 from lqcdlab.blas import block_norms
 from lqcdlab.dirac import DiracParams
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
@@ -158,6 +159,23 @@ def test_gamma_tracks_explicit_residual(problem):
     dev = gamma_residual_audit(dirac_op(params, gauge, clover), eta, None,
                                GmresConfig(restart_len=5, restarts=3))
     assert dev <= 1e-8
+
+
+def test_gamma_audit_keeps_config_fields(problem, monkeypatch):
+    geom, gauge, clover = problem
+    seen = []
+
+    def spy(op, ws, j, cfg):
+        seen.append(cfg)
+        return arnoldi_step(op, ws, j, cfg)
+
+    monkeypatch.setattr(gmres, "arnoldi_step", spy)
+    eta = gen_spinor(geom.n_sites, 1, Layout.RHS_MAJOR, seed=13, geom=geom)
+    cfg = GmresConfig(restart_len=2, restarts=1, breakdown_rel=1e-3, reorthogonalize=True)
+    gamma_residual_audit(dirac_op(DiracParams(m0=-0.5), gauge, clover), eta, None, cfg)
+    assert len(seen) == 2
+    for used in seen:
+        assert used.fixed_iterations and used.breakdown_rel == 1e-3 and used.reorthogonalize
 
 
 def test_stagnation_flagged():

@@ -9,10 +9,9 @@ from lqcdlab.halo import (
     HaloTimeoutError,
     MultiRankExecutor,
     apply_dirac_multirank,
-    exchange_epoch_stats,
 )
 
-GRIDS = [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1)]
+GRIDS = [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (1, 1, 1, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +31,21 @@ def test_multirank_matches_single_rank_bitwise(problem, grid, mode):
     _, gauge, clover, params, psi, eta_single = problem
     eta, _ = apply_dirac_multirank(params, gauge, clover, psi, RankGrid(grid), mode=mode)
     assert np.array_equal(eta.data, eta_single.data)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threads"])
+def test_executor_sees_in_place_field_refresh(mode):
+    geom = LatticeGeometry((4, 4, 4, 4))
+    gauge = gen_gauge(geom, "random", seed=54)
+    clover = gen_clover(geom, "random", scale=0.1, seed=55)
+    params = DiracParams(m0=-0.5)
+    psi = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=56, geom=geom)
+    ex = MultiRankExecutor(RankGrid((2, 1, 1, 1)), mode=mode)
+    ex.apply_dirac(params, gauge, clover, psi)
+    gauge.data[...] = gen_gauge(geom, "random", seed=57).data
+    clover.data[...] = gen_clover(geom, "random", scale=0.1, seed=58).data
+    eta = ex.apply_dirac(params, gauge, clover, psi)
+    assert np.array_equal(eta.data, apply_dirac(params, gauge, clover, psi).data)
 
 
 def test_executor_reusable_and_stats(problem):
@@ -61,12 +75,12 @@ def test_epoch_stats_exchange():
     grid = RankGrid((2, 1, 1, 1))
     cs = CommunicatorSet(grid)
     comm = cs.rank_comm(0)
-    assert exchange_epoch_stats(comm) is None
+    assert comm.exchange_epoch_stats() is None
     cs.begin_epoch()
     cs.rank_comm(1).post_send(0, 1, np.zeros((1, 2, 3, 1), dtype=np.complex128))
     comm.complete_recv(0, 1)
     stats = comm.end_epoch()
-    assert exchange_epoch_stats(comm) == stats
+    assert comm.exchange_epoch_stats() == stats
     assert stats.rank == 0 and stats.epoch == 1
 
 

@@ -9,9 +9,7 @@ from lqcdlab.oddeven import (
     OeSplit,
     SchurOperator,
     SingularBlockError,
-    apply_schur,
     merge_fields,
-    reconstruct_full,
     split_fields,
 )
 from lqcdlab.oracle import assemble_schur_dense, dense_solve
@@ -87,23 +85,6 @@ def test_reduce_solve_reconstruct_solves_full_system(problem):
     r = apply_dirac(params, gauge, clover, psi)
     res = np.linalg.norm(r.columns() - eta.columns()) / np.linalg.norm(eta.columns())
     assert res < 1e-12
-
-
-def test_one_shot_wrappers(problem):
-    geom, gauge, clover, params = problem
-    v = gen_spinor(geom.n_sites // 2, 1, Layout.RHS_MAJOR, seed=74)
-    out = apply_schur(params, gauge, clover, v)
-    schur = SchurOperator(params, gauge, clover)
-    assert np.array_equal(out.data, schur.apply(v).data)
-
-    eta = gen_spinor(geom.n_sites, 1, Layout.RHS_MAJOR, seed=75, geom=geom)
-    reduced, eta_elim = schur.reduce_rhs(eta)
-    x = BlockSpinorField.zeros_like(reduced)
-    x.set_columns(dense_solve(assemble_schur_dense(params, gauge, clover), reduced.columns()))
-    x_odd = reconstruct_full(params, gauge, clover, x, eta_elim)
-    psi = schur.merge(x, x_odd)
-    r = apply_dirac(params, gauge, clover, psi)
-    assert np.linalg.norm(r.columns() - eta.columns()) / np.linalg.norm(eta.columns()) < 1e-12
 
 
 def test_singular_elimination_block_rejected():
