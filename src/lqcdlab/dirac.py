@@ -17,7 +17,8 @@ are posted after each workspace is built and receives completed right
 before the consuming accumulation.  Both therefore perform the same numpy
 operations in the same order on the same per-site values; rank-local fields
 only permute the site axis, which is why the multi-rank result is bitwise
-equal to the single-rank one.
+equal to the single-rank one.  The even/odd Schur operator (oddeven module)
+runs the same stages on half-lattice fields, with cross-parity tables.
 
 Per-mu half-spinor compression keeps 6 of 12 components; the reconstruction
 restores the other 6 from the monomial spin blocks.  Flop accounting follows
@@ -135,6 +136,7 @@ def hop_stages(
     comm=None,
     boundary: dict | None = None,
     flops: FlopCounter | None = None,
+    src_gauge: GaugeField | None = None,
 ):
     """Generator running the four hop stages of one rank, subtracting into eta.
 
@@ -146,7 +148,14 @@ def hop_stages(
     ``fwd`` sends +mu face sites past the end of the local field, into the lam
     halo received from the +mu neighbor rank, and the chi values received
     from the -mu neighbor rank replace the -mu face.
+
+    The link multiplies read ``gauge`` at eta's sites and the chi stage reads
+    ``src_gauge`` (default ``gauge``) at psi's sites; the two differ only when
+    psi and eta live on different site sets, as in the parity-to-parity hops
+    of the even/odd Schur operator.
     """
+    if src_gauge is None:
+        src_gauge = gauge
     spin = _spin_view(psi)
     lam = [compress(spin, mu, -1) for mu in range(NDIM)]
     if comm is not None:
@@ -157,7 +166,7 @@ def hop_stages(
     chi = []
     for mu in range(NDIM):
         # computed at the source site x, consumed at x + mu^
-        vals = np.einsum("xdc,xsdb->xscb", gauge.mu(mu).conj(), compress(spin, mu, +1))
+        vals = np.einsum("xdc,xsdb->xscb", src_gauge.mu(mu).conj(), compress(spin, mu, +1))
         chi.append(vals[back[mu]])
         if comm is not None:
             comm.post_send(mu, +1, vals[boundary[(mu, 1)]])
@@ -187,17 +196,25 @@ def subtract_hops(
     psi: BlockSpinorField,
     eta: BlockSpinorField,
     flops: FlopCounter | None = None,
+    fwd: list[np.ndarray] | None = None,
+    back: list[np.ndarray] | None = None,
+    src_gauge: GaugeField | None = None,
 ) -> None:
     """Run all four hop stages of the stencil, subtracting into eta in place.
 
-    The single-rank apply: :func:`hop_stages` run to completion with the
-    periodic neighbor tables of the whole lattice and no rank endpoint.
+    The single-rank apply: :func:`hop_stages` run to completion with no rank
+    endpoint and, by default, the periodic neighbor tables of the whole
+    lattice.  Passing ``fwd``/``back`` (both) and ``src_gauge`` restricts the
+    sweep to other site sets: eta's sites carry the links of ``gauge``, psi's
+    those of ``src_gauge``, and ``fwd[mu]``/``back[mu]`` give, for each eta
+    site, the psi index of its +mu/-mu neighbor.
     """
-    _check_field(psi, gauge)
-    geom = gauge.geom
-    fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
-    back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
-    for _ in hop_stages(gauge, psi, eta, fwd, back, flops=flops):
+    if fwd is None:
+        _check_field(psi, gauge)
+        geom = gauge.geom
+        fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
+        back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
+    for _ in hop_stages(gauge, psi, eta, fwd, back, flops=flops, src_gauge=src_gauge):
         pass
 
 

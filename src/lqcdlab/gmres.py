@@ -7,6 +7,10 @@ axpys) works on the whole block at once.  The batch stops as one: iteration
 continues until max over rhs of the relative residual drops below the
 tolerance, and every restart recomputes true residuals.
 
+A NaN or infinite residual norm in any rhs stops the solve at once with a
+:class:`NonFiniteResidualError`, checked after every restart residual and
+every Arnoldi step.
+
 The per-rhs recurrence is the textbook one.  With modified Gram-Schmidt
 coefficients h and rotation pairs (c real, s complex),
 
@@ -37,6 +41,22 @@ from .oddeven import SchurOperator
 log = logging.getLogger(__name__)
 
 _TINY = 1e-300
+
+
+class NonFiniteResidualError(np.linalg.LinAlgError):
+    """The residual norm of some rhs columns became NaN or infinite."""
+
+    def __init__(self, iteration: int, columns: list[int]):
+        self.iteration = iteration
+        self.columns = columns
+        where = f"after iteration {iteration}" if iteration else "before the first iteration"
+        super().__init__(f"non-finite residual norm {where} in rhs columns {columns}")
+
+
+def _check_finite(ws: "SolverWorkspace", iteration: int) -> None:
+    bad = ~np.isfinite(ws.relnorm)
+    if bad.any():
+        raise NonFiniteResidualError(iteration, np.flatnonzero(bad).tolist())
 
 
 @dataclass
@@ -103,7 +123,7 @@ def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
     c = np.ones_like(rho)
     s = np.zeros_like(a)
-    nz = rho > 0
+    nz = rho != 0  # also True for NaN, so a non-finite column poisons the rotation
     az = np.abs(a) > 0
     both = nz & az
     c = np.where(both, np.abs(a) / np.where(nz, rho, 1.0), np.where(nz, 0.0, 1.0))
@@ -210,6 +230,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     stagnated = False
     for _cycle in range(cfg.restarts):
         start_norms = _start_cycle(op, eta, psi, ws)
+        _check_finite(ws, iterations)
         start_rel = ws.relnorm.copy()
         if not cfg.fixed_iterations and ws.relnorm.max() < cfg.tol:
             finish = True
@@ -218,6 +239,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
             for j in range(cfg.restart_len):
                 arnoldi_step(op, ws, j, cfg)
                 iterations += 1
+                _check_finite(ws, iterations)
                 history.append(ws.relnorm.copy())
                 j_done = j + 1
                 if not cfg.fixed_iterations and ws.relnorm.max() < cfg.tol:
@@ -353,7 +375,11 @@ def solve_dirac(
     psi0: BlockSpinorField | None = None,
     comm=None,
 ) -> SolveReport:
-    """Solve D psi = eta directly or through the even-site Schur system."""
+    """Solve D psi = eta directly or through the even-site Schur system.
+
+    On the even/odd path the Schur solve runs single-rank; ``comm`` is used
+    only for the final full-system residual.
+    """
     if not odd_even:
         result = gmres_solve(dirac_op(params, gauge, clover, comm), eta, psi0, cfg)
         full = result.final_relnorms

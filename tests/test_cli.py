@@ -92,6 +92,28 @@ def test_solve_fixed_iterations(capsys, tmp_path):
     assert json.loads(out.splitlines()[-1])["iterations"] == 100
 
 
+def test_solve_non_finite_residual_exit_code(capsys, tmp_path, monkeypatch):
+    from lqcdlab import gmres
+
+    real = gmres.apply_dirac
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(1)
+        out = real(*args, **kwargs)
+        if len(calls) >= 3:
+            out.data[0] = np.nan
+        return out
+
+    monkeypatch.setattr(gmres, "apply_dirac", poisoned)
+    code, _, err = run_cli(
+        capsys, "solve", "--set", "dirac.m0=1.0", "--set", f"output.path={tmp_path}{os.sep}",
+    )
+    assert code == 2
+    assert "non-finite residual norm after iteration 2" in err
+    assert len(calls) == 3
+
+
 def test_bench_roofline_pipeline(capsys, tmp_path):
     runs = tmp_path / "runs.json"
     code, out, _ = run_cli(

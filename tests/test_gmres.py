@@ -8,6 +8,7 @@ from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_
 from lqcdlab.geometry import LatticeGeometry
 from lqcdlab.gmres import (
     GmresConfig,
+    NonFiniteResidualError,
     SolverWorkspace,
     arnoldi_step,
     batched_vs_independent_audit,
@@ -202,3 +203,29 @@ def test_solve_dirac_schur_path_agrees(problem):
     assert schur.iterations < direct.iterations
     diff = np.abs(direct.psi.ksi() - schur.psi.ksi()).max() / np.abs(direct.psi.ksi()).max()
     assert diff < 1e-6
+
+
+@pytest.mark.parametrize("first_bad, iteration", [(1, 0), (3, 2), (12, 10)])
+def test_non_finite_residual_stops_at_once(first_bad, iteration):
+    # call 1 is the first restart residual, calls 2..11 the Arnoldi steps of
+    # cycle one, call 12 the restart residual after iteration 10
+    n = 16
+    rng = np.random.default_rng(5)
+    a = 4.0 * np.eye(12 * n) + 0.1 * rng.standard_normal((12 * n, 12 * n))
+    base = matrix_op(a)
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        out = base(v)
+        if len(calls) >= first_bad:
+            out.ksi()[0, 0, 1] = np.nan
+        return out
+
+    eta = gen_spinor(n, 3, Layout.RHS_MAJOR, seed=4)
+    cfg = GmresConfig(restart_len=10, restarts=3, fixed_iterations=True)
+    with pytest.raises(NonFiniteResidualError) as err:
+        gmres_solve(op, eta, None, cfg)
+    assert len(calls) == first_bad
+    assert err.value.iteration == iteration
+    assert err.value.columns == [1]

@@ -3,7 +3,15 @@ import pytest
 
 from lqcdlab.blas import block_norms
 from lqcdlab.dirac import DiracParams, apply_dirac
-from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
+from lqcdlab.fields import (
+    BlockSpinorField,
+    CloverField,
+    GaugeField,
+    Layout,
+    gen_clover,
+    gen_gauge,
+    gen_spinor,
+)
 from lqcdlab.geometry import LatticeGeometry
 from lqcdlab.oddeven import (
     OeSplit,
@@ -97,10 +105,55 @@ def test_singular_elimination_block_rejected():
     assert "site" in str(err.value)
 
 
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
 def test_keep_parity_odd(problem):
     geom, gauge, clover, params = problem
     schur_odd = SchurOperator(params, gauge, clover, keep_parity=1)
     assert schur_odd.n_sites == geom.n_sites // 2
-    v = gen_spinor(schur_odd.n_sites, 1, Layout.RHS_MAJOR, seed=76)
-    out = schur_odd.apply(v)
-    assert np.isfinite(out.data).all()
+    dense = assemble_schur_dense(params, gauge, clover, keep_parity=1)
+    v = gen_spinor(schur_odd.n_sites, 2, Layout.COMPONENT_MAJOR, seed=76)
+    assert _rel(schur_odd.apply(v).columns(), dense @ v.columns()) < 1e-12
+    # reduce, solve densely, reconstruct and merge with the odd half kept
+    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=78, geom=geom)
+    reduced, eta_elim = schur_odd.reduce_rhs(eta)
+    x_kept = BlockSpinorField.zeros_like(reduced)
+    x_kept.set_columns(dense_solve(dense, reduced.columns()))
+    psi = schur_odd.merge(x_kept, schur_odd.reconstruct(x_kept, eta_elim))
+    assert _rel(apply_dirac(params, gauge, clover, psi).columns(), eta.columns()) < 1e-12
+
+
+@pytest.mark.parametrize("keep_parity", [0, 1])
+@pytest.mark.parametrize("fault", ["singular", "nan"])
+def test_bad_eliminated_block_is_attributed(problem, keep_parity, fault):
+    geom, gauge, clover, params = problem
+    site = int(OeSplit.from_geom(geom).sites(1 - keep_parity)[5])
+    if fault == "singular":
+        blocks = clover.blocks()
+        blocks[site, 1] = (4.0 + params.m0) * np.eye(6)  # diagonal block (4+m0)I - C = 0
+        bad = CloverField.from_blocks(geom, blocks)
+    else:
+        bad = CloverField(geom, clover.data.copy())
+        bad.data[site, 1, 3] = np.nan
+    with pytest.raises(SingularBlockError) as err:
+        SchurOperator(params, gauge, bad, keep_parity=keep_parity)
+    assert (err.value.site, err.value.block) == (site, 1)
+    assert f"at site {site}" in str(err.value)
+    assert np.isnan(err.value.cond) == (fault == "nan")
+
+
+def test_operator_is_a_build_time_snapshot(problem):
+    geom, gauge0, clover0, params = problem
+    gauge = GaugeField(geom, gauge0.data.copy())
+    clover = CloverField(geom, clover0.data.copy())
+    schur = SchurOperator(params, gauge, clover)
+    dense_built = assemble_schur_dense(params, gauge, clover)
+    gauge.data[...] = gen_gauge(geom, "random", seed=63).data
+    clover.data[...] = gen_clover(geom, "random", scale=0.1, seed=64).data
+    v = gen_spinor(schur.n_sites, 2, Layout.RHS_MAJOR, seed=77)
+    assert _rel(schur.apply(v).columns(), dense_built @ v.columns()) < 1e-12
+    rebuilt = SchurOperator(params, gauge, clover)
+    dense_now = assemble_schur_dense(params, gauge, clover)
+    assert _rel(rebuilt.apply(v).columns(), dense_now @ v.columns()) < 1e-12
