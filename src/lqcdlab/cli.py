@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, canonical, config_hash, layout_of,
-                     load_config, set_key, validate)
+from .config import (ConfigError, RunConfig, config_hash, layout_of, load_config,
+                     set_key, text_hash, validate)
 from .costmodel import AbstractMachine, CostWeights, cost as weighted_cost, delta_cost, run_kernel
 from .dirac import DiracParams, account_traffic, apply_dirac
 from .fields import (RNG_ALGORITHM, BlockSpinorField, gen_clover, gen_gauge, gen_spinor,
@@ -57,10 +57,10 @@ def _prepare_out(path: str) -> str:
     return path
 
 
-def _emit_header(cfg_text: str, seed: int, out=None) -> None:
+def _emit_header(cfg_hash: str, seed: int, out=None) -> None:
     header = {
         "version": __version__,
-        "config_hash": hashlib.sha256(cfg_text.encode()).hexdigest()[:12],
+        "config_hash": cfg_hash,
         "seed": seed,
         "rng": RNG_ALGORITHM,
     }
@@ -95,7 +95,7 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_bench_dirac(args) -> int:
     cfg = _load_runconfig(args)
-    _emit_header(canonical(cfg), cfg.seed)
+    _emit_header(config_hash(cfg), cfg.seed)
     b_list = _int_list(args.b_list) if args.b_list else [cfg.b]
     layouts = _int_list(args.layout_list) if args.layout_list else [cfg.layout]
     geom = LatticeGeometry(cfg.dims)
@@ -140,7 +140,7 @@ def cmd_bench_dirac(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_runconfig(args)
-    _emit_header(canonical(cfg), cfg.seed)
+    _emit_header(config_hash(cfg), cfg.seed)
     _, gauge, clover, eta = _build_problem(cfg)
     params = DiracParams(m0=cfg.m0)
     gcfg = GmresConfig(
@@ -185,7 +185,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     cfg = _load_runconfig(args)
-    _emit_header(canonical(cfg), cfg.seed)
+    _emit_header(config_hash(cfg), cfg.seed)
     geom = LatticeGeometry(cfg.dims)
     if 12 * geom.n_sites > MAX_DENSE_DIM:
         raise ConfigError(
@@ -268,7 +268,7 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_gen_fields(args) -> int:
     cfg = _load_runconfig(args)
-    _emit_header(canonical(cfg), cfg.seed)
+    _emit_header(config_hash(cfg), cfg.seed)
     geom, gauge, clover, psi = _build_problem(cfg)
     prefix = cfg.out_path
     paths = {
@@ -292,7 +292,7 @@ def cmd_gen_fields(args) -> int:
 
 def cmd_stream(args) -> int:
     pseudo = f"stream kind={args.kind} mb={args.mb} threads={args.threads} reps={args.reps}"
-    _emit_header(pseudo, 0)
+    _emit_header(text_hash(pseudo), 0)
     array_bytes = args.mb * 1024 * 1024
     llc = args.llc_mb * 1024 * 1024
     result = stream_bench(args.kind, array_bytes, repetitions=args.reps,
@@ -303,7 +303,7 @@ def cmd_stream(args) -> int:
 
 def cmd_roofline(args) -> int:
     pseudo = f"roofline in={args.infile} triad_bw={args.triad_bw}"
-    _emit_header(pseudo, 0)
+    _emit_header(text_hash(pseudo), 0)
     with open(args.infile, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     runs = data["records"] if isinstance(data, dict) else data
@@ -321,7 +321,7 @@ def cmd_roofline(args) -> int:
 def cmd_cost_model(args) -> int:
     pseudo = (f"cost-model strategy={args.strategy} b={args.b} b2={args.b2} "
               f"svl={args.svl} iters={args.iters} weights={args.weights}")
-    _emit_header(pseudo, 0)
+    _emit_header(text_hash(pseudo), 0)
     machine = AbstractMachine(args.svl)
     weights = CostWeights.preset(args.weights)
     rng = np.random.default_rng(0)

@@ -132,8 +132,13 @@ def canonical(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_hash(text: str) -> str:
+    """12-hex-digit sha256 prefix of a canonical text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(canonical(cfg).encode()).hexdigest()[:12]
+    return text_hash(canonical(cfg))
 
 
 def set_key(cfg: RunConfig, key: str, value: str) -> None:

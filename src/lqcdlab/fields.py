@@ -209,6 +209,26 @@ def _tri_indices() -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(6)
 
 
+def _unpack_table() -> tuple[np.ndarray, np.ndarray]:
+    """Packed position of every (row, col) entry of a 6x6 Hermitian block.
+
+    Entry (r, c) reads the packed lower-triangle entry (max, min) of (r, c);
+    the strict upper triangle (c > r) is its conjugate, applied as a sign
+    flip of the imaginary part: the second table holds the (re, im) signs of
+    all 36 entries.
+    """
+    packed = np.zeros((6, 6), dtype=np.intp)
+    rows, cols = _tri_indices()
+    packed[rows, cols] = np.arange(_TRI6)
+    packed[cols, rows] = np.arange(_TRI6)
+    signs = np.ones((6, 6, 2))
+    signs[cols, rows, 1] = np.where(rows == cols, 1.0, -1.0)
+    return packed.ravel(), signs.ravel()
+
+
+_UNPACK, _CONJ_SIGNS = _unpack_table()
+
+
 @dataclass
 class CloverField:
     """Site-local term: two packed 6x6 Hermitian blocks per site.
@@ -239,12 +259,10 @@ class CloverField:
 
     def blocks(self) -> np.ndarray:
         """(n_sites, 2, 6, 6) Hermitian blocks rebuilt from the packed form."""
-        rows, cols = _tri_indices()
-        out = np.zeros((self.geom.n_sites, 2, 6, 6), dtype=np.complex128)
-        out[..., rows, cols] = self.data
-        strict = rows != cols
-        out[..., cols[strict], rows[strict]] = self.data[..., strict].conj()
-        return out
+        out = np.take(self.data, _UNPACK, axis=-1)
+        parts = out.view(np.float64)
+        parts *= _CONJ_SIGNS
+        return out.reshape(*self.data.shape[:-1], 6, 6)
 
     def is_zero(self) -> bool:
         return not np.any(self.data)

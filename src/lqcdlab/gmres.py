@@ -121,14 +121,15 @@ class GmresResult:
 def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized complex Givens pairs (c real, s) zeroing b under [c s; -s^H c]."""
     rho = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    c = np.ones_like(rho)
-    s = np.zeros_like(a)
     nz = rho != 0  # also True for NaN, so a non-finite column poisons the rotation
     az = np.abs(a) > 0
     both = nz & az
-    c = np.where(both, np.abs(a) / np.where(nz, rho, 1.0), np.where(nz, 0.0, 1.0))
-    phase = np.where(az, a / np.where(az, np.abs(a), 1.0), 1.0)
-    s = np.where(nz, phase * b.conj() / np.where(nz, rho, 1.0), 0.0)
+    # a non-finite column divides inf or NaN by inf; its NaN rotation is caught
+    # by the caller's residual check, so the floating-point warning is noise
+    with np.errstate(invalid="ignore"):
+        c = np.where(both, np.abs(a) / np.where(nz, rho, 1.0), np.where(nz, 0.0, 1.0))
+        phase = np.where(az, a / np.where(az, np.abs(a), 1.0), 1.0)
+        s = np.where(nz, phase * b.conj() / np.where(nz, rho, 1.0), 0.0)
     return c, s
 
 

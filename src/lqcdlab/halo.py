@@ -7,21 +7,28 @@ sequentially in phase lockstep or on one worker thread each.
 
 Message flow per apply, for each direction mu with more than one rank:
 
-* lam values of the local -mu face travel one rank downward (step -1); the
-  receiver uses them as its +mu halo for the link-multiplied accumulation.
-* chi values computed for off-rank destinations travel one rank upward
-  (step +1); the receiver scatters them onto its -mu face.
+* the +mu-side half spinors (compressed (I + gamma_mu)/2 psi) of the local
+  -mu face travel one rank downward (step -1); the receiver uses them as the
+  +mu-side half spinors of its own +mu face rows.
+* the -mu-side values (U_mu^H times the compressed (I - gamma_mu)/2 psi) of
+  the local +mu face travel one rank upward (step +1); the receiver uses
+  them as the -mu-side values of its own -mu face rows.
 
-Both streams are posted before the compute that could overlap them and are
-completed right before the accumulation that consumes them.  Channels with a
-single rank in their direction degenerate to loopback mailboxes carrying
-empty payloads, so the epoch audit stays uniform across grid shapes.
+Both streams are posted before any receive and completed right before the
+hop sweep that consumes them.  Channels with a single rank in their
+direction degenerate to loopback mailboxes carrying empty payloads, so the
+epoch audit stays uniform across grid shapes.
 
 The multi-rank apply is bit-identical to the single-rank one because both
 run the one stage generator :func:`lqcdlab.dirac.hop_stages`: each rank
 drives it with its own neighbor tables and communicator, the single-rank
 apply with the periodic tables and none.  Rank-local slices only permute the
-site axis, so every site sees the same operations in the same order.
+site axis and the posted values come from the same helpers as the sweep's,
+so every site sees the same operations in the same order.
+
+A fault on one rank poisons every mailbox, so its peers stop at their next
+receive instead of waiting out the timeout, and the executor re-raises it as
+a :class:`RankFaultError` naming that rank.
 """
 
 from __future__ import annotations
@@ -54,6 +61,18 @@ class HaloTimeoutError(RuntimeError):
         )
 
 
+class RankFaultError(RuntimeError):
+    """A rank of the executor raised; names the rank and chains its exception."""
+
+    def __init__(self, rank: int, error: BaseException):
+        self.rank = rank
+        super().__init__(f"rank {rank} failed: {type(error).__name__}: {error}")
+
+
+class _PeerFaulted(RuntimeError):
+    """Raised in a rank whose receive was cut short by a fault on another rank."""
+
+
 @dataclass
 class HaloMessage:
     src_rank: int
@@ -70,6 +89,7 @@ class _Mailbox:
         self._cond = threading.Condition()
         self._slot: HaloMessage | None = None
         self._epoch = -1
+        self._poisoned = False
         self.posted = 0
         self.consumed = 0
 
@@ -77,6 +97,13 @@ class _Mailbox:
         with self._cond:
             self._slot = None
             self._epoch = epoch
+            self._poisoned = False
+
+    def poison(self) -> None:
+        """Wake the consumer and make every further take in this epoch raise."""
+        with self._cond:
+            self._poisoned = True
+            self._cond.notify_all()
 
     def post(self, msg: HaloMessage) -> None:
         with self._cond:
@@ -91,8 +118,10 @@ class _Mailbox:
 
     def take(self, rank: int, mu: int, step: int, timeout: float) -> HaloMessage:
         with self._cond:
-            if not self._cond.wait_for(lambda: self._slot is not None, timeout):
+            if not self._cond.wait_for(lambda: self._slot is not None or self._poisoned, timeout):
                 raise HaloTimeoutError(rank, mu, step, timeout)
+            if self._poisoned:
+                raise _PeerFaulted(f"rank {rank} stopped: another rank faulted in epoch {self._epoch}")
             msg = self._slot
             self._slot = None
             self.consumed += 1
@@ -142,6 +171,11 @@ class CommunicatorSet:
         for comm in self._comms:
             comm._begin_epoch(now)
         return self.epoch
+
+    def poison(self) -> None:
+        """Stop every rank at its next receive of this epoch (a peer faulted)."""
+        for box in self._boxes.values():
+            box.poison()
 
     def box(self, rank: int, mu: int, step: int) -> _Mailbox:
         return self._boxes[(rank, mu, step)]
@@ -203,8 +237,8 @@ class _RankPlan:
     """Geometry-derived gather tables of one rank, reused across applies."""
 
     domain: RankDomain
-    # per mu: local forward-neighbor index with boundary entries redirected
-    # past the end of the local field, into the received halo block
+    # per mu: rank-local periodic neighbor tables; hop_stages replaces the
+    # face rows they get wrong with the received halo values
     fwd: list[np.ndarray]
     back: list[np.ndarray]
 
@@ -236,9 +270,6 @@ class MultiRankExecutor:
             for dom in decompose(geom, self.grid):
                 local = dom.local_geom
                 fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
-                for mu in range(NDIM):
-                    bnd = dom.boundary[(mu, 1)]
-                    fwd[mu][bnd] = local.n_sites + np.arange(len(bnd))
                 back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
                 self._plans.append(_RankPlan(dom, fwd, back))
             self._plan_dims = geom.dims
@@ -281,16 +312,21 @@ class MultiRankExecutor:
                         still.append((idx, gen))
                     except StopIteration as stop:
                         results[idx] = stop.value
+                    except Exception as exc:
+                        raise RankFaultError(idx, exc) from exc
                 live = still
         else:
+            faults: list[tuple[int, Exception]] = []
+
             def drive(idx: int, gen) -> None:
-                out = None
                 try:
                     while True:
                         next(gen)
                 except StopIteration as stop:
-                    out = stop.value
-                results[idx] = out
+                    results[idx] = stop.value
+                except Exception as exc:  # a rank thread reports its fault, then stops its peers
+                    faults.append((idx, exc))
+                    self.commset.poison()
 
             threads = [
                 threading.Thread(target=drive, args=(idx, gen), name=f"rank-{idx}")
@@ -300,9 +336,10 @@ class MultiRankExecutor:
                 t.start()
             for t in threads:
                 t.join()
-            for idx, res in enumerate(results):
-                if res is None:
-                    raise RuntimeError(f"rank {idx} worker died without a result")
+            if faults:
+                # peers stopped by the poison append after the fault that set it
+                idx, exc = faults[0]
+                raise RankFaultError(idx, exc) from exc
 
         self.last_stats = [self.commset.rank_comm(r).end_epoch() for r in range(self.grid.n_ranks)]
 

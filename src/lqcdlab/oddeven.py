@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import DiracParams, subtract_hops
+from .dirac import DiracParams, site_blocks, subtract_hops
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout
 from .geometry import NDIM, LatticeGeometry
 from .projectors import SPINOR_LEN
@@ -171,8 +171,7 @@ class SchurOperator:
         self.keep_sites = self.split.sites(keep_parity)
         self.elim_sites = self.split.sites(1 - keep_parity)
 
-        # site-local diagonal blocks (4+m0) I - C, unpacked once
-        diag = (4.0 + params.m0) * np.eye(6) - clover.blocks()
+        diag = site_blocks(params, clover)
         self._diag_kept = diag[self.keep_sites]
         elim = diag[self.elim_sites]
         _check_blocks(elim, self.elim_sites, cond_limit)

@@ -123,22 +123,37 @@ def projector(mu: int, sign: int) -> np.ndarray:
     return _TABLE.projector(mu, sign)
 
 
-def compress(psi: np.ndarray, mu: int, sign: int) -> np.ndarray:
+def _spin_index(index, spin_axis: int) -> tuple:
+    """Index tuple selecting ``index`` on the (negative) ``spin_axis``."""
+    return (Ellipsis, index) + (slice(None),) * (-spin_axis - 1)
+
+
+def _spin_coef(coef: np.ndarray, spin_axis: int) -> np.ndarray:
+    """Per-spin coefficients shaped to broadcast along the (negative) ``spin_axis``."""
+    return coef.reshape((2,) + (1,) * (-spin_axis - 1))
+
+
+def compress(psi: np.ndarray, mu: int, sign: int, spin_axis: int = -3) -> np.ndarray:
     """Half-spinor h with (I - sign*gamma_mu)/2 psi = (h, -sign*A_mu^H h).
 
-    ``psi`` is (..., 4, 3, b) with spin on axis -3; color and rhs axes pass
-    through.  Uses the monomial form of A_mu: a spin swap and one
-    unit-modulus coefficient per row.
+    ``psi`` has its 4 spin components on ``spin_axis`` (a negative axis,
+    default -3 for (..., 4, 3, b) spinors; the hop kernel passes -2 for its
+    color-outer (..., 3, 4, b) gathers); every other axis passes through.
+    Uses the monomial form of A_mu: a spin swap and one unit-modulus
+    coefficient per row.  The result is a new C-contiguous array, whatever
+    the strides of ``psi``.
     """
-    upper = psi[..., :2, :, :]
-    lower = psi[..., 2:, :, :]
-    swapped = lower[..., _TABLE.perm[mu], :, :] * _TABLE.coef[mu][:, None, None]
-    return 0.5 * (upper - sign * swapped)
+    upper = psi[_spin_index(slice(0, 2), spin_axis)]
+    swapped = psi[_spin_index(2 + _TABLE.perm[mu], spin_axis)]
+    swapped *= _spin_coef(_TABLE.coef[mu], spin_axis)
+    half = (np.subtract if sign == 1 else np.add)(upper, swapped, order="C")
+    half *= 0.5
+    return half
 
 
-def apply_block_adjoint(half: np.ndarray, mu: int) -> np.ndarray:
-    """A_mu^H applied to the spin axis (-3) of a half spinor."""
-    return half[..., _TABLE.adj_perm[mu], :, :] * _TABLE.adj_coef[mu][:, None, None]
+def apply_block_adjoint(half: np.ndarray, mu: int, spin_axis: int = -3) -> np.ndarray:
+    """A_mu^H applied to the 2 spin components on ``spin_axis`` of a half spinor."""
+    return half[_spin_index(_TABLE.adj_perm[mu], spin_axis)] * _spin_coef(_TABLE.adj_coef[mu], spin_axis)
 
 
 def reconstruct(half: np.ndarray, mu: int, sign: int) -> np.ndarray:

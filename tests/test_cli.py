@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lqcdlab.cli import main
+from lqcdlab.config import RunConfig, config_hash, set_key
 from lqcdlab.fields import read_spinor
 
 
@@ -24,7 +25,9 @@ def test_header_fields(capsys):
     header = parse_header(out)
     assert set(header) == {"version", "config_hash", "seed", "rng"}
     assert header["rng"] == "pcg64"
-    assert len(header["config_hash"]) == 12
+    cfg = RunConfig()
+    set_key(cfg, "lattice.dims", "2 2 2 2")
+    assert header["config_hash"] == config_hash(cfg)
 
 
 def test_oracle_check_passes_and_names_suites(capsys):

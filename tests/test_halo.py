@@ -1,17 +1,22 @@
+import time
+
 import numpy as np
 import pytest
 
+from lqcdlab import dirac
 from lqcdlab.dirac import DiracParams, apply_dirac
 from lqcdlab.fields import Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
 from lqcdlab.halo import (
+    DEFAULT_TIMEOUT,
     CommunicatorSet,
     HaloTimeoutError,
     MultiRankExecutor,
+    RankFaultError,
     apply_dirac_multirank,
 )
 
-GRIDS = [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (1, 1, 1, 1)]
+GRIDS = [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (1, 1, 1, 1), (2, 2, 2, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +139,28 @@ def test_small_grid_layout1(problem):
     eta_single = apply_dirac(params, gauge, clover, psi)
     eta, _ = apply_dirac_multirank(params, gauge, clover, psi, RankGrid((2, 2, 2, 2)), mode="threads")
     assert np.array_equal(eta.data, eta_single.data)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "threads"])
+def test_rank_fault_is_attributed_at_once(problem, monkeypatch, mode):
+    # rank 1 raises before posting anything; rank 0 would otherwise wait out
+    # the halo timeout and report a starving channel instead of the cause
+    _, gauge, clover, params, psi, eta_single = problem
+    real = dirac.hop_stages
+
+    def faulty(gauge, psi, eta, fwd, back, comm=None, *args, **kwargs):
+        if comm is not None and comm.rank == 1:
+            raise ValueError("injected fault")
+        return (yield from real(gauge, psi, eta, fwd, back, comm, *args, **kwargs))
+
+    monkeypatch.setattr(dirac, "hop_stages", faulty)
+    ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)), mode=mode)
+    t0 = time.perf_counter()
+    with pytest.raises(RankFaultError, match="rank 1 failed: ValueError: injected fault") as err:
+        ex.apply_dirac(params, gauge, clover, psi)
+    assert time.perf_counter() - t0 < DEFAULT_TIMEOUT / 10
+    assert err.value.rank == 1
+    assert isinstance(err.value.__cause__, ValueError)
+    # the poison lasts one epoch: the next apply runs clean
+    monkeypatch.setattr(dirac, "hop_stages", real)
+    assert np.array_equal(ex.apply_dirac(params, gauge, clover, psi).data, eta_single.data)

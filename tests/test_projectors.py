@@ -52,6 +52,10 @@ def test_compress_matches_dense_projection(mu, sign):
     p = projector(mu, sign)
     expect = np.einsum("st,xtcb->xscb", p, psi)
     assert np.abs(full - expect).max() < 1e-14
+    # color-outer input (spin on axis -2, a strided view): same values, C-contiguous result
+    outer = compress(psi.swapaxes(-3, -2), mu, sign, spin_axis=-2)
+    assert outer.flags.c_contiguous
+    assert np.array_equal(outer, half.swapaxes(-3, -2))
 
 
 @pytest.mark.parametrize("mu", range(4))
@@ -60,6 +64,8 @@ def test_block_adjoint(mu):
     t = table()
     expect = np.einsum("st,xtcb->xscb", t.blocks[mu].conj().T, h)
     assert np.abs(apply_block_adjoint(h, mu) - expect).max() < 1e-15
+    outer = apply_block_adjoint(h.swapaxes(-3, -2), mu, spin_axis=-2)
+    assert np.array_equal(outer, apply_block_adjoint(h, mu).swapaxes(-3, -2))
 
 
 def test_compress_idempotent_through_projector():
