@@ -33,7 +33,6 @@ class RunConfig:
     restarts: int = 10
     odd_even: bool = False
     fixed_iterations: bool = False
-    out_format: str = "json"
     out_path: str = ""
     antiperiodic_time: bool = False
 
@@ -55,7 +54,6 @@ KEY_MAP = {
     "solver.restarts": "restarts",
     "solver.odd_even": "odd_even",
     "solver.fixed_iterations": "fixed_iterations",
-    "output.format": "out_format",
     "output.path": "out_path",
 }
 
@@ -174,8 +172,6 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("solver.tol must be positive")
     if cfg.restart_len < 1 or cfg.restarts < 1:
         raise ConfigError("solver.restart_len and solver.restarts must be >= 1")
-    if cfg.out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {cfg.out_format!r}")
     if cfg.antiperiodic_time:
         raise ConfigError(
             "lattice.antiperiodic_time = true is not implemented; "

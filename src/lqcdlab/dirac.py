@@ -16,16 +16,17 @@ the chunk's accumulator, which is subtracted from eta once.  The chunk size
 follows from b so that a chunk's temporaries stay inside L2; each site's
 arithmetic does not depend on it.
 
-One generator, :func:`hop_stages`, holds that sweep.  The single-rank apply
-runs it to completion with the periodic neighbor tables and the even/odd
-Schur operator (oddeven module) with cross-parity tables on half-lattice
-fields.  The multi-rank executor (halo module) runs it once per rank with
-the rank's tables and communicator: the compressed +mu-side half spinors of
-the -mu face and the link-multiplied -mu-side values of the +mu face are
-posted first, and the sweep takes the face rows it cannot compute locally
-from the received halos.  The posted values come from the same helpers as
-the sweep's, so every site sees the same operations on the same values,
-which is why the multi-rank result is bitwise equal to the single-rank one.
+One function, :func:`subtract_hops`, holds that sweep.  The single-rank
+apply calls it with the periodic neighbor tables and the even/odd Schur
+operator (oddeven module) with cross-parity tables on half-lattice fields.
+The multi-rank executor (halo module) calls it on each rank's thread with
+the rank's tables and communicator: the rank posts the compressed +mu-side
+half spinors of its -mu face and the link-multiplied -mu-side values of its
++mu face, completes its receives, and the sweep takes the face rows it
+cannot compute locally from the received halos.  The posted values come
+from the same helpers as the sweep's, so every site sees the same
+operations on the same values, which is why the multi-rank result is
+bitwise equal to the single-rank one.
 
 Flop accounting follows the structured operations actually performed: a
 complex multiply costs 6 flops, a complex add 2, a real-by-complex scale 2,
@@ -181,37 +182,40 @@ def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, lo: in
     half[face[j0:j1] - lo] = halo[j0:j1].swapaxes(1, 2)
 
 
-def hop_stages(
+def subtract_hops(
     gauge: GaugeField,
     psi: BlockSpinorField,
     eta: BlockSpinorField,
-    fwd: list[np.ndarray],
-    back: list[np.ndarray],
+    flops: FlopCounter | None = None,
+    fwd: list[np.ndarray] | None = None,
+    back: list[np.ndarray] | None = None,
+    src_gauge: GaugeField | None = None,
     comm=None,
     boundary: dict | None = None,
-    flops: FlopCounter | None = None,
-    src_gauge: GaugeField | None = None,
-):
-    """Generator running the hop sweep of one rank, subtracting it from eta.
+) -> None:
+    """Run the hop sweep of the stencil, subtracting it from eta in place.
 
-    ``fwd[mu]``/``back[mu]`` map each eta site to the psi index of its
-    +mu/-mu neighbor.  The links multiplying the +mu side are read from
-    ``gauge`` at eta's sites, those of the -mu side from ``src_gauge``
-    (default ``gauge``) at psi's sites; the two differ only when psi and eta
-    live on different site sets, as in the parity-to-parity hops of the
-    even/odd Schur operator.
+    By default the sweep uses the periodic neighbor tables of the whole
+    lattice.  Otherwise ``fwd[mu]``/``back[mu]`` (both) map each eta site to
+    the psi index of its +mu/-mu neighbor.  The links multiplying the +mu
+    side are read from ``gauge`` at eta's sites, those of the -mu side from
+    ``src_gauge`` (default ``gauge``) at psi's sites; the two differ only
+    when psi and eta live on different site sets, as in the parity-to-parity
+    hops of the even/odd Schur operator.
 
-    Yields at the three phase barriers: the +mu-side half spinors of every
-    -mu face posted; the link-multiplied -mu-side values of every +mu face
-    posted; the +mu-side halos received.  The -mu-side halos are received
-    and the sweep runs after the last barrier.  All posts come before any
-    receive, which the sequential (phase lockstep) mode of the executor
-    needs.  With a rank endpoint ``comm`` and its ``boundary`` face sets,
-    ``fwd``/``back`` are the rank-local periodic tables and the sweep
+    With a rank endpoint ``comm`` and its ``boundary`` face sets, ``fwd``/
+    ``back`` are the rank-local periodic tables.  The rank first posts the
+    +mu-side half spinors of every -mu face and the link-multiplied -mu-side
+    values of every +mu face, then completes its receives, and the sweep
     replaces the rows of the +mu face (resp. -mu face) by the halo values
     received from the +mu (resp. -mu) neighbor rank.  Halo payloads are
     (n_face, 2, 3, b) in ascending face order.
     """
+    if fwd is None:
+        _check_field(psi, gauge)
+        geom = gauge.geom
+        fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
+        back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
     if src_gauge is None:
         src_gauge = gauge
     spin = _spin_view(psi)
@@ -219,20 +223,12 @@ def hop_stages(
     if comm is not None:
         for mu in range(NDIM):
             comm.post_send(mu, -1, compress(spin[boundary[(mu, -1)]], mu, -1))
-    yield
-
-    if comm is not None:
         for mu in range(NDIM):
             face = boundary[(mu, 1)]
             comm.post_send(mu, +1, _adjoint_hop(src_gauge, spin_t, face, mu).swapaxes(1, 2))
-    yield
-
-    if comm is not None:
         fwd_halo = [comm.complete_recv(mu, -1) for mu in range(NDIM)]
-    yield
-
-    if comm is not None:
         back_halo = [comm.complete_recv(mu, +1) for mu in range(NDIM)]
+
     n, b = eta.n_sites, eta.b
     out = _spin_view(eta)
     step = max(_MIN_CHUNK_SITES, _CHUNK_SITE_RHS // b)
@@ -259,33 +255,6 @@ def hop_stages(
         out[lo:hi, :2] -= upper.swapaxes(1, 2)
         out[lo:hi, 2:] -= lower.swapaxes(1, 2)
     _count_hops(flops, n, b)
-
-
-def subtract_hops(
-    gauge: GaugeField,
-    psi: BlockSpinorField,
-    eta: BlockSpinorField,
-    flops: FlopCounter | None = None,
-    fwd: list[np.ndarray] | None = None,
-    back: list[np.ndarray] | None = None,
-    src_gauge: GaugeField | None = None,
-) -> None:
-    """Run the hop sweep of the stencil, subtracting it from eta in place.
-
-    The single-rank apply: :func:`hop_stages` run to completion with no rank
-    endpoint and, by default, the periodic neighbor tables of the whole
-    lattice.  Passing ``fwd``/``back`` (both) and ``src_gauge`` restricts the
-    sweep to other site sets: eta's sites carry the links of ``gauge``, psi's
-    those of ``src_gauge``, and ``fwd[mu]``/``back[mu]`` give, for each eta
-    site, the psi index of its +mu/-mu neighbor.
-    """
-    if fwd is None:
-        _check_field(psi, gauge)
-        geom = gauge.geom
-        fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
-        back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
-    for _ in hop_stages(gauge, psi, eta, fwd, back, flops=flops, src_gauge=src_gauge):
-        pass
 
 
 def apply_dirac(

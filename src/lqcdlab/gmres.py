@@ -65,8 +65,6 @@ class GmresConfig:
     restarts: int = 10
     tol: float = 1e-8
     fixed_iterations: bool = False
-    dot_strategy: str = "deferred"
-    reorthogonalize: bool = False
     breakdown_rel: float = 1e-14
 
     def __post_init__(self) -> None:
@@ -137,22 +135,9 @@ def arnoldi_step(op, ws: SolverWorkspace, j: int, cfg: GmresConfig) -> None:
     """Extend the basis by one column and fold it into the rotated system."""
     w = op(ws.v[j])
     for p in range(j + 1):
-        hp = block_dot(ws.v[p], w, cfg.dot_strategy)
+        hp = block_dot(ws.v[p], w)
         ws.h_raw[:, p, j] = hp
         block_axpy(-hp, ws.v[p], w)
-    if cfg.reorthogonalize:
-        wnorm = block_norms(w)
-        defect = np.zeros(w.b)
-        corr = []
-        for p in range(j + 1):
-            cp = block_dot(ws.v[p], w, cfg.dot_strategy)
-            corr.append(cp)
-            defect = np.maximum(defect, np.abs(cp) / np.maximum(wnorm, _TINY))
-        if defect.max() > 1e-8:
-            for p, cp in enumerate(corr):
-                ws.h_raw[:, p, j] += cp
-                block_axpy(-cp, ws.v[p], w)
-
     hnext = block_norms(w)
     ws.breakdown |= hnext <= cfg.breakdown_rel * ws.eta_norms
     ws.h_raw[:, j + 1, j] = np.where(ws.breakdown, 0.0, hnext)

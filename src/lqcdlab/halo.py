@@ -1,9 +1,9 @@
 """In-process halo exchange over a simulated rank grid.
 
-The communicator reproduces the send/compute/receive overlap of the stencil
-apply without any real transport: every (destination rank, direction mu,
-travel step) channel is a capacity-one mailbox, and ranks run either
-sequentially in phase lockstep or on one worker thread each.
+The communicator reproduces the send/receive pattern of the stencil apply
+without any real transport: every (destination rank, direction mu, travel
+step) channel is a capacity-one mailbox, and every rank runs on its own
+worker thread.
 
 Message flow per apply, for each direction mu with more than one rank:
 
@@ -14,17 +14,18 @@ Message flow per apply, for each direction mu with more than one rank:
   the local +mu face travel one rank upward (step +1); the receiver uses
   them as the -mu-side values of its own -mu face rows.
 
-Both streams are posted before any receive and completed right before the
-hop sweep that consumes them.  Channels with a single rank in their
-direction degenerate to loopback mailboxes carrying empty payloads, so the
-epoch audit stays uniform across grid shapes.
+A rank posts both streams before it receives anything, so no rank waits on
+a message that a waiting peer has yet to post, and completes its receives
+right before the hop sweep that consumes them.  Channels with a single rank
+in their direction degenerate to loopback mailboxes carrying empty
+payloads, so the epoch audit stays uniform across grid shapes.
 
 The multi-rank apply is bit-identical to the single-rank one because both
-run the one stage generator :func:`lqcdlab.dirac.hop_stages`: each rank
-drives it with its own neighbor tables and communicator, the single-rank
-apply with the periodic tables and none.  Rank-local slices only permute the
-site axis and the posted values come from the same helpers as the sweep's,
-so every site sees the same operations in the same order.
+call the one hop sweep :func:`lqcdlab.dirac.subtract_hops`: each rank with
+its own neighbor tables and communicator, the single-rank apply with the
+periodic tables and none.  Rank-local slices only permute the site axis and
+the posted values come from the same helpers as the sweep's, so every site
+sees the same operations in the same order.
 
 A fault on one rank poisons every mailbox, so its peers stop at their next
 receive instead of waiting out the timeout, and the executor re-raises it as
@@ -135,14 +136,6 @@ class EpochStats:
     wait_seconds: float
     compute_seconds: float
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "rank": self.rank,
-            "wait_seconds": self.wait_seconds,
-            "compute_seconds": self.compute_seconds,
-        }
-
 
 class CommunicatorSet:
     """All mailboxes of one rank grid plus the global epoch counter."""
@@ -193,7 +186,6 @@ class Communicator:
         self.rank = rank
         self._wait_seconds = 0.0
         self._epoch_start = time.perf_counter()
-        self._last_stats: EpochStats | None = None
 
     @property
     def grid(self) -> RankGrid:
@@ -219,17 +211,12 @@ class Communicator:
 
     def end_epoch(self) -> EpochStats:
         elapsed = time.perf_counter() - self._epoch_start
-        self._last_stats = EpochStats(
+        return EpochStats(
             epoch=self.commset.epoch,
             rank=self.rank,
             wait_seconds=self._wait_seconds,
             compute_seconds=max(elapsed - self._wait_seconds, 0.0),
         )
-        return self._last_stats
-
-    def exchange_epoch_stats(self) -> EpochStats | None:
-        """Stats of the last finished epoch (None before the first one)."""
-        return self._last_stats
 
 
 @dataclass
@@ -237,7 +224,7 @@ class _RankPlan:
     """Geometry-derived gather tables of one rank, reused across applies."""
 
     domain: RankDomain
-    # per mu: rank-local periodic neighbor tables; hop_stages replaces the
+    # per mu: rank-local periodic neighbor tables; subtract_hops replaces the
     # face rows they get wrong with the received halo values
     fwd: list[np.ndarray]
     back: list[np.ndarray]
@@ -246,19 +233,18 @@ class _RankPlan:
 class MultiRankExecutor:
     """Runs the stencil apply over a simulated rank grid.
 
-    Accepts whole-lattice fields, splits them by ownership, executes every
-    rank (sequentially in phase lockstep, or one thread per rank), and merges
-    the local results.  Passing an instance as ``comm`` to
-    :func:`lqcdlab.dirac.apply_dirac` routes the apply through here.  Only
-    the geometry-derived tables are cached; the gauge and clover slices are
-    gathered on every apply, so in-place updates of the fields take effect.
+    Accepts whole-lattice fields, splits them by ownership, runs every rank
+    on its own thread, and merges the local results.  Passing an instance as
+    ``comm`` to :func:`lqcdlab.dirac.apply_dirac` routes the apply through
+    here.  Only the geometry-derived tables are cached; the gauge and clover
+    slices are gathered on every apply, so in-place updates of the fields
+    take effect.  ``mode`` accepts only ``"threads"``, the one way ranks run.
     """
 
-    def __init__(self, grid: RankGrid, mode: str = "sequential", timeout: float = DEFAULT_TIMEOUT):
-        if mode not in ("sequential", "threads"):
-            raise ValueError(f"unknown execution mode {mode!r}")
+    def __init__(self, grid: RankGrid, mode: str = "threads", timeout: float = DEFAULT_TIMEOUT):
+        if mode != "threads":
+            raise ValueError(f"unknown execution mode {mode!r}; ranks run only on threads")
         self.grid = grid
-        self.mode = mode
         self.commset = CommunicatorSet(grid, timeout)
         self._plans: list[_RankPlan] | None = None
         self._plan_dims: tuple | None = None
@@ -283,8 +269,7 @@ class MultiRankExecutor:
         psi: BlockSpinorField,
         flops: _dirac.FlopCounter | None = None,
     ) -> BlockSpinorField:
-        if psi.n_sites != gauge.geom.n_sites:
-            raise ValueError(f"field has {psi.n_sites} sites, lattice has {gauge.geom.n_sites}")
+        _dirac._check_field(psi, gauge)
         plans = self._plans_for(gauge.geom)
         psi_view = psi.ksi()
         locals_psi = []
@@ -294,52 +279,35 @@ class MultiRankExecutor:
             )
             loc.set_ksi(psi_view[plan.domain.global_sites])
             locals_psi.append(loc)
+        # one counter per rank: the rank threads would race on a shared one
+        counters = [None if flops is None else _dirac.FlopCounter() for _ in plans]
+        results: list[BlockSpinorField | None] = [None] * len(plans)
+        faults: list[tuple[int, Exception]] = []
+
+        def run(idx: int) -> None:
+            plan = plans[idx]
+            comm = self.commset.rank_comm(plan.domain.rank)
+            try:
+                results[idx] = _apply_rank(plan, comm, params, gauge, clover, locals_psi[idx], counters[idx])
+            except Exception as exc:  # a rank thread reports its fault, then stops its peers
+                faults.append((idx, exc))
+                self.commset.poison()
 
         self.commset.begin_epoch()
-        runners = [
-            self._rank_phases(plan, self.commset.rank_comm(plan.domain.rank), params, gauge, clover, loc, flops)
-            for plan, loc in zip(plans, locals_psi)
-        ]
-        results: list[BlockSpinorField | None] = [None] * len(plans)
-
-        if self.mode == "sequential":
-            live = list(enumerate(runners))
-            while live:
-                still = []
-                for idx, gen in live:
-                    try:
-                        next(gen)
-                        still.append((idx, gen))
-                    except StopIteration as stop:
-                        results[idx] = stop.value
-                    except Exception as exc:
-                        raise RankFaultError(idx, exc) from exc
-                live = still
-        else:
-            faults: list[tuple[int, Exception]] = []
-
-            def drive(idx: int, gen) -> None:
-                try:
-                    while True:
-                        next(gen)
-                except StopIteration as stop:
-                    results[idx] = stop.value
-                except Exception as exc:  # a rank thread reports its fault, then stops its peers
-                    faults.append((idx, exc))
-                    self.commset.poison()
-
-            threads = [
-                threading.Thread(target=drive, args=(idx, gen), name=f"rank-{idx}")
-                for idx, gen in enumerate(runners)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if faults:
-                # peers stopped by the poison append after the fault that set it
-                idx, exc = faults[0]
-                raise RankFaultError(idx, exc) from exc
+        threads = [threading.Thread(target=run, args=(idx,), name=f"rank-{idx}") for idx in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if faults:
+            # peers stopped by the poison append after the fault that set it
+            idx, exc = faults[0]
+            raise RankFaultError(idx, exc) from exc
+        if flops is not None:
+            for c in counters:
+                flops.cmul += c.cmul
+                flops.cadd += c.cadd
+                flops.rmul += c.rmul
 
         self.last_stats = [self.commset.rank_comm(r).end_epoch() for r in range(self.grid.n_ranks)]
 
@@ -349,25 +317,25 @@ class MultiRankExecutor:
             ev[plan.domain.global_sites] = res.ksi()
         return eta
 
-    def _rank_phases(
-        self,
-        plan: _RankPlan,
-        comm: Communicator,
-        params: _dirac.DiracParams,
-        gauge: GaugeField,
-        clover: CloverField,
-        psi: BlockSpinorField,
-        flops: _dirac.FlopCounter | None,
-    ):
-        """Generator running one rank's apply; yields at phase barriers."""
-        dom = plan.domain
-        local_gauge = GaugeField(dom.local_geom, gauge.data[dom.global_sites])
-        local_clover = CloverField(dom.local_geom, clover.data[dom.global_sites])
-        eta = _dirac.apply_self_coupling(params, local_clover, psi, flops=flops)
-        yield from _dirac.hop_stages(
-            local_gauge, psi, eta, plan.fwd, plan.back, comm, dom.boundary, flops=flops
-        )
-        return eta
+
+def _apply_rank(
+    plan: _RankPlan,
+    comm: Communicator,
+    params: _dirac.DiracParams,
+    gauge: GaugeField,
+    clover: CloverField,
+    psi: BlockSpinorField,
+    flops: _dirac.FlopCounter | None,
+) -> BlockSpinorField:
+    """One rank's apply on its local psi: the self coupling, then the hops through ``comm``."""
+    dom = plan.domain
+    local_gauge = GaugeField(dom.local_geom, gauge.data[dom.global_sites])
+    local_clover = CloverField(dom.local_geom, clover.data[dom.global_sites])
+    eta = _dirac.apply_self_coupling(params, local_clover, psi, flops=flops)
+    _dirac.subtract_hops(
+        local_gauge, psi, eta, flops, plan.fwd, plan.back, comm=comm, boundary=dom.boundary
+    )
+    return eta
 
 
 def apply_dirac_multirank(
@@ -376,9 +344,8 @@ def apply_dirac_multirank(
     clover: CloverField,
     psi: BlockSpinorField,
     grid: RankGrid,
-    mode: str = "sequential",
     timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[BlockSpinorField, MultiRankExecutor]:
     """One-shot multi-rank apply; returns the result and the executor (stats)."""
-    ex = MultiRankExecutor(grid, mode=mode, timeout=timeout)
+    ex = MultiRankExecutor(grid, timeout=timeout)
     return ex.apply_dirac(params, gauge, clover, psi), ex

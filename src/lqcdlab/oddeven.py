@@ -202,9 +202,6 @@ class SchurOperator:
         out.set_ksi(self._diag_keep(v) - out.ksi())
         return out
 
-    def __call__(self, v: BlockSpinorField) -> BlockSpinorField:
-        return self.apply(v)
-
     def reduce_rhs(self, eta: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
         """(eta_kept - D_ke D_elim^-1 eta_elim, eta_elim) for the half solve."""
         ev = eta.ksi()

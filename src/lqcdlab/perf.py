@@ -30,17 +30,10 @@ DEFAULT_LLC_BYTES = 32 * 1024 * 1024
 @dataclass(frozen=True)
 class RooflineInputs:
     stream_triad_bw: float
-    stream_copy_bw: float = 0.0
-    measured_perf: float = 0.0
-    b: int = 1
 
     def __post_init__(self) -> None:
         if self.stream_triad_bw <= 0:
             raise ValueError("stream_triad_bw must be positive")
-        if self.stream_copy_bw < 0 or self.measured_perf < 0:
-            raise ValueError("bandwidth and performance must be nonnegative")
-        if self.b < 1:
-            raise ValueError("b must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,20 @@ def test_solve_odd_even_converges_faster(capsys, tmp_path):
     assert iters_s < iters_d
 
 
+def test_solve_on_rank_grids_writes_identical_psi(capsys, tmp_path):
+    snaps = []
+    for grid in ("1 1 1 1", "2 1 1 1", "1 2 2 1"):
+        prefix = tmp_path / grid.replace(" ", "")
+        code, _, _ = run_cli(
+            capsys, "solve",
+            "--set", "dirac.m0=1.0", "--set", "block.b=2", "--set", "seed=2",
+            "--set", f"ranks.grid={grid}", "--set", f"output.path={prefix}{os.sep}",
+        )
+        assert code == 0, grid
+        snaps.append((prefix / "psi.snap").read_bytes())
+    assert snaps[1] == snaps[0] and snaps[2] == snaps[0]
+
+
 def test_solve_fixed_iterations(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "solve",

@@ -41,6 +41,8 @@ def test_parse_and_comments():
 def test_parse_errors():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("volume = 16")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("output.format = yaml")
     with pytest.raises(ConfigError, match="expected"):
         parse_config("block.b 4")
     with pytest.raises(ConfigError, match="boolean"):
@@ -87,7 +89,6 @@ def test_set_key():
         ("gauge.mode = cold", "gauge.mode"),
         ("solver.tol = 0", "tol"),
         ("solver.restart_len = 0", "restart"),
-        ("output.format = yaml", "format"),
         ("lattice.antiperiodic_time = true", "not implemented"),
     ],
 )

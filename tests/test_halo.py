@@ -1,11 +1,12 @@
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from lqcdlab import dirac
-from lqcdlab.dirac import DiracParams, apply_dirac
-from lqcdlab.fields import Layout, gen_clover, gen_gauge, gen_spinor
+from lqcdlab.dirac import DiracParams, FlopCounter, apply_dirac
+from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
 from lqcdlab.halo import (
     DEFAULT_TIMEOUT,
@@ -15,8 +16,12 @@ from lqcdlab.halo import (
     RankFaultError,
     apply_dirac_multirank,
 )
+from lqcdlab.projectors import HALF_SPINOR_LEN
 
 GRIDS = [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (1, 1, 1, 1), (2, 2, 2, 2)]
+# threads is the only execution mode; passing it explicitly, as the benchmark
+# does, keeps these tests on the construction the benchmark measures
+MODES = ["threads"]
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +36,14 @@ def problem():
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-@pytest.mark.parametrize("mode", ["sequential", "threads"])
+@pytest.mark.parametrize("mode", MODES)
 def test_multirank_matches_single_rank_bitwise(problem, grid, mode):
     _, gauge, clover, params, psi, eta_single = problem
-    eta, _ = apply_dirac_multirank(params, gauge, clover, psi, RankGrid(grid), mode=mode)
+    eta = MultiRankExecutor(RankGrid(grid), mode=mode).apply_dirac(params, gauge, clover, psi)
     assert np.array_equal(eta.data, eta_single.data)
 
 
-@pytest.mark.parametrize("mode", ["sequential", "threads"])
+@pytest.mark.parametrize("mode", MODES)
 def test_executor_sees_in_place_field_refresh(mode):
     geom = LatticeGeometry((4, 4, 4, 4))
     gauge = gen_gauge(geom, "random", seed=54)
@@ -64,8 +69,6 @@ def test_executor_reusable_and_stats(problem):
     assert len(epochs) == 1
     for s in ex.last_stats:
         assert s.wait_seconds >= 0 and s.compute_seconds >= 0
-        d = s.as_dict()
-        assert set(d) == {"epoch", "rank", "wait_seconds", "compute_seconds"}
 
 
 def test_channel_audit_balances(problem):
@@ -80,13 +83,12 @@ def test_epoch_stats_exchange():
     grid = RankGrid((2, 1, 1, 1))
     cs = CommunicatorSet(grid)
     comm = cs.rank_comm(0)
-    assert comm.exchange_epoch_stats() is None
     cs.begin_epoch()
     cs.rank_comm(1).post_send(0, 1, np.zeros((1, 2, 3, 1), dtype=np.complex128))
     comm.complete_recv(0, 1)
     stats = comm.end_epoch()
-    assert comm.exchange_epoch_stats() == stats
     assert stats.rank == 0 and stats.epoch == 1
+    assert stats.wait_seconds >= 0 and stats.compute_seconds >= 0
 
 
 def test_recv_timeout_names_channel():
@@ -129,7 +131,34 @@ def test_payload_shape(problem):
 
 def test_executor_rejects_mode():
     with pytest.raises(ValueError):
-        MultiRankExecutor(RankGrid((2, 1, 1, 1)), mode="mpi")
+        MultiRankExecutor(RankGrid((2, 1, 1, 1)), mode="sequential")
+
+
+def test_executor_rejects_half_spinor_before_the_split(problem):
+    # an input error is the caller's, not a fault of the rank that trips on it
+    geom, gauge, clover, params, _, _ = problem
+    half = BlockSpinorField.zeros(geom.n_sites, 2, Layout.RHS_MAJOR, HALF_SPINOR_LEN, geom)
+    with pytest.raises(ValueError, match="expected full spinor field"):
+        MultiRankExecutor(RankGrid((2, 1, 1, 1))).apply_dirac(params, gauge, clover, half)
+
+
+def test_multirank_flop_count_matches_single_rank(problem):
+    # 16 rank threads switching every microsecond: a read-modify-write of one
+    # shared counter is not atomic and can lose updates, so every rank counts
+    # into its own and the sums must give exactly the single-rank count
+    _, gauge, clover, params, psi, _ = problem
+    single = FlopCounter()
+    apply_dirac(params, gauge, clover, psi, flops=single)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ex = MultiRankExecutor(RankGrid((2, 2, 2, 2)))
+        for _ in range(3):
+            multi = FlopCounter()
+            apply_dirac(params, gauge, clover, psi, comm=ex, flops=multi)
+            assert multi == single
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_small_grid_layout1(problem):
@@ -137,23 +166,23 @@ def test_small_grid_layout1(problem):
     geom = gauge.geom
     psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=60, geom=geom)
     eta_single = apply_dirac(params, gauge, clover, psi)
-    eta, _ = apply_dirac_multirank(params, gauge, clover, psi, RankGrid((2, 2, 2, 2)), mode="threads")
+    eta, _ = apply_dirac_multirank(params, gauge, clover, psi, RankGrid((2, 2, 2, 2)))
     assert np.array_equal(eta.data, eta_single.data)
 
 
-@pytest.mark.parametrize("mode", ["sequential", "threads"])
+@pytest.mark.parametrize("mode", MODES)
 def test_rank_fault_is_attributed_at_once(problem, monkeypatch, mode):
     # rank 1 raises before posting anything; rank 0 would otherwise wait out
     # the halo timeout and report a starving channel instead of the cause
     _, gauge, clover, params, psi, eta_single = problem
-    real = dirac.hop_stages
+    real = dirac.subtract_hops
 
-    def faulty(gauge, psi, eta, fwd, back, comm=None, *args, **kwargs):
+    def faulty(*args, comm=None, **kwargs):
         if comm is not None and comm.rank == 1:
             raise ValueError("injected fault")
-        return (yield from real(gauge, psi, eta, fwd, back, comm, *args, **kwargs))
+        real(*args, comm=comm, **kwargs)
 
-    monkeypatch.setattr(dirac, "hop_stages", faulty)
+    monkeypatch.setattr(dirac, "subtract_hops", faulty)
     ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)), mode=mode)
     t0 = time.perf_counter()
     with pytest.raises(RankFaultError, match="rank 1 failed: ValueError: injected fault") as err:
@@ -162,5 +191,5 @@ def test_rank_fault_is_attributed_at_once(problem, monkeypatch, mode):
     assert err.value.rank == 1
     assert isinstance(err.value.__cause__, ValueError)
     # the poison lasts one epoch: the next apply runs clean
-    monkeypatch.setattr(dirac, "hop_stages", real)
+    monkeypatch.setattr(dirac, "subtract_hops", real)
     assert np.array_equal(ex.apply_dirac(params, gauge, clover, psi).data, eta_single.data)

@@ -120,5 +120,3 @@ def test_roofline_report_rows_and_warnings():
 def test_roofline_inputs_validation():
     with pytest.raises(ValueError):
         RooflineInputs(stream_triad_bw=0.0)
-    with pytest.raises(ValueError):
-        RooflineInputs(stream_triad_bw=1.0, b=0)
