@@ -10,7 +10,7 @@ matrix-multiply strategies on an SME-like abstract machine.
 __version__ = "0.1.0"
 
 from .config import RunConfig, canonical, config_hash, load_config, parse_config
-from .dirac import DiracParams, FlopCounter, account_traffic, apply_dirac
+from .dirac import DiracParams, account_traffic, apply_dirac
 from .fields import (
     BlockSpinorField,
     CloverField,
@@ -32,7 +32,6 @@ __all__ = [
     "BlockSpinorField",
     "CloverField",
     "DiracParams",
-    "FlopCounter",
     "GaugeField",
     "GmresConfig",
     "GmresResult",

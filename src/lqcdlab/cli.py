@@ -306,6 +306,8 @@ def cmd_roofline(args) -> int:
     _emit_header(text_hash(pseudo), 0)
     with open(args.infile, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if isinstance(data, dict) and "records" not in data:
+        raise ValueError(f"{args.infile} holds an object without a 'records' list")
     runs = data["records"] if isinstance(data, dict) else data
     report = roofline_report(runs, RooflineInputs(stream_triad_bw=args.triad_bw * 1e9))
     csv_text = report.to_csv()

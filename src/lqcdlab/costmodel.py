@@ -131,14 +131,12 @@ class AbstractMachine:
         self.regs: dict[str, np.ndarray] = {}
         self.za = np.zeros((self.lanes64, self.lanes64))
         self.trace: Counter = Counter()
-        self.annotations: list[dict] = []
         self._za_armed = False
 
     def reset(self) -> None:
         self.regs.clear()
         self.za[:] = 0.0
         self.trace = Counter()
-        self.annotations = []
         self._za_armed = False
 
     def _reg(self, name: str) -> np.ndarray:
@@ -351,7 +349,6 @@ def run_kernel(
     a: np.ndarray,
     m: np.ndarray,
     machine: AbstractMachine | None = None,
-    annotate_subtiles: bool = False,
 ) -> tuple[np.ndarray, InstructionHistogram]:
     """Execute one strategy on the machine; returns (O, histogram)."""
     strategy = _canon_strategy(strategy)
@@ -374,8 +371,6 @@ def run_kernel(
     m_mem = _interleave(m)
     o_mem = np.zeros(6 * b)
     _RUNNERS[strategy](mch, a_mem, m_mem, o_mem, b)
-    if annotate_subtiles:
-        mch.annotations.append({"note": "subtile ILP variant", "subtiles": 8, "strategy": strategy})
     out = o_mem[0::2].reshape(3, b) + 1j * o_mem[1::2].reshape(3, b)
     return out, InstructionHistogram(dict(mch.trace))
 

@@ -35,12 +35,7 @@ a real add 1; sign flips and complex conjugation are free.  One apply runs
 subtraction from eta 24) plus 12 per site (the mass added to the clover
 diagonal).  The traffic ledger below is a fixed analytic budget, 2574 per
 site and rhs, that arithmetic intensity and GF/s are quoted against; its
-breakdown is not recorded.  The previous staged kernel counted 2616; this
-one runs 168 fewer: the mass is folded into the site blocks (no separate
-scale and subtraction: 48 fewer), and each direction's two reconstructions
-are folded into a sum and a difference, so A_mu^H is applied once per
-direction instead of twice (144 fewer) at the cost of one final subtraction
-of the accumulator from eta (24 more).
+breakdown is not recorded.
 """
 
 from __future__ import annotations
@@ -66,19 +61,6 @@ class DiracParams:
     """Mass parameter of the operator; the lattice spacing is pinned to 1."""
 
     m0: float = -0.5
-
-
-@dataclass
-class FlopCounter:
-    """Tally of structured complex operations executed by the kernels."""
-
-    cmul: int = 0
-    cadd: int = 0
-    rmul: int = 0
-
-    @property
-    def total_flops(self) -> int:
-        return 6 * self.cmul + 2 * self.cadd + 2 * self.rmul
 
 
 def account_traffic(b: int) -> dict:
@@ -118,7 +100,6 @@ def apply_self_coupling(
     params: DiracParams,
     clover: CloverField,
     psi: BlockSpinorField,
-    flops: FlopCounter | None = None,
 ) -> BlockSpinorField:
     """eta = ((4 + m0) I - C) psi, one batched product with two 6x6 blocks per site."""
     if psi.n_sites != clover.geom.n_sites:
@@ -128,9 +109,6 @@ def apply_self_coupling(
     eta = BlockSpinorField.zeros_like(psi)
     n, b = psi.n_sites, psi.b
     np.matmul(site_blocks(params, clover), psi.ksi().reshape(n, 2, 6, b), out=eta.ksi().reshape(n, 2, 6, b))
-    if flops is not None:
-        flops.cmul += 72 * n * b  # two 6x6 block matvecs
-        flops.cadd += 60 * n * b + 6 * n  # matvec adds; (4 + m0) onto 12 real diagonal entries
     return eta
 
 
@@ -140,18 +118,6 @@ def apply_self_coupling(
 # stays small at large b.
 _CHUNK_SITE_RHS = 2048
 _MIN_CHUNK_SITES = 64
-
-
-def _count_hops(flops: FlopCounter | None, n: int, b: int) -> None:
-    if flops is not None:
-        per = n * b
-        # per mu: two compressions (monomial swap, add, 1/2 scale), two 3x3
-        # link multiplies of both spin halves, A^H on the difference and four
-        # 6-component adds into the accumulator; then one 12-component
-        # subtraction of the accumulator from eta
-        flops.cmul += NDIM * (2 * 6 + 2 * 18 + 6) * per
-        flops.cadd += NDIM * (2 * 6 + 2 * 12 + 4 * 6) * per + SPINOR_LEN * per
-        flops.rmul += NDIM * 2 * 6 * per
 
 
 def _half(spin_t: np.ndarray, sites: np.ndarray, mu: int, sign: int) -> np.ndarray:
@@ -186,7 +152,6 @@ def subtract_hops(
     gauge: GaugeField,
     psi: BlockSpinorField,
     eta: BlockSpinorField,
-    flops: FlopCounter | None = None,
     fwd: list[np.ndarray] | None = None,
     back: list[np.ndarray] | None = None,
     src_gauge: GaugeField | None = None,
@@ -254,7 +219,6 @@ def subtract_hops(
             lower += apply_block_adjoint(up, mu, spin_axis=-2)
         out[lo:hi, :2] -= upper.swapaxes(1, 2)
         out[lo:hi, 2:] -= lower.swapaxes(1, 2)
-    _count_hops(flops, n, b)
 
 
 def apply_dirac(
@@ -263,7 +227,6 @@ def apply_dirac(
     clover: CloverField,
     psi: BlockSpinorField,
     comm=None,
-    flops: FlopCounter | None = None,
 ) -> BlockSpinorField:
     """eta = D psi over all rhs columns; optionally through a communicator.
 
@@ -271,8 +234,8 @@ def apply_dirac(
     reads neighbors directly through the periodic wrap.
     """
     if comm is not None:
-        return comm.apply_dirac(params, gauge, clover, psi, flops=flops)
+        return comm.apply_dirac(params, gauge, clover, psi)
     _check_field(psi, gauge)
-    eta = apply_self_coupling(params, clover, psi, flops=flops)
-    subtract_hops(gauge, psi, eta, flops=flops)
+    eta = apply_self_coupling(params, clover, psi)
+    subtract_hops(gauge, psi, eta)
     return eta

@@ -264,9 +264,6 @@ class CloverField:
         parts *= _CONJ_SIGNS
         return out.reshape(*self.data.shape[:-1], 6, 6)
 
-    def is_zero(self) -> bool:
-        return not np.any(self.data)
-
 
 def gen_clover(geom: LatticeGeometry, mode: str, scale: float = 0.1, seed: int = 0) -> CloverField:
     """Clover generator; mode is ``zero`` or ``random`` (Gaussian, Hermitized)."""

@@ -104,15 +104,29 @@ class LatticeGeometry:
             idx = idx * self.dims[d] + coords[:, d]
         return idx
 
+    @cached_property
+    def _neighbor_tables(self) -> dict[tuple[int, int], np.ndarray]:
+        """The eight periodic neighbor tables, keyed on ``(mu, step)``, read-only."""
+        tables = {}
+        for mu in range(NDIM):
+            for step in (1, -1):
+                c = self.coords.copy()
+                c[:, mu] = (c[:, mu] + step) % self.dims[mu]
+                table = self.site_indices(c)
+                table.flags.writeable = False
+                tables[(mu, step)] = table
+        return tables
+
     def neighbor_table(self, mu: int, step: int) -> np.ndarray:
-        """(n_sites,) array mapping each site to its ``mu``-direction neighbor."""
+        """(n_sites,) read-only array mapping each site to its ``mu``-direction neighbor.
+
+        All eight tables are built on the first call and shared afterwards.
+        """
         if not 0 <= mu < NDIM:
             raise ValueError(f"direction {mu} out of range")
         if step not in (1, -1):
             raise ValueError(f"step must be +1 or -1, got {step}")
-        c = self.coords.copy()
-        c[:, mu] = (c[:, mu] + step) % self.dims[mu]
-        return self.site_indices(c)
+        return self._neighbor_tables[(mu, step)]
 
     @cached_property
     def even_sites(self) -> np.ndarray:

@@ -29,7 +29,7 @@ across layouts and block sizes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,6 +116,19 @@ class GmresResult:
     breakdown: np.ndarray | None = None
 
 
+def _residual_norms(r: BlockSpinorField, eta: BlockSpinorField) -> np.ndarray:
+    """Turn ``r`` = op(psi) into the residual eta - r in place; returns its (b,) norms."""
+    rv = r.ksi()
+    rv *= -1.0
+    rv += eta.ksi()
+    return block_norms(r)
+
+
+def _relative(norms: np.ndarray, eta_norms: np.ndarray) -> np.ndarray:
+    """Per-rhs norms relative to ||eta||; 0 for a vanishing eta column."""
+    return np.where(eta_norms > 0, norms / np.maximum(eta_norms, _TINY), 0.0)
+
+
 def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized complex Givens pairs (c real, s) zeroing b under [c s; -s^H c]."""
     rho = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
@@ -158,9 +171,7 @@ def arnoldi_step(op, ws: SolverWorkspace, j: int, cfg: GmresConfig) -> None:
     ws.h[:, : j + 2, j] = col
     ws.gamma[:, j + 1] = -s.conj() * ws.gamma[:, j]
     ws.gamma[:, j] = c * ws.gamma[:, j]
-    ws.relnorm = np.where(
-        ws.eta_norms > 0, np.abs(ws.gamma[:, j + 1]) / np.maximum(ws.eta_norms, _TINY), 0.0
-    )
+    ws.relnorm = _relative(np.abs(ws.gamma[:, j + 1]), ws.eta_norms)
     ws.j_done = j + 1
 
 
@@ -186,10 +197,7 @@ def least_squares_update(ws: SolverWorkspace, j_done: int | None = None) -> np.n
 def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField, ws: SolverWorkspace) -> np.ndarray:
     """True-residual restart: V[0] = (eta - op psi)/||.||, gamma = ||.|| e1."""
     r = op(psi)
-    rv = r.ksi()
-    rv *= -1.0
-    rv += eta.ksi()
-    norms = block_norms(r)
+    norms = _residual_norms(r, eta)
     ws.v[0].data[:] = r.data
     inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
     block_scale(inv, ws.v[0])
@@ -200,7 +208,7 @@ def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField, ws: SolverWor
     ws.cs[:] = 0.0
     ws.sn[:] = 0.0
     ws.j_done = 0
-    ws.relnorm = np.where(ws.eta_norms > 0, norms / np.maximum(ws.eta_norms, _TINY), 0.0)
+    ws.relnorm = _relative(norms, ws.eta_norms)
     return norms
 
 
@@ -241,13 +249,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
         if finish:
             break
 
-    final = op(psi)
-    fv = final.ksi()
-    fv *= -1.0
-    fv += eta.ksi()
-    final_relnorms = np.where(
-        eta_norms > 0, block_norms(final) / np.maximum(eta_norms, _TINY), 0.0
-    )
+    final_relnorms = _relative(_residual_norms(op(psi), eta), eta_norms)
     return GmresResult(
         psi=psi,
         history=history,
@@ -306,11 +308,7 @@ def gamma_residual_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | Non
             probe = psi.copy()
             for p in range(j + 1):
                 block_axpy(y[:, p], ws.v[p], probe)
-            r = op(probe)
-            rv = r.ksi()
-            rv *= -1.0
-            rv += eta.ksi()
-            explicit = block_norms(r)
+            explicit = _residual_norms(op(probe), eta)
             gap = np.abs(np.abs(ws.gamma[:, j + 1]) - explicit) / np.maximum(explicit, 1e-30)
             worst = max(worst, float(gap.max()))
         y = least_squares_update(ws)
@@ -382,9 +380,5 @@ def solve_dirac(
     psi = schur.merge(result.psi, x_elim)
 
     r = apply_dirac(params, gauge, clover, psi, comm=comm)
-    rv = r.ksi()
-    rv *= -1.0
-    rv += eta.ksi()
-    eta_norms = block_norms(eta)
-    full = np.where(eta_norms > 0, block_norms(r) / np.maximum(eta_norms, _TINY), 0.0)
+    full = _relative(_residual_norms(r, eta), block_norms(eta))
     return SolveReport(psi, result, True, full, result.iterations)

@@ -134,7 +134,6 @@ class EpochStats:
     epoch: int
     rank: int
     wait_seconds: float
-    compute_seconds: float
 
 
 class CommunicatorSet:
@@ -160,9 +159,8 @@ class CommunicatorSet:
         self.epoch += 1
         for box in self._boxes.values():
             box.reset(self.epoch)
-        now = time.perf_counter()
         for comm in self._comms:
-            comm._begin_epoch(now)
+            comm._wait_seconds = 0.0
         return self.epoch
 
     def poison(self) -> None:
@@ -185,15 +183,10 @@ class Communicator:
         self.commset = commset
         self.rank = rank
         self._wait_seconds = 0.0
-        self._epoch_start = time.perf_counter()
 
     @property
     def grid(self) -> RankGrid:
         return self.commset.grid
-
-    def _begin_epoch(self, now: float) -> None:
-        self._wait_seconds = 0.0
-        self._epoch_start = now
 
     def post_send(self, mu: int, step: int, payload: np.ndarray) -> HaloMessage:
         """Non-blocking: hand the payload to the (mu, step) neighbor's mailbox."""
@@ -210,24 +203,7 @@ class Communicator:
         return msg.payload
 
     def end_epoch(self) -> EpochStats:
-        elapsed = time.perf_counter() - self._epoch_start
-        return EpochStats(
-            epoch=self.commset.epoch,
-            rank=self.rank,
-            wait_seconds=self._wait_seconds,
-            compute_seconds=max(elapsed - self._wait_seconds, 0.0),
-        )
-
-
-@dataclass
-class _RankPlan:
-    """Geometry-derived gather tables of one rank, reused across applies."""
-
-    domain: RankDomain
-    # per mu: rank-local periodic neighbor tables; subtract_hops replaces the
-    # face rows they get wrong with the received halo values
-    fwd: list[np.ndarray]
-    back: list[np.ndarray]
+        return EpochStats(epoch=self.commset.epoch, rank=self.rank, wait_seconds=self._wait_seconds)
 
 
 class MultiRankExecutor:
@@ -236,9 +212,11 @@ class MultiRankExecutor:
     Accepts whole-lattice fields, splits them by ownership, runs every rank
     on its own thread, and merges the local results.  Passing an instance as
     ``comm`` to :func:`lqcdlab.dirac.apply_dirac` routes the apply through
-    here.  Only the geometry-derived tables are cached; the gauge and clover
-    slices are gathered on every apply, so in-place updates of the fields
-    take effect.  ``mode`` accepts only ``"threads"``, the one way ranks run.
+    here.  Only the rank domains are cached, keyed on the lattice extents
+    (every rank reads its neighbor tables from their shared local geometry);
+    the gauge and clover slices are gathered on every apply, so in-place
+    updates of the fields take effect.  ``mode`` accepts only ``"threads"``,
+    the one way ranks run.
     """
 
     def __init__(self, grid: RankGrid, mode: str = "threads", timeout: float = DEFAULT_TIMEOUT):
@@ -246,20 +224,15 @@ class MultiRankExecutor:
             raise ValueError(f"unknown execution mode {mode!r}; ranks run only on threads")
         self.grid = grid
         self.commset = CommunicatorSet(grid, timeout)
-        self._plans: list[_RankPlan] | None = None
-        self._plan_dims: tuple | None = None
+        self._domains: list[RankDomain] = []
+        self._domain_dims: tuple | None = None
         self.last_stats: list[EpochStats] = []
 
-    def _plans_for(self, geom: LatticeGeometry) -> list[_RankPlan]:
-        if self._plan_dims != geom.dims:
-            self._plans = []
-            for dom in decompose(geom, self.grid):
-                local = dom.local_geom
-                fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
-                back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
-                self._plans.append(_RankPlan(dom, fwd, back))
-            self._plan_dims = geom.dims
-        return self._plans
+    def _domains_for(self, geom: LatticeGeometry) -> list[RankDomain]:
+        if self._domain_dims != geom.dims:
+            self._domains = decompose(geom, self.grid)
+            self._domain_dims = geom.dims
+        return self._domains
 
     def apply_dirac(
         self,
@@ -267,34 +240,29 @@ class MultiRankExecutor:
         gauge: GaugeField,
         clover: CloverField,
         psi: BlockSpinorField,
-        flops: _dirac.FlopCounter | None = None,
     ) -> BlockSpinorField:
         _dirac._check_field(psi, gauge)
-        plans = self._plans_for(gauge.geom)
+        domains = self._domains_for(gauge.geom)
         psi_view = psi.ksi()
         locals_psi = []
-        for plan in plans:
-            loc = BlockSpinorField.zeros(
-                plan.domain.local_geom.n_sites, psi.b, psi.layout, psi.s, plan.domain.local_geom
-            )
-            loc.set_ksi(psi_view[plan.domain.global_sites])
+        for dom in domains:
+            loc = BlockSpinorField.zeros(dom.local_geom.n_sites, psi.b, psi.layout, psi.s, dom.local_geom)
+            loc.set_ksi(psi_view[dom.global_sites])
             locals_psi.append(loc)
-        # one counter per rank: the rank threads would race on a shared one
-        counters = [None if flops is None else _dirac.FlopCounter() for _ in plans]
-        results: list[BlockSpinorField | None] = [None] * len(plans)
+        results: list[BlockSpinorField | None] = [None] * len(domains)
         faults: list[tuple[int, Exception]] = []
 
         def run(idx: int) -> None:
-            plan = plans[idx]
-            comm = self.commset.rank_comm(plan.domain.rank)
+            dom = domains[idx]
+            comm = self.commset.rank_comm(dom.rank)
             try:
-                results[idx] = _apply_rank(plan, comm, params, gauge, clover, locals_psi[idx], counters[idx])
+                results[idx] = _apply_rank(dom, comm, params, gauge, clover, locals_psi[idx])
             except Exception as exc:  # a rank thread reports its fault, then stops its peers
                 faults.append((idx, exc))
                 self.commset.poison()
 
         self.commset.begin_epoch()
-        threads = [threading.Thread(target=run, args=(idx,), name=f"rank-{idx}") for idx in range(len(plans))]
+        threads = [threading.Thread(target=run, args=(idx,), name=f"rank-{idx}") for idx in range(len(domains))]
         for t in threads:
             t.start()
         for t in threads:
@@ -303,38 +271,36 @@ class MultiRankExecutor:
             # peers stopped by the poison append after the fault that set it
             idx, exc = faults[0]
             raise RankFaultError(idx, exc) from exc
-        if flops is not None:
-            for c in counters:
-                flops.cmul += c.cmul
-                flops.cadd += c.cadd
-                flops.rmul += c.rmul
 
         self.last_stats = [self.commset.rank_comm(r).end_epoch() for r in range(self.grid.n_ranks)]
 
         eta = BlockSpinorField.zeros_like(psi)
         ev = eta.ksi()
-        for plan, res in zip(plans, results):
-            ev[plan.domain.global_sites] = res.ksi()
+        for dom, res in zip(domains, results):
+            ev[dom.global_sites] = res.ksi()
         return eta
 
 
 def _apply_rank(
-    plan: _RankPlan,
+    dom: RankDomain,
     comm: Communicator,
     params: _dirac.DiracParams,
     gauge: GaugeField,
     clover: CloverField,
     psi: BlockSpinorField,
-    flops: _dirac.FlopCounter | None,
 ) -> BlockSpinorField:
-    """One rank's apply on its local psi: the self coupling, then the hops through ``comm``."""
-    dom = plan.domain
-    local_gauge = GaugeField(dom.local_geom, gauge.data[dom.global_sites])
-    local_clover = CloverField(dom.local_geom, clover.data[dom.global_sites])
-    eta = _dirac.apply_self_coupling(params, local_clover, psi, flops=flops)
-    _dirac.subtract_hops(
-        local_gauge, psi, eta, flops, plan.fwd, plan.back, comm=comm, boundary=dom.boundary
-    )
+    """One rank's apply on its local psi: the self coupling, then the hops through ``comm``.
+
+    The hops use the rank-local periodic neighbor tables; subtract_hops
+    replaces the face rows they get wrong with the received halo values.
+    """
+    local = dom.local_geom
+    local_gauge = GaugeField(local, gauge.data[dom.global_sites])
+    local_clover = CloverField(local, clover.data[dom.global_sites])
+    eta = _dirac.apply_self_coupling(params, local_clover, psi)
+    fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
+    back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
+    _dirac.subtract_hops(local_gauge, psi, eta, fwd, back, comm=comm, boundary=dom.boundary)
     return eta
 
 

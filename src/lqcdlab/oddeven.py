@@ -35,7 +35,8 @@ from .fields import BlockSpinorField, CloverField, GaugeField, Layout
 from .geometry import NDIM, LatticeGeometry
 from .projectors import SPINOR_LEN
 
-PARITY_NAME = {0: "even", 1: "odd"}
+# eliminated blocks with a larger condition estimate are rejected as singular
+_COND_LIMIT = 1e12
 
 
 class SingularBlockError(np.linalg.LinAlgError):
@@ -53,20 +54,15 @@ class SingularBlockError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class OeSplit:
-    """Parity index sets and the natural <-> parity-sorted permutation."""
+    """Even and odd site index sets of a lattice."""
 
     geom: LatticeGeometry
     even: np.ndarray
     odd: np.ndarray
-    perm: np.ndarray  # parity-sorted position of each natural site
 
     @classmethod
     def from_geom(cls, geom: LatticeGeometry) -> "OeSplit":
-        even, odd = geom.even_sites, geom.odd_sites
-        perm = np.empty(geom.n_sites, dtype=np.int64)
-        perm[even] = np.arange(len(even))
-        perm[odd] = len(even) + np.arange(len(odd))
-        return cls(geom, even, odd, perm)
+        return cls(geom, geom.even_sites, geom.odd_sites)
 
     def sites(self, parity: int) -> np.ndarray:
         return self.even if parity == 0 else self.odd
@@ -133,12 +129,12 @@ class ParityHop:
         return out
 
 
-def _check_blocks(blocks: np.ndarray, sites: np.ndarray, cond_limit: float) -> None:
+def _check_blocks(blocks: np.ndarray, sites: np.ndarray) -> None:
     """Raise for the first (site, block) of (n, 2, 6, 6) blocks that is non-finite or ill-conditioned."""
     finite = np.isfinite(blocks).all(axis=(-2, -1))
     cond = np.full(finite.shape, np.nan)
     cond[finite] = np.linalg.cond(blocks[finite])
-    bad = ~(cond <= cond_limit)  # NaN (non-finite block) and inf compare False
+    bad = ~(cond <= _COND_LIMIT)  # NaN (non-finite block) and inf compare False
     if bad.any():
         row, half = np.argwhere(bad)[0]
         raise SingularBlockError(int(sites[row]), int(half), float(cond[row, half]))
@@ -161,7 +157,6 @@ class SchurOperator:
         gauge: GaugeField,
         clover: CloverField,
         keep_parity: int = 0,
-        cond_limit: float = 1e12,
     ):
         if keep_parity not in (0, 1):
             raise ValueError(f"parity must be 0 (even) or 1 (odd), got {keep_parity}")
@@ -174,7 +169,7 @@ class SchurOperator:
         diag = site_blocks(params, clover)
         self._diag_kept = diag[self.keep_sites]
         elim = diag[self.elim_sites]
-        _check_blocks(elim, self.elim_sites, cond_limit)
+        _check_blocks(elim, self.elim_sites)
         self._inv = np.linalg.inv(elim)
         self._to_elim = ParityHop.build(gauge, self.split, 1 - keep_parity)
         self._to_kept = ParityHop.build(gauge, self.split, keep_parity)

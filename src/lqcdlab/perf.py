@@ -243,17 +243,20 @@ class RooflineReport:
 def roofline_report(runs, inputs: RooflineInputs) -> RooflineReport:
     """Arrange kernel perf records against the bandwidth ceiling.
 
-    Each run needs b, layout, and gflops; dicts and perf-record objects both
-    work.  Efficiencies above 1 contradict the memory-bound model and are
-    reported as warnings rather than clipped.
+    Each run is a dict (a ``bench-dirac`` record) with keys b, layout and
+    gflops; any other run raises ValueError naming its index.  Efficiencies
+    above 1 contradict the memory-bound model and are reported as warnings
+    rather than clipped.
     """
     rows = []
     warnings = []
-    for run in runs:
-        if isinstance(run, dict):
-            b, layout, gflops = int(run["b"]), int(run["layout"]), float(run["gflops"])
-        else:
-            b, layout, gflops = int(run.b), int(run.layout), float(run.gflops)
+    for i, run in enumerate(runs):
+        if not isinstance(run, dict):
+            raise ValueError(f"roofline record {i} is not an object: {run!r}")
+        for key in ("b", "layout", "gflops"):
+            if key not in run:
+                raise ValueError(f"roofline record {i} lacks key {key!r}")
+        b, layout, gflops = int(run["b"]), int(run["layout"]), float(run["gflops"])
         theor = theoretical_perf(inputs.stream_triad_bw, b) / 1e9
         eff = arch_efficiency(gflops, theor)
         rows.append(RooflineRow(b, layout, float(arithmetic_intensity(b)), gflops, theor, eff))

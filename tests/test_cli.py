@@ -153,6 +153,23 @@ def test_bench_roofline_pipeline(capsys, tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"records": [{"b": 1, "layout": 1, "gflops": 1.0}, {"b": 2, "layout": 1}]},
+         "record 1 lacks key 'gflops'"),
+        ([1.5, 2.5], "record 0 is not an object"),
+        ({"runs": []}, "without a 'records' list"),
+    ],
+)
+def test_roofline_malformed_input_is_a_usage_error(capsys, tmp_path, data, message):
+    runs = tmp_path / "runs.json"
+    runs.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "roofline", "--in", str(runs), "--triad-bw", "100")
+    assert code == 1
+    assert message in err and "internal error" not in err
+
+
 def test_bench_checksums_deterministic(capsys, tmp_path):
     args = ["bench-dirac", "--set", "lattice.dims=2 2 2 2", "--set", "seed=9", "--reps", "1"]
     _, out1, _ = run_cli(capsys, *args)

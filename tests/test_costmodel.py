@@ -177,9 +177,3 @@ def test_histogram_validation():
     h = InstructionHistogram({"LD1": 2})
     assert h.total() == 2 and h["ST1"] == 0
     assert cost(h, CostWeights.uniform()) == 2.0
-
-
-def test_annotation_hook():
-    mch = AbstractMachine()
-    run_kernel("neg-A", np.eye(3), np.ones((3, 2)), mch, annotate_subtiles=True)
-    assert mch.annotations and mch.annotations[0]["subtiles"] == 8

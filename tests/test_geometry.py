@@ -66,6 +66,13 @@ def test_neighbor_table_is_permutation(geom44):
     assert np.array_equal(back[fwd], np.arange(geom44.n_sites))
 
 
+def test_neighbor_table_cached_read_only(geom44):
+    table = geom44.neighbor_table(2, -1)
+    assert geom44.neighbor_table(2, -1) is table
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
 def test_neighbor_parity_flips(geom44):
     par = geom44.parities
     for mu in range(4):

@@ -1,11 +1,10 @@
-import sys
 import time
 
 import numpy as np
 import pytest
 
 from lqcdlab import dirac
-from lqcdlab.dirac import DiracParams, FlopCounter, apply_dirac
+from lqcdlab.dirac import DiracParams, apply_dirac
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
 from lqcdlab.halo import (
@@ -68,7 +67,7 @@ def test_executor_reusable_and_stats(problem):
     epochs = {s.epoch for s in ex.last_stats}
     assert len(epochs) == 1
     for s in ex.last_stats:
-        assert s.wait_seconds >= 0 and s.compute_seconds >= 0
+        assert s.wait_seconds >= 0
 
 
 def test_channel_audit_balances(problem):
@@ -88,7 +87,7 @@ def test_epoch_stats_exchange():
     comm.complete_recv(0, 1)
     stats = comm.end_epoch()
     assert stats.rank == 0 and stats.epoch == 1
-    assert stats.wait_seconds >= 0 and stats.compute_seconds >= 0
+    assert stats.wait_seconds >= 0
 
 
 def test_recv_timeout_names_channel():
@@ -140,25 +139,6 @@ def test_executor_rejects_half_spinor_before_the_split(problem):
     half = BlockSpinorField.zeros(geom.n_sites, 2, Layout.RHS_MAJOR, HALF_SPINOR_LEN, geom)
     with pytest.raises(ValueError, match="expected full spinor field"):
         MultiRankExecutor(RankGrid((2, 1, 1, 1))).apply_dirac(params, gauge, clover, half)
-
-
-def test_multirank_flop_count_matches_single_rank(problem):
-    # 16 rank threads switching every microsecond: a read-modify-write of one
-    # shared counter is not atomic and can lose updates, so every rank counts
-    # into its own and the sums must give exactly the single-rank count
-    _, gauge, clover, params, psi, _ = problem
-    single = FlopCounter()
-    apply_dirac(params, gauge, clover, psi, flops=single)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ex = MultiRankExecutor(RankGrid((2, 2, 2, 2)))
-        for _ in range(3):
-            multi = FlopCounter()
-            apply_dirac(params, gauge, clover, psi, comm=ex, flops=multi)
-            assert multi == single
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_small_grid_layout1(problem):
