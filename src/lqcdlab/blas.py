@@ -14,6 +14,17 @@ All kernels treat the b columns independently and return per-column results.
 
 A short zero pad brings the stream up to a whole number of lane groups; the
 pad contributes exact zeros.
+
+Every kernel also has a multi-vector form on column-form arrays (see
+:mod:`lqcdlab.fields`), the "multi inner product" of a Krylov solver: a
+(k, b, n) stack ``q`` of k vectors and one (b, n) vector ``w``, where
+``q[:, i]`` is rhs i's k vectors as one matrix with leading dimension b*n.
+``block_dot(q, w)`` returns the (b, k) products conj(q[p, i]) . w[i] and
+``block_axpy(a, q, w)`` adds a[i] @ q[:, i] to w[i], one BLAS gemv per
+column each; ``block_norms`` and ``block_scale`` take one (b, n) array.
+The kernels dispatch on the argument type, so a caller holds one name per
+kernel for both forms.  The conjugated product is formed as
+conj(conj(w) @ q^T), which keeps it in numpy's gemv.
 """
 
 from __future__ import annotations
@@ -47,23 +58,47 @@ def _as_coeffs(alpha, b: int) -> np.ndarray:
     return a
 
 
-def block_axpy(alpha, x: BlockSpinorField, y: BlockSpinorField) -> None:
-    """y[:, i] += alpha[i] * x[:, i], in place."""
+def _check_stack(q: np.ndarray, w: np.ndarray) -> None:
+    if not isinstance(w, np.ndarray) or q.ndim != 3 or q.shape[1:] != w.shape:
+        raise ValueError(
+            f"expected a (k, b, n) stack and a (b, n) column-form vector, got "
+            f"{q.shape} and {getattr(w, 'shape', type(w).__name__)}"
+        )
+
+
+def block_axpy(alpha, x, y) -> None:
+    """y[:, i] += alpha[i] * x[:, i], in place.
+
+    Multi-vector form: y[i] += alpha[i] @ x[:, i] for a (k, b, n) stack x,
+    a (b, n) vector y and (b, k) coefficients alpha.
+    """
+    if isinstance(x, np.ndarray):
+        _check_stack(x, y)
+        if np.shape(alpha) != x.shape[1::-1]:
+            raise ValueError(f"expected {x.shape[1::-1]} coefficients, got shape {np.shape(alpha)}")
+        for i in range(y.shape[0]):
+            y[i] += alpha[i] @ x[:, i]
+        return
     _check_pair(x, y)
     a = _as_coeffs(alpha, x.b)
     yv = y.ksi()
     yv += a * x.ksi()
 
 
-def block_scale(alpha, x: BlockSpinorField) -> None:
-    """x[:, i] *= alpha[i], in place."""
+def block_scale(alpha, x) -> None:
+    """x[:, i] *= alpha[i], in place; x a field or a (b, n) column-form array."""
+    if isinstance(x, np.ndarray):
+        x *= _as_coeffs(alpha, x.shape[0])[:, None]
+        return
     a = _as_coeffs(alpha, x.b)
     xv = x.ksi()
     xv *= a
 
 
-def block_norms(x: BlockSpinorField) -> np.ndarray:
-    """(b,) Euclidean norms, one per column."""
+def block_norms(x) -> np.ndarray:
+    """(b,) Euclidean norms, one per column; x a field or a (b, n) column-form array."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.array([np.vdot(row, row).real for row in x]))
     v = x.ksi()
     return np.sqrt(np.einsum("xkb,xkb->b", v.conj(), v).real)
 
@@ -100,8 +135,18 @@ def _dot_deferred(w: BlockSpinorField, e: BlockSpinorField) -> np.ndarray:
     return lanes.sum(axis=1)
 
 
-def block_dot(w: BlockSpinorField, e: BlockSpinorField, strategy: str = "deferred") -> np.ndarray:
-    """(b,) inner products conj(w[:, i]) . e[:, i]."""
+def block_dot(w, e, strategy: str = "deferred") -> np.ndarray:
+    """(b,) inner products conj(w[:, i]) . e[:, i].
+
+    Multi-vector form: the (b, k) products conj(w[p, i]) . e[i] of a (k, b, n)
+    stack w with a (b, n) vector e; ``strategy`` applies to fields only.
+    """
+    if isinstance(w, np.ndarray):
+        _check_stack(w, e)
+        out = np.empty(w.shape[1::-1], dtype=np.complex128)
+        for i in range(e.shape[0]):
+            out[i] = (e[i].conj() @ w[:, i].T).conj()
+        return out
     _check_pair(w, e)
     if strategy == "naive":
         return _dot_naive(w, e)

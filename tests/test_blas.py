@@ -100,3 +100,47 @@ def test_zero_field_norms():
     z = BlockSpinorField.zeros(8, 2, Layout.RHS_MAJOR)
     assert np.array_equal(block_norms(z), np.zeros(2))
     assert np.array_equal(block_dot(z, z, "deferred"), np.zeros(2, dtype=np.complex128))
+
+
+def _column_form(f):
+    out = np.empty((f.b, f.n_sites * f.s), dtype=np.complex128)
+    f.store_column_form(out)
+    return out
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_multi_vector_kernels_match_field_loop(layout, b):
+    k = 4
+    q_fields = [gen_spinor(9, b, layout, seed=70 + p) for p in range(k)]
+    w_field = gen_spinor(9, b, layout, seed=80)
+    q = np.stack([_column_form(f) for f in q_fields])
+    w = _column_form(w_field)
+
+    h = block_dot(q, w)
+    ref = np.stack([block_dot(f, w_field) for f in q_fields], axis=1)
+    assert h.shape == (b, k)
+    assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(block_norms(w) - block_norms(w_field)).max() <= 1e-13 * block_norms(w_field).max()
+
+    alpha = np.random.default_rng(81).standard_normal((b, k)) * (1 - 0.5j)
+    block_axpy(alpha, q, w)
+    for p, f in enumerate(q_fields):
+        block_axpy(alpha[:, p], f, w_field)
+    assert np.abs(w - _column_form(w_field)).max() <= 1e-13 * np.abs(w).max()
+
+    scale = np.array([2.0, 0.0, 1.0j] * 6)[:b]
+    w = _column_form(w_field)
+    block_scale(scale, w)
+    block_scale(scale, w_field)
+    assert np.array_equal(w, _column_form(w_field))
+
+
+def test_multi_vector_kernels_reject_mismatch():
+    q = np.zeros((3, 2, 12), dtype=np.complex128)
+    with pytest.raises(ValueError):
+        block_dot(q, np.zeros((2, 13), dtype=np.complex128))
+    with pytest.raises(ValueError):
+        block_axpy(np.zeros((3, 2)), q, np.zeros((2, 12), dtype=np.complex128))
+    with pytest.raises(ValueError):
+        block_dot(q, gen_spinor(1, 2, Layout.RHS_MAJOR, seed=1))

@@ -147,3 +147,19 @@ def test_bad_modes():
         gen_gauge(geom, "frozen")
     with pytest.raises(ValueError):
         gen_clover(geom, "identity")
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("s", [12, 6])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_column_form_round_trip_bitwise(layout, s, b):
+    f = gen_spinor(10, b, layout, seed=61, s=s)
+    cols = np.empty((b, 10 * s), dtype=np.complex128)
+    f.store_column_form(cols)
+    # row i is column i, site-major and component-minor, in every layout
+    assert np.array_equal(cols, f.ksi().transpose(2, 0, 1).reshape(b, -1))
+    back = BlockSpinorField.zeros_like(f)
+    back.load_column_form(cols)
+    assert np.array_equal(back.data, f.data)
+    back.load_column_form(cols, add=True)
+    assert np.array_equal(back.data, 2.0 * f.data)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,7 @@ from lqcdlab.gmres import (
     dirac_op,
     gamma_residual_audit,
     gmres_solve,
+    _start_cycle,
     least_squares_update,
     matrix_op,
     solve_dirac,
@@ -113,8 +119,6 @@ def test_least_squares_matches_dense_lstsq():
     cfg = GmresConfig(restart_len=5, restarts=1, fixed_iterations=True)
     ws = SolverWorkspace.allocate(eta, cfg.restart_len, block_norms(eta))
     psi = BlockSpinorField.zeros_like(eta)
-    from lqcdlab.gmres import _start_cycle
-
     op = matrix_op(a)
     norms0 = _start_cycle(op, eta, psi, ws)
     for j in range(cfg.restart_len):
@@ -229,3 +233,86 @@ def test_non_finite_residual_stops_at_once(first_bad, iteration):
     assert len(calls) == first_bad
     assert err.value.iteration == iteration
     assert err.value.columns == [1]
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+def test_cgs2_basis_orthonormal_after_full_cycle(problem, layout):
+    geom, gauge, clover = problem
+    eta = gen_spinor(geom.n_sites, 3, layout, seed=15, geom=geom)
+    cfg = GmresConfig(restart_len=10, restarts=1, fixed_iterations=True)
+    ws = SolverWorkspace.allocate(eta, cfg.restart_len, block_norms(eta))
+    op = dirac_op(DiracParams(m0=1.0), gauge, clover)
+    _start_cycle(op, eta, BlockSpinorField.zeros_like(eta), ws)
+    for j in range(cfg.restart_len):
+        arnoldi_step(op, ws, j, cfg)
+    assert not ws.breakdown.any()
+    eye = np.eye(cfg.restart_len + 1)
+    for i in range(eta.b):
+        q = ws.basis[:, i]
+        assert np.linalg.norm(q.conj() @ q.T - eye, 2) <= 1e-12
+
+
+def test_broken_down_column_basis_stays_zero():
+    # column 1 starts on an eigenvector of a diagonal operator, so its first
+    # Arnoldi vector vanishes exactly; the lockstep carries it as zeros
+    n = 8
+    a = np.diag(np.linspace(1.0, 3.0, 12 * n)).astype(np.complex128)
+    eta = gen_spinor(n, 2, Layout.COMPONENT_MAJOR, seed=16)
+    unit = np.zeros((n, 12))
+    unit[0, 0] = 1.0
+    eta.ksi()[:, :, 1] = unit
+    cfg = GmresConfig(restart_len=6, restarts=1, fixed_iterations=True)
+    ws = SolverWorkspace.allocate(eta, cfg.restart_len, block_norms(eta))
+    op = matrix_op(a)
+    _start_cycle(op, eta, BlockSpinorField.zeros_like(eta), ws)
+    for j in range(cfg.restart_len):
+        arnoldi_step(op, ws, j, cfg)
+    assert ws.breakdown.tolist() == [False, True]
+    assert not ws.basis[1:, 1].any()
+    q = ws.basis[:, 0]
+    assert np.abs(q.conj() @ q.T - np.eye(cfg.restart_len + 1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", ["b", "n_sites", "layout"])
+def test_mismatched_initial_guess_raises_before_any_apply(bad):
+    eta = gen_spinor(16, 3, Layout.RHS_MAJOR, seed=17)
+    psi0 = {
+        "b": BlockSpinorField.zeros(16, 2, Layout.RHS_MAJOR),
+        "n_sites": BlockSpinorField.zeros(8, 3, Layout.RHS_MAJOR),
+        "layout": BlockSpinorField.zeros(16, 3, Layout.COMPONENT_MAJOR),
+    }[bad]
+    base = matrix_op(np.eye(16 * 12))
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return base(v)
+
+    with pytest.raises(ValueError, match="psi0") as err:
+        gmres_solve(op, eta, psi0, GmresConfig())
+    assert calls == []
+    message = str(err.value)
+    assert "RHS_MAJOR" in message and f"b={psi0.b}" in message and f"n_sites={psi0.n_sites}" in message
+    if bad == "layout":
+        assert "COMPONENT_MAJOR" in message
+
+
+def test_solve_path_does_not_import_scipy():
+    # scipy alone adds ~20 MB of resident memory; only the dense oracle may load it
+    script = """
+import sys
+import lqcdlab
+from lqcdlab import DiracParams, GmresConfig, LatticeGeometry, gen_clover, gen_gauge, gen_spinor, solve_dirac
+geom = LatticeGeometry((4, 4, 4, 4))
+gauge, clover = gen_gauge(geom, "random", seed=1), gen_clover(geom, "random", seed=2)
+eta = gen_spinor(geom.n_sites, 2, 2, seed=3, geom=geom)
+for odd_even in (False, True):
+    report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(restarts=40), odd_even=odd_even)
+    assert (report.full_relnorms <= 1e-8).all(), report.full_relnorms
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
