@@ -99,8 +99,11 @@ def block_norms(x) -> np.ndarray:
     """(b,) Euclidean norms, one per column; x a field or a (b, n) column-form array."""
     if isinstance(x, np.ndarray):
         return np.sqrt(np.array([np.vdot(row, row).real for row in x]))
-    v = x.ksi()
-    return np.sqrt(np.einsum("xkb,xkb->b", v.conj(), v).real)
+    # squared moduli as a float64 self-dot on the storage: no field-sized temporary
+    f = x.storage_view().view(np.float64)
+    if x.layout == Layout.RHS_MAJOR:  # (n_sites, b, 2s)
+        return np.sqrt(np.einsum("xbk,xbk->b", f, f))
+    return np.sqrt(np.einsum("xkc,xkc->c", f, f).reshape(x.b, 2).sum(axis=1))  # (n_sites, s, 2b)
 
 
 def _lane_width(b: int) -> int:

@@ -8,34 +8,59 @@ One apply computes
 
 The self coupling is one batched product with the two 6x6 site blocks
 (4 + m0) I - C of every site.  The hops run as one sweep over chunks of
-destination sites.  For each chunk and each mu it gathers psi at the +mu
-and -mu neighbors, compresses each to a half spinor h (6 of 12 components,
-stored color-outer as (m, 3, 2b)), multiplies it by the link as one batched
-``U @ h`` (``U^H`` on the -mu side), and adds both reconstructed halves into
-the chunk's accumulator, which is subtracted from eta once.  The chunk size
+destination sites, entirely in float64 matrix products on the float view
+of complex data (the real embedding of complex GEMM, "4m" in Van Zee and
+Smith, ACM TOMS 44 (2017) Art. 7): a complex row x times a complex z is the
+float row x_f times the real form of z (``_real_form``).  For each chunk
+and each mu the sweep gathers psi at the +mu and -mu neighbors as spinor
+rows, one per site and rhs, and compresses them to half spinors h = u -+ c l
+(c in {+-1, +-i}) with one product by a fixed real projection matrix per
+side; a chunk's half spinors are (m, b, 2, 3), color innermost, so each
+site's 2b rows of 3 colors are one (2b, 6) float64 matrix.  That matrix is
+multiplied by the site's real 6x6 link matrix W (:func:`link_matrices`) on
+the +mu side and by W^T, which is the link matrix of U^H, on the -mu side:
+one batched float64 ``matmul`` each, where a complex ``U @ h`` would be one
+zgemm call per site at several times the cost.  The 1/2 of the hop
+projectors is folded into W, so the projections run no 0.5 pass.  Both
+reconstructed halves go into the chunk's accumulator (A_mu^H is one more
+fixed real matrix), which is subtracted from eta once.  The chunk size
 follows from b so that a chunk's temporaries stay inside L2; each site's
-arithmetic does not depend on it.
+arithmetic does not depend on it.  The fixed spin matrices have entries
+0 and +-1, so each output of a projection or of A_mu^H is one input or the
+rounded sum of two, however BLAS orders its sums: bitwise what the
+structured operation gives.
 
 One function, :func:`subtract_hops`, holds that sweep.  The single-rank
-apply calls it with the periodic neighbor tables and the even/odd Schur
-operator (oddeven module) with cross-parity tables on half-lattice fields.
-The multi-rank executor (halo module) calls it on each rank's thread with
-the rank's tables and communicator: the rank posts the compressed +mu-side
-half spinors of its -mu face and the link-multiplied -mu-side values of its
-+mu face, completes its receives, and the sweep takes the face rows it
-cannot compute locally from the received halos.  The posted values come
-from the same helpers as the sweep's, so every site sees the same
-operations on the same values, which is why the multi-rank result is
-bitwise equal to the single-rank one.
+apply calls it with the gauge field, and it builds the link matrices for
+that call (after the self coupling has freed its site blocks); the
+even/odd Schur operator (oddeven module) calls it with link matrices built
+once per parity and cross-parity tables on half-lattice fields.  The
+multi-rank executor (halo module) calls it on each rank's thread with the
+rank's gauge slice, tables and communicator: the rank posts the
+compressed +mu-side half spinors of its -mu face and the link-multiplied
+-mu-side values of its +mu face, completes its receives, and the sweep
+takes the face rows it cannot compute locally from the received halos.
+The posted values come from the same helpers as the sweep's, so every site
+sees the same operations on the same values, which is why the multi-rank
+result is bitwise equal to the single-rank one.
 
-Flop accounting follows the structured operations actually performed: a
+Flop accounting counts the structured operations the operator needs: a
 complex multiply costs 6 flops, a complex add 2, a real-by-complex scale 2,
-a real add 1; sign flips and complex conjugation are free.  One apply runs
-2448 flops per site and rhs (self coupling 552, per direction 468, the final
-subtraction from eta 24) plus 12 per site (the mass added to the clover
-diagonal).  The traffic ledger below is a fixed analytic budget, 2574 per
-site and rhs, that arithmetic intensity and GF/s are quoted against; its
-breakdown is not recorded.
+a real add 1, a real 6x6 matrix times a 6-vector 66; sign flips, complex
+conjugation and multiplications by +-1 are free.  One apply needs 2352
+flops per site and rhs: self coupling 552; per direction 444 (two
+compressions at 48, two link products at 132, and 84 to reconstruct and
+accumulate: three complex adds at 12, A_mu^H at 36, one more add at 12);
+the final subtraction from eta 24.  Per site come 12 (the mass added to the
+clover diagonal) and 72 (the 1/2 folded into four links).  Against the
+previous complex kernel, only the 0.5 pass of the compressions (96 per site
+and rhs) is gone: a complex 3x3 times 3-vector and a real 6x6 times
+6-vector are both 66 flops.  BLAS executes more, because the fixed spin
+matrices are applied densely, zeros included: 1128 per direction for the
+projections, 276 for A_mu^H, and 1260 per link for the embedding, 7440 per
+site and rhs and 5052 per site in all.  The traffic ledger below is a fixed
+analytic budget, 2574 per site and rhs, that arithmetic intensity and GF/s
+are quoted against; its breakdown is not recorded.
 """
 
 from __future__ import annotations
@@ -71,11 +96,6 @@ def account_traffic(b: int) -> dict:
         "flops_per_site": FLOPS_PER_SITE_RHS * b,
         "bytes_per_site": (VALUES_PER_SITE_RHS * b + VALUES_PER_SITE_FIXED) * BYTES_PER_VALUE,
     }
-
-
-def _spin_view(field: BlockSpinorField) -> np.ndarray:
-    """(n_sites, 4, 3, b) array of a full spinor field; may copy for Layout 1."""
-    return field.ksi().reshape(field.n_sites, N_SPIN, N_COLOR, field.b)
 
 
 def _check_field(psi: BlockSpinorField, gauge: GaugeField) -> None:
@@ -120,53 +140,119 @@ _CHUNK_SITE_RHS = 2048
 _MIN_CHUNK_SITES = 64
 
 
-def _half(spin_t: np.ndarray, sites: np.ndarray, mu: int, sign: int) -> np.ndarray:
-    """Compressed (m, 3, 2, b) half spinors of the color-outer ``spin_t`` at ``sites``."""
-    return compress(spin_t[sites], mu, sign, spin_axis=-2)
+def _real_form(z: np.ndarray) -> np.ndarray:
+    """(..., 2k, 2n) float64 matrices R with x_f @ R = (x @ z)_f for (..., k, n) complex z.
+
+    ``_f`` is the float64 view of a complex row (re, im interleaved); the
+    2x2 block (i, j) of R is [[Re z_ij, Im z_ij], [-Im z_ij, Re z_ij]] (the
+    real embedding of complex GEMM).  Every entry of R is +-1 times the
+    real or imaginary part of an entry of z.
+    """
+    k, n = z.shape[-2:]
+    r = np.empty(z.shape[:-2] + (k, 2, n, 2))
+    r[..., :, 0, :, 0] = z.real
+    r[..., :, 0, :, 1] = z.imag
+    r[..., :, 1, :, 0] = -z.imag
+    r[..., :, 1, :, 1] = z.real
+    return r.reshape(z.shape[:-2] + (2 * k, 2 * n))
 
 
-def _link_multiply(links: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """One batched ``links @ h``: (m, 3, 3) links times (m, 3, 2, b) half spinors."""
-    m, _, _, b = half.shape
-    return np.matmul(links, half.reshape(m, N_COLOR, 2 * b)).reshape(half.shape)
+def _spin_map(fn, n_spin: int) -> np.ndarray:
+    """Real form of the linear spin map ``fn`` on (..., n_spin, 3, 1) spinors, acting on float64 rows."""
+    basis = np.eye(n_spin * N_COLOR, dtype=np.complex128).reshape(-1, n_spin, N_COLOR, 1)
+    return _real_form(fn(basis).reshape(n_spin * N_COLOR, -1))
 
 
-def _adjoint_hop(gauge: GaugeField, spin_t: np.ndarray, sites: np.ndarray, mu: int) -> np.ndarray:
-    """U_mu^H(x) times the +mu-compressed psi(x) for every x in ``sites``.
+# The spin algebra of the sweep as fixed real matrices acting on float64 rows,
+# built from the projectors module: _PROJECT[mu, 0] compresses a 12-component
+# spinor row (24 floats) to the +mu-side half spinor (I + gamma_mu)/2 needs
+# (12 floats), _PROJECT[mu, 1] to the -mu-side one, and _ADJOINT[mu] applies
+# A_mu^H to a half spinor row.
+_PROJECT = np.stack(
+    [np.stack([_spin_map(lambda x: compress(x, mu, sign), N_SPIN) for sign in (-1, 1)]) for mu in range(NDIM)]
+)
+_ADJOINT = np.stack([_spin_map(lambda x: apply_block_adjoint(x, mu), 2) for mu in range(NDIM)])
+
+# (18, 36) map from the float64 view of a link U to its link matrix W
+_EMBED = _real_form(0.5 * np.eye(18).view(np.complex128).reshape(18, N_COLOR, N_COLOR).swapaxes(1, 2)).reshape(18, 36)
+
+
+def link_matrices(links: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) float64 link matrices W with the 1/2 of the hop projectors folded in.
+
+    For (..., 3, 3) complex links U and a half spinor row h of 3 colors,
+    viewed as 6 floats, ``h @ W`` is U h / 2 and ``h @ W^T`` is U^H h / 2:
+    W is the real form of U^T / 2, whose 2x2 block (a, c) is
+    [[Re U_ca, Im U_ca], [-Im U_ca, Re U_ca]] / 2.  Every entry of W is the
+    real or imaginary part of an entry of U times +-1/2, so W is exact; it
+    is built as one product of the links' float64 view with a fixed
+    (18, 36) map whose columns hold a single nonzero each.
+    """
+    flat = np.ascontiguousarray(links).view(np.float64).reshape(-1, 18)
+    return (flat @ _EMBED).reshape(links.shape[:-2] + (6, 6))
+
+
+def _rows(field: BlockSpinorField) -> np.ndarray:
+    """(n_sites, b, 12) view of a full spinor field, one spinor row per site and rhs."""
+    return field.ksi().swapaxes(1, 2)
+
+
+def _times(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Contiguous complex rows times a complex matrix given by its real form ``r``, as one float64 product."""
+    return (rows.view(np.float64).reshape(-1, r.shape[0]) @ r).view(np.complex128)
+
+
+def _half(rows: np.ndarray, sites: np.ndarray, mu: int, side: int) -> np.ndarray:
+    """(m, b, 2, 3) half spinors of ``rows`` at ``sites``: the +mu side (``side`` 0) or the -mu side (1)."""
+    gathered = np.ascontiguousarray(rows[sites])
+    return _times(gathered, _PROJECT[mu, side]).reshape(gathered.shape[:2] + (2, N_COLOR))
+
+
+def _link_multiply(w: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """One batched float64 product of (m, b, 2, 3) half spinors with (m, 6, 6) link matrices."""
+    m, b = half.shape[:2]
+    prod = np.matmul(half.view(np.float64).reshape(m, 2 * b, 6), w)
+    return prod.view(np.complex128).reshape(half.shape)
+
+
+def _adjoint_hop(links: np.ndarray, rows: np.ndarray, sites: np.ndarray, mu: int) -> np.ndarray:
+    """U_mu^H(x) / 2 times the -mu-side half spinor of psi(x) for every x in ``sites``.
 
     These values travel to x + mu^; the sweep and the halo posts both
     compute them here, so a value is bitwise the same on either path.
     """
-    links = gauge.data[sites, mu]
-    np.conjugate(links, out=links)
-    return _link_multiply(links.swapaxes(1, 2), _half(spin_t, sites, mu, +1))
+    adjoint = np.empty((len(sites), 6, 6))
+    adjoint.swapaxes(1, 2)[...] = links[sites, mu]  # W^T made contiguous: numpy's matmul is slower on a transposed view
+    return _link_multiply(adjoint, _half(rows, sites, mu, 1))
 
 
 def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, lo: int, hi: int) -> None:
-    """Overwrite the rows of chunk [lo, hi) on the sorted ``face`` with their halo values."""
+    """Overwrite the rows of chunk [lo, hi) on the sorted ``face`` with their (spin-outer) halo values."""
     j0, j1 = np.searchsorted(face, (lo, hi))
     half[face[j0:j1] - lo] = halo[j0:j1].swapaxes(1, 2)
 
 
 def subtract_hops(
-    gauge: GaugeField,
+    links: GaugeField | np.ndarray,
     psi: BlockSpinorField,
     eta: BlockSpinorField,
     fwd: list[np.ndarray] | None = None,
     back: list[np.ndarray] | None = None,
-    src_gauge: GaugeField | None = None,
+    src_links: np.ndarray | None = None,
     comm=None,
     boundary: dict | None = None,
 ) -> None:
     """Run the hop sweep of the stencil, subtracting it from eta in place.
 
-    By default the sweep uses the periodic neighbor tables of the whole
+    ``links`` is a gauge field, whose :func:`link_matrices` are built here
+    for this call, or (n_eta, 4, 6, 6) link matrices built ahead.  By
+    default the sweep uses the periodic neighbor tables of the whole
     lattice.  Otherwise ``fwd[mu]``/``back[mu]`` (both) map each eta site to
-    the psi index of its +mu/-mu neighbor.  The links multiplying the +mu
-    side are read from ``gauge`` at eta's sites, those of the -mu side from
-    ``src_gauge`` (default ``gauge``) at psi's sites; the two differ only
-    when psi and eta live on different site sets, as in the parity-to-parity
-    hops of the even/odd Schur operator.
+    the psi index of its +mu/-mu neighbor.  The link matrices multiplying
+    the +mu side are read from ``links`` at eta's sites, those of the -mu
+    side from ``src_links`` (default ``links``) at psi's sites; the two
+    differ only when psi and eta live on different site sets, as in the
+    parity-to-parity hops of the even/odd Schur operator.
 
     With a rank endpoint ``comm`` and its ``boundary`` face sets, ``fwd``/
     ``back`` are the rank-local periodic tables.  The rank first posts the
@@ -174,51 +260,52 @@ def subtract_hops(
     values of every +mu face, then completes its receives, and the sweep
     replaces the rows of the +mu face (resp. -mu face) by the halo values
     received from the +mu (resp. -mu) neighbor rank.  Halo payloads are
-    (n_face, 2, 3, b) in ascending face order.
+    (n_face, 2, b, 3) (spin, rhs, color) in ascending face order.
     """
-    if fwd is None:
-        _check_field(psi, gauge)
-        geom = gauge.geom
-        fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
-        back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
-    if src_gauge is None:
-        src_gauge = gauge
-    spin = _spin_view(psi)
-    spin_t = spin.swapaxes(1, 2)  # (n_src, 3, 4, b) view: gathers come out color-outer
+    if isinstance(links, GaugeField):
+        if fwd is None:
+            _check_field(psi, links)
+            geom = links.geom
+            fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
+            back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
+        links = link_matrices(links.data)
+    if src_links is None:
+        src_links = links
+    rows = _rows(psi)
     if comm is not None:
         for mu in range(NDIM):
-            comm.post_send(mu, -1, compress(spin[boundary[(mu, -1)]], mu, -1))
+            comm.post_send(mu, -1, _half(rows, boundary[(mu, -1)], mu, 0).swapaxes(1, 2))
         for mu in range(NDIM):
-            face = boundary[(mu, 1)]
-            comm.post_send(mu, +1, _adjoint_hop(src_gauge, spin_t, face, mu).swapaxes(1, 2))
+            comm.post_send(mu, +1, _adjoint_hop(src_links, rows, boundary[(mu, 1)], mu).swapaxes(1, 2))
         fwd_halo = [comm.complete_recv(mu, -1) for mu in range(NDIM)]
         back_halo = [comm.complete_recv(mu, +1) for mu in range(NDIM)]
 
     n, b = eta.n_sites, eta.b
-    out = _spin_view(eta)
+    out = _rows(eta)
     step = max(_MIN_CHUNK_SITES, _CHUNK_SITE_RHS // b)
-    acc_buf = np.empty((2, min(step, n), N_COLOR, 2, b), dtype=out.dtype)
+    acc_buf = np.empty((2, min(step, n), b, 2, N_COLOR), dtype=out.dtype)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         upper, lower = acc_buf[:, : hi - lo]
         upper.fill(0)
         lower.fill(0)
         for mu in range(NDIM):
-            up = _half(spin_t, fwd[mu][lo:hi], mu, -1)
+            up = _half(rows, fwd[mu][lo:hi], mu, 0)
             if comm is not None:
                 _take_halo_rows(up, boundary[(mu, 1)], fwd_halo[mu], lo, hi)
-            up = _link_multiply(gauge.data[lo:hi, mu], up)
-            down = _adjoint_hop(src_gauge, spin_t, back[mu][lo:hi], mu)
+            up = _link_multiply(links[lo:hi, mu], up)
+            down = _adjoint_hop(src_links, rows, back[mu][lo:hi], mu)
             if comm is not None:
                 _take_halo_rows(down, boundary[(mu, -1)], back_halo[mu], lo, hi)
             # (I + gamma_mu)/2 reconstructs the +mu side to (h, A^H h) and
-            # (I - gamma_mu)/2 the -mu side to (h, -A^H h)
+            # (I - gamma_mu)/2 the -mu side to (h, -A^H h); the 1/2 is in
+            # the link matrices
             upper += up
             upper += down
             up -= down
-            lower += apply_block_adjoint(up, mu, spin_axis=-2)
-        out[lo:hi, :2] -= upper.swapaxes(1, 2)
-        out[lo:hi, 2:] -= lower.swapaxes(1, 2)
+            lower += _times(up, _ADJOINT[mu]).reshape(up.shape)
+        out[lo:hi, :, :6] -= upper.reshape(hi - lo, b, 6)
+        out[lo:hi, :, 6:] -= lower.reshape(hi - lo, b, 6)
 
 
 def apply_dirac(

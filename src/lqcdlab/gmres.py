@@ -417,6 +417,8 @@ def solve_dirac(
         full = result.final_relnorms
         return SolveReport(result.psi, result, False, full, result.iterations)
 
+    if psi0 is not None:
+        _check_guess(psi0, eta)
     schur = SchurOperator(params, gauge, clover)
     reduced, eta_elim = schur.reduce_rhs(eta)
     x0 = None

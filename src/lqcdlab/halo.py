@@ -10,9 +10,14 @@ Message flow per apply, for each direction mu with more than one rank:
 * the +mu-side half spinors (compressed (I + gamma_mu)/2 psi) of the local
   -mu face travel one rank downward (step -1); the receiver uses them as the
   +mu-side half spinors of its own +mu face rows.
-* the -mu-side values (U_mu^H times the compressed (I - gamma_mu)/2 psi) of
-  the local +mu face travel one rank upward (step +1); the receiver uses
+* the -mu-side values (U_mu^H / 2 times the compressed (I - gamma_mu)/2 psi)
+  of the local +mu face travel one rank upward (step +1); the receiver uses
   them as the -mu-side values of its own -mu face rows.
+
+A payload is (n_face, 2, b, 3) complex: spin, rhs, color, in ascending face
+order.  The sweep holds half spinors as (m, b, 2, 3), so a payload is its
+rows with the spin and rhs axes swapped, which leaves the values bitwise
+unchanged.
 
 A rank posts both streams before it receives anything, so no rank waits on
 a message that a waiting peer has yet to post, and completes its receives
@@ -80,7 +85,7 @@ class HaloMessage:
     dst_rank: int
     mu: int
     step: int
-    payload: np.ndarray  # (boundary sites, 2, 3, b) complex, ascending site order
+    payload: np.ndarray  # (boundary sites, 2, b, 3) complex (spin, rhs, color), ascending site order
 
 
 class _Mailbox:
@@ -214,8 +219,9 @@ class MultiRankExecutor:
     ``comm`` to :func:`lqcdlab.dirac.apply_dirac` routes the apply through
     here.  Only the rank domains are cached, keyed on the lattice extents
     (every rank reads its neighbor tables from their shared local geometry);
-    the gauge and clover slices are gathered on every apply, so in-place
-    updates of the fields take effect.  ``mode`` accepts only ``"threads"``,
+    the gauge and clover slices are gathered on every apply, and each rank
+    builds the link matrices of its gauge slice, so in-place updates of the
+    fields take effect.  ``mode`` accepts only ``"threads"``,
     the one way ranks run.
     """
 

@@ -17,8 +17,14 @@ x_o = D_oo^-1 (eta_o - D_oe x_e).
 
 The keep parity defaults to even.  Every field the operator touches is a
 half-lattice field: the off-diagonal blocks D_eo/D_oe run the stencil's hop
-stages (:func:`lqcdlab.dirac.subtract_hops`) on one parity's sites, with
-cross-parity neighbor tables and the links of each parity copied out once.
+sweep (:func:`lqcdlab.dirac.subtract_hops`) on one parity's sites, with
+cross-parity neighbor tables.  The real link matrices of the sweep
+(:func:`lqcdlab.dirac.link_matrices`) are built once per parity at build
+time and shared by both blocks: D_ke reads the kept parity's at its
+destination sites (the +mu side) and the eliminated parity's at its source
+sites (the -mu side), and D_ek the other way round.  The two arrays take
+as much memory as the complex link copies, two per block, that a complex
+sweep would need.
 D_oo^-1 is the batched inverse of the eliminated 6x6 blocks, computed once
 per operator, so each use is one batched matrix product; this inverse is
 exact up to roundoff, never iterative.
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import DiracParams, site_blocks, subtract_hops
+from .dirac import DiracParams, link_matrices, site_blocks, subtract_hops
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout
 from .geometry import NDIM, LatticeGeometry
 from .projectors import SPINOR_LEN
@@ -101,43 +107,68 @@ def merge_fields(
 class ParityHop:
     """The off-diagonal block D_dst,src of D acting on half-lattice fields.
 
-    ``dst_links``/``src_links`` hold copies of the links at the destination
-    and source parity's sites (their ``geom`` stays the whole lattice's);
-    ``fwd[mu]``/``back[mu]`` give, for each destination site, the source-half
-    index of its +mu/-mu neighbor, which always has the other parity.
+    ``dst_links``/``src_links`` are the link matrices
+    (:func:`lqcdlab.dirac.link_matrices`) at the destination and source
+    parity's sites; the two hops of a Schur operator share one array per
+    parity.  ``fwd[mu]``/``back[mu]`` give, for each destination site, the
+    source-half index of its +mu/-mu neighbor, which always has the other
+    parity.
     """
 
-    dst_links: GaugeField
-    src_links: GaugeField
+    dst_links: np.ndarray
+    src_links: np.ndarray
     fwd: tuple[np.ndarray, ...]
     back: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, gauge: GaugeField, split: OeSplit, dst_parity: int) -> "ParityHop":
-        geom = gauge.geom
+    def build(cls, split: OeSplit, parity_links: tuple[np.ndarray, np.ndarray], dst_parity: int) -> "ParityHop":
+        """D_dst,src from the (even, odd) link matrices ``parity_links``."""
+        geom = split.geom
         dst, src = split.sites(dst_parity), split.sites(1 - dst_parity)
         src_index = np.empty(geom.n_sites, dtype=np.int64)
         src_index[src] = np.arange(len(src))
         fwd = tuple(src_index[geom.neighbor_table(mu, +1)[dst]] for mu in range(NDIM))
         back = tuple(src_index[geom.neighbor_table(mu, -1)[dst]] for mu in range(NDIM))
-        return cls(GaugeField(geom, gauge.data[dst]), GaugeField(geom, gauge.data[src]), fwd, back)
+        return cls(parity_links[dst_parity], parity_links[1 - dst_parity], fwd, back)
 
     def __call__(self, v: BlockSpinorField) -> BlockSpinorField:
         """D_dst,src v; the hops enter D with a minus sign, which subtract_hops applies."""
         out = BlockSpinorField.zeros(len(self.fwd[0]), v.b, v.layout, v.s)
-        subtract_hops(self.dst_links, v, out, fwd=self.fwd, back=self.back, src_gauge=self.src_links)
+        subtract_hops(self.dst_links, v, out, fwd=self.fwd, back=self.back, src_links=self.src_links)
         return out
 
 
-def _check_blocks(blocks: np.ndarray, sites: np.ndarray) -> None:
-    """Raise for the first (site, block) of (n, 2, 6, 6) blocks that is non-finite or ill-conditioned."""
-    finite = np.isfinite(blocks).all(axis=(-2, -1))
-    cond = np.full(finite.shape, np.nan)
+def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Inverses of (n, 2, 6, 6) blocks; raise for the first (site, block) that is non-finite or ill-conditioned.
+
+    A block is rejected when its 2-norm condition number exceeds
+    ``_COND_LIMIT``.  The SVD behind that number is run only on the blocks
+    that a cheap 1-norm screen cannot clear: with the inverse in hand,
+    kappa_1 = ||A||_1 ||A^-1||_1 bounds kappa_2 <= 6 kappa_1 for a 6x6 block,
+    so a block with kappa_1 <= _COND_LIMIT / 12 (the bound with a factor 2
+    to spare for the rounding of a computed inverse) is accepted as it
+    would be by the exact check.  Non-finite blocks, and every block when
+    the batched inverse fails, go to the exact check.
+    """
+    inv = None
+    if np.isfinite(blocks).all():
+        try:
+            inv = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:
+            pass
+    if inv is None:
+        suspect = np.ones(blocks.shape[:-2], dtype=bool)
+    else:
+        kappa1 = np.abs(blocks).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+        suspect = ~(kappa1 <= _COND_LIMIT / 12)
+    cond = np.full(suspect.shape, np.nan)
+    finite = suspect & np.isfinite(blocks).all(axis=(-2, -1))
     cond[finite] = np.linalg.cond(blocks[finite])
-    bad = ~(cond <= _COND_LIMIT)  # NaN (non-finite block) and inf compare False
+    bad = suspect & ~(cond <= _COND_LIMIT)  # NaN (non-finite block) and inf compare False
     if bad.any():
         row, half = np.argwhere(bad)[0]
         raise SingularBlockError(int(sites[row]), int(half), float(cond[row, half]))
+    return np.linalg.inv(blocks) if inv is None else inv
 
 
 class SchurOperator:
@@ -146,9 +177,9 @@ class SchurOperator:
     All fields are half-lattice fields.  The operator is a snapshot of
     ``(params, gauge, clover)`` taken at build time: it keeps the diagonal
     blocks of the kept parity, the inverses of the eliminated parity's
-    blocks and the links of both parities, all copied, so editing the fields
-    in place afterwards does not change it.  Build a new operator for new
-    fields.
+    blocks and the link matrices of both parities, all copied, so editing
+    the fields in place afterwards does not change it.  Build a new
+    operator for new fields.
     """
 
     def __init__(
@@ -169,10 +200,10 @@ class SchurOperator:
         diag = site_blocks(params, clover)
         self._diag_kept = diag[self.keep_sites]
         elim = diag[self.elim_sites]
-        _check_blocks(elim, self.elim_sites)
-        self._inv = np.linalg.inv(elim)
-        self._to_elim = ParityHop.build(gauge, self.split, 1 - keep_parity)
-        self._to_kept = ParityHop.build(gauge, self.split, keep_parity)
+        self._inv = _invert_blocks(elim, self.elim_sites)
+        parity_links = tuple(link_matrices(gauge.data[self.split.sites(p)]) for p in (0, 1))
+        self._to_elim = ParityHop.build(self.split, parity_links, 1 - keep_parity)
+        self._to_kept = ParityHop.build(self.split, parity_links, keep_parity)
 
     @property
     def n_sites(self) -> int:

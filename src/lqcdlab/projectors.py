@@ -17,11 +17,12 @@ Every hop projector (I -+ gamma_mu)/2 then has rank 2, and its action on a
 spinor is fixed by the two upper spin components alone: with psi = (u, l)
 split into upper/lower spin doublets,
 
-    (I - s*gamma_mu)/2 psi = (h, -s * A_mu^H h),   h = (u - s * A_mu l) / 2
+    (I - s*gamma_mu)/2 psi = (h, -s * A_mu^H h) / 2,   h = u - s * A_mu l
 
 for sign s = +-1.  ``compress`` returns h (a half spinor, 6 complex numbers
-per color triplet pair), ``reconstruct`` rebuilds the full projected spinor.
-Color indices are untouched by all of this and broadcast through.
+per color triplet pair) without the 1/2, which the hop kernel folds into its
+link matrices; ``reconstruct`` rebuilds the full projected spinor, 1/2
+included.  Color indices are untouched by all of this and broadcast through.
 """
 
 from __future__ import annotations
@@ -134,21 +135,19 @@ def _spin_coef(coef: np.ndarray, spin_axis: int) -> np.ndarray:
 
 
 def compress(psi: np.ndarray, mu: int, sign: int, spin_axis: int = -3) -> np.ndarray:
-    """Half-spinor h with (I - sign*gamma_mu)/2 psi = (h, -sign*A_mu^H h).
+    """Half-spinor h with (I - sign*gamma_mu)/2 psi = (h, -sign*A_mu^H h) / 2.
 
     ``psi`` has its 4 spin components on ``spin_axis`` (a negative axis,
-    default -3 for (..., 4, 3, b) spinors; the hop kernel passes -2 for its
-    color-outer (..., 3, 4, b) gathers); every other axis passes through.
+    default -3 for (..., 4, 3, b) spinors, -2 for color-outer (..., 3, 4, b)
+    ones); every other axis passes through.
     Uses the monomial form of A_mu: a spin swap and one unit-modulus
-    coefficient per row.  The result is a new C-contiguous array, whatever
-    the strides of ``psi``.
+    coefficient per row, so h = u -+ c * l with c in {+-1, +-i}.  The result
+    is a new C-contiguous array, whatever the strides of ``psi``.
     """
     upper = psi[_spin_index(slice(0, 2), spin_axis)]
     swapped = psi[_spin_index(2 + _TABLE.perm[mu], spin_axis)]
     swapped *= _spin_coef(_TABLE.coef[mu], spin_axis)
-    half = (np.subtract if sign == 1 else np.add)(upper, swapped, order="C")
-    half *= 0.5
-    return half
+    return (np.subtract if sign == 1 else np.add)(upper, swapped, order="C")
 
 
 def apply_block_adjoint(half: np.ndarray, mu: int, spin_axis: int = -3) -> np.ndarray:
@@ -157,9 +156,9 @@ def apply_block_adjoint(half: np.ndarray, mu: int, spin_axis: int = -3) -> np.nd
 
 
 def reconstruct(half: np.ndarray, mu: int, sign: int) -> np.ndarray:
-    """Full 4-spin projected spinor from its upper half ``half``."""
+    """Full 4-spin projected spinor from the half spinor ``half`` of :func:`compress`."""
     lower = -sign * apply_block_adjoint(half, mu)
-    return np.concatenate([half, lower], axis=-3)
+    return 0.5 * np.concatenate([half, lower], axis=-3)
 
 
 def check_algebra(atol: float = 1e-15) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,22 @@ def test_norms():
     x = gen_spinor(20, 4, Layout.COMPONENT_MAJOR, seed=8)
     ref = np.linalg.norm(x.ksi().reshape(-1, 4), axis=0)
     assert np.abs(block_norms(x) - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_field_norms_without_field_sized_temporary(layout, b):
+    x = gen_spinor(2048, b, layout, seed=10 + b)
+    v = x.ksi()
+    ref = np.sqrt(np.einsum("xkb,xkb->b", v.conj(), v).real)  # the conjugated-copy formula
+    assert np.abs(block_norms(x) - ref).max() <= 1e-14 * ref.max()
+    tracemalloc.start()
+    try:
+        block_norms(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.nbytes / 4
 
 
 def test_zero_field_norms():

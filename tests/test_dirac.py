@@ -10,6 +10,7 @@ from lqcdlab.dirac import (
     DiracParams,
     account_traffic,
     apply_dirac,
+    link_matrices,
 )
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry
@@ -46,6 +47,38 @@ def test_matches_dense_oracle(problem, layout, b):
     err = np.linalg.norm(eta.columns() - ref) / np.linalg.norm(ref)
     assert err < 1e-13
     assert eta.layout == layout and eta.b == b
+
+
+@pytest.mark.parametrize("b", [1, 16])
+def test_matches_dense_oracle_component_major(problem, b):
+    # b = 1 makes each site's link product a (2, 6) @ (6, 6) float64 matrix
+    # product, b = 16 a (32, 6) @ (6, 6) one
+    geom, gauge, clover, params, dense = problem
+    psi = gen_spinor(geom.n_sites, b, Layout.COMPONENT_MAJOR, seed=33 + b, geom=geom)
+    eta = apply_dirac(params, gauge, clover, psi)
+    ref = dense @ psi.columns()
+    assert np.linalg.norm(eta.columns() - ref) / np.linalg.norm(ref) < 1e-13
+
+
+def test_link_matrices_reproduce_link_products(problem):
+    # float64 rows of 3 colors times W give U h / 2, times W^T give U^H h / 2
+    _, gauge, _, _, _ = problem
+    links = gauge.data[:50]  # (50, 4, 3, 3) random SU(3)
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((50, 4, 5, 3)) + 1j * rng.standard_normal((50, 4, 5, 3))
+    w = link_matrices(links)
+    assert w.shape == (50, 4, 6, 6) and w.dtype == np.float64
+    rows = h.view(np.float64)
+    forward = (rows @ w).view(np.complex128)
+    adjoint = (rows @ w.swapaxes(-1, -2)).view(np.complex128)
+    assert np.abs(forward - 0.5 * np.einsum("xdca,xdra->xdrc", links, h)).max() < 1e-15
+    assert np.abs(adjoint - 0.5 * np.einsum("xdac,xdra->xdrc", links.conj(), h)).max() < 1e-15
+    # the 2x2 block (a, c) is [[Re U_ca, Im U_ca], [-Im U_ca, Re U_ca]] / 2, exactly
+    u, blocks = links[3, 2], w[3, 2].reshape(3, 2, 3, 2)
+    for a in range(3):
+        for c in range(3):
+            re, im = u[c, a].real, u[c, a].imag
+            assert np.array_equal(blocks[a, :, c], 0.5 * np.array([[re, im], [-im, re]]))
 
 
 def test_free_field_identity():

@@ -297,6 +297,22 @@ def test_mismatched_initial_guess_raises_before_any_apply(bad):
         assert "COMPONENT_MAJOR" in message
 
 
+@pytest.mark.parametrize("dims", [(4, 4, 4, 8), (4, 4, 4, 2)])
+def test_odd_even_rejects_mismatched_initial_guess(problem, monkeypatch, dims):
+    # a guess from a larger lattice was silently sliced by the kept sites, a
+    # smaller one raised a bare IndexError; both now fail before any work
+    geom, gauge, clover = problem
+    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=91, geom=geom)
+    other = LatticeGeometry(dims)
+    psi0 = gen_spinor(other.n_sites, 2, Layout.RHS_MAJOR, seed=92, geom=other)
+    calls = []
+    monkeypatch.setattr(gmres, "SchurOperator", lambda *args: calls.append("schur build"))
+    monkeypatch.setattr(gmres, "apply_dirac", lambda *args, **kwargs: calls.append("operator"))
+    with pytest.raises(ValueError, match="psi0"):
+        solve_dirac(DiracParams(m0=-0.5), gauge, clover, eta, GmresConfig(), odd_even=True, psi0=psi0)
+    assert calls == []
+
+
 def test_solve_path_does_not_import_scipy():
     # scipy alone adds ~20 MB of resident memory; only the dense oracle may load it
     script = """

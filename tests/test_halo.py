@@ -109,8 +109,8 @@ def test_duplicate_post_rejected():
 
 
 def test_payload_shape(problem):
-    # boundary messages carry (n_boundary, 2, 3, b) half-spinor values;
-    # undivided directions still post, with empty payloads
+    # boundary messages carry (n_boundary, 2, b, 3) half-spinor values (spin,
+    # rhs, color); undivided directions still post, with empty payloads
     _, gauge, clover, params, psi, _ = problem
     ex = MultiRankExecutor(RankGrid((2, 1, 1, 1)))
     seen = []
@@ -126,6 +126,25 @@ def test_payload_shape(problem):
     for mu, step, shape in seen:
         expected_rows = 64 if mu == 0 else 0
         assert shape == (expected_rows, 2, 3, 3), (mu, step, shape)
+
+
+def test_payload_orientation_spin_rhs_color(problem):
+    # with b = 2 the rhs axis and the color axis differ in length
+    _, gauge, clover, params, _, _ = problem
+    geom = gauge.geom
+    psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=59, geom=geom)
+    ex = MultiRankExecutor(RankGrid((2, 1, 1, 1)))
+    seen = []
+    orig_post = ex.commset.rank_comm(0).post_send
+
+    def spy(mu, step, payload):
+        seen.append((mu, step, payload.shape))
+        return orig_post(mu, step, payload)
+
+    ex.commset.rank_comm(0).post_send = spy
+    eta = ex.apply_dirac(params, gauge, clover, psi)
+    assert sorted(seen) == sorted((mu, step, (64 if mu == 0 else 0, 2, 2, 3)) for mu in range(4) for step in (1, -1))
+    assert np.array_equal(eta.data, apply_dirac(params, gauge, clover, psi).data)
 
 
 def test_executor_rejects_mode():

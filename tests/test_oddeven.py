@@ -144,6 +144,57 @@ def test_bad_eliminated_block_is_attributed(problem, keep_parity, fault):
     assert np.isnan(err.value.cond) == (fault == "nan")
 
 
+def _clover_with_block(geom, site, block, kappa, shift):
+    """Clover whose diagonal block (site, block) shift*I - C has 2-norm condition number kappa."""
+    rng = np.random.default_rng(65)
+    blocks = np.zeros((geom.n_sites, 2, 6, 6), dtype=np.complex128)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    target = (q * np.geomspace(1.0, 1.0 / kappa, 6)) @ q.conj().T
+    c = shift * np.eye(6) - target
+    blocks[site, block] = 0.5 * (c + c.conj().T)
+    return CloverField.from_blocks(geom, blocks)
+
+
+@pytest.mark.parametrize("kappa", [1.02e12, 0.98e12])
+def test_condition_limit_classifies_as_the_exact_check(monkeypatch, kappa):
+    # the 1-norm screen sends a block near the limit to the exact 2-norm check,
+    # which rejects it just above 1e12 and accepts it just below
+    geom = LatticeGeometry((2, 2, 2, 2))
+    params = DiracParams(m0=-3.0)
+    site = int(OeSplit.from_geom(geom).odd[3])
+    clover = _clover_with_block(geom, site, 1, kappa, 4.0 + params.m0)
+    from lqcdlab.dirac import site_blocks
+
+    exact = np.linalg.cond(site_blocks(params, clover)[site, 1])
+    assert (exact > 1e12) == (kappa > 1e12)
+    checked = []
+    real_cond = np.linalg.cond
+
+    def cond(blocks):
+        checked.append(len(blocks))
+        return real_cond(blocks)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    if kappa > 1e12:
+        with pytest.raises(SingularBlockError) as err:
+            SchurOperator(params, gen_gauge(geom, "unit"), clover)
+        assert (err.value.site, err.value.block) == (site, 1)
+        assert err.value.cond > 1e12
+    else:
+        SchurOperator(params, gen_gauge(geom, "unit"), clover)
+    # only the ill-conditioned block went to the SVD; the other 15 were cleared by the screen
+    assert checked == [1]
+
+
+def test_well_conditioned_blocks_skip_the_svd(problem, monkeypatch):
+    geom, gauge, clover, params = problem
+    checked = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda blocks: checked.append(len(blocks)) or real_cond(blocks))
+    SchurOperator(params, gauge, clover)
+    assert checked in ([], [0])
+
+
 def test_operator_is_a_build_time_snapshot(problem):
     geom, gauge0, clover0, params = problem
     gauge = GaugeField(geom, gauge0.data.copy())
