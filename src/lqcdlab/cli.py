@@ -94,6 +94,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_bench_dirac(args) -> int:
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     cfg = _load_runconfig(args)
     _emit_header(config_hash(cfg), cfg.seed)
     b_list = _int_list(args.b_list) if args.b_list else [cfg.b]

@@ -158,6 +158,8 @@ def validate(cfg: RunConfig) -> None:
     for g, n in zip(cfg.grid, cfg.dims):
         if g < 1 or n % g:
             raise ConfigError(f"ranks.grid {cfg.grid} does not divide lattice.dims {cfg.dims}")
+        if (n // g) % 2:
+            raise ConfigError(f"ranks.grid {cfg.grid} leaves an odd local extent of lattice.dims {cfg.dims}")
     if cfg.b < 1:
         raise ConfigError(f"block.b must be >= 1, got {cfg.b}")
     if cfg.layout not in (1, 2):

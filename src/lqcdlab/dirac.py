@@ -13,9 +13,10 @@ of complex data (the real embedding of complex GEMM, "4m" in Van Zee and
 Smith, ACM TOMS 44 (2017) Art. 7): a complex row x times a complex z is the
 float row x_f times the real form of z (``_real_form``).  For each chunk
 and each mu the sweep gathers psi at the +mu and -mu neighbors as spinor
-rows, one per site and rhs, and compresses them to half spinors h = u -+ c l
-(c in {+-1, +-i}) with one product by a fixed real projection matrix per
-side; a chunk's half spinors are (m, b, 2, 3), color innermost, so each
+rows, one per site and rhs, and compresses them to half spinors h = K psi
+with one product by a fixed real projection matrix per side (the real form
+of the projectors module's K = [I, -+A_mu] times the color identity); a
+chunk's half spinors are (m, b, 2, 3), color innermost, so each
 site's 2b rows of 3 colors are one (2b, 6) float64 matrix.  That matrix is
 multiplied by the site's real 6x6 link matrix W (:func:`link_matrices`) on
 the +mu side and by W^T, which is the link matrix of U^H, on the -mu side:
@@ -30,13 +31,14 @@ arithmetic does not depend on it.  The fixed spin matrices have entries
 rounded sum of two, however BLAS orders its sums: bitwise what the
 structured operation gives.
 
-One function, :func:`subtract_hops`, holds that sweep.  The single-rank
-apply calls it with the gauge field, and it builds the link matrices for
-that call (after the self coupling has freed its site blocks); the
-even/odd Schur operator (oddeven module) calls it with link matrices built
-once per parity and cross-parity tables on half-lattice fields.  The
-multi-rank executor (halo module) calls it on each rank's thread with the
-rank's gauge slice, tables and communicator: the rank posts the
+One function, :func:`subtract_hops`, holds that sweep, and every caller
+passes it prebuilt link matrices and neighbor tables.  The single-rank
+apply builds the link matrices of the whole lattice after the self
+coupling has freed its site blocks; the even/odd Schur operator (oddeven
+module) passes link matrices built once per parity and cross-parity
+tables on half-lattice fields.  The multi-rank executor (halo module)
+calls it on each rank's thread with the link matrices of the rank's sites,
+its local tables and its communicator: the rank posts the
 compressed +mu-side half spinors of its -mu face and the link-multiplied
 -mu-side values of its +mu face, completes its receives, and the sweep
 takes the face rows it cannot compute locally from the received halos.
@@ -52,15 +54,13 @@ flops per site and rhs: self coupling 552; per direction 444 (two
 compressions at 48, two link products at 132, and 84 to reconstruct and
 accumulate: three complex adds at 12, A_mu^H at 36, one more add at 12);
 the final subtraction from eta 24.  Per site come 12 (the mass added to the
-clover diagonal) and 72 (the 1/2 folded into four links).  Against the
-previous complex kernel, only the 0.5 pass of the compressions (96 per site
-and rhs) is gone: a complex 3x3 times 3-vector and a real 6x6 times
-6-vector are both 66 flops.  BLAS executes more, because the fixed spin
-matrices are applied densely, zeros included: 1128 per direction for the
-projections, 276 for A_mu^H, and 1260 per link for the embedding, 7440 per
-site and rhs and 5052 per site in all.  The traffic ledger below is a fixed
-analytic budget, 2574 per site and rhs, that arithmetic intensity and GF/s
-are quoted against; its breakdown is not recorded.
+clover diagonal) and 72 (the 1/2 folded into four links).  BLAS executes
+more, because the fixed spin matrices are applied densely, zeros included:
+1128 per direction for the projections, 276 for A_mu^H, and 1260 per link
+for the embedding, 7440 per site and rhs and 5052 per site in all.  The
+traffic ledger below is a fixed analytic budget, 2574 per site and rhs,
+that arithmetic intensity and GF/s are quoted against; its breakdown is
+not recorded.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import numpy as np
 
 from .fields import BlockSpinorField, CloverField, GaugeField
 from .geometry import NDIM
-from .projectors import N_COLOR, N_SPIN, SPINOR_LEN, apply_block_adjoint, compress
+from .projectors import A_BLOCKS, N_COLOR, SPINOR_LEN, compression
 
 # traffic ledger of one operator application, per lattice site:
 # 2574*b flop and (168*b + 114) complex values = (168*b + 114)*16 byte
@@ -157,21 +157,19 @@ def _real_form(z: np.ndarray) -> np.ndarray:
     return r.reshape(z.shape[:-2] + (2 * k, 2 * n))
 
 
-def _spin_map(fn, n_spin: int) -> np.ndarray:
-    """Real form of the linear spin map ``fn`` on (..., n_spin, 3, 1) spinors, acting on float64 rows."""
-    basis = np.eye(n_spin * N_COLOR, dtype=np.complex128).reshape(-1, n_spin, N_COLOR, 1)
-    return _real_form(fn(basis).reshape(n_spin * N_COLOR, -1))
+_EYE3 = np.eye(N_COLOR)
 
-
-# The spin algebra of the sweep as fixed real matrices acting on float64 rows,
-# built from the projectors module: _PROJECT[mu, 0] compresses a 12-component
-# spinor row (24 floats) to the +mu-side half spinor (I + gamma_mu)/2 needs
-# (12 floats), _PROJECT[mu, 1] to the -mu-side one, and _ADJOINT[mu] applies
-# A_mu^H to a half spinor row.
+# The spin algebra of the sweep as fixed real matrices acting on float64
+# rows, the real forms of the projectors module's spin matrices times the
+# color identity (a row's components are spin-major, as np.kron orders
+# them): _PROJECT[mu, 0] compresses a 12-component spinor row (24 floats)
+# to the +mu-side half spinor (I + gamma_mu)/2 needs (12 floats),
+# _PROJECT[mu, 1] to the -mu-side one, and _ADJOINT[mu] applies A_mu^H to a
+# half spinor row.
 _PROJECT = np.stack(
-    [np.stack([_spin_map(lambda x: compress(x, mu, sign), N_SPIN) for sign in (-1, 1)]) for mu in range(NDIM)]
+    [np.stack([_real_form(np.kron(compression(mu, sign), _EYE3).T) for sign in (-1, 1)]) for mu in range(NDIM)]
 )
-_ADJOINT = np.stack([_spin_map(lambda x: apply_block_adjoint(x, mu), 2) for mu in range(NDIM)])
+_ADJOINT = np.stack([_real_form(np.kron(a.conj().T, _EYE3).T) for a in A_BLOCKS])
 
 # (18, 36) map from the float64 view of a link U to its link matrix W
 _EMBED = _real_form(0.5 * np.eye(18).view(np.complex128).reshape(18, N_COLOR, N_COLOR).swapaxes(1, 2)).reshape(18, 36)
@@ -233,24 +231,22 @@ def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, lo: in
 
 
 def subtract_hops(
-    links: GaugeField | np.ndarray,
+    links: np.ndarray,
     psi: BlockSpinorField,
     eta: BlockSpinorField,
-    fwd: list[np.ndarray] | None = None,
-    back: list[np.ndarray] | None = None,
+    fwd: list[np.ndarray],
+    back: list[np.ndarray],
     src_links: np.ndarray | None = None,
     comm=None,
     boundary: dict | None = None,
 ) -> None:
     """Run the hop sweep of the stencil, subtracting it from eta in place.
 
-    ``links`` is a gauge field, whose :func:`link_matrices` are built here
-    for this call, or (n_eta, 4, 6, 6) link matrices built ahead.  By
-    default the sweep uses the periodic neighbor tables of the whole
-    lattice.  Otherwise ``fwd[mu]``/``back[mu]`` (both) map each eta site to
-    the psi index of its +mu/-mu neighbor.  The link matrices multiplying
-    the +mu side are read from ``links`` at eta's sites, those of the -mu
-    side from ``src_links`` (default ``links``) at psi's sites; the two
+    ``links`` are the (n_eta, 4, 6, 6) :func:`link_matrices` of eta's
+    sites, and ``fwd[mu]``/``back[mu]`` map each eta site to the psi index
+    of its +mu/-mu neighbor.  The link matrices multiplying the +mu side
+    are read from ``links`` at eta's sites, those of the -mu side from
+    ``src_links`` (default ``links``) at psi's sites; the two
     differ only when psi and eta live on different site sets, as in the
     parity-to-parity hops of the even/odd Schur operator.
 
@@ -262,13 +258,6 @@ def subtract_hops(
     received from the +mu (resp. -mu) neighbor rank.  Halo payloads are
     (n_face, 2, b, 3) (spin, rhs, color) in ascending face order.
     """
-    if isinstance(links, GaugeField):
-        if fwd is None:
-            _check_field(psi, links)
-            geom = links.geom
-            fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
-            back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
-        links = link_matrices(links.data)
     if src_links is None:
         src_links = links
     rows = _rows(psi)
@@ -324,5 +313,8 @@ def apply_dirac(
         return comm.apply_dirac(params, gauge, clover, psi)
     _check_field(psi, gauge)
     eta = apply_self_coupling(params, clover, psi)
-    subtract_hops(gauge, psi, eta)
+    geom = gauge.geom
+    fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
+    back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
+    subtract_hops(link_matrices(gauge.data), psi, eta, fwd, back)
     return eta

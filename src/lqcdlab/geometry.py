@@ -201,8 +201,8 @@ class RankDomain:
 def decompose(geom: LatticeGeometry, grid: RankGrid) -> list[RankDomain]:
     """Split a lattice into per-rank blocks of equal shape.
 
-    Each grid factor must divide the matching extent.  When more than one
-    rank is used, every local extent must be at least 2 so halo traffic in a
+    Each grid factor must divide the matching extent and leave an even local
+    extent, so local and global site parity agree and halo traffic in a
     direction never carries two messages for the same site.
     """
     local_dims = []
@@ -210,9 +210,9 @@ def decompose(geom: LatticeGeometry, grid: RankGrid) -> list[RankDomain]:
         n, r = geom.dims[d], grid.grid[d]
         if n % r != 0:
             raise ValueError(f"grid factor {r} does not divide extent {n} in direction {d}")
+        if (n // r) % 2:
+            raise ValueError(f"grid factor {r} leaves an odd local extent {n // r} in direction {d}")
         local_dims.append(n // r)
-    if grid.n_ranks > 1 and min(local_dims) < 2:
-        raise ValueError(f"local extents {tuple(local_dims)} must all be >= 2 on a multi-rank grid")
 
     local_geom = LatticeGeometry(tuple(local_dims))
     domains = []

@@ -196,7 +196,7 @@ class Communicator:
     def post_send(self, mu: int, step: int, payload: np.ndarray) -> HaloMessage:
         """Non-blocking: hand the payload to the (mu, step) neighbor's mailbox."""
         dst = self.grid.neighbor_rank(self.rank, mu, step)
-        msg = HaloMessage(self.rank, dst, mu, step, np.ascontiguousarray(payload).copy())
+        msg = HaloMessage(self.rank, dst, mu, step, np.array(payload, order="C"))
         self.commset.box(dst, mu, step).post(msg)
         return msg
 
@@ -299,14 +299,15 @@ def _apply_rank(
 
     The hops use the rank-local periodic neighbor tables; subtract_hops
     replaces the face rows they get wrong with the received halo values.
+    The rank's clover and gauge slices are temporaries, so neither stays
+    alive next to the link matrices during the sweep.
     """
     local = dom.local_geom
-    local_gauge = GaugeField(local, gauge.data[dom.global_sites])
-    local_clover = CloverField(local, clover.data[dom.global_sites])
-    eta = _dirac.apply_self_coupling(params, local_clover, psi)
+    eta = _dirac.apply_self_coupling(params, CloverField(local, clover.data[dom.global_sites]), psi)
     fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
     back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
-    _dirac.subtract_hops(local_gauge, psi, eta, fwd, back, comm=comm, boundary=dom.boundary)
+    links = _dirac.link_matrices(gauge.data[dom.global_sites])
+    _dirac.subtract_hops(links, psi, eta, fwd, back, comm=comm, boundary=dom.boundary)
     return eta
 
 

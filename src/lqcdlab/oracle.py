@@ -7,10 +7,11 @@ lattices by walking the stencil definition directly:
     D[x, x + mu^]  -= P-_mu (x) U_mu(x)        (spin (x) color Kronecker product)
     D[x, x - mu^]  -= P+_mu (x) U_mu(x-mu^)^H
 
-with P-+_mu = (I -+ gamma_mu)/2 as full 4x4 matrices.  This path never uses
-the half-spinor compression of the production kernel, so the two
-implementations only share the gamma-matrix table; everything else is
-independent, which is what makes the dense comparison a real check.
+with P-+_mu = (I -+ gamma_mu)/2 as full 4x4 matrices (``projector``).  This
+path never uses the half-spinor compression or the real-form matrices of
+the production kernel, so the two implementations only share the A blocks
+the gamma matrices are built from; everything else is independent, which
+is what makes the dense comparison a real check.
 
 Intended for lattices up to 6^4; the guard keeps dense storage within a few
 gigabytes.
@@ -23,7 +24,7 @@ import scipy.linalg
 
 from .fields import CloverField, GaugeField
 from .geometry import NDIM, LatticeGeometry
-from .projectors import SPINOR_LEN, table
+from .projectors import SPINOR_LEN, projector
 
 MAX_DENSE_DIM = 20736  # 12 * 6^4
 
@@ -38,7 +39,6 @@ def assemble_dirac_dense(params, gauge: GaugeField, clover: CloverField) -> np.n
     geom = gauge.geom
     n = SPINOR_LEN * geom.n_sites
     _check_dense_dim(n)
-    proj = table()
     blocks = clover.blocks()
 
     a = np.zeros((n, n), dtype=np.complex128)
@@ -53,12 +53,13 @@ def assemble_dirac_dense(params, gauge: GaugeField, clover: CloverField) -> np.n
         fwd = geom.neighbor_table(mu, +1)
         back = geom.neighbor_table(mu, -1)
         links = gauge.mu(mu)
+        p_minus, p_plus = projector(mu, -1), projector(mu, 1)
         for x in range(geom.n_sites):
             r = x * SPINOR_LEN
             cf = fwd[x] * SPINOR_LEN
             cb = back[x] * SPINOR_LEN
-            a[r : r + 12, cf : cf + 12] -= np.kron(proj.minus[mu], links[x])
-            a[r : r + 12, cb : cb + 12] -= np.kron(proj.plus[mu], links[back[x]].conj().T)
+            a[r : r + 12, cf : cf + 12] -= np.kron(p_minus, links[x])
+            a[r : r + 12, cb : cb + 12] -= np.kron(p_plus, links[back[x]].conj().T)
     return a
 
 

@@ -170,6 +170,13 @@ def test_roofline_malformed_input_is_a_usage_error(capsys, tmp_path, data, messa
     assert message in err and "internal error" not in err
 
 
+def test_bench_dirac_rejects_zero_reps(capsys):
+    code, out, err = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=2 2 2 2", "--reps", "0")
+    assert code == 1
+    assert "--reps must be >= 1, got 0" in err
+    assert out == ""
+
+
 def test_bench_checksums_deterministic(capsys, tmp_path):
     args = ["bench-dirac", "--set", "lattice.dims=2 2 2 2", "--set", "seed=9", "--reps", "1"]
     _, out1, _ = run_cli(capsys, *args)

@@ -83,6 +83,11 @@ def test_set_key():
         ("lattice.dims = 4 4 4", "4 extents"),
         ("lattice.dims = 4 3 4 4", "even"),
         ("ranks.grid = 3 1 1 1", "divide"),
+        pytest.param(
+            "lattice.dims = 6 4 4 4\nranks.grid = 2 1 1 1",
+            "ranks.grid .* odd local extent of lattice.dims",
+            id="ranks.grid = 2 1 1 1 on 6 4 4 4-odd local extent",
+        ),
         ("block.b = 0", "block.b"),
         ("block.layout = 3", "layout"),
         ("clover.mode = identity", "clover.mode"),

@@ -114,3 +114,5 @@ def test_decompose_rejects_bad_grid():
         decompose(geom, RankGrid((3, 1, 1, 1)))
     with pytest.raises(ValueError):
         decompose(geom, RankGrid((4, 1, 1, 1)))  # local extent would be 1
+    with pytest.raises(ValueError, match="grid factor 2 leaves an odd local extent 3 in direction 0"):
+        decompose(LatticeGeometry((6, 4, 4, 4)), RankGrid((2, 1, 1, 1)))

@@ -108,6 +108,23 @@ def test_duplicate_post_rejected():
         cs.rank_comm(0).post_send(1, 1, payload)
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_received_payload_is_a_private_copy(transposed):
+    # the receiver must not see later writes of the sender, whether the
+    # posted array is contiguous or a transposed view (as the sweep posts)
+    cs = CommunicatorSet(RankGrid((2, 1, 1, 1)))
+    cs.begin_epoch()
+    base = np.arange(24, dtype=np.complex128).reshape(2, 3, 4, 1)
+    payload = base.swapaxes(1, 2) if transposed else base
+    expect = payload.copy()
+    cs.rank_comm(0).post_send(0, 1, payload)
+    base[...] = -1
+    got = cs.rank_comm(1).complete_recv(0, 1)
+    assert not np.shares_memory(got, base)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, expect)
+
+
 def test_payload_shape(problem):
     # boundary messages carry (n_boundary, 2, b, 3) half-spinor values (spin,
     # rhs, color); undivided directions still post, with empty payloads
