@@ -10,7 +10,7 @@ matrix-multiply strategies on an SME-like abstract machine.
 __version__ = "0.1.0"
 
 from .config import RunConfig, canonical, config_hash, load_config, parse_config
-from .dirac import DiracParams, account_traffic, apply_dirac
+from .dirac import DiracOperator, DiracParams, account_traffic, apply_dirac
 from .fields import (
     BlockSpinorField,
     CloverField,
@@ -31,6 +31,7 @@ from .perf import arithmetic_intensity, effective_bandwidth, read_write_ratio, t
 __all__ = [
     "BlockSpinorField",
     "CloverField",
+    "DiracOperator",
     "DiracParams",
     "GaugeField",
     "GmresConfig",

@@ -32,13 +32,15 @@ rounded sum of two, however BLAS orders its sums: bitwise what the
 structured operation gives.
 
 One function, :func:`subtract_hops`, holds that sweep, and every caller
-passes it prebuilt link matrices and neighbor tables.  The single-rank
-apply builds the link matrices of the whole lattice after the self
-coupling has freed its site blocks; the even/odd Schur operator (oddeven
-module) passes link matrices built once per parity and cross-parity
-tables on half-lattice fields.  The multi-rank executor (halo module)
-calls it on each rank's thread with the link matrices of the rank's sites,
-its local tables and its communicator: the rank posts the
+passes it prebuilt link matrices and neighbor tables.  The full operator,
+:class:`DiracOperator`, is a snapshot: it builds the site blocks and the
+link matrices of the whole lattice once, and every apply reuses them with
+the periodic tables, so a solve pays for them once.  The even/odd Schur
+operator (oddeven module) passes link matrices built once per parity and
+cross-parity tables on half-lattice fields.  Through the multi-rank
+executor (halo module) the snapshot keeps each rank's rows of both arrays
+and calls the sweep on each rank's thread with them, its local tables and
+its communicator: the rank posts the
 compressed +mu-side half spinors of its -mu face and the link-multiplied
 -mu-side values of its +mu face, completes its receives, and the sweep
 takes the face rows it cannot compute locally from the received halos.
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import BlockSpinorField, CloverField, GaugeField
-from .geometry import NDIM
+from .geometry import NDIM, LatticeGeometry
 from .projectors import A_BLOCKS, N_COLOR, SPINOR_LEN, compression
 
 # traffic ledger of one operator application, per lattice site:
@@ -98,11 +100,17 @@ def account_traffic(b: int) -> dict:
     }
 
 
-def _check_field(psi: BlockSpinorField, gauge: GaugeField) -> None:
+def _check_field(psi: BlockSpinorField, geom: LatticeGeometry) -> None:
     if psi.s != SPINOR_LEN:
         raise ValueError(f"expected full spinor field (s={SPINOR_LEN}), got s={psi.s}")
-    if psi.n_sites != gauge.geom.n_sites:
-        raise ValueError(f"field has {psi.n_sites} sites, gauge lattice has {gauge.geom.n_sites}")
+    if psi.n_sites != geom.n_sites:
+        raise ValueError(f"field has {psi.n_sites} sites, gauge lattice has {geom.n_sites}")
+
+
+def check_lattices(gauge: GaugeField, clover: CloverField) -> None:
+    """Raise unless the gauge and clover fields cover the same number of sites."""
+    if len(clover.data) != len(gauge.data):
+        raise ValueError(f"clover field has {len(clover.data)} sites, gauge field has {len(gauge.data)}")
 
 
 _DIAG6 = np.arange(6)
@@ -116,19 +124,11 @@ def site_blocks(params: DiracParams, clover: CloverField) -> np.ndarray:
     return blocks
 
 
-def apply_self_coupling(
-    params: DiracParams,
-    clover: CloverField,
-    psi: BlockSpinorField,
-) -> BlockSpinorField:
-    """eta = ((4 + m0) I - C) psi, one batched product with two 6x6 blocks per site."""
-    if psi.n_sites != clover.geom.n_sites:
-        raise ValueError(f"field has {psi.n_sites} sites, clover has {clover.geom.n_sites}")
-    if psi.s != SPINOR_LEN:
-        raise ValueError(f"expected full spinor field (s={SPINOR_LEN}), got s={psi.s}")
+def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField) -> BlockSpinorField:
+    """eta = ((4 + m0) I - C) psi, one batched product with psi's (n_sites, 2, 6, 6) :func:`site_blocks`."""
     eta = BlockSpinorField.zeros_like(psi)
     n, b = psi.n_sites, psi.b
-    np.matmul(site_blocks(params, clover), psi.ksi().reshape(n, 2, 6, b), out=eta.ksi().reshape(n, 2, 6, b))
+    np.matmul(blocks, psi.ksi().reshape(n, 2, 6, b), out=eta.ksi().reshape(n, 2, 6, b))
     return eta
 
 
@@ -297,6 +297,72 @@ def subtract_hops(
         out[lo:hi, :, 6:] -= lower.reshape(hi - lo, b, 6)
 
 
+class DiracOperator:
+    """D for one ``(params, gauge, clover)``, as a snapshot taken at build time.
+
+    The build makes the site blocks (:func:`site_blocks`, the mass folded
+    in) and the link matrices (:func:`link_matrices`) of the whole lattice
+    once, and every call reuses them with the periodic neighbor tables, so
+    a solve that builds one operator pays for them once and not on every
+    apply.  Both arrays are copies: editing the fields in place afterwards
+    does not change the operator.  Build a new one for new fields.
+
+    With a :class:`lqcdlab.halo.MultiRankExecutor` as ``comm``, the build
+    keeps each rank's domain and its rows of both arrays instead, each rank
+    building its own rows from its slices of the fields on its own thread,
+    and every call runs the ranks on the executor's threads: each rank
+    copies its own psi rows in, runs the self coupling and the hop sweep
+    through its communicator, and writes its own eta rows out.  The ranks'
+    rows are disjoint, so they share eta without a lock.
+    """
+
+    def __init__(self, params: DiracParams, gauge: GaugeField, clover: CloverField, comm=None):
+        check_lattices(gauge, clover)
+        self.geom = gauge.geom
+        self.comm = comm
+        if comm is None:
+            self._blocks = site_blocks(params, clover)
+            self._links = link_matrices(gauge.data)
+            self._fwd = [self.geom.neighbor_table(mu, +1) for mu in range(NDIM)]
+            self._back = [self.geom.neighbor_table(mu, -1) for mu in range(NDIM)]
+        else:
+            domains = comm.domains(self.geom)
+            self._ranks = [None] * len(domains)
+
+            def build_rank(rank: int, _comm) -> None:
+                # from the rank's slices of the fields, so no whole-lattice array is made
+                dom = domains[rank]
+                blocks = site_blocks(params, CloverField(dom.local_geom, clover.data[dom.global_sites]))
+                self._ranks[rank] = (dom, blocks, link_matrices(gauge.data[dom.global_sites]))
+
+            comm.run_ranks(build_rank)
+
+    def __call__(self, psi: BlockSpinorField) -> BlockSpinorField:
+        """eta = D psi over all rhs columns."""
+        _check_field(psi, self.geom)
+        if self.comm is None:
+            eta = apply_self_coupling(self._blocks, psi)
+            subtract_hops(self._links, psi, eta, self._fwd, self._back)
+            return eta
+        eta = BlockSpinorField.zeros_like(psi)
+
+        def run_rank(rank: int, comm) -> None:
+            # the hops use the rank-local periodic tables; subtract_hops
+            # replaces the face rows they get wrong with the received halos
+            dom, blocks, links = self._ranks[rank]
+            local = dom.local_geom
+            loc = BlockSpinorField.zeros(local.n_sites, psi.b, psi.layout, psi.s, local)
+            loc.set_ksi(psi.ksi()[dom.global_sites])
+            out = apply_self_coupling(blocks, loc)
+            fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
+            back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
+            subtract_hops(links, loc, out, fwd, back, comm=comm, boundary=dom.boundary)
+            eta.ksi()[dom.global_sites] = out.ksi()
+
+        self.comm.run_ranks(run_rank)
+        return eta
+
+
 def apply_dirac(
     params: DiracParams,
     gauge: GaugeField,
@@ -304,17 +370,9 @@ def apply_dirac(
     psi: BlockSpinorField,
     comm=None,
 ) -> BlockSpinorField:
-    """eta = D psi over all rhs columns; optionally through a communicator.
+    """eta = D psi over all rhs columns: build a :class:`DiracOperator` and apply it once.
 
-    ``comm`` is a rank context from the halo module; without one the apply
+    ``comm`` is a rank executor from the halo module; without one the apply
     reads neighbors directly through the periodic wrap.
     """
-    if comm is not None:
-        return comm.apply_dirac(params, gauge, clover, psi)
-    _check_field(psi, gauge)
-    eta = apply_self_coupling(params, clover, psi)
-    geom = gauge.geom
-    fwd = [geom.neighbor_table(mu, +1) for mu in range(NDIM)]
-    back = [geom.neighbor_table(mu, -1) for mu in range(NDIM)]
-    subtract_hops(link_matrices(gauge.data), psi, eta, fwd, back)
-    return eta
+    return DiracOperator(params, gauge, clover, comm)(psi)

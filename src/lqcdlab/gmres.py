@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blas import block_axpy, block_dot, block_norms, block_scale
-from .dirac import DiracParams, apply_dirac
+from .dirac import DiracOperator, DiracParams, _check_field, apply_dirac
 from .fields import BlockSpinorField, CloverField, GaugeField
 from .oddeven import SchurOperator
 
@@ -379,11 +379,9 @@ def matrix_op(a: np.ndarray):
     return apply
 
 
-def dirac_op(params: DiracParams, gauge: GaugeField, clover: CloverField, comm=None):
-    def apply(v: BlockSpinorField) -> BlockSpinorField:
-        return apply_dirac(params, gauge, clover, v, comm=comm)
-
-    return apply
+def dirac_op(params: DiracParams, gauge: GaugeField, clover: CloverField, comm=None) -> DiracOperator:
+    """The full operator as one snapshot of the fields; a solve builds it once."""
+    return DiracOperator(params, gauge, clover, comm)
 
 
 @dataclass
@@ -409,9 +407,13 @@ def solve_dirac(
 ) -> SolveReport:
     """Solve D psi = eta directly or through the even-site Schur system.
 
-    On the even/odd path the Schur solve runs single-rank; ``comm`` is used
-    only for the final full-system residual.
+    Each path builds its operator once, before the first iteration: the
+    full path one :class:`lqcdlab.dirac.DiracOperator`, the even/odd path
+    one :class:`lqcdlab.oddeven.SchurOperator`.  On the even/odd path the
+    Schur solve runs single-rank; ``comm`` is used only for the final
+    full-system residual, one build-and-apply of the full operator.
     """
+    _check_field(eta, gauge.geom)
     if not odd_even:
         result = gmres_solve(dirac_op(params, gauge, clover, comm), eta, psi0, cfg)
         full = result.final_relnorms

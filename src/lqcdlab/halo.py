@@ -28,9 +28,12 @@ payloads, so the epoch audit stays uniform across grid shapes.
 The multi-rank apply is bit-identical to the single-rank one because both
 call the one hop sweep :func:`lqcdlab.dirac.subtract_hops`: each rank with
 its own neighbor tables and communicator, the single-rank apply with the
-periodic tables and none.  Rank-local slices only permute the site axis and
-the posted values come from the same helpers as the sweep's, so every site
-sees the same operations in the same order.
+periodic tables and none.  Both run one :class:`lqcdlab.dirac.DiracOperator`
+snapshot, built once: each rank builds and keeps its own rows of the
+snapshot's site blocks and link matrices, and copies its own psi rows in
+and its eta rows out, all on its own thread.  Rank-local slices only
+permute the site axis and the posted values come from the same helpers as
+the sweep's, so every site sees the same operations in the same order.
 
 A fault on one rank poisons every mailbox, so its peers stop at their next
 receive instead of waiting out the timeout, and the executor re-raises it as
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +218,17 @@ class Communicator:
 class MultiRankExecutor:
     """Runs the stencil apply over a simulated rank grid.
 
-    Accepts whole-lattice fields, splits them by ownership, runs every rank
-    on its own thread, and merges the local results.  Passing an instance as
-    ``comm`` to :func:`lqcdlab.dirac.apply_dirac` routes the apply through
-    here.  Only the rank domains are cached, keyed on the lattice extents
-    (every rank reads its neighbor tables from their shared local geometry);
-    the gauge and clover slices are gathered on every apply, and each rank
-    builds the link matrices of its gauge slice, so in-place updates of the
-    fields take effect.  ``mode`` accepts only ``"threads"``,
-    the one way ranks run.
+    Passing an instance as ``comm`` to :class:`lqcdlab.dirac.DiracOperator`
+    (or to :func:`lqcdlab.dirac.apply_dirac`) routes the operator through
+    here: the operator keeps each rank's slices of its site blocks and link
+    matrices, and :meth:`run_ranks` runs every rank's part of its build and
+    of each apply on the rank's own thread.  Only
+    the rank domains are cached, keyed on the lattice extents (every rank
+    reads its neighbor tables from their shared local geometry).
+    :meth:`apply_dirac` builds a new operator on every call, so in-place
+    updates of the fields take effect there; an operator built once (as a
+    solve builds its own) keeps the fields as they were at its build.
+    ``mode`` accepts only ``"threads"``, the one way ranks run.
     """
 
     def __init__(self, grid: RankGrid, mode: str = "threads", timeout: float = DEFAULT_TIMEOUT):
@@ -234,11 +240,41 @@ class MultiRankExecutor:
         self._domain_dims: tuple | None = None
         self.last_stats: list[EpochStats] = []
 
-    def _domains_for(self, geom: LatticeGeometry) -> list[RankDomain]:
+    def domains(self, geom: LatticeGeometry) -> list[RankDomain]:
+        """The rank domains of ``geom``, in rank order."""
         if self._domain_dims != geom.dims:
             self._domains = decompose(geom, self.grid)
             self._domain_dims = geom.dims
         return self._domains
+
+    def run_ranks(self, work: Callable[[int, Communicator], None]) -> None:
+        """Run ``work(rank, comm)`` for every rank on its own thread, in one new epoch.
+
+        A rank that raises poisons the epoch, so its peers stop at their next
+        receive, and the first fault is re-raised as :class:`RankFaultError`
+        naming its rank.  On success ``last_stats`` holds every rank's epoch
+        statistics.
+        """
+        faults: list[tuple[int, Exception]] = []
+
+        def run(rank: int) -> None:
+            try:
+                work(rank, self.commset.rank_comm(rank))
+            except Exception as exc:  # a rank thread reports its fault, then stops its peers
+                faults.append((rank, exc))
+                self.commset.poison()
+
+        self.commset.begin_epoch()
+        threads = [threading.Thread(target=run, args=(rank,), name=f"rank-{rank}") for rank in range(self.grid.n_ranks)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if faults:
+            # peers stopped by the poison append after the fault that set it
+            rank, exc = faults[0]
+            raise RankFaultError(rank, exc) from exc
+        self.last_stats = [self.commset.rank_comm(r).end_epoch() for r in range(self.grid.n_ranks)]
 
     def apply_dirac(
         self,
@@ -247,68 +283,8 @@ class MultiRankExecutor:
         clover: CloverField,
         psi: BlockSpinorField,
     ) -> BlockSpinorField:
-        _dirac._check_field(psi, gauge)
-        domains = self._domains_for(gauge.geom)
-        psi_view = psi.ksi()
-        locals_psi = []
-        for dom in domains:
-            loc = BlockSpinorField.zeros(dom.local_geom.n_sites, psi.b, psi.layout, psi.s, dom.local_geom)
-            loc.set_ksi(psi_view[dom.global_sites])
-            locals_psi.append(loc)
-        results: list[BlockSpinorField | None] = [None] * len(domains)
-        faults: list[tuple[int, Exception]] = []
-
-        def run(idx: int) -> None:
-            dom = domains[idx]
-            comm = self.commset.rank_comm(dom.rank)
-            try:
-                results[idx] = _apply_rank(dom, comm, params, gauge, clover, locals_psi[idx])
-            except Exception as exc:  # a rank thread reports its fault, then stops its peers
-                faults.append((idx, exc))
-                self.commset.poison()
-
-        self.commset.begin_epoch()
-        threads = [threading.Thread(target=run, args=(idx,), name=f"rank-{idx}") for idx in range(len(domains))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if faults:
-            # peers stopped by the poison append after the fault that set it
-            idx, exc = faults[0]
-            raise RankFaultError(idx, exc) from exc
-
-        self.last_stats = [self.commset.rank_comm(r).end_epoch() for r in range(self.grid.n_ranks)]
-
-        eta = BlockSpinorField.zeros_like(psi)
-        ev = eta.ksi()
-        for dom, res in zip(domains, results):
-            ev[dom.global_sites] = res.ksi()
-        return eta
-
-
-def _apply_rank(
-    dom: RankDomain,
-    comm: Communicator,
-    params: _dirac.DiracParams,
-    gauge: GaugeField,
-    clover: CloverField,
-    psi: BlockSpinorField,
-) -> BlockSpinorField:
-    """One rank's apply on its local psi: the self coupling, then the hops through ``comm``.
-
-    The hops use the rank-local periodic neighbor tables; subtract_hops
-    replaces the face rows they get wrong with the received halo values.
-    The rank's clover and gauge slices are temporaries, so neither stays
-    alive next to the link matrices during the sweep.
-    """
-    local = dom.local_geom
-    eta = _dirac.apply_self_coupling(params, CloverField(local, clover.data[dom.global_sites]), psi)
-    fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
-    back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
-    links = _dirac.link_matrices(gauge.data[dom.global_sites])
-    _dirac.subtract_hops(links, psi, eta, fwd, back, comm=comm, boundary=dom.boundary)
-    return eta
+        """eta = D psi through the ranks: build a :class:`lqcdlab.dirac.DiracOperator` and apply it once."""
+        return _dirac.DiracOperator(params, gauge, clover, comm=self)(psi)
 
 
 def apply_dirac_multirank(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import DiracParams, link_matrices, site_blocks, subtract_hops
+from .dirac import DiracParams, check_lattices, link_matrices, site_blocks, subtract_hops
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout
 from .geometry import NDIM, LatticeGeometry
 from .projectors import SPINOR_LEN
@@ -191,6 +191,7 @@ class SchurOperator:
     ):
         if keep_parity not in (0, 1):
             raise ValueError(f"parity must be 0 (even) or 1 (odd), got {keep_parity}")
+        check_lattices(gauge, clover)
         self.params = params
         self.keep_parity = keep_parity
         self.split = OeSplit.from_geom(gauge.geom)

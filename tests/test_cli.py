@@ -110,9 +110,9 @@ def test_solve_fixed_iterations(capsys, tmp_path):
 
 
 def test_solve_non_finite_residual_exit_code(capsys, tmp_path, monkeypatch):
-    from lqcdlab import gmres
+    from lqcdlab import dirac
 
-    real = gmres.apply_dirac
+    real = dirac.DiracOperator.__call__
     calls = []
 
     def poisoned(*args, **kwargs):
@@ -122,7 +122,7 @@ def test_solve_non_finite_residual_exit_code(capsys, tmp_path, monkeypatch):
             out.data[0] = np.nan
         return out
 
-    monkeypatch.setattr(gmres, "apply_dirac", poisoned)
+    monkeypatch.setattr(dirac.DiracOperator, "__call__", poisoned)
     code, _, err = run_cli(
         capsys, "solve", "--set", "dirac.m0=1.0", "--set", f"output.path={tmp_path}{os.sep}",
     )

@@ -7,13 +7,15 @@ from lqcdlab.dirac import (
     FLOPS_PER_SITE_RHS,
     VALUES_PER_SITE_FIXED,
     VALUES_PER_SITE_RHS,
+    DiracOperator,
     DiracParams,
     account_traffic,
     apply_dirac,
     link_matrices,
 )
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
-from lqcdlab.geometry import LatticeGeometry
+from lqcdlab.geometry import LatticeGeometry, RankGrid
+from lqcdlab.halo import MultiRankExecutor
 from lqcdlab.oddeven import SchurOperator, split_fields
 from lqcdlab.oracle import assemble_dirac_dense
 
@@ -134,3 +136,29 @@ def test_linearity(problem):
     lhs = apply_dirac(params, gauge, clover, summed).ksi()
     rhs = apply_dirac(params, gauge, clover, a).ksi() + 2.0 * apply_dirac(params, gauge, clover, c).ksi()
     assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("grid", [None, (1, 1, 1, 2)])
+def test_operator_is_a_snapshot_of_its_fields(grid):
+    # the operator copies what it needs at build time: editing the fields in
+    # place afterwards reaches a new operator but not the one already built
+    geom = LatticeGeometry((4, 4, 4, 4))
+    gauge = gen_gauge(geom, "random", seed=23)
+    clover = gen_clover(geom, "random", scale=0.1, seed=24)
+    params = DiracParams(m0=-0.5)
+    psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=25, geom=geom)
+    comm = MultiRankExecutor(RankGrid(grid)) if grid else None
+    op = DiracOperator(params, gauge, clover, comm)
+    before = op(psi)
+    gauge.data[...] = gen_gauge(geom, "random", seed=26).data
+    clover.data[...] = gen_clover(geom, "random", scale=0.1, seed=27).data
+    assert np.array_equal(op(psi).data, before.data)
+    assert not np.array_equal(apply_dirac(params, gauge, clover, psi).data, before.data)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4, 2), (4, 4, 4, 8)])
+def test_operator_rejects_clover_of_another_lattice(problem, dims):
+    _, gauge, _, params, _ = problem
+    other = LatticeGeometry(dims)
+    with pytest.raises(ValueError, match=f"clover field has {other.n_sites} sites, gauge field has 256"):
+        DiracOperator(params, gauge, gen_clover(other, "random", scale=0.1, seed=28))

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqcdlab import gmres
+from lqcdlab import dirac, gmres, oddeven
 from lqcdlab.blas import block_norms
 from lqcdlab.dirac import DiracParams
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
-from lqcdlab.geometry import LatticeGeometry
+from lqcdlab.geometry import LatticeGeometry, RankGrid
+from lqcdlab.halo import MultiRankExecutor
 from lqcdlab.gmres import (
     GmresConfig,
     NonFiniteResidualError,
@@ -311,6 +312,53 @@ def test_odd_even_rejects_mismatched_initial_guess(problem, monkeypatch, dims):
     with pytest.raises(ValueError, match="psi0"):
         solve_dirac(DiracParams(m0=-0.5), gauge, clover, eta, GmresConfig(), odd_even=True, psi0=psi0)
     assert calls == []
+
+
+@pytest.mark.parametrize("odd_even", [False, True])
+@pytest.mark.parametrize("field, dims", [("eta", (4, 4, 4, 2)), ("eta", (4, 4, 4, 8)),
+                                         ("clover", (4, 4, 4, 2)), ("clover", (4, 4, 4, 8))])
+def test_lattice_mismatch_fails_before_any_build(problem, monkeypatch, odd_even, field, dims):
+    # a smaller eta or clover used to raise a bare IndexError or a broadcast
+    # error after the Schur build, and a larger clover was silently sliced
+    # until the final residual; every case now fails before anything is built
+    geom, gauge, clover = problem
+    other = LatticeGeometry(dims)
+    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=93, geom=geom)
+    if field == "eta":
+        eta = gen_spinor(other.n_sites, 2, Layout.RHS_MAJOR, seed=93, geom=other)
+        message = f"field has {other.n_sites} sites, gauge lattice has {geom.n_sites}"
+    else:
+        clover = gen_clover(other, "random", scale=0.1, seed=94)
+        message = f"clover field has {other.n_sites} sites, gauge field has {geom.n_sites}"
+    builds = []
+    for module in (dirac, oddeven):
+        monkeypatch.setattr(module, "site_blocks", lambda *args: builds.append("site blocks"))
+        monkeypatch.setattr(module, "link_matrices", lambda *args: builds.append("link matrices"))
+    with pytest.raises(ValueError, match=message):
+        solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(), odd_even=odd_even)
+    assert builds == []
+
+
+@pytest.mark.parametrize("grid", [None, (1, 1, 1, 2)])
+def test_one_operator_build_per_solve(problem, monkeypatch, grid):
+    # one build of the site blocks and link matrices per solve (per rank on
+    # an executor), not one per operator call
+    geom, gauge, clover = problem
+    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=95, geom=geom)
+    comm = MultiRankExecutor(RankGrid(grid)) if grid else None
+    n_ranks = comm.grid.n_ranks if comm else 1
+    builds = {"site_blocks": 0, "link_matrices": 0}
+    for name in builds:
+        real = getattr(dirac, name)
+
+        def counted(*args, _real=real, _name=name):
+            builds[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(dirac, name, counted)
+    report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(tol=1e-8), comm=comm)
+    assert report.iterations > 2 and (report.full_relnorms <= 1e-8).all()
+    assert builds == {"site_blocks": n_ranks, "link_matrices": n_ranks}
 
 
 def test_solve_path_does_not_import_scipy():

@@ -1,12 +1,14 @@
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from lqcdlab import dirac
-from lqcdlab.dirac import DiracParams, apply_dirac
+from lqcdlab.dirac import DiracOperator, DiracParams, apply_dirac
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
+from lqcdlab.gmres import GmresConfig, solve_dirac
 from lqcdlab.halo import (
     DEFAULT_TIMEOUT,
     CommunicatorSet,
@@ -186,6 +188,21 @@ def test_small_grid_layout1(problem):
     assert np.array_equal(eta.data, eta_single.data)
 
 
+def test_rank_threads_share_eta_without_lost_rows(problem):
+    # 16 rank threads on fewer cores, switching every 10 us, write their
+    # disjoint rows of one eta without a lock: a lost or torn row breaks
+    # bitwise equality with the single-rank apply
+    _, gauge, clover, params, psi, eta_single = problem
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid((2, 2, 2, 2))))
+        for _ in range(3):
+            assert np.array_equal(op(psi).data, eta_single.data)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_rank_fault_is_attributed_at_once(problem, monkeypatch, mode):
     # rank 1 raises before posting anything; rank 0 would otherwise wait out
@@ -209,3 +226,46 @@ def test_rank_fault_is_attributed_at_once(problem, monkeypatch, mode):
     # the poison lasts one epoch: the next apply runs clean
     monkeypatch.setattr(dirac, "subtract_hops", real)
     assert np.array_equal(ex.apply_dirac(params, gauge, clover, psi).data, eta_single.data)
+
+
+@pytest.fixture(scope="module")
+def solve_problem():
+    geom = LatticeGeometry((4, 4, 4, 4))
+    gauge = gen_gauge(geom, "random", seed=61)
+    clover = gen_clover(geom, "random", scale=0.1, seed=62)
+    params = DiracParams(m0=1.0)
+    eta = gen_spinor(geom.n_sites, 3, Layout.COMPONENT_MAJOR, seed=63, geom=geom)
+    cfg = GmresConfig(restart_len=5, tol=1e-8)
+    single = solve_dirac(params, gauge, clover, eta, cfg)
+    return gauge, clover, params, eta, cfg, single
+
+
+@pytest.mark.parametrize("grid", [(1, 1, 1, 2), (2, 2, 2, 2)])
+def test_multirank_solve_matches_single_rank_bitwise(solve_problem, grid):
+    gauge, clover, params, eta, cfg, single = solve_problem
+    report = solve_dirac(params, gauge, clover, eta, cfg, comm=MultiRankExecutor(RankGrid(grid)))
+    assert report.iterations == single.iterations > cfg.restart_len
+    assert np.array_equal(report.psi.data, single.psi.data)
+
+
+def test_rank_fault_in_a_solve_is_attributed_at_once(solve_problem, monkeypatch):
+    gauge, clover, params, eta, cfg, single = solve_problem
+    real = dirac.subtract_hops
+    calls = []
+
+    def faulty(*args, comm=None, **kwargs):
+        if comm is not None and comm.rank == 1:
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("injected fault")
+        real(*args, comm=comm, **kwargs)
+
+    monkeypatch.setattr(dirac, "subtract_hops", faulty)
+    ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)))
+    t0 = time.perf_counter()
+    with pytest.raises(RankFaultError, match="rank 1 failed: ValueError: injected fault") as err:
+        solve_dirac(params, gauge, clover, eta, cfg, comm=ex)
+    assert time.perf_counter() - t0 < DEFAULT_TIMEOUT / 10
+    assert err.value.rank == 1
+    monkeypatch.setattr(dirac, "subtract_hops", real)
+    assert np.array_equal(solve_dirac(params, gauge, clover, eta, cfg, comm=ex).psi.data, single.psi.data)
