@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import BlockSpinorField, CloverField, GaugeField
-from .geometry import NDIM, LatticeGeometry
+from .geometry import NDIM
 from .projectors import A_BLOCKS, N_COLOR, SPINOR_LEN, compression
 
 # traffic ledger of one operator application, per lattice site:
@@ -100,11 +100,12 @@ def account_traffic(b: int) -> dict:
     }
 
 
-def _check_field(psi: BlockSpinorField, geom: LatticeGeometry) -> None:
+def _check_field(psi: BlockSpinorField, n_sites: int, system: str) -> None:
+    """Raise unless psi is a full spinor field on the ``n_sites`` sites of ``system``."""
     if psi.s != SPINOR_LEN:
         raise ValueError(f"expected full spinor field (s={SPINOR_LEN}), got s={psi.s}")
-    if psi.n_sites != geom.n_sites:
-        raise ValueError(f"field has {psi.n_sites} sites, gauge lattice has {geom.n_sites}")
+    if psi.n_sites != n_sites:
+        raise ValueError(f"field has {psi.n_sites} sites, {system} has {n_sites}")
 
 
 def check_lattices(gauge: GaugeField, clover: CloverField) -> None:
@@ -311,9 +312,10 @@ class DiracOperator:
     keeps each rank's domain and its rows of both arrays instead, each rank
     building its own rows from its slices of the fields on its own thread,
     and every call runs the ranks on the executor's threads: each rank
-    copies its own psi rows in, runs the self coupling and the hop sweep
-    through its communicator, and writes its own eta rows out.  The ranks'
-    rows are disjoint, so they share eta without a lock.
+    gathers its own psi rows (:meth:`BlockSpinorField.take_sites`), runs
+    the self coupling and the hop sweep through its communicator, and
+    writes its own eta rows out.  The ranks' rows are disjoint, so they
+    share eta without a lock.
     """
 
     def __init__(self, params: DiracParams, gauge: GaugeField, clover: CloverField, comm=None):
@@ -339,7 +341,7 @@ class DiracOperator:
 
     def __call__(self, psi: BlockSpinorField) -> BlockSpinorField:
         """eta = D psi over all rhs columns."""
-        _check_field(psi, self.geom)
+        _check_field(psi, self.geom.n_sites, "gauge lattice")
         if self.comm is None:
             eta = apply_self_coupling(self._blocks, psi)
             subtract_hops(self._links, psi, eta, self._fwd, self._back)
@@ -351,13 +353,12 @@ class DiracOperator:
             # replaces the face rows they get wrong with the received halos
             dom, blocks, links = self._ranks[rank]
             local = dom.local_geom
-            loc = BlockSpinorField.zeros(local.n_sites, psi.b, psi.layout, psi.s, local)
-            loc.set_ksi(psi.ksi()[dom.global_sites])
+            loc = psi.take_sites(dom.global_sites)
             out = apply_self_coupling(blocks, loc)
             fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
             back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
             subtract_hops(links, loc, out, fwd, back, comm=comm, boundary=dom.boundary)
-            eta.ksi()[dom.global_sites] = out.ksi()
+            eta.put_sites(dom.global_sites, out)
 
         self.comm.run_ranks(run_rank)
         return eta

@@ -130,6 +130,17 @@ class BlockSpinorField:
         """Fill the field from a (n_sites, s, b) logical array."""
         self.ksi()[...] = values
 
+    def take_sites(self, sites: np.ndarray) -> "BlockSpinorField":
+        """The field on ``sites``, in their order and in the same layout, without a geometry: one gather of whole site blocks."""
+        data = self.storage_view()[sites].reshape(-1)
+        return BlockSpinorField(len(sites), self.s, self.b, self.layout, data)
+
+    def put_sites(self, sites: np.ndarray, part: "BlockSpinorField") -> None:
+        """Inverse of :meth:`take_sites`: write ``part``'s site blocks to ``sites``."""
+        if (part.n_sites, part.s, part.b, part.layout) != (len(sites), self.s, self.b, self.layout):
+            raise ValueError(f"part {_describe(part)} does not fit {len(sites)} sites of field {_describe(self)}")
+        self.storage_view()[sites] = part.storage_view()
+
     def convert(self, layout: Layout | int) -> "BlockSpinorField":
         """Copy of the field in the requested layout; content unchanged."""
         layout = Layout(layout)
@@ -163,6 +174,17 @@ class BlockSpinorField:
             dst += values
         else:
             dst[...] = values
+
+
+def _describe(f: BlockSpinorField) -> str:
+    """The shape of a field, as error messages name it."""
+    return f"(n_sites={f.n_sites}, s={f.s}, b={f.b}) in {f.layout.name}"
+
+
+def check_matching(f: BlockSpinorField, ref: BlockSpinorField, name: str, ref_name: str) -> None:
+    """Raise a ValueError naming both shapes unless ``f`` has ``ref``'s sites, spinor length, b and layout."""
+    if (f.n_sites, f.s, f.b, f.layout) != (ref.n_sites, ref.s, ref.b, ref.layout):
+        raise ValueError(f"{name} {_describe(f)} does not match {ref_name} {_describe(ref)}")
 
 
 def gen_spinor(

@@ -51,7 +51,7 @@ import numpy as np
 
 from .blas import block_axpy, block_dot, block_norms, block_scale
 from .dirac import DiracOperator, DiracParams, _check_field, apply_dirac
-from .fields import BlockSpinorField, CloverField, GaugeField
+from .fields import BlockSpinorField, CloverField, GaugeField, check_matching
 from .oddeven import SchurOperator
 
 log = logging.getLogger(__name__)
@@ -142,14 +142,6 @@ def _residual_norms(r: BlockSpinorField, eta: BlockSpinorField) -> np.ndarray:
     rv *= -1.0
     rv += eta.ksi()
     return block_norms(r)
-
-
-def _check_guess(psi0: BlockSpinorField, eta: BlockSpinorField) -> None:
-    def shape(f: BlockSpinorField) -> str:
-        return f"(n_sites={f.n_sites}, s={f.s}, b={f.b}) in {f.layout.name}"
-
-    if (psi0.n_sites, psi0.s, psi0.b, psi0.layout) != (eta.n_sites, eta.s, eta.b, eta.layout):
-        raise ValueError(f"psi0 {shape(psi0)} does not match eta {shape(eta)}")
 
 
 def _relative(norms: np.ndarray, eta_norms: np.ndarray) -> np.ndarray:
@@ -267,7 +259,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     from ``eta``'s raises ``ValueError`` before the operator is called.
     """
     if psi0 is not None:
-        _check_guess(psi0, eta)
+        check_matching(psi0, eta, "psi0", "eta")
     psi = BlockSpinorField.zeros_like(eta) if psi0 is None else psi0.copy()
     eta_norms = block_norms(eta)
     ws = SolverWorkspace.allocate(eta, cfg.restart_len, eta_norms)
@@ -413,20 +405,17 @@ def solve_dirac(
     Schur solve runs single-rank; ``comm`` is used only for the final
     full-system residual, one build-and-apply of the full operator.
     """
-    _check_field(eta, gauge.geom)
+    _check_field(eta, gauge.geom.n_sites, "gauge lattice")
     if not odd_even:
         result = gmres_solve(dirac_op(params, gauge, clover, comm), eta, psi0, cfg)
         full = result.final_relnorms
         return SolveReport(result.psi, result, False, full, result.iterations)
 
     if psi0 is not None:
-        _check_guess(psi0, eta)
+        check_matching(psi0, eta, "psi0", "eta")
     schur = SchurOperator(params, gauge, clover)
     reduced, eta_elim = schur.reduce_rhs(eta)
-    x0 = None
-    if psi0 is not None:
-        x0 = BlockSpinorField.zeros(schur.n_sites, psi0.b, psi0.layout, psi0.s)
-        x0.set_ksi(psi0.ksi()[schur.keep_sites])
+    x0 = None if psi0 is None else psi0.take_sites(schur.keep_sites)
     result = gmres_solve(schur.apply, reduced, x0, cfg)
     x_elim = schur.reconstruct(result.psi, eta_elim)
     psi = schur.merge(result.psi, x_elim)

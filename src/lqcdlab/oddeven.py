@@ -15,31 +15,43 @@ half-size system
 and the eliminated half comes back through
 x_o = D_oo^-1 (eta_o - D_oe x_e).
 
-The keep parity defaults to even.  Every field the operator touches is a
-half-lattice field: the off-diagonal blocks D_eo/D_oe run the stencil's hop
-sweep (:func:`lqcdlab.dirac.subtract_hops`) on one parity's sites, with
-cross-parity neighbor tables.  The real link matrices of the sweep
+The keep parity defaults to even.  The operator runs on the stencil's two
+primitives only: site-block products
+(:func:`lqcdlab.dirac.apply_self_coupling`, with the kept parity's blocks
+or with N = -D_oo^-1) and the hop sweep
+(:func:`lqcdlab.dirac.subtract_hops`), which subtracts the hop sum H
+straight from its destination field; the off-diagonal blocks are
+D_eo = -H_eo and D_oe = -H_oe.  Storing the inverses negated folds that
+minus sign in, as the mass is folded into the site blocks and the 1/2
+into the link matrices:
+
+    S v       = D_ee v - H_eo (N t),    t = 0 - H_oe v,
+    reduced   = eta_e - H_eo (N eta_o),
+    x_o       = N (-eta_o - H_oe x_e).
+
+Negation is exact, so every value is the one the algebra written with
+D_oo^-1 gives.  N is the negated batched inverse of the eliminated 6x6
+blocks, computed once per operator and exact up to roundoff, never
+iterative.  A half-lattice field is a gather of whole site blocks
+(:meth:`lqcdlab.fields.BlockSpinorField.take_sites`) that keeps the
+layout; the hop sweep runs on one parity's sites with cross-parity
+neighbor tables.  The real link matrices of the sweep
 (:func:`lqcdlab.dirac.link_matrices`) are built once per parity at build
-time and shared by both blocks: D_ke reads the kept parity's at its
+time and shared by both blocks: H_eo reads the kept parity's at its
 destination sites (the +mu side) and the eliminated parity's at its source
-sites (the -mu side), and D_ek the other way round.  The two arrays take
-as much memory as the complex link copies, two per block, that a complex
-sweep would need.
-D_oo^-1 is the batched inverse of the eliminated 6x6 blocks, computed once
-per operator, so each use is one batched matrix product; this inverse is
-exact up to roundoff, never iterative.
+sites (the -mu side), and H_oe the other way round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirac import DiracParams, check_lattices, link_matrices, site_blocks, subtract_hops
-from .fields import BlockSpinorField, CloverField, GaugeField, Layout
+from .dirac import (DiracParams, _check_field, apply_self_coupling, check_lattices, link_matrices,
+                    site_blocks, subtract_hops)
+from .fields import BlockSpinorField, CloverField, GaugeField, check_matching
 from .geometry import NDIM, LatticeGeometry
-from .projectors import SPINOR_LEN
 
 # eliminated blocks with a larger condition estimate are rejected as singular
 _COND_LIMIT = 1e12
@@ -58,54 +70,24 @@ class SingularBlockError(np.linalg.LinAlgError):
         )
 
 
-@dataclass(frozen=True)
-class OeSplit:
-    """Even and odd site index sets of a lattice."""
-
-    geom: LatticeGeometry
-    even: np.ndarray
-    odd: np.ndarray
-
-    @classmethod
-    def from_geom(cls, geom: LatticeGeometry) -> "OeSplit":
-        return cls(geom, geom.even_sites, geom.odd_sites)
-
-    def sites(self, parity: int) -> np.ndarray:
-        return self.even if parity == 0 else self.odd
+def split_fields(v: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
+    """Partition a full-lattice field into its (even, odd) halves, sites ascending."""
+    if v.geom is None:
+        raise ValueError("field carries no geometry to split by parity")
+    return v.take_sites(v.geom.even_sites), v.take_sites(v.geom.odd_sites)
 
 
-def _half_field(values: np.ndarray, layout: Layout) -> BlockSpinorField:
-    """A geometry-free field holding (n_sites, s, b) values."""
-    n, s, b = values.shape
-    out = BlockSpinorField.zeros(n, b, layout, s)
-    out.set_ksi(values)
-    return out
-
-
-def split_fields(v: BlockSpinorField, split: OeSplit | None = None) -> tuple[BlockSpinorField, BlockSpinorField]:
-    """Partition a full-lattice field into its (even, odd) halves."""
-    if split is None:
-        if v.geom is None:
-            raise ValueError("field carries no geometry; pass an explicit OeSplit")
-        split = OeSplit.from_geom(v.geom)
-    vv = v.ksi()
-    return _half_field(vv[split.even], v.layout), _half_field(vv[split.odd], v.layout)
-
-
-def merge_fields(
-    v_even: BlockSpinorField, v_odd: BlockSpinorField, split: OeSplit
-) -> BlockSpinorField:
+def merge_fields(v_even: BlockSpinorField, v_odd: BlockSpinorField, geom: LatticeGeometry) -> BlockSpinorField:
     """Inverse of :func:`split_fields`."""
-    out = BlockSpinorField.zeros(split.geom.n_sites, v_even.b, v_even.layout, v_even.s, split.geom)
-    ov = out.ksi()
-    ov[split.even] = v_even.ksi()
-    ov[split.odd] = v_odd.ksi()
+    out = BlockSpinorField.zeros(geom.n_sites, v_even.b, v_even.layout, v_even.s, geom)
+    out.put_sites(geom.even_sites, v_even)
+    out.put_sites(geom.odd_sites, v_odd)
     return out
 
 
 @dataclass(frozen=True)
 class ParityHop:
-    """The off-diagonal block D_dst,src of D acting on half-lattice fields.
+    """The hop sum H_dst,src of D between the two parities; D's off-diagonal block is D_dst,src = -H_dst,src.
 
     ``dst_links``/``src_links`` are the link matrices
     (:func:`lqcdlab.dirac.link_matrices`) at the destination and source
@@ -121,21 +103,19 @@ class ParityHop:
     back: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, split: OeSplit, parity_links: tuple[np.ndarray, np.ndarray], dst_parity: int) -> "ParityHop":
-        """D_dst,src from the (even, odd) link matrices ``parity_links``."""
-        geom = split.geom
-        dst, src = split.sites(dst_parity), split.sites(1 - dst_parity)
+    def build(cls, geom: LatticeGeometry, parity_links: tuple[np.ndarray, np.ndarray], dst_parity: int) -> "ParityHop":
+        """H_dst,src from the (even, odd) link matrices ``parity_links``."""
+        parity_sites = (geom.even_sites, geom.odd_sites)
+        dst, src = parity_sites[dst_parity], parity_sites[1 - dst_parity]
         src_index = np.empty(geom.n_sites, dtype=np.int64)
         src_index[src] = np.arange(len(src))
         fwd = tuple(src_index[geom.neighbor_table(mu, +1)[dst]] for mu in range(NDIM))
         back = tuple(src_index[geom.neighbor_table(mu, -1)[dst]] for mu in range(NDIM))
         return cls(parity_links[dst_parity], parity_links[1 - dst_parity], fwd, back)
 
-    def __call__(self, v: BlockSpinorField) -> BlockSpinorField:
-        """D_dst,src v; the hops enter D with a minus sign, which subtract_hops applies."""
-        out = BlockSpinorField.zeros(len(self.fwd[0]), v.b, v.layout, v.s)
+    def __call__(self, v: BlockSpinorField, out: BlockSpinorField) -> None:
+        """out -= H_dst,src v, in place: one hop sweep."""
         subtract_hops(self.dst_links, v, out, fwd=self.fwd, back=self.back, src_links=self.src_links)
-        return out
 
 
 def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -174,12 +154,14 @@ def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
 class SchurOperator:
     """S = D_kk - D_ke D_ee'^-1 D_ek with parity k kept (default even).
 
-    All fields are half-lattice fields.  The operator is a snapshot of
-    ``(params, gauge, clover)`` taken at build time: it keeps the diagonal
-    blocks of the kept parity, the inverses of the eliminated parity's
-    blocks and the link matrices of both parities, all copied, so editing
-    the fields in place afterwards does not change it.  Build a new
-    operator for new fields.
+    Each piece is one or two site-block products (:meth:`solve_eliminated`
+    with N = -D_ee'^-1, and D_kk) and one hop sweep per off-diagonal block
+    that subtracts into the destination field; the module docstring gives
+    the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
+    taken at build time: it keeps the diagonal blocks of the kept parity,
+    N and the link matrices of both parities, all copied, so editing the
+    fields in place afterwards does not change it.  Build a new operator
+    for new fields.
     """
 
     def __init__(
@@ -192,58 +174,54 @@ class SchurOperator:
         if keep_parity not in (0, 1):
             raise ValueError(f"parity must be 0 (even) or 1 (odd), got {keep_parity}")
         check_lattices(gauge, clover)
-        self.params = params
         self.keep_parity = keep_parity
-        self.split = OeSplit.from_geom(gauge.geom)
-        self.keep_sites = self.split.sites(keep_parity)
-        self.elim_sites = self.split.sites(1 - keep_parity)
+        self.geom = geom = gauge.geom
+        parity_sites = (geom.even_sites, geom.odd_sites)
+        self.keep_sites = parity_sites[keep_parity]
+        self.elim_sites = parity_sites[1 - keep_parity]
 
         diag = site_blocks(params, clover)
         self._diag_kept = diag[self.keep_sites]
-        elim = diag[self.elim_sites]
-        self._inv = _invert_blocks(elim, self.elim_sites)
-        parity_links = tuple(link_matrices(gauge.data[self.split.sites(p)]) for p in (0, 1))
-        self._to_elim = ParityHop.build(self.split, parity_links, 1 - keep_parity)
-        self._to_kept = ParityHop.build(self.split, parity_links, keep_parity)
+        self._neg_inv = _invert_blocks(diag[self.elim_sites], self.elim_sites)
+        np.negative(self._neg_inv, out=self._neg_inv)
+        parity_links = tuple(link_matrices(gauge.data[sites]) for sites in parity_sites)
+        self._to_elim = ParityHop.build(geom, parity_links, 1 - keep_parity)
+        self._to_kept = ParityHop.build(geom, parity_links, keep_parity)
 
     @property
     def n_sites(self) -> int:
         return len(self.keep_sites)
 
-    def solve_eliminated(self, rhs: np.ndarray) -> np.ndarray:
-        """D_elim^-1 applied to (n_elim, 12, b) values: one batched product with the inverses."""
-        n, _, b = rhs.shape
-        return np.matmul(self._inv, rhs.reshape(n, 2, 6, b)).reshape(n, SPINOR_LEN, b)
-
-    def _diag_keep(self, v: BlockSpinorField) -> np.ndarray:
-        """D_kk v on the kept parity, site local."""
-        halves = v.ksi().reshape(v.n_sites, 2, 6, v.b)
-        return np.matmul(self._diag_kept, halves).reshape(v.n_sites, SPINOR_LEN, v.b)
+    def solve_eliminated(self, v: BlockSpinorField) -> BlockSpinorField:
+        """N v = -D_elim^-1 v on the eliminated parity: one batched product with the negated inverses."""
+        return apply_self_coupling(self._neg_inv, v)
 
     def apply(self, v: BlockSpinorField) -> BlockSpinorField:
         """w = S v on the kept parity."""
-        if v.n_sites != self.n_sites:
-            raise ValueError(f"field has {v.n_sites} sites, Schur system has {self.n_sites}")
-        z = self.solve_eliminated(self._to_elim(v).ksi())
-        out = self._to_kept(_half_field(z, v.layout))
-        out.set_ksi(self._diag_keep(v) - out.ksi())
+        _check_field(v, self.n_sites, "Schur system")
+        t = BlockSpinorField.zeros_like(v)
+        self._to_elim(v, t)  # t = 0 - H_ek v = D_ek v
+        t = self.solve_eliminated(t)
+        out = apply_self_coupling(self._diag_kept, v)
+        self._to_kept(t, out)  # out = D_kk v - H_ke N t
         return out
 
     def reduce_rhs(self, eta: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
-        """(eta_kept - D_ke D_elim^-1 eta_elim, eta_elim) for the half solve."""
-        ev = eta.ksi()
-        eta_elim = _half_field(ev[self.elim_sites], eta.layout)
-        z = self.solve_eliminated(eta_elim.ksi())
-        reduced = self._to_kept(_half_field(z, eta.layout))
-        reduced.set_ksi(ev[self.keep_sites] - reduced.ksi())
+        """(eta_kept - D_ke D_elim^-1 eta_elim, eta_elim) for the half solve: eta_kept - H_ke N eta_elim."""
+        _check_field(eta, self.geom.n_sites, "gauge lattice")
+        eta_elim = eta.take_sites(self.elim_sites)
+        reduced = eta.take_sites(self.keep_sites)
+        self._to_kept(self.solve_eliminated(eta_elim), reduced)
         return reduced, eta_elim
 
     def reconstruct(self, x_kept: BlockSpinorField, eta_elim: BlockSpinorField) -> BlockSpinorField:
-        """x_elim = D_elim^-1 (eta_elim - D_ek x_kept)."""
-        t = self._to_elim(x_kept)
-        return _half_field(self.solve_eliminated(eta_elim.ksi() - t.ksi()), x_kept.layout)
+        """x_elim = D_elim^-1 (eta_elim - D_ek x_kept) = N (-eta_elim - H_ek x_kept)."""
+        _check_field(x_kept, self.n_sites, "Schur system")
+        check_matching(eta_elim, x_kept, "eta_elim", "x_kept")
+        t = replace(eta_elim, data=-eta_elim.data)
+        self._to_elim(x_kept, t)
+        return self.solve_eliminated(t)
 
     def merge(self, x_kept: BlockSpinorField, x_elim: BlockSpinorField) -> BlockSpinorField:
-        if self.keep_parity == 0:
-            return merge_fields(x_kept, x_elim, self.split)
-        return merge_fields(x_elim, x_kept, self.split)
+        halves = (x_kept, x_elim) if self.keep_parity == 0 else (x_elim, x_kept)
+        return merge_fields(*halves, self.geom)

@@ -177,6 +177,21 @@ def test_bench_dirac_rejects_zero_reps(capsys):
     assert out == ""
 
 
+def test_bench_dirac_builds_once_per_record(capsys, monkeypatch):
+    # the timed reps apply one prebuilt operator, so GF/s counts applies
+    # only; a build per apply would make 8 here (a warm-up and 3 reps, twice)
+    from lqcdlab import dirac
+
+    builds = []
+    real = dirac.link_matrices
+    monkeypatch.setattr(dirac, "link_matrices", lambda links: builds.append(1) or real(links))
+    code, out, _ = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=2 2 2 2",
+                           "--b-list", "1,2", "--reps", "3")
+    assert code == 0
+    assert len(json.loads("\n".join(out.splitlines()[1:]))["records"]) == 2
+    assert len(builds) == 2
+
+
 def test_bench_checksums_deterministic(capsys, tmp_path):
     args = ["bench-dirac", "--set", "lattice.dims=2 2 2 2", "--set", "seed=9", "--reps", "1"]
     _, out1, _ = run_cli(capsys, *args)

@@ -163,3 +163,26 @@ def test_column_form_round_trip_bitwise(layout, s, b):
     assert np.array_equal(back.data, f.data)
     back.load_column_form(cols, add=True)
     assert np.array_equal(back.data, 2.0 * f.data)
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("s", [12, 6])
+@pytest.mark.parametrize("b", [1, 3, 16])
+@pytest.mark.parametrize("with_geom", [False, True])
+def test_site_take_put_round_trip_bitwise(layout, s, b, with_geom):
+    geom = LatticeGeometry((2, 2, 2, 4))
+    f = gen_spinor(geom.n_sites, b, layout, seed=62, s=s, geom=geom if with_geom else None)
+    parts = [geom.even_sites, geom.odd_sites[::-1], geom.odd_sites[:3]]
+    halves = [f.take_sites(sites) for sites in parts[:2]]
+    for sites, half in zip(parts[:2], halves):
+        # same layout, sites in the given order, whole site blocks, no geometry
+        assert (half.n_sites, half.s, half.b, half.layout, half.geom) == (len(sites), s, b, layout, None)
+        assert np.array_equal(half.storage_view(), f.storage_view()[sites])
+        assert np.array_equal(half.ksi(), f.ksi()[sites])
+    back = BlockSpinorField.zeros_like(f)
+    for sites, half in zip(parts[:2], halves):
+        back.put_sites(sites, half)
+    assert np.array_equal(back.data, f.data)
+    # a part that does not fit the sites it is written to is rejected, not broadcast
+    with pytest.raises(ValueError, match="does not fit"):
+        back.put_sites(parts[2], f.take_sites(parts[2][:1]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from lqcdlab.fields import (
 )
 from lqcdlab.geometry import LatticeGeometry
 from lqcdlab.oddeven import (
-    OeSplit,
     SchurOperator,
     SingularBlockError,
     merge_fields,
@@ -35,10 +36,9 @@ def problem():
 def test_split_merge_roundtrip(problem):
     geom, *_ = problem
     v = gen_spinor(geom.n_sites, 3, Layout.RHS_MAJOR, seed=70, geom=geom)
-    split = OeSplit.from_geom(geom)
-    ve, vo = split_fields(v, split)
+    ve, vo = split_fields(v)
     assert ve.n_sites == vo.n_sites == geom.n_sites // 2
-    back = merge_fields(ve, vo, split)
+    back = merge_fields(ve, vo, geom)
     assert np.array_equal(back.data, v.data)
     # energy splits exactly across parities
     tot = block_norms(v) ** 2
@@ -50,9 +50,8 @@ def test_split_ordering_is_site_ascending(problem):
     geom, *_ = problem
     v = gen_spinor(geom.n_sites, 1, Layout.COMPONENT_MAJOR, seed=71, geom=geom)
     ve, _ = split_fields(v)
-    split = OeSplit.from_geom(geom)
-    assert np.array_equal(ve.ksi(), v.ksi()[split.even])
-    assert np.array_equal(split.even, np.sort(split.even))
+    assert np.array_equal(ve.ksi(), v.ksi()[geom.even_sites])
+    assert np.array_equal(geom.even_sites, np.sort(geom.even_sites))
 
 
 def test_schur_matches_dense(problem):
@@ -129,7 +128,7 @@ def test_keep_parity_odd(problem):
 @pytest.mark.parametrize("fault", ["singular", "nan"])
 def test_bad_eliminated_block_is_attributed(problem, keep_parity, fault):
     geom, gauge, clover, params = problem
-    site = int(OeSplit.from_geom(geom).sites(1 - keep_parity)[5])
+    site = int((geom.even_sites, geom.odd_sites)[1 - keep_parity][5])
     if fault == "singular":
         blocks = clover.blocks()
         blocks[site, 1] = (4.0 + params.m0) * np.eye(6)  # diagonal block (4+m0)I - C = 0
@@ -161,7 +160,7 @@ def test_condition_limit_classifies_as_the_exact_check(monkeypatch, kappa):
     # which rejects it just above 1e12 and accepts it just below
     geom = LatticeGeometry((2, 2, 2, 2))
     params = DiracParams(m0=-3.0)
-    site = int(OeSplit.from_geom(geom).odd[3])
+    site = int(geom.odd_sites[3])
     clover = _clover_with_block(geom, site, 1, kappa, 4.0 + params.m0)
     from lqcdlab.dirac import site_blocks
 
@@ -208,3 +207,60 @@ def test_operator_is_a_build_time_snapshot(problem):
     rebuilt = SchurOperator(params, gauge, clover)
     dense_now = assemble_schur_dense(params, gauge, clover)
     assert _rel(rebuilt.apply(v).columns(), dense_now @ v.columns()) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["eta larger lattice", "eta smaller lattice", "apply half spinor",
+                                  "apply full lattice", "reconstruct b", "reconstruct layout", "reconstruct sites"])
+def test_schur_rejects_mismatched_fields(problem, case):
+    # every mismatch raises a ValueError naming both shapes; unchecked, a
+    # larger eta would be sliced by the site lists into a wrong reduced rhs
+    # and a b=1 eta_elim would broadcast against a b=2 x_kept
+    geom, gauge, clover, params = problem
+    schur = SchurOperator(params, gauge, clover)
+    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=79, geom=geom)
+    reduced, eta_elim = schur.reduce_rhs(eta)
+    larger, smaller = LatticeGeometry((4, 4, 4, 8)), LatticeGeometry((4, 4, 4, 2))
+    calls = {
+        "eta larger lattice": (
+            lambda: schur.reduce_rhs(gen_spinor(larger.n_sites, 2, Layout.RHS_MAJOR, seed=79, geom=larger)),
+            "field has 512 sites, gauge lattice has 256"),
+        "eta smaller lattice": (
+            lambda: schur.reduce_rhs(gen_spinor(smaller.n_sites, 2, Layout.RHS_MAJOR, seed=79, geom=smaller)),
+            "field has 128 sites, gauge lattice has 256"),
+        "apply half spinor": (
+            lambda: schur.apply(BlockSpinorField.zeros(schur.n_sites, 2, Layout.RHS_MAJOR, 6)),
+            "expected full spinor field"),
+        "apply full lattice": (lambda: schur.apply(eta), "field has 256 sites, Schur system has 128"),
+        "reconstruct b": (
+            lambda: schur.reconstruct(reduced, BlockSpinorField.zeros(schur.n_sites, 1)),
+            r"eta_elim \(n_sites=128, s=12, b=1\) in RHS_MAJOR does not match x_kept \(n_sites=128, s=12, b=2\)"),
+        "reconstruct layout": (
+            lambda: schur.reconstruct(reduced, eta_elim.convert(Layout.COMPONENT_MAJOR)),
+            "eta_elim .* in COMPONENT_MAJOR does not match x_kept .* in RHS_MAJOR"),
+        "reconstruct sites": (
+            lambda: schur.reconstruct(reduced, eta_elim.take_sites(np.arange(64))),
+            r"eta_elim \(n_sites=64, .* does not match x_kept \(n_sites=128,"),
+    }
+    call, message = calls[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+def test_schur_apply_peak_temporaries(layout):
+    # the hop sweeps subtract straight into their destination fields, so one
+    # apply holds only N t, its output and the sweep's chunk buffers: about
+    # 3 half fields at 8^4, b=4; an extra field-sized temporary per block
+    # (a fresh field for each hop, then a subtraction) reaches 4.1
+    geom = LatticeGeometry((8, 8, 8, 8))
+    schur = SchurOperator(DiracParams(m0=1.0), gen_gauge(geom, "random", seed=41),
+                          gen_clover(geom, "random", scale=0.1, seed=42))
+    v = gen_spinor(schur.n_sites, 4, layout, seed=43)
+    schur.apply(v)
+    tracemalloc.start()
+    try:
+        schur.apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * v.data.nbytes
