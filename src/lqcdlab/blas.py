@@ -25,6 +25,12 @@ column each; ``block_norms`` and ``block_scale`` take one (b, n) array.
 The kernels dispatch on the argument type, so a caller holds one name per
 kernel for both forms.  The conjugated product is formed as
 conj(conj(w) @ q^T), which keeps it in numpy's gemv.
+
+The kernels run at the precision of their data: coefficients are cast to
+the dtype of the stack (or field) they combine, and ``block_dot`` returns
+the stack's dtype, so a complex64 Krylov basis is never upcast.  A
+complex128 coefficient against a complex64 stack would make numpy copy
+every column to complex128 before the gemv, at twice the stack's bytes.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ def _check_pair(x: BlockSpinorField, y: BlockSpinorField) -> None:
         raise ValueError(f"field layouts differ: {x.layout} vs {y.layout}")
 
 
-def _as_coeffs(alpha, b: int) -> np.ndarray:
-    a = np.asarray(alpha, dtype=np.complex128)
+def _as_coeffs(alpha, b: int, dtype) -> np.ndarray:
+    a = np.asarray(alpha, dtype=dtype)
     if a.ndim == 0:
         a = np.full(b, a)
     if a.shape != (b,):
@@ -64,6 +70,8 @@ def _check_stack(q: np.ndarray, w: np.ndarray) -> None:
             f"expected a (k, b, n) stack and a (b, n) column-form vector, got "
             f"{q.shape} and {getattr(w, 'shape', type(w).__name__)}"
         )
+    if q.dtype != w.dtype:
+        raise ValueError(f"stack of dtype {q.dtype} and vector of dtype {w.dtype} differ in precision")
 
 
 def block_axpy(alpha, x, y) -> None:
@@ -76,11 +84,12 @@ def block_axpy(alpha, x, y) -> None:
         _check_stack(x, y)
         if np.shape(alpha) != x.shape[1::-1]:
             raise ValueError(f"expected {x.shape[1::-1]} coefficients, got shape {np.shape(alpha)}")
+        alpha = np.asarray(alpha, dtype=x.dtype)
         for i in range(y.shape[0]):
             y[i] += alpha[i] @ x[:, i]
         return
     _check_pair(x, y)
-    a = _as_coeffs(alpha, x.b)
+    a = _as_coeffs(alpha, x.b, y.dtype)
     yv = y.ksi()
     yv += a * x.ksi()
 
@@ -88,9 +97,9 @@ def block_axpy(alpha, x, y) -> None:
 def block_scale(alpha, x) -> None:
     """x[:, i] *= alpha[i], in place; x a field or a (b, n) column-form array."""
     if isinstance(x, np.ndarray):
-        x *= _as_coeffs(alpha, x.shape[0])[:, None]
+        x *= _as_coeffs(alpha, x.shape[0], x.dtype)[:, None]
         return
-    a = _as_coeffs(alpha, x.b)
+    a = _as_coeffs(alpha, x.b, x.dtype)
     xv = x.ksi()
     xv *= a
 
@@ -99,8 +108,8 @@ def block_norms(x) -> np.ndarray:
     """(b,) Euclidean norms, one per column; x a field or a (b, n) column-form array."""
     if isinstance(x, np.ndarray):
         return np.sqrt(np.array([np.vdot(row, row).real for row in x]))
-    # squared moduli as a float64 self-dot on the storage: no field-sized temporary
-    f = x.storage_view().view(np.float64)
+    # squared moduli as a real self-dot on the storage: no field-sized temporary
+    f = x.storage_view().view(np.finfo(x.dtype).dtype)
     if x.layout == Layout.RHS_MAJOR:  # (n_sites, b, 2s)
         return np.sqrt(np.einsum("xbk,xbk->b", f, f))
     return np.sqrt(np.einsum("xkc,xkc->c", f, f).reshape(x.b, 2).sum(axis=1))  # (n_sites, s, 2b)
@@ -146,7 +155,7 @@ def block_dot(w, e, strategy: str = "deferred") -> np.ndarray:
     """
     if isinstance(w, np.ndarray):
         _check_stack(w, e)
-        out = np.empty(w.shape[1::-1], dtype=np.complex128)
+        out = np.empty(w.shape[1::-1], dtype=w.dtype)
         for i in range(e.shape[0]):
             out[i] = (e[i].conj() @ w[:, i].T).conj()
         return out

@@ -257,12 +257,33 @@ def cmd_oracle_check(args) -> int:
             raise NumericalFailure(f"rel err {err:.3e} > 1e-12")
         return f"rel err {err:.3e}"
 
+    def check_single_precision():
+        # the complex64 twins of D (both layouts) and S against the dense float64 oracles
+        worst = 0.0
+        dense = assemble_dirac_dense(params, gauge, clover)
+        twin = DiracOperator(params, gauge, clover).astype(np.complex64)
+        for layout in (1, 2):
+            psi = gen_spinor(geom.n_sites, 4, layout, seed=cfg.seed + 2, geom=geom)
+            ref = dense @ psi.columns()
+            got = twin(psi.astype(np.complex64)).columns()
+            worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
+        del dense
+        schur = SchurOperator(params, gauge, clover)
+        v = gen_spinor(schur.n_sites, 2, layout_of(cfg), seed=cfg.seed + 3)
+        ref = assemble_schur_dense(params, gauge, clover) @ v.columns()
+        got = schur.astype(np.complex64)(v.astype(np.complex64)).columns()
+        worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
+        if worst > 1e-6:
+            raise NumericalFailure(f"rel err {worst:.3e} > 1e-6")
+        return f"D and S twins, rel err {worst:.3e}"
+
     suite("gauge-unitarity", check_unitarity)
     suite("projector-algebra", check_projectors)
     suite("dense-vs-kernel-b1", check_dense(1))
     suite("dense-vs-kernel-b8", check_dense(8))
     suite("free-field-identity", check_free_field)
     suite("schur-dense-equivalence", check_schur)
+    suite("single-precision-dense", check_single_precision)
 
     if failures:
         raise NumericalFailure("failing suites: " + ", ".join(failures))

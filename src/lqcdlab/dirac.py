@@ -48,6 +48,16 @@ The posted values come from the same helpers as the sweep's, so every site
 sees the same operations on the same values, which is why the multi-rank
 result is bitwise equal to the single-rank one.
 
+The sweep and the self coupling run at the precision of the field they
+are given: the helpers view complex128 data as float64 and complex64 data
+as float32, and pick the spin matrices of that precision (their entries
+are 0 and +-1, so the float32 copies are exact).  An operator holds its
+arrays at one precision; :meth:`DiracOperator.astype` makes the complex64
+twin, with float32 link matrices, from cast copies of the arrays, and the
+twin is again bitwise equal across rank grids.  The solver applies the
+twin inside its Krylov cycles and the complex128 operator for every
+residual (gmres module).
+
 Flop accounting counts the structured operations the operator needs: a
 complex multiply costs 6 flops, a complex add 2, a real-by-complex scale 2,
 a real add 1, a real 6x6 matrix times a 6-vector 66; sign flips, complex
@@ -67,11 +77,12 @@ not recorded.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BlockSpinorField, CloverField, GaugeField
+from .fields import PRECISIONS, BlockSpinorField, CloverField, GaugeField
 from .geometry import NDIM
 from .projectors import A_BLOCKS, N_COLOR, SPINOR_LEN, compression
 
@@ -100,12 +111,26 @@ def account_traffic(b: int) -> dict:
     }
 
 
-def _check_field(psi: BlockSpinorField, n_sites: int, system: str) -> None:
-    """Raise unless psi is a full spinor field on the ``n_sites`` sites of ``system``."""
+def _check_field(psi: BlockSpinorField, n_sites: int, system: str, dtype=None) -> None:
+    """Raise unless psi is a full spinor field on the ``n_sites`` sites of ``system`` (and of ``dtype``, if given)."""
     if psi.s != SPINOR_LEN:
         raise ValueError(f"expected full spinor field (s={SPINOR_LEN}), got s={psi.s}")
     if psi.n_sites != n_sites:
         raise ValueError(f"field has {psi.n_sites} sites, {system} has {n_sites}")
+    if dtype is not None and psi.dtype != dtype:
+        raise ValueError(f"field of dtype {psi.dtype} given to an operator of dtype {dtype}")
+
+
+def _cast(arrays: tuple, dtype) -> tuple:
+    """Copies of an operator's complex site blocks and real link matrices at precision ``dtype``.
+
+    Complex arrays are cast to ``dtype``, real ones to its real counterpart.
+    """
+    dtype = np.dtype(dtype)
+    if dtype not in PRECISIONS:
+        raise ValueError(f"operator dtype must be complex128 or complex64, got {dtype}")
+    real = np.finfo(dtype).dtype
+    return tuple(a.astype(dtype if np.iscomplexobj(a) else real) for a in arrays)
 
 
 def check_lattices(gauge: GaugeField, clover: CloverField) -> None:
@@ -136,9 +161,14 @@ def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField) -> BlockSpino
 # Destination sites per chunk of the hop sweep: about 2048 site-rhs pairs, so
 # that the gathered spinors, half spinors and accumulator of one chunk stay
 # inside L2, and at least 64 sites, so that the per-chunk numpy call overhead
-# stays small at large b.
+# stays small at large b.  A rank's sweep takes at least 256 sites: rank
+# threads contend for the interpreter lock between numpy calls, so fewer,
+# larger chunks pay off there (the (1,1,1,2) b=16 apply on a 2-vCPU VM ran
+# about 10% faster in complex128 and 15-20% in complex64), while one sweep
+# over the whole lattice at b=16 ran faster with 128-site chunks.
 _CHUNK_SITE_RHS = 2048
 _MIN_CHUNK_SITES = 64
+_MIN_RANK_CHUNK_SITES = 256
 
 
 def _real_form(z: np.ndarray) -> np.ndarray:
@@ -171,6 +201,10 @@ _PROJECT = np.stack(
     [np.stack([_real_form(np.kron(compression(mu, sign), _EYE3).T) for sign in (-1, 1)]) for mu in range(NDIM)]
 )
 _ADJOINT = np.stack([_real_form(np.kron(a.conj().T, _EYE3).T) for a in A_BLOCKS])
+# both at each field precision, keyed on the field's complex dtype; their
+# entries are 0 and +-1, so the float32 copies are exact
+_PROJECT_AT, _ADJOINT_AT = ({dtype: m.astype(np.finfo(dtype).dtype, copy=False) for dtype in PRECISIONS}
+                            for m in (_PROJECT, _ADJOINT))
 
 # (18, 36) map from the float64 view of a link U to its link matrix W
 _EMBED = _real_form(0.5 * np.eye(18).view(np.complex128).reshape(18, N_COLOR, N_COLOR).swapaxes(1, 2)).reshape(18, 36)
@@ -197,21 +231,21 @@ def _rows(field: BlockSpinorField) -> np.ndarray:
 
 
 def _times(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Contiguous complex rows times a complex matrix given by its real form ``r``, as one float64 product."""
-    return (rows.view(np.float64).reshape(-1, r.shape[0]) @ r).view(np.complex128)
+    """Contiguous complex rows times a complex matrix given by its real form ``r``, as one real product at ``r``'s precision."""
+    return (rows.view(r.dtype).reshape(-1, r.shape[0]) @ r).view(rows.dtype)
 
 
 def _half(rows: np.ndarray, sites: np.ndarray, mu: int, side: int) -> np.ndarray:
     """(m, b, 2, 3) half spinors of ``rows`` at ``sites``: the +mu side (``side`` 0) or the -mu side (1)."""
     gathered = np.ascontiguousarray(rows[sites])
-    return _times(gathered, _PROJECT[mu, side]).reshape(gathered.shape[:2] + (2, N_COLOR))
+    return _times(gathered, _PROJECT_AT[rows.dtype][mu, side]).reshape(gathered.shape[:2] + (2, N_COLOR))
 
 
 def _link_multiply(w: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """One batched float64 product of (m, b, 2, 3) half spinors with (m, 6, 6) link matrices."""
+    """One batched real product of (m, b, 2, 3) half spinors with (m, 6, 6) link matrices of their precision."""
     m, b = half.shape[:2]
-    prod = np.matmul(half.view(np.float64).reshape(m, 2 * b, 6), w)
-    return prod.view(np.complex128).reshape(half.shape)
+    prod = np.matmul(half.view(w.dtype).reshape(m, 2 * b, 6), w)
+    return prod.view(half.dtype).reshape(half.shape)
 
 
 def _adjoint_hop(links: np.ndarray, rows: np.ndarray, sites: np.ndarray, mu: int) -> np.ndarray:
@@ -220,7 +254,7 @@ def _adjoint_hop(links: np.ndarray, rows: np.ndarray, sites: np.ndarray, mu: int
     These values travel to x + mu^; the sweep and the halo posts both
     compute them here, so a value is bitwise the same on either path.
     """
-    adjoint = np.empty((len(sites), 6, 6))
+    adjoint = np.empty((len(sites), 6, 6), dtype=links.dtype)
     adjoint.swapaxes(1, 2)[...] = links[sites, mu]  # W^T made contiguous: numpy's matmul is slower on a transposed view
     return _link_multiply(adjoint, _half(rows, sites, mu, 1))
 
@@ -272,7 +306,7 @@ def subtract_hops(
 
     n, b = eta.n_sites, eta.b
     out = _rows(eta)
-    step = max(_MIN_CHUNK_SITES, _CHUNK_SITE_RHS // b)
+    step = max(_MIN_CHUNK_SITES if comm is None else _MIN_RANK_CHUNK_SITES, _CHUNK_SITE_RHS // b)
     acc_buf = np.empty((2, min(step, n), b, 2, N_COLOR), dtype=out.dtype)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -293,7 +327,7 @@ def subtract_hops(
             upper += up
             upper += down
             up -= down
-            lower += _times(up, _ADJOINT[mu]).reshape(up.shape)
+            lower += _times(up, _ADJOINT_AT[up.dtype][mu]).reshape(up.shape)
         out[lo:hi, :, :6] -= upper.reshape(hi - lo, b, 6)
         out[lo:hi, :, 6:] -= lower.reshape(hi - lo, b, 6)
 
@@ -316,7 +350,13 @@ class DiracOperator:
     the self coupling and the hop sweep through its communicator, and
     writes its own eta rows out.  The ranks' rows are disjoint, so they
     share eta without a lock.
+
+    The operator runs at one precision, ``dtype``: complex128 as built, or
+    complex64 for the twin that :meth:`astype` returns.  A field of the
+    other precision is rejected with a ``ValueError`` naming both dtypes.
     """
+
+    dtype = np.dtype(np.complex128)
 
     def __init__(self, params: DiracParams, gauge: GaugeField, clover: CloverField, comm=None):
         check_lattices(gauge, clover)
@@ -339,9 +379,27 @@ class DiracOperator:
 
             comm.run_ranks(build_rank)
 
+    def astype(self, dtype) -> "DiracOperator":
+        """The operator's twin at precision ``dtype`` (itself if it has that precision already).
+
+        The twin holds cast copies of the site blocks and link matrices (of
+        every rank's rows on an executor) and shares the neighbor tables and
+        rank domains; it builds neither array again.  Its sweep runs real
+        products at the real counterpart of ``dtype``.
+        """
+        if np.dtype(dtype) == self.dtype:
+            return self
+        twin = copy.copy(self)
+        twin.dtype = np.dtype(dtype)
+        if self.comm is None:
+            twin._blocks, twin._links = _cast((self._blocks, self._links), dtype)
+        else:
+            twin._ranks = [(dom, *_cast((blocks, links), dtype)) for dom, blocks, links in self._ranks]
+        return twin
+
     def __call__(self, psi: BlockSpinorField) -> BlockSpinorField:
         """eta = D psi over all rhs columns."""
-        _check_field(psi, self.geom.n_sites, "gauge lattice")
+        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype)
         if self.comm is None:
             eta = apply_self_coupling(self._blocks, psi)
             subtract_hops(self._links, psi, eta, self._fwd, self._back)

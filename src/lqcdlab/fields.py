@@ -2,7 +2,8 @@
 
 A block spinor field holds ``b`` right-hand-side vectors at once.  Per site
 it stores the s x b value block ``Row_x(V)`` (s components, b columns) in one
-of two flat orders inside a single contiguous complex128 array:
+of two flat orders inside a single contiguous complex array of either
+precision, complex128 (the default) or complex64:
 
 * Layout 1 (rhs-major): column-major ``Row_x(V)``, element offset
   ``x*s*b + i*s + k`` -- each column's s components sit together.
@@ -11,7 +12,10 @@ of two flat orders inside a single contiguous complex128 array:
 
 For b = 1 the two orders coincide.  Solvers that work one rhs at a time
 copy a field to and from the layout-free *column form*, a (b, n_sites*s)
-array whose row i is column i, contiguous.  Gauge links are 3x3
+array whose row i is column i, contiguous.  A field keeps its precision
+through :meth:`BlockSpinorField.zeros_like`, :meth:`~BlockSpinorField.copy`,
+:meth:`~BlockSpinorField.convert` and the site gathers; only
+:meth:`~BlockSpinorField.astype` changes it.  Gauge links are 3x3
 special-unitary matrices, four per site; the site-local clover term is a
 pair of 6x6 Hermitian blocks kept as packed lower triangles (21 complex
 each).
@@ -33,6 +37,9 @@ from .geometry import NDIM, LatticeGeometry
 from .projectors import SPINOR_LEN
 
 RNG_ALGORITHM = "pcg64"
+
+# the two precisions a spinor field may hold
+PRECISIONS = (np.dtype(np.complex128), np.dtype(np.complex64))
 
 SNAPSHOT_VERSION = 1
 _MAGIC_SPINOR = b"LQML"
@@ -97,18 +104,31 @@ class BlockSpinorField:
         layout: Layout | int = Layout.RHS_MAJOR,
         s: int = SPINOR_LEN,
         geom: LatticeGeometry | None = None,
+        dtype=np.complex128,
     ) -> "BlockSpinorField":
         if n_sites < 1 or b < 1 or s < 1:
             raise ValueError(f"bad field shape: n_sites={n_sites}, s={s}, b={b}")
-        data = np.zeros(n_sites * s * b, dtype=np.complex128)
+        if np.dtype(dtype) not in PRECISIONS:
+            raise ValueError(f"field dtype must be complex128 or complex64, got {np.dtype(dtype)}")
+        data = np.zeros(n_sites * s * b, dtype=dtype)
         return cls(n_sites, s, b, Layout(layout), data, geom)
 
     @classmethod
     def zeros_like(cls, other: "BlockSpinorField") -> "BlockSpinorField":
-        return cls.zeros(other.n_sites, other.b, other.layout, other.s, other.geom)
+        return cls.zeros(other.n_sites, other.b, other.layout, other.s, other.geom, other.dtype)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     def copy(self) -> "BlockSpinorField":
         return BlockSpinorField(self.n_sites, self.s, self.b, self.layout, self.data.copy(), self.geom)
+
+    def astype(self, dtype) -> "BlockSpinorField":
+        """Copy of the field with its values cast to ``dtype``, one of :data:`PRECISIONS`."""
+        out = BlockSpinorField.zeros(self.n_sites, self.b, self.layout, self.s, self.geom, dtype)
+        out.data[...] = self.data
+        return out
 
     def storage_view(self) -> np.ndarray:
         """3-d view of the flat data in storage order.
@@ -139,12 +159,14 @@ class BlockSpinorField:
         """Inverse of :meth:`take_sites`: write ``part``'s site blocks to ``sites``."""
         if (part.n_sites, part.s, part.b, part.layout) != (len(sites), self.s, self.b, self.layout):
             raise ValueError(f"part {_describe(part)} does not fit {len(sites)} sites of field {_describe(self)}")
+        if part.dtype != self.dtype:
+            raise ValueError(f"part of dtype {part.dtype} does not fit a field of dtype {self.dtype}")
         self.storage_view()[sites] = part.storage_view()
 
     def convert(self, layout: Layout | int) -> "BlockSpinorField":
         """Copy of the field in the requested layout; content unchanged."""
         layout = Layout(layout)
-        out = BlockSpinorField.zeros(self.n_sites, self.b, layout, self.s, self.geom)
+        out = BlockSpinorField.zeros(self.n_sites, self.b, layout, self.s, self.geom, self.dtype)
         out.set_ksi(self.ksi())
         return out
 

@@ -4,21 +4,34 @@ Each of the b right-hand sides is solved independently but in lockstep: one
 Arnoldi basis, Hessenberg matrix, Givens rotation pair, and residual norm
 per rhs, advanced together so every operator apply works on the whole
 block at once, while the Gram-Schmidt kernels run per column.  The batch
-stops as one: iteration continues until max over rhs of the relative
-residual drops below the tolerance, and every restart recomputes true
-residuals.
+stops as one, and only on an explicit residual: every restart recomputes
+the true residual eta - op(psi), and the solve ends when its max over rhs
+of the relative norm is at or below the tolerance.  The rotation estimate
+inside a cycle only ends the cycle; the next restart residual decides, and
+the last one is returned as the final residual.
+
+Mixed precision (defect correction with reliable updates: Clark et al.,
+Comput. Phys. Commun. 181 (2010) 1517).  The Arnoldi steps may apply an
+``inner`` operator instead of ``op``; the Krylov basis is allocated in the
+inner operator's precision.  :func:`solve_dirac` passes the complex64 twin
+of its operator, so the stencil sweep and all Gram-Schmidt traffic run in
+single precision at half the bytes, while psi, every restart residual and
+the final residual stay complex128.  Each cycle's single-precision
+correction V y is added to the complex128 psi, so rounding in one cycle
+only limits how far that cycle gets, never the accuracy the solve reports.
 
 A NaN or infinite residual norm in any rhs stops the solve at once with a
 :class:`NonFiniteResidualError`, checked after every restart residual and
 every Arnoldi step.
 
 The Krylov basis is one (restart_len + 1, b, n_sites*s) array in column
-form (see :mod:`lqcdlab.fields`): ``basis[p]`` is basis vector p, and for
-rhs i the rows ``basis[:j+1, i]`` are one matrix with leading dimension
-b*n_sites*s.  Each Arnoldi step copies the operator output into
-``basis[j+1]`` once and orthogonalizes every column by classical
-Gram-Schmidt run twice (CGS2, "twice is enough": Giraud, Langou and
-Rozloznik, Numer. Math. 101 (2005) 87): h = Q^H w, w -= Q h, two passes
+form (see :mod:`lqcdlab.fields`), in the inner operator's precision:
+``basis[p]`` is basis vector p, and for rhs i the rows ``basis[:j+1, i]``
+are one matrix with leading dimension b*n_sites*s.  Each Arnoldi step
+copies the operator output into ``basis[j+1]`` once and orthogonalizes
+every column by classical Gram-Schmidt run twice (CGS2, "twice is
+enough": Giraud, Langou and Rozloznik, Numer. Math. 101 (2005) 87):
+h = Q^H w, w -= Q h, two passes
 with the two h summed, each pass one multi-vector ``block_dot`` and one
 ``block_axpy`` on that column's rows, i.e. two gemv calls.  The operator
 reads its input from a field over the storage of the last basis row,
@@ -39,7 +52,8 @@ rows are zeroed (and stay zero) and the lockstep continues unharmed.
 
 A benchmark mode runs exactly restarts * restart_len iterations with the
 tolerance check disabled, which keeps runs branch-free and comparable
-across layouts and block sizes.
+across layouts and block sizes; its final residual is one more explicit
+restart residual.
 """
 
 from __future__ import annotations
@@ -107,9 +121,11 @@ class SolverWorkspace:
     j_done: int = 0
 
     @classmethod
-    def allocate(cls, template: BlockSpinorField, restart_len: int, eta_norms: np.ndarray) -> "SolverWorkspace":
+    def allocate(cls, template: BlockSpinorField, restart_len: int, eta_norms: np.ndarray,
+                 dtype=np.complex128) -> "SolverWorkspace":
+        """Workspace for ``template``'s shape with the basis and stage in precision ``dtype``."""
         b = template.b
-        basis = np.zeros((restart_len + 1, b, template.n_sites * template.s), dtype=np.complex128)
+        basis = np.zeros((restart_len + 1, b, template.n_sites * template.s), dtype=dtype)
         stage = BlockSpinorField(template.n_sites, template.s, b, template.layout, basis[-1].reshape(-1), template.geom)
         return cls(
             basis=basis,
@@ -252,48 +268,54 @@ def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField, ws: SolverWor
     return norms
 
 
-def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: GmresConfig) -> GmresResult:
+def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: GmresConfig,
+                inner=None) -> GmresResult:
     """Restarted batched GMRES for op(psi) = eta; returns solution and history.
+
+    Every restart residual is an explicit eta - op(psi), and the solve ends
+    only when one of them is at or below ``tol`` in every column (or when
+    the restarts run out); the rotation estimate ends a cycle, not the
+    solve.  The last restart residual is the final residual, so a solve
+    whose estimate is right makes no extra operator call.
+
+    ``inner`` (default ``op``) is the operator the Arnoldi steps apply, for
+    instance a lower-precision twin of ``op``; its ``dtype`` attribute
+    (default eta's) is the precision of the Krylov basis.  The solution
+    stays in eta's precision, and each cycle's correction is added to it.
 
     A ``psi0`` whose site count, spinor length, rhs count or layout differs
     from ``eta``'s raises ``ValueError`` before the operator is called.
     """
     if psi0 is not None:
         check_matching(psi0, eta, "psi0", "eta")
+    if inner is None:
+        inner = op
     psi = BlockSpinorField.zeros_like(eta) if psi0 is None else psi0.copy()
     eta_norms = block_norms(eta)
-    ws = SolverWorkspace.allocate(eta, cfg.restart_len, eta_norms)
+    ws = SolverWorkspace.allocate(eta, cfg.restart_len, eta_norms, getattr(inner, "dtype", eta.dtype))
 
     history: list[np.ndarray] = []
     iterations = 0
-    finish = False
     stagnated = False
-    for _cycle in range(cfg.restarts):
+    for cycle in range(cfg.restarts + 1):
         start_norms = _start_cycle(op, eta, psi, ws)
         _check_finite(ws, iterations)
+        final_relnorms = ws.relnorm
+        if cycle == cfg.restarts or (not cfg.fixed_iterations and final_relnorms.max() <= cfg.tol):
+            break
         start_rel = ws.relnorm.copy()
-        if not cfg.fixed_iterations and ws.relnorm.max() < cfg.tol:
-            finish = True
-        j_done = 0
-        if not finish:
-            for j in range(cfg.restart_len):
-                arnoldi_step(op, ws, j, cfg)
-                iterations += 1
-                _check_finite(ws, iterations)
-                history.append(ws.relnorm.copy())
-                j_done = j + 1
-                if not cfg.fixed_iterations and ws.relnorm.max() < cfg.tol:
-                    finish = True
-                    break
-        if j_done:
-            update_solution(ws, least_squares_update(ws, j_done), psi)
-        if j_done == cfg.restart_len and np.all(ws.relnorm >= start_rel) and start_norms.max() > 0:
+        for j in range(cfg.restart_len):
+            arnoldi_step(inner, ws, j, cfg)
+            iterations += 1
+            _check_finite(ws, iterations)
+            history.append(ws.relnorm.copy())
+            if not cfg.fixed_iterations and ws.relnorm.max() < cfg.tol:
+                break
+        update_solution(ws, least_squares_update(ws), psi)
+        if ws.j_done == cfg.restart_len and np.all(ws.relnorm >= start_rel) and start_norms.max() > 0:
             stagnated = True
             log.warning("gmres cycle made no progress (max relnorm %.3e)", ws.relnorm.max())
-        if finish:
-            break
 
-    final_relnorms = _relative(_residual_norms(op(psi), eta), eta_norms)
     return GmresResult(
         psi=psi,
         history=history,
@@ -305,15 +327,18 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     )
 
 
-def batched_vs_independent_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: GmresConfig) -> float:
+def batched_vs_independent_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: GmresConfig,
+                                 inner=None) -> float:
     """Max relative gap between batched and per-rhs residual histories.
 
     The batched run and b single-rhs runs execute the same mathematics;
     differences are pure floating-point summation order, so the gap stays
-    tiny.  Histories are compared over their common prefix (a single rhs may
-    stop earlier once its own residual passes the tolerance).
+    tiny (at the rounding level of ``inner``'s precision when one is given;
+    every run passes it to :func:`gmres_solve`).  Histories are compared
+    over their common prefix (a single rhs may stop earlier once its own
+    residual passes the tolerance).
     """
-    batched = gmres_solve(op, eta, psi0, cfg)
+    batched = gmres_solve(op, eta, psi0, cfg, inner)
     worst = 0.0
     cols = eta.ksi()
     psi_cols = psi0.ksi() if psi0 is not None else None
@@ -324,7 +349,7 @@ def batched_vs_independent_audit(op, eta: BlockSpinorField, psi0: BlockSpinorFie
         if psi_cols is not None:
             psi_i = BlockSpinorField.zeros(eta.n_sites, 1, eta.layout, eta.s, eta.geom)
             psi_i.set_ksi(psi_cols[:, :, i : i + 1])
-        single = gmres_solve(op, eta_i, psi_i, cfg)
+        single = gmres_solve(op, eta_i, psi_i, cfg, inner)
         for it in range(min(len(batched.history), len(single.history))):
             ref = single.history[it][0]
             gap = abs(batched.history[it][i] - ref) / max(ref, 1e-30)
@@ -361,13 +386,18 @@ def gamma_residual_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | Non
 
 
 def matrix_op(a: np.ndarray):
-    """Wrap a dense matrix as a field operator (test and oracle plumbing)."""
+    """Wrap a dense matrix as a field operator (test and oracle plumbing).
+
+    Its ``dtype`` is complex64 for a complex64 matrix and complex128 otherwise.
+    """
+    a = np.asarray(a)
 
     def apply(v: BlockSpinorField) -> BlockSpinorField:
         out = BlockSpinorField.zeros_like(v)
-        out.set_columns(np.asarray(a) @ v.columns())
+        out.set_columns(a @ v.columns())
         return out
 
+    apply.dtype = np.result_type(a.dtype, np.complex64)
     return apply
 
 
@@ -404,10 +434,18 @@ def solve_dirac(
     one :class:`lqcdlab.oddeven.SchurOperator`.  On the even/odd path the
     Schur solve runs single-rank; ``comm`` is used only for the final
     full-system residual, one build-and-apply of the full operator.
+
+    Precision: eta and psi are complex128.  The Arnoldi steps apply the
+    operator's complex64 twin to a complex64 Krylov basis, and every
+    restart residual is an explicit complex128 apply of the operator, so a
+    solve that reports convergence has an explicit float64 residual at or
+    below ``tol`` in every column (on the even/odd path, of the Schur
+    system; ``full_relnorms`` is always the full system's).
     """
-    _check_field(eta, gauge.geom.n_sites, "gauge lattice")
+    _check_field(eta, gauge.geom.n_sites, "gauge lattice", np.complex128)
     if not odd_even:
-        result = gmres_solve(dirac_op(params, gauge, clover, comm), eta, psi0, cfg)
+        op = dirac_op(params, gauge, clover, comm)
+        result = gmres_solve(op, eta, psi0, cfg, inner=op.astype(np.complex64))
         full = result.final_relnorms
         return SolveReport(result.psi, result, False, full, result.iterations)
 
@@ -416,7 +454,7 @@ def solve_dirac(
     schur = SchurOperator(params, gauge, clover)
     reduced, eta_elim = schur.reduce_rhs(eta)
     x0 = None if psi0 is None else psi0.take_sites(schur.keep_sites)
-    result = gmres_solve(schur.apply, reduced, x0, cfg)
+    result = gmres_solve(schur, reduced, x0, cfg, inner=schur.astype(np.complex64))
     x_elim = schur.reconstruct(result.psi, eta_elim)
     psi = schur.merge(result.psi, x_elim)
 

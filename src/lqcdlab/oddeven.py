@@ -44,11 +44,12 @@ sites (the -mu side), and H_oe the other way round.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirac import (DiracParams, _check_field, apply_self_coupling, check_lattices, link_matrices,
+from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, link_matrices,
                     site_blocks, subtract_hops)
 from .fields import BlockSpinorField, CloverField, GaugeField, check_matching
 from .geometry import NDIM, LatticeGeometry
@@ -162,7 +163,12 @@ class SchurOperator:
     N and the link matrices of both parities, all copied, so editing the
     fields in place afterwards does not change it.  Build a new operator
     for new fields.
+
+    As :class:`lqcdlab.dirac.DiracOperator`, it runs at one precision,
+    ``dtype``, and :meth:`astype` returns its complex64 twin.
     """
+
+    dtype = np.dtype(np.complex128)
 
     def __init__(
         self,
@@ -192,13 +198,35 @@ class SchurOperator:
     def n_sites(self) -> int:
         return len(self.keep_sites)
 
+    def astype(self, dtype) -> "SchurOperator":
+        """The operator's twin at precision ``dtype`` (itself if it has that precision already).
+
+        The twin holds cast copies of the kept blocks, N and the two
+        parities' link matrices, still one array per parity shared by both
+        hops, and shares the site sets and neighbor tables.
+        """
+        if np.dtype(dtype) == self.dtype:
+            return self
+        twin = copy.copy(self)
+        twin.dtype = np.dtype(dtype)
+        hop = self._to_kept  # its destination is the kept parity, its source the eliminated one
+        twin._diag_kept, twin._neg_inv, kept_links, elim_links = _cast(
+            (self._diag_kept, self._neg_inv, hop.dst_links, hop.src_links), dtype)
+        twin._to_kept = replace(hop, dst_links=kept_links, src_links=elim_links)
+        twin._to_elim = replace(self._to_elim, dst_links=elim_links, src_links=kept_links)
+        return twin
+
+    def __call__(self, v: BlockSpinorField) -> BlockSpinorField:
+        """w = S v, through :meth:`apply`."""
+        return self.apply(v)
+
     def solve_eliminated(self, v: BlockSpinorField) -> BlockSpinorField:
         """N v = -D_elim^-1 v on the eliminated parity: one batched product with the negated inverses."""
         return apply_self_coupling(self._neg_inv, v)
 
     def apply(self, v: BlockSpinorField) -> BlockSpinorField:
         """w = S v on the kept parity."""
-        _check_field(v, self.n_sites, "Schur system")
+        _check_field(v, self.n_sites, "Schur system", self.dtype)
         t = BlockSpinorField.zeros_like(v)
         self._to_elim(v, t)  # t = 0 - H_ek v = D_ek v
         t = self.solve_eliminated(t)
@@ -208,7 +236,7 @@ class SchurOperator:
 
     def reduce_rhs(self, eta: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
         """(eta_kept - D_ke D_elim^-1 eta_elim, eta_elim) for the half solve: eta_kept - H_ke N eta_elim."""
-        _check_field(eta, self.geom.n_sites, "gauge lattice")
+        _check_field(eta, self.geom.n_sites, "gauge lattice", self.dtype)
         eta_elim = eta.take_sites(self.elim_sites)
         reduced = eta.take_sites(self.keep_sites)
         self._to_kept(self.solve_eliminated(eta_elim), reduced)
@@ -216,7 +244,7 @@ class SchurOperator:
 
     def reconstruct(self, x_kept: BlockSpinorField, eta_elim: BlockSpinorField) -> BlockSpinorField:
         """x_elim = D_elim^-1 (eta_elim - D_ek x_kept) = N (-eta_elim - H_ek x_kept)."""
-        _check_field(x_kept, self.n_sites, "Schur system")
+        _check_field(x_kept, self.n_sites, "Schur system", self.dtype)
         check_matching(eta_elim, x_kept, "eta_elim", "x_kept")
         t = replace(eta_elim, data=-eta_elim.data)
         self._to_elim(x_kept, t)

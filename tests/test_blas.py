@@ -162,3 +162,44 @@ def test_multi_vector_kernels_reject_mismatch():
         block_axpy(np.zeros((3, 2)), q, np.zeros((2, 12), dtype=np.complex128))
     with pytest.raises(ValueError):
         block_dot(q, gen_spinor(1, 2, Layout.RHS_MAJOR, seed=1))
+
+
+def test_multi_vector_kernels_keep_single_precision():
+    # a complex64 Krylov stack (10 vectors of 4 rhs on 4096 sites) stays
+    # complex64: complex128 coefficients are cast to the stack's dtype, so no
+    # column of the stack is copied to complex128 (an upcast copy of one
+    # column's rows is twice their bytes, above the bound below)
+    rng = np.random.default_rng(82)
+    k, b, n = 10, 4, 49152
+    q = (rng.standard_normal((k, b, n)) + 1j * rng.standard_normal((k, b, n))).astype(np.complex64)
+    w = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))).astype(np.complex64)
+    alpha = rng.standard_normal((b, k)) * (1 - 0.5j)
+    ref_h = np.einsum("kbn,bn->bk", q.conj().astype(np.complex128), w)
+    ref_w = w + np.einsum("bk,kbn->bn", alpha, q.astype(np.complex128))
+
+    tracemalloc.start()
+    try:
+        h = block_dot(q, w)
+        block_axpy(alpha, q, w)
+        block_scale(np.ones(b), w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.dtype == np.complex64 and w.dtype == np.complex64
+    assert peak < q[:, 0].nbytes < q.nbytes
+    assert np.abs(h - ref_h).max() <= 1e-5 * np.abs(ref_h).max()
+    assert np.abs(w - ref_w).max() <= 1e-5 * np.abs(ref_w).max()
+
+
+def test_multi_vector_kernels_reject_mixed_precision():
+    q = np.zeros((3, 2, 12), dtype=np.complex64)
+    with pytest.raises(ValueError, match="complex64 .* complex128"):
+        block_dot(q, np.zeros((2, 12), dtype=np.complex128))
+    with pytest.raises(ValueError, match="complex64 .* complex128"):
+        block_axpy(np.zeros((2, 3)), q, np.zeros((2, 12), dtype=np.complex128))
+
+
+def test_single_precision_field_norms():
+    f = gen_spinor(9, 3, Layout.COMPONENT_MAJOR, seed=83)
+    norms = block_norms(f.astype(np.complex64))
+    assert np.abs(norms - block_norms(f)).max() <= 1e-6 * block_norms(f).max()

@@ -38,6 +38,21 @@ def test_oracle_check_passes_and_names_suites(capsys):
         assert f"{suite}: PASS" in out
 
 
+def test_oracle_check_single_precision_suite(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4", "--set", "block.layout=2")
+    assert code == 0
+    line = next(line for line in out.splitlines() if line.startswith("single-precision-dense:"))
+    assert line.startswith("single-precision-dense: PASS (D and S twins, rel err ")
+    assert float(line.rstrip(")").split()[-1]) <= 1e-6
+    # a twin that is not complex64 is reported as a failing suite
+    from lqcdlab import dirac
+
+    monkeypatch.setattr(dirac.DiracOperator, "astype", lambda self, dtype: self)
+    code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4")
+    assert code == 2
+    assert "single-precision-dense: FAIL" in out and "schur-dense-equivalence: PASS" in out
+
+
 def test_oracle_check_corrupted_gauge_fails(capsys):
     code, out, err = run_cli(capsys, "oracle-check", "--corrupt-gauge")
     assert code == 2

@@ -162,3 +162,48 @@ def test_operator_rejects_clover_of_another_lattice(problem, dims):
     other = LatticeGeometry(dims)
     with pytest.raises(ValueError, match=f"clover field has {other.n_sites} sites, gauge field has 256"):
         DiracOperator(params, gauge, gen_clover(other, "random", scale=0.1, seed=28))
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_single_precision_twin_matches_float64_apply(problem, monkeypatch, layout, b):
+    geom, gauge, clover, params, _ = problem
+    op = DiracOperator(params, gauge, clover)
+    twin = op.astype(np.complex64)
+    assert (op.dtype, twin.dtype) == (np.complex128, np.complex64)
+    assert op.astype(np.complex128) is op and twin.astype(np.complex64) is twin
+    psi = gen_spinor(geom.n_sites, b, layout, seed=48, geom=geom)
+    ref = op(psi)
+    got = twin(psi.astype(np.complex64))
+    assert got.dtype == np.complex64 and got.layout == layout
+    assert np.linalg.norm(got.data - ref.data) <= 1e-6 * np.linalg.norm(ref.data)
+    # the twin's sweep gives the same values for any chunking, as the float64 one does
+    monkeypatch.setattr(dirac, "_MIN_CHUNK_SITES", 1)
+    for chunk in (1, 64):
+        monkeypatch.setattr(dirac, "_CHUNK_SITE_RHS", chunk * b)
+        assert np.array_equal(twin(psi.astype(np.complex64)).data, got.data)
+
+
+@pytest.mark.parametrize("grid", [None, (1, 1, 1, 2)])
+def test_twin_builds_nothing(problem, monkeypatch, grid):
+    # a twin casts the operator's arrays; it makes no second site-block or
+    # link-matrix build
+    geom, gauge, clover, params, _ = problem
+    op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None)
+    for name in ("site_blocks", "link_matrices"):
+        monkeypatch.setattr(dirac, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+    twin = op.astype(np.complex64)
+    psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=49, geom=geom)
+    assert twin(psi.astype(np.complex64)).dtype == np.complex64
+
+
+def test_operator_rejects_a_field_of_the_other_precision(problem):
+    geom, gauge, clover, params, _ = problem
+    op = DiracOperator(params, gauge, clover)
+    psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=50, geom=geom)
+    with pytest.raises(ValueError, match="dtype complex64 given to an operator of dtype complex128"):
+        op(psi.astype(np.complex64))
+    with pytest.raises(ValueError, match="dtype complex128 given to an operator of dtype complex64"):
+        op.astype(np.complex64)(psi)
+    with pytest.raises(ValueError, match="complex128 or complex64"):
+        op.astype(np.float32)

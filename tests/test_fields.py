@@ -186,3 +186,37 @@ def test_site_take_put_round_trip_bitwise(layout, s, b, with_geom):
     # a part that does not fit the sites it is written to is rejected, not broadcast
     with pytest.raises(ValueError, match="does not fit"):
         back.put_sites(parts[2], f.take_sites(parts[2][:1]))
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_single_precision_field_keeps_its_dtype(layout, b):
+    geom = LatticeGeometry((2, 2, 2, 4))
+    f = gen_spinor(geom.n_sites, b, layout, seed=63, geom=geom).astype(np.complex64)
+    assert f.dtype == np.complex64 and f.data.dtype == np.complex64
+    assert BlockSpinorField.zeros(4, b, layout, dtype=np.complex64).dtype == np.complex64
+    other = Layout.COMPONENT_MAJOR if layout == Layout.RHS_MAJOR else Layout.RHS_MAJOR
+    for g in (BlockSpinorField.zeros_like(f), f.copy(), f.convert(other), f.take_sites(geom.odd_sites)):
+        assert g.dtype == np.complex64
+    assert np.array_equal(f.convert(other).ksi(), f.ksi())
+    back = BlockSpinorField.zeros_like(f)
+    back.put_sites(geom.even_sites, f.take_sites(geom.even_sites))
+    back.put_sites(geom.odd_sites, f.take_sites(geom.odd_sites))
+    assert back.dtype == np.complex64 and np.array_equal(back.data, f.data)
+    # a column-form round trip through a complex64 array is bitwise
+    cols = np.empty((b, geom.n_sites * 12), dtype=np.complex64)
+    f.store_column_form(cols)
+    back = BlockSpinorField.zeros_like(f)
+    back.load_column_form(cols)
+    assert back.dtype == np.complex64 and np.array_equal(back.data, f.data)
+
+
+def test_field_precision_mismatches_are_rejected():
+    f = gen_spinor(8, 2, Layout.RHS_MAJOR, seed=64)
+    with pytest.raises(ValueError, match="dtype complex64 does not fit a field of dtype complex128"):
+        f.put_sites(np.arange(4), f.take_sites(np.arange(4)).astype(np.complex64))
+    for dtype in (np.float64, np.complex256 if hasattr(np, "complex256") else np.int64):
+        with pytest.raises(ValueError, match="complex128 or complex64"):
+            BlockSpinorField.zeros(8, 2, dtype=dtype)
+        with pytest.raises(ValueError, match="complex128 or complex64"):
+            f.astype(dtype)

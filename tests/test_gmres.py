@@ -380,3 +380,111 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _counted(op, calls: list, tag: str):
+    def apply(v):
+        calls.append(tag)
+        return op(v)
+
+    apply.dtype = getattr(op, "dtype", np.dtype(np.complex128))
+    return apply
+
+
+def test_rotation_estimate_ends_only_the_cycle():
+    # the Arnoldi steps apply op perturbed by 1e-6 relative: each cycle's
+    # rotation estimate falls below tol while its explicit residual cannot,
+    # so the solve must go on to further cycles and end on an explicit
+    # residual at or below tol
+    n = 16
+    rng = np.random.default_rng(18)
+    a = 4.0 * np.eye(12 * n) + 0.01 * rng.standard_normal((12 * n, 12 * n))
+    e = rng.standard_normal(a.shape)
+    perturbed = a + 1e-6 * np.linalg.norm(a, 2) / np.linalg.norm(e, 2) * e
+    eta = gen_spinor(n, 3, Layout.RHS_MAJOR, seed=19)
+    cfg = GmresConfig(restart_len=10, restarts=10, tol=1e-10)
+    calls = []
+    res = gmres_solve(_counted(matrix_op(a), calls, "op"), eta, None, cfg,
+                      inner=_counted(matrix_op(perturbed), calls, "inner"))
+    first_estimate_below = next(it for it, h in enumerate(res.history, 1) if h.max() < cfg.tol)
+    assert first_estimate_below < res.iterations
+    assert calls.count("op") >= 3  # two restart residuals above tol, then the final one
+    assert res.converged.all() and (res.final_relnorms <= cfg.tol).all()
+    explicit = np.linalg.norm(eta.columns() - a @ res.psi.columns(), axis=0) / np.linalg.norm(eta.columns(), axis=0)
+    assert (explicit <= cfg.tol).all()
+
+
+@pytest.mark.parametrize("odd_even", [False, True])
+def test_exact_inner_makes_the_same_op_calls(problem, odd_even):
+    geom, gauge, clover = problem
+    params = DiracParams(m0=1.0)
+    eta = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=20, geom=geom)
+    op = dirac_op(params, gauge, clover)
+    if odd_even:
+        op = oddeven.SchurOperator(params, gauge, clover)
+        eta, _ = op.reduce_rhs(eta)
+    cfg = GmresConfig(tol=1e-8)
+    plain, split = [], []
+    alone = gmres_solve(_counted(op, plain, "op"), eta, None, cfg)
+    paired = gmres_solve(_counted(op, split, "op"), eta, None, cfg, inner=_counted(op, split, "inner"))
+    assert len(plain) == len(split) == alone.iterations + -(-alone.iterations // cfg.restart_len) + 1
+    assert split.count("inner") == alone.iterations
+    assert np.array_equal(paired.psi.data, alone.psi.data)
+    assert np.array_equal(paired.final_relnorms, alone.final_relnorms)
+
+
+@pytest.mark.parametrize("m0", [1.0, 0.0, -0.5])
+@pytest.mark.parametrize("odd_even", [False, True])
+def test_mixed_solve_reaches_tol_in_float64_iterations(problem, m0, odd_even):
+    geom, gauge, clover = problem
+    params = DiracParams(m0=m0)
+    layout = Layout.RHS_MAJOR if odd_even else Layout.COMPONENT_MAJOR
+    eta = gen_spinor(geom.n_sites, 3, layout, seed=96, geom=geom)
+    cfg = GmresConfig(tol=1e-8, restarts=40)
+    mixed = solve_dirac(params, gauge, clover, eta, cfg, odd_even=odd_even)
+    if odd_even:
+        schur = oddeven.SchurOperator(params, gauge, clover)
+        float64 = gmres_solve(schur, schur.reduce_rhs(eta)[0], None, cfg)
+    else:
+        float64 = gmres_solve(dirac_op(params, gauge, clover), eta, None, cfg)
+    assert mixed.psi.dtype == np.complex128
+    assert float64.iterations <= mixed.iterations <= float64.iterations + 1
+    assert (mixed.result.final_relnorms <= cfg.tol).all()
+    explicit = gmres._residual_norms(dirac_op(params, gauge, clover)(mixed.psi), eta) / block_norms(eta)
+    assert np.array_equal(explicit, mixed.full_relnorms)
+    assert (explicit <= 1e-8).all()
+
+
+def test_mixed_solve_zero_and_eigenvector_columns():
+    # a zero rhs column stays exactly zero, and a column that starts on an
+    # eigenvector breaks down at once, in the complex64 basis as in complex128
+    n = 8
+    diag = np.linspace(1.0, 3.0, 12 * n)
+    a = np.diag(diag).astype(np.complex128)
+    eta = gen_spinor(n, 3, Layout.RHS_MAJOR, seed=21)
+    eta.ksi()[:, :, 1] = 0.0
+    eta.ksi()[:, :, 2] = 0.0
+    eta.ksi()[0, 0, 2] = 1.0
+    inner = matrix_op(a.astype(np.complex64))
+    assert inner.dtype == np.complex64
+    res = gmres_solve(matrix_op(a), eta, None, GmresConfig(tol=1e-10, restarts=40), inner=inner)
+    assert res.psi.dtype == np.complex128
+    assert not res.psi.ksi()[:, :, 1].any()
+    assert res.breakdown.tolist() == [False, True, True]
+    assert res.psi.ksi()[0, 0, 2] == 1.0 / diag[0]
+    assert res.converged.all()
+
+
+def test_mixed_batched_vs_independent(problem):
+    geom, gauge, clover = problem
+    op = dirac_op(DiracParams(m0=1.0), gauge, clover)
+    twin = op.astype(np.complex64)
+    cfg = GmresConfig(tol=1e-8, restarts=40)
+    eta = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=22, geom=geom)
+    assert batched_vs_independent_audit(op, eta, None, cfg, inner=twin) <= 1e-3
+    col = gen_spinor(geom.n_sites, 1, Layout.COMPONENT_MAJOR, seed=23, geom=geom)
+    rep = BlockSpinorField.zeros(geom.n_sites, 4, Layout.COMPONENT_MAJOR, geom=geom)
+    rep.set_ksi(np.repeat(col.ksi(), 4, axis=2))
+    res = gmres_solve(op, rep, None, cfg, inner=twin)
+    assert max(float(np.ptp(h)) for h in res.history) == 0.0
+    assert (res.final_relnorms <= 1e-8).all()

@@ -269,3 +269,43 @@ def test_rank_fault_in_a_solve_is_attributed_at_once(solve_problem, monkeypatch)
     assert err.value.rank == 1
     monkeypatch.setattr(dirac, "subtract_hops", real)
     assert np.array_equal(solve_dirac(params, gauge, clover, eta, cfg, comm=ex).psi.data, single.psi.data)
+
+
+@pytest.mark.parametrize("grid", [(1, 1, 1, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+def test_single_precision_twin_multirank_bitwise(problem, grid, layout):
+    # the complex64 twin keeps the multi-rank invariant: every rank's rows
+    # are cast copies of the same values, and the sweep runs the same float32
+    # operations per site, so the executor apply equals the single-rank one
+    geom, gauge, clover, params, psi, _ = problem
+    psi = psi.convert(layout).astype(np.complex64)
+    single = DiracOperator(params, gauge, clover).astype(np.complex64)(psi)
+    twin = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid))).astype(np.complex64)
+    runs = [twin(psi) for _ in range(2)]
+    assert runs[0].dtype == np.complex64
+    for eta in runs:
+        assert np.array_equal(eta.data, single.data)
+
+
+def test_mixed_solve_uses_the_twin_and_matches_single_rank_bitwise(solve_problem, monkeypatch):
+    # the Arnoldi steps apply the complex64 twin and every residual the
+    # complex128 operator, on one rank and on two alike
+    gauge, clover, params, eta, cfg, single = solve_problem
+    real = DiracOperator.__call__
+    seen = []
+
+    def recorded(self, psi):
+        seen.append((self.comm is not None, psi.dtype))
+        return real(self, psi)
+
+    monkeypatch.setattr(DiracOperator, "__call__", recorded)
+    again = solve_dirac(params, gauge, clover, eta, cfg)
+    report = solve_dirac(params, gauge, clover, eta, cfg, comm=MultiRankExecutor(RankGrid((1, 1, 1, 2))))
+    cycles = -(-single.iterations // cfg.restart_len)
+    for routed in (False, True):
+        calls = [dtype for comm, dtype in seen if comm == routed]
+        assert calls.count(np.complex64) == single.iterations
+        assert calls.count(np.complex128) == cycles + 1
+    assert np.array_equal(again.psi.data, single.psi.data)
+    assert np.array_equal(report.psi.data, single.psi.data)
+    assert (report.full_relnorms <= cfg.tol).all()

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lqcdlab import oddeven
 from lqcdlab.blas import block_norms
 from lqcdlab.dirac import DiracParams, apply_dirac
 from lqcdlab.fields import (
@@ -264,3 +265,38 @@ def test_schur_apply_peak_temporaries(layout):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * v.data.nbytes
+
+
+@pytest.mark.parametrize("keep_parity", [0, 1])
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_single_precision_twin_matches_float64_apply(problem, monkeypatch, keep_parity, layout, b):
+    geom, gauge, clover, params = problem
+    schur = SchurOperator(params, gauge, clover, keep_parity=keep_parity)
+    for name in ("site_blocks", "link_matrices", "_invert_blocks"):
+        monkeypatch.setattr(oddeven, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+    twin = schur.astype(np.complex64)
+    assert (schur.dtype, twin.dtype) == (np.complex128, np.complex64)
+    assert schur.astype(np.complex128) is schur
+    # both hops of the twin still share one link-matrix array per parity
+    assert twin._to_kept.dst_links is twin._to_elim.src_links
+    assert twin._to_kept.src_links is twin._to_elim.dst_links
+    v = gen_spinor(schur.n_sites, b, layout, seed=79)
+    ref = schur(v)
+    got = twin(v.astype(np.complex64))
+    assert got.dtype == np.complex64
+    assert np.linalg.norm(got.data - ref.data) <= 1e-6 * np.linalg.norm(ref.data)
+
+
+def test_schur_rejects_a_field_of_the_other_precision(problem):
+    geom, gauge, clover, params = problem
+    schur = SchurOperator(params, gauge, clover)
+    v = gen_spinor(schur.n_sites, 2, Layout.RHS_MAJOR, seed=80)
+    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=81, geom=geom)
+    with pytest.raises(ValueError, match="dtype complex64 given to an operator of dtype complex128"):
+        schur.apply(v.astype(np.complex64))
+    twin = schur.astype(np.complex64)
+    for call in (lambda: twin.apply(v), lambda: twin.reduce_rhs(eta),
+                 lambda: twin.reconstruct(v, v)):
+        with pytest.raises(ValueError, match="dtype complex128 given to an operator of dtype complex64"):
+            call()
