@@ -161,14 +161,9 @@ def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField) -> BlockSpino
 # Destination sites per chunk of the hop sweep: about 2048 site-rhs pairs, so
 # that the gathered spinors, half spinors and accumulator of one chunk stay
 # inside L2, and at least 64 sites, so that the per-chunk numpy call overhead
-# stays small at large b.  A rank's sweep takes at least 256 sites: rank
-# threads contend for the interpreter lock between numpy calls, so fewer,
-# larger chunks pay off there (the (1,1,1,2) b=16 apply on a 2-vCPU VM ran
-# about 10% faster in complex128 and 15-20% in complex64), while one sweep
-# over the whole lattice at b=16 ran faster with 128-site chunks.
+# stays small at large b.
 _CHUNK_SITE_RHS = 2048
 _MIN_CHUNK_SITES = 64
-_MIN_RANK_CHUNK_SITES = 256
 
 
 def _real_form(z: np.ndarray) -> np.ndarray:
@@ -306,7 +301,7 @@ def subtract_hops(
 
     n, b = eta.n_sites, eta.b
     out = _rows(eta)
-    step = max(_MIN_CHUNK_SITES if comm is None else _MIN_RANK_CHUNK_SITES, _CHUNK_SITE_RHS // b)
+    step = max(_MIN_CHUNK_SITES, _CHUNK_SITE_RHS // b)
     acc_buf = np.empty((2, min(step, n), b, 2, N_COLOR), dtype=out.dtype)
     for lo in range(0, n, step):
         hi = min(lo + step, n)

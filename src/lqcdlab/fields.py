@@ -12,7 +12,10 @@ precision, complex128 (the default) or complex64:
 
 For b = 1 the two orders coincide.  Solvers that work one rhs at a time
 copy a field to and from the layout-free *column form*, a (b, n_sites*s)
-array whose row i is column i, contiguous.  A field keeps its precision
+array whose row i is column i, contiguous; the column form may be of
+lower precision than the field, which then scales what it adds from it
+in its own precision (:meth:`~BlockSpinorField.add_scaled_column_form`).
+A field keeps its precision
 through :meth:`BlockSpinorField.zeros_like`, :meth:`~BlockSpinorField.copy`,
 :meth:`~BlockSpinorField.convert` and the site gathers; only
 :meth:`~BlockSpinorField.astype` changes it.  Gauge links are 3x3
@@ -196,6 +199,21 @@ class BlockSpinorField:
             dst += values
         else:
             dst[...] = values
+
+    def add_scaled_column_form(self, src: np.ndarray, scale: np.ndarray) -> None:
+        """Add ``scale[i]`` times column i of a (b, n_sites*s) column-form array.
+
+        The product is formed in the field's precision, a chunk of sites at
+        a time, so ``src`` may be of lower precision than its scaled values.
+        """
+        dst = self.ksi()
+        values = src.reshape(self.b, self.n_sites, self.s).transpose(1, 2, 0)
+        scale = np.asarray(scale, dtype=np.finfo(self.dtype).dtype)
+        step = max(1, _STORE_CHUNK_SITE_RHS // self.b)
+        for x0 in range(0, self.n_sites, step):
+            part = values[x0 : x0 + step].astype(self.dtype)
+            part *= scale
+            dst[x0 : x0 + step] += part
 
 
 def _describe(f: BlockSpinorField) -> str:

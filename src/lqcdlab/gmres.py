@@ -19,6 +19,13 @@ single precision at half the bytes, while psi, every restart residual and
 the final residual stay complex128.  Each cycle's single-precision
 correction V y is added to the complex128 psi, so rounding in one cycle
 only limits how far that cycle gets, never the accuracy the solve reports.
+Such a cycle ends once every column's estimate has fallen
+``RELIABLE_UPDATE_DELTA`` below its restart residual, before the estimate
+reaches the single-precision rounding of the correction; the next
+restart residual then measures the solve, not that rounding.  The basis
+stores the residual normalized in complex128, and the correction is
+formed from y / ||r0|| and scaled back in complex128, so the solve works
+at any scale of eta that complex128 holds.
 
 A NaN or infinite residual norm in any rhs stops the solve at once with a
 :class:`NonFiniteResidualError`, checked after every restart residual and
@@ -46,9 +53,13 @@ coefficients h and rotation pairs (c real, s complex),
     gamma[j+1] = -conj(s_j) gamma[j],   gamma[j] = c_j gamma[j],
 
 so |gamma[j+1]| tracks the true residual norm of that rhs without forming
-it.  A subdiagonal norm at or below 1e-14 * ||eta|| is a happy breakdown:
-the affected rhs is exactly solved in the basis built so far; its basis
-rows are zeroed (and stay zero) and the lockstep continues unharmed.
+it.  A subdiagonal norm at or below 1e-14 * ||op v_j|| is a happy
+breakdown: the affected rhs is exactly solved in the basis built so far
+(to the basis' precision); its basis rows are zeroed for the rest of the
+cycle and the lockstep continues unharmed.  The next cycle starts that rhs
+afresh, so a column solved only to single precision gets a full cycle
+again.  ``GmresResult.breakdown`` marks the columns that broke down in any
+cycle.
 
 A benchmark mode runs exactly restarts * restart_len iterations with the
 tolerance check disabled, which keeps runs branch-free and comparable
@@ -71,6 +82,15 @@ from .oddeven import SchurOperator
 log = logging.getLogger(__name__)
 
 _TINY = 1e-300
+
+# A cycle whose basis has lower precision than the solution ends once every
+# column's estimate has fallen by this factor below its restart residual (or
+# below tol): the reliable-update threshold of defect correction.  A complex64
+# cycle's correction carries rounding of about 1e-8 of that residual, so the
+# next restart residual stays some 1e5 times above it.  (At 1e-6 the 4^4
+# even/odd system's restart residuals were up to 1.5e-2 apart between a batch
+# and its single columns, at 1e-3 6e-5; no iteration count moved.)
+RELIABLE_UPDATE_DELTA = 1e-3
 
 
 class NonFiniteResidualError(np.linalg.LinAlgError):
@@ -117,7 +137,8 @@ class SolverWorkspace:
     sn: np.ndarray              # (b, rl) rotation sines, complex
     relnorm: np.ndarray         # (b,)
     eta_norms: np.ndarray       # (b,)
-    breakdown: np.ndarray       # (b,) bool
+    start_norms: np.ndarray     # (b,) norms of the cycle's restart residual
+    breakdown: np.ndarray       # (b,) bool, this cycle
     j_done: int = 0
 
     @classmethod
@@ -137,6 +158,7 @@ class SolverWorkspace:
             sn=np.zeros((b, restart_len), dtype=np.complex128),
             relnorm=np.zeros(b),
             eta_norms=eta_norms,
+            start_norms=np.zeros(b),
             breakdown=np.zeros(b, dtype=bool),
         )
 
@@ -149,7 +171,7 @@ class GmresResult:
     converged: np.ndarray            # (b,) bool, from explicit final residuals
     final_relnorms: np.ndarray       # (b,), explicit
     stagnated: bool = False
-    breakdown: np.ndarray | None = None
+    breakdown: np.ndarray | None = None  # (b,) bool, a breakdown in any cycle
 
 
 def _residual_norms(r: BlockSpinorField, eta: BlockSpinorField) -> np.ndarray:
@@ -163,6 +185,11 @@ def _residual_norms(r: BlockSpinorField, eta: BlockSpinorField) -> np.ndarray:
 def _relative(norms: np.ndarray, eta_norms: np.ndarray) -> np.ndarray:
     """Per-rhs norms relative to ||eta||; 0 for a vanishing eta column."""
     return np.where(eta_norms > 0, norms / np.maximum(eta_norms, _TINY), 0.0)
+
+
+def _inverse(norms: np.ndarray) -> np.ndarray:
+    """1/norms, and 0 for a vanishing norm."""
+    return np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
 
 
 def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +224,9 @@ def arnoldi_step(op, ws: SolverWorkspace, j: int, cfg: GmresConfig) -> None:
         block_axpy(-h2, qi, wi)
         ws.h_raw[i, : j + 1, j] = (h + h2)[0]
         hnext[i] = block_norms(wi)[0]
-    ws.breakdown |= hnext <= cfg.breakdown_rel * ws.eta_norms
+    # ||op v_j||, from the orthogonal split of the column: the test is scale-free
+    wnorm = np.sqrt((np.abs(ws.h_raw[:, : j + 1, j]) ** 2).sum(axis=1) + hnext**2)
+    ws.breakdown |= hnext <= cfg.breakdown_rel * wnorm
     ws.h_raw[:, j + 1, j] = np.where(ws.breakdown, 0.0, hnext)
     inv = np.where(ws.breakdown | (hnext <= 0), 0.0, 1.0 / np.where(hnext > 0, hnext, 1.0))
     block_scale(inv, w)
@@ -242,21 +271,36 @@ def update_solution(ws: SolverWorkspace, y: np.ndarray, psi: BlockSpinorField) -
     """psi += V y for (b, m) coefficients y: one gemv per column, one copy-add.
 
     The sum is formed in the last basis row, which the update does not read
-    (m <= restart_len) and no later step of the cycle needs.
+    (m <= restart_len) and no later step of the cycle needs.  A basis of
+    lower precision than psi forms V (y / ||r0||), whose size does not
+    depend on the residual's, and psi adds it times ||r0|| in its own
+    precision, so a residual far outside the basis' range neither
+    overflows nor sinks into its subnormals.
     """
     acc = ws.basis[-1]
     acc[:] = 0.0
-    block_axpy(y, ws.basis[: y.shape[1]], acc)
-    psi.load_column_form(acc, add=True)
+    m = y.shape[1]
+    if acc.dtype == psi.dtype:
+        block_axpy(y, ws.basis[:m], acc)
+        psi.load_column_form(acc, add=True)
+        return
+    r0 = ws.start_norms
+    block_axpy(y * _inverse(r0)[:, None], ws.basis[:m], acc)
+    psi.add_scaled_column_form(acc, r0)
 
 
 def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField, ws: SolverWorkspace) -> np.ndarray:
-    """True-residual restart: V[0] = (eta - op psi)/||.||, gamma = ||.|| e1."""
+    """True-residual restart: V[0] = (eta - op psi)/||.||, gamma = ||.|| e1.
+
+    The residual is normalized in its own precision before the basis, which
+    may be of lower precision, stores it.
+    """
     r = op(psi)
     norms = _residual_norms(r, eta)
+    block_scale(_inverse(norms), r)
     r.store_column_form(ws.basis[0])
-    inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
-    block_scale(inv, ws.basis[0])
+    ws.start_norms = norms
+    ws.breakdown[:] = False
     ws.h[:] = 0.0
     ws.h_raw[:] = 0.0
     ws.gamma[:] = 0.0
@@ -281,7 +325,9 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     ``inner`` (default ``op``) is the operator the Arnoldi steps apply, for
     instance a lower-precision twin of ``op``; its ``dtype`` attribute
     (default eta's) is the precision of the Krylov basis.  The solution
-    stays in eta's precision, and each cycle's correction is added to it.
+    stays in eta's precision, and each cycle's correction is added to it;
+    with a basis of lower precision a cycle also ends at the
+    reliable-update threshold (except under ``fixed_iterations``).
 
     A ``psi0`` whose site count, spinor length, rhs count or layout differs
     from ``eta``'s raises ``ValueError`` before the operator is called.
@@ -294,6 +340,8 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     eta_norms = block_norms(eta)
     ws = SolverWorkspace.allocate(eta, cfg.restart_len, eta_norms, getattr(inner, "dtype", eta.dtype))
 
+    reliable = ws.basis.dtype != psi.dtype
+    breakdown = np.zeros(eta.b, dtype=bool)
     history: list[np.ndarray] = []
     iterations = 0
     stagnated = False
@@ -309,8 +357,14 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
             iterations += 1
             _check_finite(ws, iterations)
             history.append(ws.relnorm.copy())
-            if not cfg.fixed_iterations and ws.relnorm.max() < cfg.tol:
+            if cfg.fixed_iterations:
+                continue
+            done = ws.relnorm < cfg.tol
+            if reliable:
+                done |= ws.relnorm <= RELIABLE_UPDATE_DELTA * start_rel
+            if done.all():
                 break
+        breakdown |= ws.breakdown
         update_solution(ws, least_squares_update(ws), psi)
         if ws.j_done == cfg.restart_len and np.all(ws.relnorm >= start_rel) and start_norms.max() > 0:
             stagnated = True
@@ -323,7 +377,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
         converged=final_relnorms <= max(cfg.tol, 1e-300),
         final_relnorms=final_relnorms,
         stagnated=stagnated,
-        breakdown=ws.breakdown.copy(),
+        breakdown=breakdown,
     )
 
 

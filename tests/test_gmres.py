@@ -475,16 +475,84 @@ def test_mixed_solve_zero_and_eigenvector_columns():
     assert res.converged.all()
 
 
-def test_mixed_batched_vs_independent(problem):
+@pytest.mark.parametrize("m0", [1.0, 0.0, -0.5])
+@pytest.mark.parametrize("odd_even", [False, True])
+def test_mixed_batched_vs_independent(problem, m0, odd_even):
+    # a single-precision cycle ends at the reliable-update threshold, so no
+    # restart residual sinks into float32 rounding, which differs between a
+    # batch and a single column (the even/odd system converges fast enough
+    # to get there within one cycle)
     geom, gauge, clover = problem
-    op = dirac_op(DiracParams(m0=1.0), gauge, clover)
-    twin = op.astype(np.complex64)
+    params = DiracParams(m0=m0)
     cfg = GmresConfig(tol=1e-8, restarts=40)
     eta = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=22, geom=geom)
-    assert batched_vs_independent_audit(op, eta, None, cfg, inner=twin) <= 1e-3
     col = gen_spinor(geom.n_sites, 1, Layout.COMPONENT_MAJOR, seed=23, geom=geom)
     rep = BlockSpinorField.zeros(geom.n_sites, 4, Layout.COMPONENT_MAJOR, geom=geom)
     rep.set_ksi(np.repeat(col.ksi(), 4, axis=2))
+    op = dirac_op(params, gauge, clover)
+    if odd_even:
+        op = oddeven.SchurOperator(params, gauge, clover)
+        eta, rep = op.reduce_rhs(eta)[0], op.reduce_rhs(rep)[0]
+    twin = op.astype(np.complex64)
+    assert batched_vs_independent_audit(op, eta, None, cfg, inner=twin) <= 1e-3
     res = gmres_solve(op, rep, None, cfg, inner=twin)
     assert max(float(np.ptp(h)) for h in res.history) == 0.0
     assert (res.final_relnorms <= 1e-8).all()
+
+
+@pytest.mark.parametrize("odd_even", [False, True])
+def test_mixed_solve_layout_invariance(problem, odd_even):
+    # the mixed-precision counterpart of acceptance criterion 03's solve
+    geom, gauge, clover = problem
+    params = DiracParams(m0=1.0)
+    cfg = GmresConfig(restart_len=10, restarts=10, fixed_iterations=True)
+    eta = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=2045, geom=geom)
+    one = solve_dirac(params, gauge, clover, eta, cfg, odd_even=odd_even)
+    two = solve_dirac(params, gauge, clover, eta.convert(Layout.COMPONENT_MAJOR), cfg, odd_even=odd_even)
+    diff = np.abs(one.psi.ksi() - two.psi.ksi()).max() / np.abs(one.psi.ksi()).max()
+    assert diff <= 1e-8
+
+
+@pytest.mark.parametrize("odd_even", [False, True])
+def test_mixed_solve_at_any_scale(problem, odd_even):
+    # the basis holds the normalized residual and psi adds the correction
+    # times ||r0|| in complex128, so an eta far outside float32's range
+    # (or deep in its subnormals) solves like eta itself
+    geom, gauge, clover = problem
+    params = DiracParams(m0=1.0)
+    cfg = GmresConfig(tol=1e-8, restarts=40)
+    eta = gen_spinor(geom.n_sites, 3, Layout.COMPONENT_MAJOR, seed=97, geom=geom)
+    base = solve_dirac(params, gauge, clover, eta, cfg, odd_even=odd_even)
+    for scale in (1e-32, 1e40):
+        scaled = eta.copy()
+        scaled.ksi()[...] *= scale
+        rep = solve_dirac(params, gauge, clover, scaled, cfg, odd_even=odd_even)
+        assert rep.result.converged.all()
+        assert rep.iterations == base.iterations
+        assert (rep.full_relnorms <= 1e-8).all()
+        assert not rep.result.breakdown.any()
+        if not odd_even:
+            # the breakdown test is scale-free on the float64 path as well
+            plain = gmres_solve(dirac_op(params, gauge, clover), scaled, None, cfg)
+            assert plain.converged.all() and not plain.breakdown.any()
+
+
+def test_breakdown_holds_for_one_cycle_only():
+    # rhs column 0 starts in a 2-dimensional invariant subspace of [[0, c],
+    # [c, 0]] with c = 0.3: its complex64 cycle breaks down exactly after
+    # two steps, with a solution only as exact as float32 (2.4e-8 relative
+    # residual), so the column needs a second cycle, which must run both steps again (a breakdown
+    # carried over would zero it after one step, where the Hessenberg
+    # diagonal is 0, and it would never move again)
+    n = 8
+    a = np.diag(np.linspace(1.0, 3.0, 12 * n)).astype(np.complex128)
+    a[:2, :2] = [[0.0, 0.3], [0.3, 0.0]]
+    eta = gen_spinor(n, 3, Layout.RHS_MAJOR, seed=24)
+    eta.ksi()[:, :, 0] = 0.0
+    eta.ksi()[0, 0, 0] = 1.0
+    cfg = GmresConfig(tol=1e-10, restarts=40)
+    res = gmres_solve(matrix_op(a), eta, None, cfg, inner=matrix_op(a.astype(np.complex64)))
+    assert res.breakdown.tolist() == [True, False, False]
+    assert res.converged.all()
+    explicit = np.linalg.norm(eta.columns() - a @ res.psi.columns(), axis=0) / np.linalg.norm(eta.columns(), axis=0)
+    assert (explicit <= cfg.tol).all()
