@@ -24,7 +24,7 @@ from .fields import (
 )
 from .geometry import LatticeGeometry, RankGrid, decompose
 from .gmres import GmresConfig, GmresResult, gmres_solve, solve_dirac
-from .halo import MultiRankExecutor, apply_dirac_multirank
+from .halo import MultiRankExecutor
 from .oddeven import SchurOperator
 from .perf import arithmetic_intensity, effective_bandwidth, read_write_ratio, theoretical_perf
 
@@ -44,7 +44,6 @@ __all__ = [
     "SchurOperator",
     "account_traffic",
     "apply_dirac",
-    "apply_dirac_multirank",
     "arithmetic_intensity",
     "canonical",
     "config_hash",

@@ -286,15 +286,3 @@ class MultiRankExecutor:
         """eta = D psi through the ranks: build a :class:`lqcdlab.dirac.DiracOperator` and apply it once."""
         return _dirac.DiracOperator(params, gauge, clover, comm=self)(psi)
 
-
-def apply_dirac_multirank(
-    params: _dirac.DiracParams,
-    gauge: GaugeField,
-    clover: CloverField,
-    psi: BlockSpinorField,
-    grid: RankGrid,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> tuple[BlockSpinorField, MultiRankExecutor]:
-    """One-shot multi-rank apply; returns the result and the executor (stats)."""
-    ex = MultiRankExecutor(grid, timeout=timeout)
-    return ex.apply_dirac(params, gauge, clover, psi), ex

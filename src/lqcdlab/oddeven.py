@@ -27,7 +27,11 @@ into the link matrices:
 
     S v       = D_ee v - H_eo (N t),    t = 0 - H_oe v,
     reduced   = eta_e - H_eo (N eta_o),
-    x_o       = N (-eta_o - H_oe x_e).
+    x_o       = N (-eta_o - H_oe x_e),
+    D x       = (D_ee x_e - H_eo x_o,  D_oo x_o - H_oe x_e),
+
+the last (:meth:`SchurOperator.apply_full`, D_oo kept beside N) giving a
+solve's final residual, so a solve builds site blocks and links once.
 
 Negation is exact, so every value is the one the algebra written with
 D_oo^-1 gives.  N is the negated batched inverse of the eliminated 6x6
@@ -79,8 +83,8 @@ def split_fields(v: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorFiel
 
 
 def merge_fields(v_even: BlockSpinorField, v_odd: BlockSpinorField, geom: LatticeGeometry) -> BlockSpinorField:
-    """Inverse of :func:`split_fields`."""
-    out = BlockSpinorField.zeros(geom.n_sites, v_even.b, v_even.layout, v_even.s, geom)
+    """Inverse of :func:`split_fields`, at the halves' precision."""
+    out = BlockSpinorField.zeros(geom.n_sites, v_even.b, v_even.layout, v_even.s, geom, v_even.dtype)
     out.put_sites(geom.even_sites, v_even)
     out.put_sites(geom.odd_sites, v_odd)
     return out
@@ -159,7 +163,7 @@ class SchurOperator:
     with N = -D_ee'^-1, and D_kk) and one hop sweep per off-diagonal block
     that subtracts into the destination field; the module docstring gives
     the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
-    taken at build time: it keeps the diagonal blocks of the kept parity,
+    taken at build time: it keeps the diagonal blocks of both parities,
     N and the link matrices of both parities, all copied, so editing the
     fields in place afterwards does not change it.  Build a new operator
     for new fields.
@@ -188,7 +192,8 @@ class SchurOperator:
 
         diag = site_blocks(params, clover)
         self._diag_kept = diag[self.keep_sites]
-        self._neg_inv = _invert_blocks(diag[self.elim_sites], self.elim_sites)
+        self._diag_elim = diag[self.elim_sites]
+        self._neg_inv = _invert_blocks(self._diag_elim, self.elim_sites)
         np.negative(self._neg_inv, out=self._neg_inv)
         parity_links = tuple(link_matrices(gauge.data[sites]) for sites in parity_sites)
         self._to_elim = ParityHop.build(geom, parity_links, 1 - keep_parity)
@@ -203,7 +208,8 @@ class SchurOperator:
 
         The twin holds cast copies of the kept blocks, N and the two
         parities' link matrices, still one array per parity shared by both
-        hops, and shares the site sets and neighbor tables.
+        hops, and shares the site sets, the neighbor tables and, uncast,
+        the eliminated blocks that only :meth:`apply_full` reads.
         """
         if np.dtype(dtype) == self.dtype:
             return self
@@ -249,6 +255,16 @@ class SchurOperator:
         t = replace(eta_elim, data=-eta_elim.data)
         self._to_elim(x_kept, t)
         return self.solve_eliminated(t)
+
+    def apply_full(self, psi: BlockSpinorField) -> BlockSpinorField:
+        """D psi on the whole lattice: D_kk x_k - H_ke x_e on the kept parity, D_ee x_e - H_ek x_k on the other."""
+        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype)
+        x_kept, x_elim = psi.take_sites(self.keep_sites), psi.take_sites(self.elim_sites)
+        out_kept = apply_self_coupling(self._diag_kept, x_kept)
+        self._to_kept(x_elim, out_kept)
+        out_elim = apply_self_coupling(self._diag_elim, x_elim)
+        self._to_elim(x_kept, out_elim)
+        return self.merge(out_kept, out_elim)
 
     def merge(self, x_kept: BlockSpinorField, x_elim: BlockSpinorField) -> BlockSpinorField:
         halves = (x_kept, x_elim) if self.keep_parity == 0 else (x_elim, x_kept)

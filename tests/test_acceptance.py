@@ -14,18 +14,17 @@ import numpy as np
 import pytest
 
 from lqcdlab.blas import block_axpy, block_dot, block_norms
-from lqcdlab.dirac import DiracParams, apply_dirac
+from lqcdlab.dirac import DiracOperator, DiracParams, apply_dirac
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
 from lqcdlab.gmres import (
     GmresConfig,
     batched_vs_independent_audit,
-    dirac_op,
     gamma_residual_audit,
     gmres_solve,
     solve_dirac,
 )
-from lqcdlab.halo import apply_dirac_multirank
+from lqcdlab.halo import MultiRankExecutor
 from lqcdlab.costmodel import CostWeights, cost, direct_product, run_kernel
 from lqcdlab.oracle import assemble_dirac_dense
 from lqcdlab.perf import (
@@ -115,8 +114,8 @@ def test_criterion_03_layout_invariance(lattice44):
     cfg = GmresConfig(restart_len=10, restarts=10, fixed_iterations=True)
     eta_rhs1 = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=SEED + 21, geom=geom)
     eta_rhs2 = eta_rhs1.convert(Layout.COMPONENT_MAJOR)
-    sol1 = gmres_solve(dirac_op(params, gauge, clover), eta_rhs1, None, cfg)
-    sol2 = gmres_solve(dirac_op(params, gauge, clover), eta_rhs2, None, cfg)
+    sol1 = gmres_solve(DiracOperator(params, gauge, clover), eta_rhs1, None, cfg)
+    sol2 = gmres_solve(DiracOperator(params, gauge, clover), eta_rhs2, None, cfg)
     solve_diff = np.abs(sol1.psi.ksi() - sol2.psi.ksi()).max() / np.abs(sol1.psi.ksi()).max()
 
     ok = kernel_worst <= 1e-13 and solve_diff <= 1e-8
@@ -127,7 +126,7 @@ def test_criterion_03_layout_invariance(lattice44):
 def test_criterion_04_batched_vs_independent(lattice44):
     geom, gauge, clover = lattice44
     params = DiracParams(m0=1.0)
-    op = dirac_op(params, gauge, clover)
+    op = DiracOperator(params, gauge, clover)
     eta = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=SEED + 30, geom=geom)
     dev = batched_vs_independent_audit(op, eta, None, GmresConfig(tol=1e-8, restarts=40))
 
@@ -145,7 +144,7 @@ def test_criterion_04_batched_vs_independent(lattice44):
 def test_criterion_05_gamma_tracks_residual(lattice44):
     geom, gauge, clover = lattice44
     params = DiracParams(m0=-2.0)  # slow problem keeps residuals far above roundoff
-    op = dirac_op(params, gauge, clover)
+    op = DiracOperator(params, gauge, clover)
     eta = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=SEED + 40, geom=geom)
     cfg = GmresConfig(restart_len=10, restarts=10)
     dev = gamma_residual_audit(op, eta, None, cfg)
@@ -183,7 +182,7 @@ def test_criterion_07_multirank_equivalence(lattice84):
     eta_single = apply_dirac(params, gauge, clover, psi)
     worst = 0.0
     for grid in ((2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2)):
-        eta, _ = apply_dirac_multirank(params, gauge, clover, psi, RankGrid(grid))
+        eta = MultiRankExecutor(RankGrid(grid)).apply_dirac(params, gauge, clover, psi)
         worst = max(worst, float(np.abs(eta.ksi() - eta_single.ksi()).max()))
     _report(7, "multi-rank-equivalence", worst <= 1e-15,
             f"max abs deviation {worst:.1e} over grids 2111/2211/2222")

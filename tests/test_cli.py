@@ -53,6 +53,28 @@ def test_oracle_check_single_precision_suite(capsys, monkeypatch):
     assert "single-precision-dense: FAIL" in out and "schur-dense-equivalence: PASS" in out
 
 
+def test_oracle_check_schur_suite_checks_apply_full(capsys, monkeypatch):
+    # the whole-lattice D that gives an even/odd solve's full residual is
+    # checked against the dense oracle beside S, and the line reports both
+    code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4")
+    assert code == 0
+    line = next(line for line in out.splitlines() if line.startswith("schur-dense-equivalence:"))
+    assert line.startswith("schur-dense-equivalence: PASS (S rel err ")
+    s_err, full_err = (float(part.split()[-1]) for part in line[line.index("(") + 1:-1].split(", "))
+    assert ", apply_full rel err " in line and s_err <= 1e-12 and full_err <= 1e-12
+    from lqcdlab.oddeven import SchurOperator
+
+    real = SchurOperator.apply_full
+
+    def rounded(self, psi):  # D applied to psi rounded to single precision: off by ~1e-8
+        return real(self, psi.astype(np.complex64).astype(np.complex128))
+
+    monkeypatch.setattr(SchurOperator, "apply_full", rounded)
+    code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4")
+    assert code == 2
+    assert "schur-dense-equivalence: FAIL (S rel err " in out and "above 1e-12" in out
+
+
 def test_oracle_check_corrupted_gauge_fails(capsys):
     code, out, err = run_cli(capsys, "oracle-check", "--corrupt-gauge")
     assert code == 2

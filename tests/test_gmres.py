@@ -8,7 +8,7 @@ import pytest
 
 from lqcdlab import dirac, gmres, oddeven
 from lqcdlab.blas import block_norms
-from lqcdlab.dirac import DiracParams
+from lqcdlab.dirac import DiracOperator, DiracParams
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
 from lqcdlab.halo import MultiRankExecutor
@@ -18,7 +18,6 @@ from lqcdlab.gmres import (
     SolverWorkspace,
     arnoldi_step,
     batched_vs_independent_audit,
-    dirac_op,
     gamma_residual_audit,
     gmres_solve,
     _start_cycle,
@@ -82,7 +81,7 @@ def test_matches_dense_solver(problem):
     geom, gauge, clover = problem
     params = DiracParams(m0=1.0)
     eta = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=5, geom=geom)
-    res = gmres_solve(dirac_op(params, gauge, clover), eta, None,
+    res = gmres_solve(DiracOperator(params, gauge, clover), eta, None,
                       GmresConfig(tol=1e-10, restarts=40))
     assert res.converged.all()
     ref = dense_solve(assemble_dirac_dense(params, gauge, clover), eta.columns())
@@ -94,7 +93,7 @@ def test_residual_history_monotone_within_cycle(problem):
     geom, gauge, clover = problem
     params = DiracParams(m0=1.0)
     eta = gen_spinor(geom.n_sites, 3, Layout.COMPONENT_MAJOR, seed=6, geom=geom)
-    res = gmres_solve(dirac_op(params, gauge, clover), eta, None, GmresConfig(tol=1e-8, restarts=40))
+    res = gmres_solve(DiracOperator(params, gauge, clover), eta, None, GmresConfig(tol=1e-8, restarts=40))
     hist = np.array(res.history)
     for j in range(1, len(hist)):
         if j % 10 == 0:
@@ -107,7 +106,7 @@ def test_fixed_iteration_protocol(problem):
     params = DiracParams(m0=1.0)
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=7, geom=geom)
     cfg = GmresConfig(restart_len=10, restarts=10, fixed_iterations=True)
-    res = gmres_solve(dirac_op(params, gauge, clover), eta, None, cfg)
+    res = gmres_solve(DiracOperator(params, gauge, clover), eta, None, cfg)
     assert res.iterations == 100
     assert len(res.history) == 100
 
@@ -140,7 +139,7 @@ def test_batched_vs_independent(problem):
     geom, gauge, clover = problem
     params = DiracParams(m0=1.0)
     eta = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=10, geom=geom)
-    dev = batched_vs_independent_audit(dirac_op(params, gauge, clover), eta, None,
+    dev = batched_vs_independent_audit(DiracOperator(params, gauge, clover), eta, None,
                                        GmresConfig(tol=1e-8, restarts=40))
     assert dev <= 1e-8
 
@@ -151,7 +150,7 @@ def test_replicated_rhs_identical_histories(problem):
     col = gen_spinor(geom.n_sites, 1, Layout.COMPONENT_MAJOR, seed=11, geom=geom)
     rep = BlockSpinorField.zeros(geom.n_sites, 4, Layout.COMPONENT_MAJOR, geom=geom)
     rep.set_ksi(np.repeat(col.ksi(), 4, axis=2))
-    res = gmres_solve(dirac_op(params, gauge, clover), rep, None, GmresConfig(tol=1e-8, restarts=40))
+    res = gmres_solve(DiracOperator(params, gauge, clover), rep, None, GmresConfig(tol=1e-8, restarts=40))
     for h in res.history:
         assert np.ptp(h) == 0.0
     cols = res.psi.ksi()
@@ -162,7 +161,7 @@ def test_gamma_tracks_explicit_residual(problem):
     geom, gauge, clover = problem
     params = DiracParams(m0=-2.0)
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=12, geom=geom)
-    dev = gamma_residual_audit(dirac_op(params, gauge, clover), eta, None,
+    dev = gamma_residual_audit(DiracOperator(params, gauge, clover), eta, None,
                                GmresConfig(restart_len=5, restarts=3))
     assert dev <= 1e-8
 
@@ -178,7 +177,7 @@ def test_gamma_audit_keeps_config_fields(problem, monkeypatch):
     monkeypatch.setattr(gmres, "arnoldi_step", spy)
     eta = gen_spinor(geom.n_sites, 1, Layout.RHS_MAJOR, seed=13, geom=geom)
     cfg = GmresConfig(restart_len=2, restarts=1, breakdown_rel=1e-3)
-    gamma_residual_audit(dirac_op(DiracParams(m0=-0.5), gauge, clover), eta, None, cfg)
+    gamma_residual_audit(DiracOperator(DiracParams(m0=-0.5), gauge, clover), eta, None, cfg)
     assert len(seen) == 2
     for used in seen:
         assert used.fixed_iterations and used.breakdown_rel == 1e-3
@@ -242,7 +241,7 @@ def test_cgs2_basis_orthonormal_after_full_cycle(problem, layout):
     eta = gen_spinor(geom.n_sites, 3, layout, seed=15, geom=geom)
     cfg = GmresConfig(restart_len=10, restarts=1, fixed_iterations=True)
     ws = SolverWorkspace.allocate(eta, cfg.restart_len, block_norms(eta))
-    op = dirac_op(DiracParams(m0=1.0), gauge, clover)
+    op = DiracOperator(DiracParams(m0=1.0), gauge, clover)
     _start_cycle(op, eta, BlockSpinorField.zeros_like(eta), ws)
     for j in range(cfg.restart_len):
         arnoldi_step(op, ws, j, cfg)
@@ -308,7 +307,6 @@ def test_odd_even_rejects_mismatched_initial_guess(problem, monkeypatch, dims):
     psi0 = gen_spinor(other.n_sites, 2, Layout.RHS_MAJOR, seed=92, geom=other)
     calls = []
     monkeypatch.setattr(gmres, "SchurOperator", lambda *args: calls.append("schur build"))
-    monkeypatch.setattr(gmres, "apply_dirac", lambda *args, **kwargs: calls.append("operator"))
     with pytest.raises(ValueError, match="psi0"):
         solve_dirac(DiracParams(m0=-0.5), gauge, clover, eta, GmresConfig(), odd_even=True, psi0=psi0)
     assert calls == []
@@ -359,6 +357,51 @@ def test_one_operator_build_per_solve(problem, monkeypatch, grid):
     report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(tol=1e-8), comm=comm)
     assert report.iterations > 2 and (report.full_relnorms <= 1e-8).all()
     assert builds == {"site_blocks": n_ranks, "link_matrices": n_ranks}
+
+
+def test_one_operator_build_per_odd_even_solve(problem, monkeypatch):
+    # the Schur operator's one build also serves the final full-system
+    # residual: one site_blocks call, each site's link matrix built once and
+    # no DiracOperator (oddeven imports both builders by name)
+    geom, gauge, clover = problem
+    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=96, geom=geom)
+    builds = {"site_blocks": 0, "link rows": 0, "DiracOperator": 0}
+    real_blocks, real_links, real_init = dirac.site_blocks, dirac.link_matrices, dirac.DiracOperator.__init__
+
+    def site_blocks(*args):
+        builds["site_blocks"] += 1
+        return real_blocks(*args)
+
+    def link_matrices(links):
+        builds["link rows"] += len(links)
+        return real_links(links)
+
+    def init(self, *args, **kwargs):
+        builds["DiracOperator"] += 1
+        real_init(self, *args, **kwargs)
+
+    for module in (dirac, oddeven):
+        monkeypatch.setattr(module, "site_blocks", site_blocks)
+        monkeypatch.setattr(module, "link_matrices", link_matrices)
+    monkeypatch.setattr(dirac.DiracOperator, "__init__", init)
+    report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(tol=1e-8), odd_even=True)
+    assert report.iterations > 2 and (report.full_relnorms <= 1e-8).all()
+    assert builds == {"site_blocks": 1, "link rows": geom.n_sites, "DiracOperator": 0}
+
+
+def test_odd_even_solve_ignores_the_executor(problem):
+    # the even/odd path, final residual included, runs single-rank: an
+    # executor changes no bit of the result and runs no epoch
+    geom, gauge, clover = problem
+    eta = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=97, geom=geom)
+    comm = MultiRankExecutor(RankGrid((1, 1, 1, 2)))
+    epoch = comm.commset.epoch
+    runs = [solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(tol=1e-8), odd_even=True, comm=c)
+            for c in (None, comm)]
+    assert comm.commset.epoch == epoch
+    assert np.array_equal(runs[0].psi.data, runs[1].psi.data)
+    assert runs[0].iterations == runs[1].iterations
+    assert np.array_equal(runs[0].full_relnorms, runs[1].full_relnorms)
 
 
 def test_solve_path_does_not_import_scipy():
@@ -419,7 +462,7 @@ def test_exact_inner_makes_the_same_op_calls(problem, odd_even):
     geom, gauge, clover = problem
     params = DiracParams(m0=1.0)
     eta = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=20, geom=geom)
-    op = dirac_op(params, gauge, clover)
+    op = DiracOperator(params, gauge, clover)
     if odd_even:
         op = oddeven.SchurOperator(params, gauge, clover)
         eta, _ = op.reduce_rhs(eta)
@@ -446,11 +489,11 @@ def test_mixed_solve_reaches_tol_in_float64_iterations(problem, m0, odd_even):
         schur = oddeven.SchurOperator(params, gauge, clover)
         float64 = gmres_solve(schur, schur.reduce_rhs(eta)[0], None, cfg)
     else:
-        float64 = gmres_solve(dirac_op(params, gauge, clover), eta, None, cfg)
+        float64 = gmres_solve(DiracOperator(params, gauge, clover), eta, None, cfg)
     assert mixed.psi.dtype == np.complex128
     assert float64.iterations <= mixed.iterations <= float64.iterations + 1
     assert (mixed.result.final_relnorms <= cfg.tol).all()
-    explicit = gmres._residual_norms(dirac_op(params, gauge, clover)(mixed.psi), eta) / block_norms(eta)
+    explicit = gmres._residual_norms(DiracOperator(params, gauge, clover)(mixed.psi), eta) / block_norms(eta)
     assert np.array_equal(explicit, mixed.full_relnorms)
     assert (explicit <= 1e-8).all()
 
@@ -489,7 +532,7 @@ def test_mixed_batched_vs_independent(problem, m0, odd_even):
     col = gen_spinor(geom.n_sites, 1, Layout.COMPONENT_MAJOR, seed=23, geom=geom)
     rep = BlockSpinorField.zeros(geom.n_sites, 4, Layout.COMPONENT_MAJOR, geom=geom)
     rep.set_ksi(np.repeat(col.ksi(), 4, axis=2))
-    op = dirac_op(params, gauge, clover)
+    op = DiracOperator(params, gauge, clover)
     if odd_even:
         op = oddeven.SchurOperator(params, gauge, clover)
         eta, rep = op.reduce_rhs(eta)[0], op.reduce_rhs(rep)[0]
@@ -533,7 +576,7 @@ def test_mixed_solve_at_any_scale(problem, odd_even):
         assert not rep.result.breakdown.any()
         if not odd_even:
             # the breakdown test is scale-free on the float64 path as well
-            plain = gmres_solve(dirac_op(params, gauge, clover), scaled, None, cfg)
+            plain = gmres_solve(DiracOperator(params, gauge, clover), scaled, None, cfg)
             assert plain.converged.all() and not plain.breakdown.any()
 
 

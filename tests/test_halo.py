@@ -15,7 +15,6 @@ from lqcdlab.halo import (
     HaloTimeoutError,
     MultiRankExecutor,
     RankFaultError,
-    apply_dirac_multirank,
 )
 from lqcdlab.projectors import HALF_SPINOR_LEN
 
@@ -184,7 +183,7 @@ def test_small_grid_layout1(problem):
     geom = gauge.geom
     psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=60, geom=geom)
     eta_single = apply_dirac(params, gauge, clover, psi)
-    eta, _ = apply_dirac_multirank(params, gauge, clover, psi, RankGrid((2, 2, 2, 2)))
+    eta = MultiRankExecutor(RankGrid((2, 2, 2, 2))).apply_dirac(params, gauge, clover, psi)
     assert np.array_equal(eta.data, eta_single.data)
 
 

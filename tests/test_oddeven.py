@@ -22,7 +22,7 @@ from lqcdlab.oddeven import (
     merge_fields,
     split_fields,
 )
-from lqcdlab.oracle import assemble_schur_dense, dense_solve
+from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense, dense_solve
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,27 @@ def test_split_merge_roundtrip(problem):
     assert np.abs(tot - parts).max() <= 1e-12 * tot.max()
 
 
+@pytest.fixture(scope="module")
+def noncubic():
+    geom = LatticeGeometry((4, 4, 2, 6))
+    gauge = gen_gauge(geom, "random", seed=66)
+    clover = gen_clover(geom, "random", scale=0.1, seed=67)
+    return geom, gauge, clover, DiracParams(m0=1.0)
+
+
+def test_merge_keeps_the_halves_precision(problem):
+    # merging two complex64 halves used to allocate a complex128 field and fail
+    geom, gauge, clover, params = problem
+    v = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=74, geom=geom).astype(np.complex64)
+    ve, vo = split_fields(v)
+    back = merge_fields(ve, vo, geom)
+    assert back.dtype == np.complex64 and np.array_equal(back.data, v.data)
+    assert np.array_equal(SchurOperator(params, gauge, clover).astype(np.complex64).merge(ve, vo).data, v.data)
+    for halves in ((ve, vo.astype(np.complex128)), (ve.astype(np.complex128), vo)):
+        with pytest.raises(ValueError, match="complex64.*complex128|complex128.*complex64"):
+            merge_fields(*halves, geom)
+
+
 def test_split_ordering_is_site_ascending(problem):
     geom, *_ = problem
     v = gen_spinor(geom.n_sites, 1, Layout.COMPONENT_MAJOR, seed=71, geom=geom)
@@ -59,11 +80,14 @@ def test_schur_matches_dense(problem):
     geom, gauge, clover, params = problem
     schur = SchurOperator(params, gauge, clover)
     dense = assemble_schur_dense(params, gauge, clover)
+    dense_full = assemble_dirac_dense(params, gauge, clover)
     for layout in (Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR):
         v = gen_spinor(schur.n_sites, 2, layout, seed=72)
         got = schur.apply(v).columns()
         ref = dense @ v.columns()
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-12
+        psi = gen_spinor(geom.n_sites, 2, layout, seed=75, geom=geom)
+        assert _rel(schur.apply_full(psi).columns(), dense_full @ psi.columns()) < 1e-12
 
 
 def test_schur_constant_field_identity():
@@ -123,6 +147,8 @@ def test_keep_parity_odd(problem):
     x_kept.set_columns(dense_solve(dense, reduced.columns()))
     psi = schur_odd.merge(x_kept, schur_odd.reconstruct(x_kept, eta_elim))
     assert _rel(apply_dirac(params, gauge, clover, psi).columns(), eta.columns()) < 1e-12
+    dense_full = assemble_dirac_dense(params, gauge, clover)
+    assert _rel(schur_odd.apply_full(psi).columns(), dense_full @ psi.columns()) < 1e-12
 
 
 @pytest.mark.parametrize("keep_parity", [0, 1])
@@ -211,7 +237,8 @@ def test_operator_is_a_build_time_snapshot(problem):
 
 
 @pytest.mark.parametrize("case", ["eta larger lattice", "eta smaller lattice", "apply half spinor",
-                                  "apply full lattice", "reconstruct b", "reconstruct layout", "reconstruct sites"])
+                                  "apply full lattice", "apply_full half lattice", "reconstruct b",
+                                  "reconstruct layout", "reconstruct sites"])
 def test_schur_rejects_mismatched_fields(problem, case):
     # every mismatch raises a ValueError naming both shapes; unchecked, a
     # larger eta would be sliced by the site lists into a wrong reduced rhs
@@ -232,6 +259,7 @@ def test_schur_rejects_mismatched_fields(problem, case):
             lambda: schur.apply(BlockSpinorField.zeros(schur.n_sites, 2, Layout.RHS_MAJOR, 6)),
             "expected full spinor field"),
         "apply full lattice": (lambda: schur.apply(eta), "field has 256 sites, Schur system has 128"),
+        "apply_full half lattice": (lambda: schur.apply_full(reduced), "field has 128 sites, gauge lattice has 256"),
         "reconstruct b": (
             lambda: schur.reconstruct(reduced, BlockSpinorField.zeros(schur.n_sites, 1)),
             r"eta_elim \(n_sites=128, s=12, b=1\) in RHS_MAJOR does not match x_kept \(n_sites=128, s=12, b=2\)"),
@@ -270,9 +298,10 @@ def test_schur_apply_peak_temporaries(layout):
 @pytest.mark.parametrize("keep_parity", [0, 1])
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
 @pytest.mark.parametrize("b", [1, 3, 16])
-def test_single_precision_twin_matches_float64_apply(problem, monkeypatch, keep_parity, layout, b):
+def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypatch, keep_parity, layout, b):
     geom, gauge, clover, params = problem
-    schur = SchurOperator(params, gauge, clover, keep_parity=keep_parity)
+    schurs = [SchurOperator(p, g, c, keep_parity=keep_parity) for _, g, c, p in (problem, noncubic)]
+    schur = schurs[0]
     for name in ("site_blocks", "link_matrices", "_invert_blocks"):
         monkeypatch.setattr(oddeven, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
     twin = schur.astype(np.complex64)
@@ -281,11 +310,17 @@ def test_single_precision_twin_matches_float64_apply(problem, monkeypatch, keep_
     # both hops of the twin still share one link-matrix array per parity
     assert twin._to_kept.dst_links is twin._to_elim.src_links
     assert twin._to_kept.src_links is twin._to_elim.dst_links
+    # the eliminated blocks are read only by apply_full, at complex128: the twin shares them uncast
+    assert twin._diag_elim is schur._diag_elim
     v = gen_spinor(schur.n_sites, b, layout, seed=79)
     ref = schur(v)
     got = twin(v.astype(np.complex64))
     assert got.dtype == np.complex64
     assert np.linalg.norm(got.data - ref.data) <= 1e-6 * np.linalg.norm(ref.data)
+    # the whole-lattice D from the parity blocks is bitwise the full operator's apply
+    for (lattice, gauge_, clover_, params_), op in zip((problem, noncubic), schurs):
+        psi = gen_spinor(lattice.n_sites, b, layout, seed=82, geom=lattice)
+        assert np.array_equal(op.apply_full(psi).data, apply_dirac(params_, gauge_, clover_, psi).data)
 
 
 def test_schur_rejects_a_field_of_the_other_precision(problem):
@@ -295,8 +330,10 @@ def test_schur_rejects_a_field_of_the_other_precision(problem):
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=81, geom=geom)
     with pytest.raises(ValueError, match="dtype complex64 given to an operator of dtype complex128"):
         schur.apply(v.astype(np.complex64))
+    with pytest.raises(ValueError, match="dtype complex64 given to an operator of dtype complex128"):
+        schur.apply_full(eta.astype(np.complex64))
     twin = schur.astype(np.complex64)
     for call in (lambda: twin.apply(v), lambda: twin.reduce_rhs(eta),
-                 lambda: twin.reconstruct(v, v)):
+                 lambda: twin.reconstruct(v, v), lambda: twin.apply_full(eta)):
         with pytest.raises(ValueError, match="dtype complex128 given to an operator of dtype complex64"):
             call()
