@@ -32,7 +32,7 @@ from .gmres import GmresConfig, solve_dirac
 from .halo import MultiRankExecutor
 from .oracle import MAX_DENSE_DIM, assemble_dirac_dense, assemble_schur_dense
 from .oddeven import SchurOperator
-from .perf import RooflineInputs, arithmetic_intensity, roofline_report, stream_bench
+from .perf import RooflineInputs, roofline_report, stream_bench
 from .projectors import check_algebra
 
 
@@ -86,11 +86,45 @@ def _build_problem(cfg: RunConfig):
     return geom, gauge, clover, eta
 
 
+def _rank_grid(cfg: RunConfig, geom: LatticeGeometry) -> RankGrid | None:
+    """The validated ``ranks.grid``, or None for a single rank."""
+    if all(g == 1 for g in cfg.grid):
+        return None
+    grid = RankGrid(tuple(cfg.grid))
+    decompose(geom, grid)  # raises for a grid the lattice does not split into
+    return grid
+
+
 def _int_list(text: str) -> list[int]:
     return [int(p) for p in text.replace(",", " ").split()]
 
 
 # -- subcommands ------------------------------------------------------------
+
+
+def _time_apply(op: DiracOperator, psi: BlockSpinorField, reps: int) -> dict:
+    """Median seconds of ``reps`` applies of ``op`` to ``psi`` after one warm-up, with the traffic ledger at psi's precision."""
+    op(psi)
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        op(psi)
+        times.append(time.perf_counter() - t0)
+    seconds = statistics.median(times)
+    traffic = account_traffic(psi.b, psi.dtype)
+    flops = traffic["flops_per_site"] * psi.n_sites
+    nbytes = traffic["bytes_per_site"] * psi.n_sites
+    return {
+        "b": psi.b,
+        "layout": int(psi.layout),
+        "dtype": psi.dtype.name,
+        "ranks": op.comm.grid.n_ranks if op.comm is not None else 1,
+        "seconds": seconds,
+        "gflops": flops / seconds / 1e9,
+        "ai": flops / nbytes,
+        "flops": flops,
+        "bytes": nbytes,
+    }
 
 
 def cmd_bench_dirac(args) -> int:
@@ -104,34 +138,17 @@ def cmd_bench_dirac(args) -> int:
     gauge = gen_gauge(geom, cfg.gauge_mode, seed=cfg.seed)
     clover = gen_clover(geom, cfg.clover_mode, cfg.clover_scale, seed=cfg.seed + 1)
     params = DiracParams(m0=cfg.m0)
+    grid = _rank_grid(cfg, geom)
+    comm = MultiRankExecutor(grid) if grid is not None else None
     records = []
     for b in b_list:
         for layout in layouts:
             psi = gen_spinor(geom.n_sites, b, layout, seed=cfg.seed + 2, geom=geom)
-            op = DiracOperator(params, gauge, clover)  # built once, outside the timed applies
-            op(psi)  # warmup
-            times = []
-            for _ in range(args.reps):
-                t0 = time.perf_counter()
-                op(psi)
-                times.append(time.perf_counter() - t0)
-            seconds = statistics.median(times)
-            traffic = account_traffic(b)
-            flops = traffic["flops_per_site"] * geom.n_sites
-            records.append({
-                "b": b,
-                "layout": layout,
-                "seconds": seconds,
-                "gflops": flops / seconds / 1e9,
-                "ai": float(arithmetic_intensity(b)),
-                "flops": flops,
-                "bytes": traffic["bytes_per_site"] * geom.n_sites,
-                "checksums": {
-                    "gauge": _checksum(gauge.data),
-                    "clover": _checksum(clover.data),
-                    "psi": _checksum(psi.data),
-                },
-            })
+            op = DiracOperator(params, gauge, clover, comm)  # built once, outside the timed applies
+            sums = {"gauge": _checksum(gauge.data), "clover": _checksum(clover.data), "psi": _checksum(psi.data)}
+            # the operator and its complex64 twin, as a solve applies them
+            for dtype in (np.complex128, np.complex64):
+                records.append({**_time_apply(op.astype(dtype), psi.astype(dtype), args.reps), "checksums": sums})
     payload = {"records": records}
     text = json.dumps(payload, indent=2)
     print(text)
@@ -152,11 +169,10 @@ def cmd_solve(args) -> int:
         tol=cfg.tol,
         fixed_iterations=cfg.fixed_iterations,
     )
-    comm = None
-    if any(g > 1 for g in cfg.grid):
-        grid = RankGrid(tuple(cfg.grid))
-        decompose(eta.geom, grid)  # validate before building the executor
-        comm = MultiRankExecutor(grid)
+    grid = _rank_grid(cfg, eta.geom)
+    # the grid is validated on either path, but the even/odd solve runs
+    # single-rank, so only a full-system solve gets an executor
+    comm = MultiRankExecutor(grid) if grid is not None and not cfg.odd_even else None
     report = solve_dirac(params, gauge, clover, eta, gcfg, odd_even=cfg.odd_even, comm=comm)
 
     prefix = cfg.out_path

@@ -6,12 +6,24 @@ One apply computes
              - sum_mu [ (I + gamma_mu)/2 U_mu(x) psi(x + mu^)
                         + (I - gamma_mu)/2 U_mu^H(x - mu^) psi(x - mu^) ].
 
-The self coupling is one batched product with the two 6x6 site blocks
-(4 + m0) I - C of every site.  The hops run as one sweep over chunks of
-destination sites, entirely in float64 matrix products on the float view
-of complex data (the real embedding of complex GEMM, "4m" in Van Zee and
-Smith, ACM TOMS 44 (2017) Art. 7): a complex row x times a complex z is the
-float row x_f times the real form of z (``_real_form``).  For each chunk
+Every stage runs in real matrix products on the float view of complex
+data (the real embedding of complex GEMM, "4m" in Van Zee and Smith, ACM
+TOMS 44 (2017) Art. 7); no stage calls complex BLAS, whose batched small
+products do not run faster on two threads than on one.
+
+The self coupling multiplies by the two 6x6 site blocks B = (4 + m0) I - C
+of every site, held in their left real form L = [Re B | Im B], a (6, 12)
+float matrix with exactly the bytes of the complex block it replaces
+(:func:`left_real_form`).  For a (6, b) complex half-spinor block x,
+L [x ; i x] = Re B x + Im B (i x) = B x, and the float view of the (12, b)
+complex stack [x ; i x] is a (12, 2b) float matrix, so each site's block
+is one real (6, 12) x (12, 2b) product whose (6, 2b) float result is the
+float view of B x.  The stack is written a chunk of sites at a time from
+the field's logical view, in either layout, into one chunk buffer.
+
+The hops run as one sweep over chunks of destination sites, entirely in
+real matrix products: a complex row x times a complex z is the float row
+x_f times the real form of z (``_real_form``).  For each chunk
 and each mu the sweep gathers psi at the +mu and -mu neighbors as spinor
 rows, one per site and rhs, and compresses them to half spinors h = K psi
 with one product by a fixed real projection matrix per side (the real form
@@ -24,12 +36,18 @@ one batched float64 ``matmul`` each, where a complex ``U @ h`` would be one
 zgemm call per site at several times the cost.  The 1/2 of the hop
 projectors is folded into W, so the projections run no 0.5 pass.  Both
 reconstructed halves go into the chunk's accumulator (A_mu^H is one more
-fixed real matrix), which is subtracted from eta once.  The chunk size
-follows from b so that a chunk's temporaries stay inside L2; each site's
-arithmetic does not depend on it.  The fixed spin matrices have entries
-0 and +-1, so each output of a projection or of A_mu^H is one input or the
-rounded sum of two, however BLAS orders its sums: bitwise what the
-structured operation gives.
+fixed real matrix), which is subtracted from eta once.
+
+Both stages take one chunk rule (``_chunk_sites``): about 2048 site-rhs
+pairs per chunk, so a chunk's temporaries stay near L2, and never fewer
+than 256 sites, so that at b = 16 each numpy call does enough work to
+amortize its fixed cost (on two rank threads a call of some 40 us scaled
+no better than 1.2x).  b <= 8 thus gets 2048 / b sites per chunk and
+b = 16 gets 256.  Each site's arithmetic does not depend on the chunking,
+so the result is bitwise the same for any chunk size.  The fixed spin
+matrices have entries 0 and +-1, so each output of a projection or of
+A_mu^H is one input or the rounded sum of two, however BLAS orders its
+sums: bitwise what the structured operation gives.
 
 One function, :func:`subtract_hops`, holds that sweep, and every caller
 passes it prebuilt link matrices and neighbor tables.  The full operator,
@@ -53,26 +71,31 @@ are given: the helpers view complex128 data as float64 and complex64 data
 as float32, and pick the spin matrices of that precision (their entries
 are 0 and +-1, so the float32 copies are exact).  An operator holds its
 arrays at one precision; :meth:`DiracOperator.astype` makes the complex64
-twin, with float32 link matrices, from cast copies of the arrays, and the
-twin is again bitwise equal across rank grids.  The solver applies the
-twin inside its Krylov cycles and the complex128 operator for every
-residual (gmres module).
+twin, with float32 site blocks and link matrices, from cast copies of the
+arrays, and the twin is again bitwise equal across rank grids.  The solver
+applies the twin inside its Krylov cycles and the complex128 operator for
+every residual (gmres module).
 
 Flop accounting counts the structured operations the operator needs: a
 complex multiply costs 6 flops, a complex add 2, a real-by-complex scale 2,
 a real add 1, a real 6x6 matrix times a 6-vector 66; sign flips, complex
-conjugation and multiplications by +-1 are free.  One apply needs 2352
-flops per site and rhs: self coupling 552; per direction 444 (two
+conjugation and multiplications by +-1 or by i are free.  One apply needs
+2352 flops per site and rhs: self coupling 552; per direction 444 (two
 compressions at 48, two link products at 132, and 84 to reconstruct and
 accumulate: three complex adds at 12, A_mu^H at 36, one more add at 12);
 the final subtraction from eta 24.  Per site come 12 (the mass added to the
-clover diagonal) and 72 (the 1/2 folded into four links).  BLAS executes
-more, because the fixed spin matrices are applied densely, zeros included:
-1128 per direction for the projections, 276 for A_mu^H, and 1260 per link
-for the embedding, 7440 per site and rhs and 5052 per site in all.  The
-traffic ledger below is a fixed analytic budget, 2574 per site and rhs,
-that arithmetic intensity and GF/s are quoted against; its breakdown is
-not recorded.
+clover diagonal) and 72 (the 1/2 folded into four links).  What numpy and
+BLAS execute, counting an n-term dot product as n multiplies and n - 1
+adds, per site and rhs: the self coupling's real products 552 (two halves,
+each 12 floats of 12 multiplies and 11 adds), the same count as the
+structured complex product, plus 72 for i x (a complex multiply by 1j per
+value, 12 values at 6); per direction 1128 for the two projections (the
+fixed spin matrices applied densely, zeros included), 264 for the two link
+products, 276 for A_mu^H and 48 for the four accumulating adds; the final
+subtraction 24.  That is 7512 per site and rhs, and per site 1260 per link
+for the embedding and 12 for the mass, 5052.  The traffic ledger below is a
+fixed analytic budget, 2574 per site and rhs, that arithmetic intensity and
+GF/s are quoted against; its breakdown is not recorded.
 """
 
 from __future__ import annotations
@@ -101,13 +124,20 @@ class DiracParams:
     m0: float = -0.5
 
 
-def account_traffic(b: int) -> dict:
-    """Per-site flop and byte ledger of one apply with b right-hand sides."""
+def account_traffic(b: int, dtype=np.complex128) -> dict:
+    """Per-site flop and byte ledger of one apply with b right-hand sides, its values of precision ``dtype``.
+
+    The bytes count each value at ``dtype``'s itemsize: 16 for complex128
+    (``BYTES_PER_VALUE``), 8 for complex64.
+    """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
+    dtype = np.dtype(dtype)
+    if dtype not in PRECISIONS:
+        raise ValueError(f"operator dtype must be complex128 or complex64, got {dtype}")
     return {
         "flops_per_site": FLOPS_PER_SITE_RHS * b,
-        "bytes_per_site": (VALUES_PER_SITE_RHS * b + VALUES_PER_SITE_FIXED) * BYTES_PER_VALUE,
+        "bytes_per_site": (VALUES_PER_SITE_RHS * b + VALUES_PER_SITE_FIXED) * dtype.itemsize,
     }
 
 
@@ -122,7 +152,7 @@ def _check_field(psi: BlockSpinorField, n_sites: int, system: str, dtype=None) -
 
 
 def _cast(arrays: tuple, dtype) -> tuple:
-    """Copies of an operator's complex site blocks and real link matrices at precision ``dtype``.
+    """Copies of an operator's arrays (site blocks in left real form, link matrices) at precision ``dtype``.
 
     Complex arrays are cast to ``dtype``, real ones to its real counterpart.
     """
@@ -150,20 +180,61 @@ def site_blocks(params: DiracParams, clover: CloverField) -> np.ndarray:
     return blocks
 
 
+# Sites per chunk of both stencil stages: about 2048 site-rhs pairs, so that
+# one chunk's temporaries stay near L2, and at least 256 sites, so that at
+# large b each numpy call amortizes its fixed cost (see the module docstring).
+_CHUNK_SITE_RHS = 2048
+_MIN_CHUNK_SITES = 256
+
+
+def _chunk_sites(b: int) -> int:
+    """Sites per chunk of the self coupling and the hop sweep for b right-hand sides."""
+    return max(_MIN_CHUNK_SITES, _CHUNK_SITE_RHS // b)
+
+
+# a row of 6 complex values as 12 floats (re, im interleaved) -> [re | im]
+_SPLIT_ROW = np.concatenate([np.arange(0, 12, 2), np.arange(1, 12, 2)])
+
+
+def left_real_form(blocks: np.ndarray) -> np.ndarray:
+    """(..., 6, 12) float matrices L = [Re B | Im B] of complex (..., 6, 6) blocks B, made in B's own storage.
+
+    Each 6-value row of B, 12 floats with real and imaginary parts
+    interleaved, is permuted in place to its 6 real parts followed by its
+    6 imaginary parts, a chunk of rows at a time, so the form takes
+    exactly B's bytes and no second whole-array copy is made.  ``blocks``
+    (C-contiguous, as every caller's are) is consumed: the returned float
+    array shares its memory.
+    """
+    rows = blocks.view(np.finfo(blocks.dtype).dtype).reshape(-1, 12)
+    for lo in range(0, len(rows), _CHUNK_SITE_RHS):
+        part = rows[lo : lo + _CHUNK_SITE_RHS]
+        part[...] = part[:, _SPLIT_ROW]
+    return rows.reshape(blocks.shape[:-1] + (12,))
+
+
 def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField) -> BlockSpinorField:
-    """eta = ((4 + m0) I - C) psi, one batched product with psi's (n_sites, 2, 6, 6) :func:`site_blocks`."""
+    """eta = B psi per site, with psi's (n_sites, 2, 6, 12) site blocks B in :func:`left_real_form`.
+
+    Chunk by chunk the stack [x ; i x] of each site's two (6, b) half-spinor
+    blocks x is written to one buffer, and one batched real product of the
+    blocks with its float view gives the float view of B x, which is copied
+    to eta.  The blocks' real precision must be psi's.
+    """
     eta = BlockSpinorField.zeros_like(psi)
     n, b = psi.n_sites, psi.b
-    np.matmul(blocks, psi.ksi().reshape(n, 2, 6, b), out=eta.ksi().reshape(n, 2, 6, b))
+    src, dst = (f.ksi().reshape(n, 2, 6, b) for f in (psi, eta))
+    step = _chunk_sites(b)
+    stack = np.empty((min(step, n), 2, 12, b), dtype=psi.dtype)
+    prod = np.empty((min(step, n), 2, 6, b), dtype=psi.dtype)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        xs, bx = stack[: hi - lo], prod[: hi - lo]
+        xs[:, :, :6] = src[lo:hi]
+        np.multiply(xs[:, :, :6], 1j, out=xs[:, :, 6:])
+        np.matmul(blocks[lo:hi], xs.view(blocks.dtype), out=bx.view(blocks.dtype))
+        dst[lo:hi] = bx
     return eta
-
-
-# Destination sites per chunk of the hop sweep: about 2048 site-rhs pairs, so
-# that the gathered spinors, half spinors and accumulator of one chunk stay
-# inside L2, and at least 64 sites, so that the per-chunk numpy call overhead
-# stays small at large b.
-_CHUNK_SITE_RHS = 2048
-_MIN_CHUNK_SITES = 64
 
 
 def _real_form(z: np.ndarray) -> np.ndarray:
@@ -301,7 +372,7 @@ def subtract_hops(
 
     n, b = eta.n_sites, eta.b
     out = _rows(eta)
-    step = max(_MIN_CHUNK_SITES, _CHUNK_SITE_RHS // b)
+    step = _chunk_sites(b)
     acc_buf = np.empty((2, min(step, n), b, 2, N_COLOR), dtype=out.dtype)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -331,11 +402,12 @@ class DiracOperator:
     """D for one ``(params, gauge, clover)``, as a snapshot taken at build time.
 
     The build makes the site blocks (:func:`site_blocks`, the mass folded
-    in) and the link matrices (:func:`link_matrices`) of the whole lattice
-    once, and every call reuses them with the periodic neighbor tables, so
-    a solve that builds one operator pays for them once and not on every
-    apply.  Both arrays are copies: editing the fields in place afterwards
-    does not change the operator.  Build a new one for new fields.
+    in, kept in :func:`left_real_form`) and the link matrices
+    (:func:`link_matrices`) of the whole lattice once, and every call
+    reuses them with the periodic neighbor tables, so a solve that builds
+    one operator pays for them once and not on every apply.  Both arrays
+    are copies: editing the fields in place afterwards does not change the
+    operator.  Build a new one for new fields.
 
     With a :class:`lqcdlab.halo.MultiRankExecutor` as ``comm``, the build
     keeps each rank's domain and its rows of both arrays instead, each rank
@@ -358,7 +430,7 @@ class DiracOperator:
         self.geom = gauge.geom
         self.comm = comm
         if comm is None:
-            self._blocks = site_blocks(params, clover)
+            self._blocks = left_real_form(site_blocks(params, clover))
             self._links = link_matrices(gauge.data)
             self._fwd = [self.geom.neighbor_table(mu, +1) for mu in range(NDIM)]
             self._back = [self.geom.neighbor_table(mu, -1) for mu in range(NDIM)]
@@ -369,7 +441,7 @@ class DiracOperator:
             def build_rank(rank: int, _comm) -> None:
                 # from the rank's slices of the fields, so no whole-lattice array is made
                 dom = domains[rank]
-                blocks = site_blocks(params, CloverField(dom.local_geom, clover.data[dom.global_sites]))
+                blocks = left_real_form(site_blocks(params, CloverField(dom.local_geom, clover.data[dom.global_sites])))
                 self._ranks[rank] = (dom, blocks, link_matrices(gauge.data[dom.global_sites]))
 
             comm.run_ranks(build_rank)

@@ -5,7 +5,8 @@ Arnoldi basis, Hessenberg matrix, Givens rotation pair, and residual norm
 per rhs, advanced together so every operator apply works on the whole
 block at once, while the Gram-Schmidt kernels run per column.  The batch
 stops as one, and only on an explicit residual: every restart recomputes
-the true residual eta - op(psi), and the solve ends when its max over rhs
+the true residual eta - op(psi) (from a zero initial guess the first one
+is eta, with no operator call), and the solve ends when its max over rhs
 of the relative norm is at or below the tolerance.  The rotation estimate
 inside a cycle only ends the cycle; the next restart residual decides, and
 the last one is returned as the final residual.
@@ -290,14 +291,20 @@ def update_solution(ws: SolverWorkspace, y: np.ndarray, psi: BlockSpinorField) -
     psi.add_scaled_column_form(acc, r0)
 
 
-def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField, ws: SolverWorkspace) -> np.ndarray:
+def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField | None, ws: SolverWorkspace) -> np.ndarray:
     """True-residual restart: V[0] = (eta - op psi)/||.||, gamma = ||.|| e1.
 
-    The residual is normalized in its own precision before the basis, which
-    may be of lower precision, stores it.
+    A ``psi`` of None stands for the zero field, whose residual is eta
+    itself: it is taken without an operator call.  The residual is
+    normalized in its own precision before the basis, which may be of
+    lower precision, stores it.
     """
-    r = op(psi)
-    norms = _residual_norms(r, eta)
+    if psi is None:
+        r = eta.copy()
+        norms = block_norms(r)
+    else:
+        r = op(psi)
+        norms = _residual_norms(r, eta)
     block_scale(_inverse(norms), r)
     r.store_column_form(ws.basis[0])
     ws.start_norms = norms
@@ -321,7 +328,10 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     only when one of them is at or below ``tol`` in every column (or when
     the restarts run out); the rotation estimate ends a cycle, not the
     solve.  The last restart residual is the final residual, so a solve
-    whose estimate is right makes no extra operator call.
+    whose estimate is right makes no extra operator call.  Without
+    ``psi0`` the first restart residual is eta itself, taken without
+    applying ``op`` to the zero field, so such a solve calls ``op`` once
+    per cycle.
 
     ``inner`` (default ``op``) is the operator the Arnoldi steps apply, for
     instance a lower-precision twin of ``op``; its ``dtype`` attribute
@@ -347,7 +357,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     iterations = 0
     stagnated = False
     for cycle in range(cfg.restarts + 1):
-        start_norms = _start_cycle(op, eta, psi, ws)
+        start_norms = _start_cycle(op, eta, None if cycle == 0 and psi0 is None else psi, ws)
         _check_finite(ws, iterations)
         final_relnorms = ws.relnorm
         if cycle == cfg.restarts or (not cfg.fixed_iterations and final_relnorms.max() <= cfg.tol):

@@ -18,7 +18,9 @@ x_o = D_oo^-1 (eta_o - D_oe x_e).
 The keep parity defaults to even.  The operator runs on the stencil's two
 primitives only: site-block products
 (:func:`lqcdlab.dirac.apply_self_coupling`, with the kept parity's blocks
-or with N = -D_oo^-1) and the hop sweep
+or with N = -D_oo^-1, each held as the real (6, 12) matrices
+[Re B | Im B] that the self coupling multiplies in real arithmetic) and
+the hop sweep
 (:func:`lqcdlab.dirac.subtract_hops`), which subtracts the hop sum H
 straight from its destination field; the off-diagonal blocks are
 D_eo = -H_eo and D_oe = -H_oe.  Storing the inverses negated folds that
@@ -53,8 +55,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, link_matrices,
-                    site_blocks, subtract_hops)
+from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, left_real_form,
+                    link_matrices, site_blocks, subtract_hops)
 from .fields import BlockSpinorField, CloverField, GaugeField, check_matching
 from .geometry import NDIM, LatticeGeometry
 
@@ -163,10 +165,11 @@ class SchurOperator:
     with N = -D_ee'^-1, and D_kk) and one hop sweep per off-diagonal block
     that subtracts into the destination field; the module docstring gives
     the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
-    taken at build time: it keeps the diagonal blocks of both parities,
-    N and the link matrices of both parities, all copied, so editing the
-    fields in place afterwards does not change it.  Build a new operator
-    for new fields.
+    taken at build time: it keeps the diagonal blocks of both parities
+    and N, each in :func:`lqcdlab.dirac.left_real_form` (N inverted from
+    the complex blocks first), and the link matrices of both parities, all
+    copied, so editing the fields in place afterwards does not change it.
+    Build a new operator for new fields.
 
     As :class:`lqcdlab.dirac.DiracOperator`, it runs at one precision,
     ``dtype``, and :meth:`astype` returns its complex64 twin.
@@ -191,10 +194,12 @@ class SchurOperator:
         self.elim_sites = parity_sites[1 - keep_parity]
 
         diag = site_blocks(params, clover)
-        self._diag_kept = diag[self.keep_sites]
-        self._diag_elim = diag[self.elim_sites]
-        self._neg_inv = _invert_blocks(self._diag_elim, self.elim_sites)
-        np.negative(self._neg_inv, out=self._neg_inv)
+        kept, elim = diag[self.keep_sites], diag[self.elim_sites]
+        del diag
+        neg_inv = _invert_blocks(elim, self.elim_sites)
+        np.negative(neg_inv, out=neg_inv)
+        # each block array in its left real form, made in its own storage
+        self._diag_kept, self._diag_elim, self._neg_inv = (left_real_form(a) for a in (kept, elim, neg_inv))
         parity_links = tuple(link_matrices(gauge.data[sites]) for sites in parity_sites)
         self._to_elim = ParityHop.build(geom, parity_links, 1 - keep_parity)
         self._to_kept = ParityHop.build(geom, parity_links, keep_parity)

@@ -2,7 +2,8 @@
 
 The kernel moves, per site and rhs, 168 complex values that scale with b and
 114 that do not (gauge links and clover blocks are shared across the block),
-at 16 bytes each, while doing 2574 flops.  Everything here is small exact
+at 16 bytes each in complex128 and 8 in complex64, while doing 2574 flops
+(:func:`lqcdlab.dirac.account_traffic`).  Everything here is small exact
 arithmetic on those constants plus a STREAM-style micro-benchmark whose
 kernels are verified after timing so the work cannot be optimized away.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dirac import BYTES_PER_VALUE, FLOPS_PER_SITE_RHS, VALUES_PER_SITE_FIXED, VALUES_PER_SITE_RHS
+from .dirac import account_traffic
 
 STREAM_KINDS = ("copy", "scale", "add", "triad")
 STREAM_SCALAR = 3.0
@@ -54,21 +55,19 @@ class CounterSample:
             raise ValueError("frequency, cache_line, ranks must be positive")
 
 
-def arithmetic_intensity(b: int) -> Fraction:
-    """Flops per byte moved for a b-rhs operator application."""
+def arithmetic_intensity(b: int, dtype=np.complex128) -> Fraction:
+    """Flops per byte moved for a b-rhs operator application on values of precision ``dtype``."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    return Fraction(
-        FLOPS_PER_SITE_RHS * b,
-        (VALUES_PER_SITE_RHS * b + VALUES_PER_SITE_FIXED) * BYTES_PER_VALUE,
-    )
+    traffic = account_traffic(b, dtype)
+    return Fraction(traffic["flops_per_site"], traffic["bytes_per_site"])
 
 
-def theoretical_perf(bw: float, b: int) -> float:
+def theoretical_perf(bw: float, b: int, dtype=np.complex128) -> float:
     """Bandwidth-bound performance ceiling in flops/second."""
     if bw <= 0:
         raise ValueError("bandwidth must be positive")
-    return bw * float(arithmetic_intensity(b))
+    return bw * float(arithmetic_intensity(b, dtype))
 
 
 def arch_efficiency(measured: float, theoretical: float) -> float:
@@ -244,9 +243,10 @@ def roofline_report(runs, inputs: RooflineInputs) -> RooflineReport:
     """Arrange kernel perf records against the bandwidth ceiling.
 
     Each run is a dict (a ``bench-dirac`` record) with keys b, layout and
-    gflops; any other run raises ValueError naming its index.  Efficiencies
-    above 1 contradict the memory-bound model and are reported as warnings
-    rather than clipped.
+    gflops, and optionally dtype (default complex128), the precision whose
+    bytes set its ceiling; any other run raises ValueError naming its
+    index.  Efficiencies above 1 contradict the memory-bound model and are
+    reported as warnings rather than clipped.
     """
     rows = []
     warnings = []
@@ -257,9 +257,10 @@ def roofline_report(runs, inputs: RooflineInputs) -> RooflineReport:
             if key not in run:
                 raise ValueError(f"roofline record {i} lacks key {key!r}")
         b, layout, gflops = int(run["b"]), int(run["layout"]), float(run["gflops"])
-        theor = theoretical_perf(inputs.stream_triad_bw, b) / 1e9
+        dtype = run.get("dtype", "complex128")
+        theor = theoretical_perf(inputs.stream_triad_bw, b, dtype) / 1e9
         eff = arch_efficiency(gflops, theor)
-        rows.append(RooflineRow(b, layout, float(arithmetic_intensity(b)), gflops, theor, eff))
+        rows.append(RooflineRow(b, layout, float(arithmetic_intensity(b, dtype)), gflops, theor, eff))
         if eff > 1.0:
             warnings.append(
                 f"arch_eff {eff:.3f} > 1 for b={b} layout={layout}: "

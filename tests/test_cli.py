@@ -136,6 +136,22 @@ def test_solve_on_rank_grids_writes_identical_psi(capsys, tmp_path):
     assert snaps[1] == snaps[0] and snaps[2] == snaps[0]
 
 
+def test_odd_even_solve_builds_no_executor(capsys, tmp_path, monkeypatch):
+    # the even/odd solve runs single-rank, so its rank grid is validated but
+    # no executor is built for it; a grid the lattice cannot take still fails
+    from lqcdlab import cli
+
+    monkeypatch.setattr(cli, "MultiRankExecutor", lambda grid: pytest.fail("executor built"))
+    base = ["solve", "--set", "dirac.m0=1.0", "--set", "solver.odd_even=true",
+            "--set", f"output.path={tmp_path}{os.sep}"]
+    code, out, _ = run_cli(capsys, *base, "--set", "ranks.grid=2 2 1 1")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["odd_even"] is True
+    code, _, err = run_cli(capsys, *base, "--set", "ranks.grid=3 1 1 1")
+    assert code == 1
+    assert "ranks.grid" in err
+
+
 def test_solve_fixed_iterations(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "solve",
@@ -153,9 +169,10 @@ def test_solve_non_finite_residual_exit_code(capsys, tmp_path, monkeypatch):
     calls = []
 
     def poisoned(*args, **kwargs):
+        # the solve starts from a zero guess, so call j is Arnoldi step j
         calls.append(1)
         out = real(*args, **kwargs)
-        if len(calls) >= 3:
+        if len(calls) >= 2:
             out.data[0] = np.nan
         return out
 
@@ -165,7 +182,7 @@ def test_solve_non_finite_residual_exit_code(capsys, tmp_path, monkeypatch):
     )
     assert code == 2
     assert "non-finite residual norm after iteration 2" in err
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_bench_roofline_pipeline(capsys, tmp_path):
@@ -177,9 +194,14 @@ def test_bench_roofline_pipeline(capsys, tmp_path):
     )
     assert code == 0
     records = json.loads(runs.read_text())["records"]
-    assert len(records) == 4
+    # each (b, layout) is timed on the complex128 operator and on its complex64 twin
+    assert len(records) == 8
+    assert [r["dtype"] for r in records[:2]] == ["complex128", "complex64"]
     assert records[0]["ai"] == pytest.approx(2574 / 4512)
+    assert records[1]["ai"] == pytest.approx(2574 / 2256)
+    assert records[1]["bytes"] * 2 == records[0]["bytes"] and records[1]["flops"] == records[0]["flops"]
     assert {r["layout"] for r in records} == {1, 2}
+    assert {r["ranks"] for r in records} == {1}
 
     roof = tmp_path / "roof.csv"
     code, out, _ = run_cli(capsys, "roofline", "--in", str(runs),
@@ -187,7 +209,26 @@ def test_bench_roofline_pipeline(capsys, tmp_path):
     assert code == 0
     lines = roof.read_text().splitlines()
     assert lines[0] == "b,layout,ai,gflops,theor_gflops,arch_eff"
-    assert len(lines) == 5
+    assert len(lines) == 9
+    # a complex64 record moves half the bytes, so its ceiling is twice as high
+    ceilings = [float(line.split(",")[4]) for line in lines[1:3]]
+    assert ceilings[1] == pytest.approx(2 * ceilings[0])
+
+
+def test_bench_dirac_honours_the_rank_grid(capsys, monkeypatch):
+    # the records of a (1,1,1,2) grid come from executor applies of both precisions
+    from lqcdlab import halo
+
+    epochs = []
+    real = halo.MultiRankExecutor.run_ranks
+    monkeypatch.setattr(halo.MultiRankExecutor, "run_ranks",
+                        lambda self, work: epochs.append(1) or real(self, work))
+    code, out, _ = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=4 4 4 4",
+                           "--set", "ranks.grid=1 1 1 2", "--b-list", "2", "--reps", "2")
+    assert code == 0
+    records = json.loads("\n".join(out.splitlines()[1:]))["records"]
+    assert [(r["dtype"], r["ranks"]) for r in records] == [("complex128", 2), ("complex64", 2)]
+    assert len(epochs) == 1 + 2 * 3  # the rank build, then a warm-up and 2 reps per precision
 
 
 @pytest.mark.parametrize(
@@ -215,8 +256,9 @@ def test_bench_dirac_rejects_zero_reps(capsys):
 
 
 def test_bench_dirac_builds_once_per_record(capsys, monkeypatch):
-    # the timed reps apply one prebuilt operator, so GF/s counts applies
-    # only; a build per apply would make 8 here (a warm-up and 3 reps, twice)
+    # the timed reps apply one prebuilt operator and its twin, so GF/s
+    # counts applies only; a build per apply would make 16 here (a warm-up
+    # and 3 reps, per precision, twice)
     from lqcdlab import dirac
 
     builds = []
@@ -225,7 +267,7 @@ def test_bench_dirac_builds_once_per_record(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=2 2 2 2",
                            "--b-list", "1,2", "--reps", "3")
     assert code == 0
-    assert len(json.loads("\n".join(out.splitlines()[1:]))["records"]) == 2
+    assert len(json.loads("\n".join(out.splitlines()[1:]))["records"]) == 4
     assert len(builds) == 2
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,16 @@ from lqcdlab.dirac import (
     DiracParams,
     account_traffic,
     apply_dirac,
+    apply_self_coupling,
+    left_real_form,
     link_matrices,
+    site_blocks,
 )
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
 from lqcdlab.halo import MultiRankExecutor
 from lqcdlab.oddeven import SchurOperator, split_fields
-from lqcdlab.oracle import assemble_dirac_dense
+from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +35,10 @@ def problem():
     return geom, gauge, clover, params, dense
 
 
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
 def test_traffic_ledger_frozen():
     assert FLOPS_PER_SITE_RHS == 2574
     assert (VALUES_PER_SITE_RHS, VALUES_PER_SITE_FIXED, BYTES_PER_VALUE) == (168, 114, 16)
@@ -37,6 +46,92 @@ def test_traffic_ledger_frozen():
     assert account_traffic(16) == {"flops_per_site": 41184, "bytes_per_site": 44832}
     with pytest.raises(ValueError):
         account_traffic(0)
+
+
+def test_traffic_ledger_counts_bytes_at_the_precision():
+    assert account_traffic(4, np.complex128) == account_traffic(4)
+    assert account_traffic(16, np.complex64) == {"flops_per_site": 41184, "bytes_per_site": 44832 // 2}
+    with pytest.raises(ValueError, match="complex128 or complex64"):
+        account_traffic(4, np.float64)
+
+
+def test_left_real_form_is_made_in_place(problem):
+    # L = [Re B | Im B] row by row, in the bytes of the complex blocks it replaces
+    _, _, clover, params, _ = problem
+    blocks = site_blocks(params, clover)
+    ref = blocks.copy()
+    for dtype in (np.complex128, np.complex64):
+        b = ref.astype(dtype)
+        form = left_real_form(b)
+        assert form.shape == ref.shape[:-1] + (12,) and form.dtype == np.finfo(dtype).dtype
+        assert np.shares_memory(form, b) and form.nbytes == b.nbytes
+        assert np.array_equal(form[..., :6], ref.real.astype(form.dtype))
+        assert np.array_equal(form[..., 6:], ref.imag.astype(form.dtype))
+
+
+@pytest.fixture(scope="module")
+def schur_dense(problem):
+    _, gauge, clover, params, _ = problem
+    return assemble_schur_dense(params, gauge, clover)
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_real_self_coupling_operators_match_dense_oracle(problem, schur_dense, layout, b):
+    # every operator that runs the self coupling on [Re B | Im B] blocks: D,
+    # S and the whole-lattice D from the Schur operator's parity blocks;
+    # their complex64 twins within float32 rounding
+    geom, gauge, clover, params, dense = problem
+    psi = gen_spinor(geom.n_sites, b, layout, seed=60 + b, geom=geom)
+    ref = dense @ psi.columns()
+    op, schur = DiracOperator(params, gauge, clover), SchurOperator(params, gauge, clover)
+    half = split_fields(psi)[0]
+    half_ref = schur_dense @ half.columns()
+    assert _rel(op(psi).columns(), ref) < 1e-12
+    assert _rel(schur.apply_full(psi).columns(), ref) < 1e-12
+    assert _rel(schur.apply(half).columns(), half_ref) < 1e-12
+    single = psi.astype(np.complex64)
+    assert _rel(op.astype(np.complex64)(single).columns(), ref) < 1e-6
+    assert _rel(schur.astype(np.complex64).apply(single.take_sites(geom.even_sites)).columns(), half_ref) < 1e-6
+
+
+def test_self_coupling_holds_no_field_sized_temporary():
+    # the [x ; i x] stack and the product are chunk buffers: one apply holds
+    # its output and 1.5 chunks of 512 sites, 1.375 fields at 8^4, b=4; a
+    # whole-field stack would add 2 fields
+    geom = LatticeGeometry((8, 8, 8, 8))
+    blocks = left_real_form(site_blocks(DiracParams(m0=1.0), gen_clover(geom, "random", scale=0.1, seed=61)))
+    psi = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=62, geom=geom)
+    ref = apply_self_coupling(blocks, psi)
+    tracemalloc.start()
+    try:
+        apply_self_coupling(blocks, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * psi.data.nbytes
+    assert np.array_equal(apply_self_coupling(blocks, psi).data, ref.data)
+
+
+@pytest.mark.parametrize("grid", [None, (1, 1, 1, 2)])
+def test_site_block_arrays_keep_the_complex_bytes(problem, grid):
+    # every operator and twin holds its site blocks in left real form, in
+    # exactly the bytes of the complex (n, 2, 6, 6) blocks they replace
+    geom, gauge, clover, params, _ = problem
+    complex_bytes = {dtype: geom.n_sites * 72 * np.dtype(dtype).itemsize for dtype in (np.complex128, np.complex64)}
+    op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None)
+    for dtype, nbytes in complex_bytes.items():
+        o = op.astype(dtype)
+        blocks = [o._blocks] if grid is None else [rank[1] for rank in o._ranks]
+        assert all(a.dtype == np.finfo(dtype).dtype and a.shape[1:] == (2, 6, 12) for a in blocks)
+        assert sum(a.nbytes for a in blocks) == nbytes
+    schur = SchurOperator(params, gauge, clover)
+    for dtype, nbytes in complex_bytes.items():
+        s = schur.astype(dtype)
+        for a in (s._diag_kept, s._neg_inv):
+            assert a.dtype == np.finfo(dtype).dtype and a.nbytes == nbytes // 2
+    # the eliminated blocks are read only at complex128, and shared by the twin
+    assert schur._diag_elim.nbytes == complex_bytes[np.complex128] // 2
 
 
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])

@@ -211,8 +211,9 @@ def test_solve_dirac_schur_path_agrees(problem):
 
 @pytest.mark.parametrize("first_bad, iteration", [(1, 0), (3, 2), (12, 10)])
 def test_non_finite_residual_stops_at_once(first_bad, iteration):
-    # call 1 is the first restart residual, calls 2..11 the Arnoldi steps of
-    # cycle one, call 12 the restart residual after iteration 10
+    # with a nonzero initial guess call 1 is the first restart residual,
+    # calls 2..11 the Arnoldi steps of cycle one, call 12 the restart
+    # residual after iteration 10
     n = 16
     rng = np.random.default_rng(5)
     a = 4.0 * np.eye(12 * n) + 0.1 * rng.standard_normal((12 * n, 12 * n))
@@ -227,12 +228,38 @@ def test_non_finite_residual_stops_at_once(first_bad, iteration):
         return out
 
     eta = gen_spinor(n, 3, Layout.RHS_MAJOR, seed=4)
+    psi0 = gen_spinor(n, 3, Layout.RHS_MAJOR, seed=6)
     cfg = GmresConfig(restart_len=10, restarts=3, fixed_iterations=True)
     with pytest.raises(NonFiniteResidualError) as err:
-        gmres_solve(op, eta, None, cfg)
+        gmres_solve(op, eta, psi0, cfg)
     assert len(calls) == first_bad
     assert err.value.iteration == iteration
     assert err.value.columns == [1]
+
+
+def test_zero_guess_takes_eta_as_first_residual_and_a_nan_operator_stops_at_its_first_apply():
+    # without psi0 the first restart residual is eta itself, so the first
+    # operator call is the first Arnoldi step; a NaN it returns stops the
+    # solve there, as iteration 1, naming the column
+    n = 16
+    rng = np.random.default_rng(5)
+    base = matrix_op(4.0 * np.eye(12 * n) + 0.1 * rng.standard_normal((12 * n, 12 * n)))
+    calls = []
+
+    def op(v):
+        calls.append(v.data.copy())
+        out = base(v)
+        out.ksi()[0, 0, 2] = np.nan
+        return out
+
+    eta = gen_spinor(n, 3, Layout.RHS_MAJOR, seed=4)
+    with pytest.raises(NonFiniteResidualError) as err:
+        gmres_solve(op, eta, None, GmresConfig(restart_len=10, restarts=3))
+    assert len(calls) == 1
+    assert (err.value.iteration, err.value.columns) == (1, [2])
+    assert "after iteration 1 in rhs columns [2]" in str(err.value)
+    # that one call already applied the operator to the normalized eta, not to a zero field
+    assert np.abs(calls[0]).max() > 0
 
 
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
@@ -451,7 +478,9 @@ def test_rotation_estimate_ends_only_the_cycle():
                       inner=_counted(matrix_op(perturbed), calls, "inner"))
     first_estimate_below = next(it for it, h in enumerate(res.history, 1) if h.max() < cfg.tol)
     assert first_estimate_below < res.iterations
-    assert calls.count("op") >= 3  # two restart residuals above tol, then the final one
+    # the first restart residual is eta (zero guess, no call); the one after
+    # cycle one is above tol, then the final one
+    assert calls.count("op") >= 2
     assert res.converged.all() and (res.final_relnorms <= cfg.tol).all()
     explicit = np.linalg.norm(eta.columns() - a @ res.psi.columns(), axis=0) / np.linalg.norm(eta.columns(), axis=0)
     assert (explicit <= cfg.tol).all()
@@ -470,8 +499,12 @@ def test_exact_inner_makes_the_same_op_calls(problem, odd_even):
     plain, split = [], []
     alone = gmres_solve(_counted(op, plain, "op"), eta, None, cfg)
     paired = gmres_solve(_counted(op, split, "op"), eta, None, cfg, inner=_counted(op, split, "inner"))
-    assert len(plain) == len(split) == alone.iterations + -(-alone.iterations // cfg.restart_len) + 1
+    # from a zero guess the first restart residual is eta, with no call:
+    # op runs once per cycle, after it, and inner once per iteration
+    cycles = -(-alone.iterations // cfg.restart_len)
+    assert len(plain) == len(split) == alone.iterations + cycles
     assert split.count("inner") == alone.iterations
+    assert split.count("op") == cycles
     assert np.array_equal(paired.psi.data, alone.psi.data)
     assert np.array_equal(paired.final_relnorms, alone.final_relnorms)
 
