@@ -39,20 +39,11 @@ import math
 
 import numpy as np
 
-from .fields import BlockSpinorField, Layout
+from .fields import BlockSpinorField, Layout, check_matching
 
 ACC_LANES = 8  # complex accumulator lanes in the deferred dot
 
 DOT_STRATEGIES = ("naive", "deferred")
-
-
-def _check_pair(x: BlockSpinorField, y: BlockSpinorField) -> None:
-    if (x.n_sites, x.s, x.b) != (y.n_sites, y.s, y.b):
-        raise ValueError(
-            f"field shapes differ: ({x.n_sites},{x.s},{x.b}) vs ({y.n_sites},{y.s},{y.b})"
-        )
-    if x.layout != y.layout:
-        raise ValueError(f"field layouts differ: {x.layout} vs {y.layout}")
 
 
 def _as_coeffs(alpha, b: int, dtype) -> np.ndarray:
@@ -88,7 +79,7 @@ def block_axpy(alpha, x, y) -> None:
         for i in range(y.shape[0]):
             y[i] += alpha[i] @ x[:, i]
         return
-    _check_pair(x, y)
+    check_matching(x, y, "x", "y")
     a = _as_coeffs(alpha, x.b, y.dtype)
     yv = y.ksi()
     yv += a * x.ksi()
@@ -159,7 +150,7 @@ def block_dot(w, e, strategy: str = "deferred") -> np.ndarray:
         for i in range(e.shape[0]):
             out[i] = (e[i].conj() @ w[:, i].T).conj()
         return out
-    _check_pair(w, e)
+    check_matching(w, e, "w", "e")
     if strategy == "naive":
         return _dot_naive(w, e)
     if strategy == "deferred":

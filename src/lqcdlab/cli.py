@@ -131,9 +131,13 @@ def cmd_bench_dirac(args) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     cfg = _load_runconfig(args)
-    _emit_header(config_hash(cfg), cfg.seed)
     b_list = _int_list(args.b_list) if args.b_list else [cfg.b]
     layouts = _int_list(args.layout_list) if args.layout_list else [cfg.layout]
+    if any(b < 1 for b in b_list):
+        raise ConfigError(f"--b-list entries must be >= 1, got {b_list}")
+    if any(layout not in (1, 2) for layout in layouts):
+        raise ConfigError(f"--layout-list entries must be 1 or 2, got {layouts}")
+    _emit_header(config_hash(cfg), cfg.seed)
     geom = LatticeGeometry(cfg.dims)
     gauge = gen_gauge(geom, cfg.gauge_mode, seed=cfg.seed)
     clover = gen_clover(geom, cfg.clover_mode, cfg.clover_scale, seed=cfg.seed + 1)

@@ -34,13 +34,11 @@ class RunConfig:
     odd_even: bool = False
     fixed_iterations: bool = False
     out_path: str = ""
-    antiperiodic_time: bool = False
 
 
 # dotted config key -> dataclass attribute, in canonical emission order
 KEY_MAP = {
     "lattice.dims": "dims",
-    "lattice.antiperiodic_time": "antiperiodic_time",
     "ranks.grid": "grid",
     "block.b": "b",
     "block.layout": "layout",
@@ -168,17 +166,14 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"clover.mode must be zero or random, got {cfg.clover_mode!r}")
     if cfg.gauge_mode not in ("unit", "random"):
         raise ConfigError(f"gauge.mode must be unit or random, got {cfg.gauge_mode!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.clover_scale < 0:
         raise ConfigError("clover.scale must be nonnegative")
     if not cfg.tol > 0:
         raise ConfigError("solver.tol must be positive")
     if cfg.restart_len < 1 or cfg.restarts < 1:
         raise ConfigError("solver.restart_len and solver.restarts must be >= 1")
-    if cfg.antiperiodic_time:
-        raise ConfigError(
-            "lattice.antiperiodic_time = true is not implemented; "
-            "only periodic boundaries are supported"
-        )
 
 
 def layout_of(cfg: RunConfig) -> Layout:

@@ -107,7 +107,7 @@ import numpy as np
 
 from .fields import PRECISIONS, BlockSpinorField, CloverField, GaugeField
 from .geometry import NDIM
-from .projectors import A_BLOCKS, N_COLOR, SPINOR_LEN, compression
+from .projectors import A_BLOCKS, N_COLOR, compression
 
 # traffic ledger of one operator application, per lattice site:
 # 2574*b flop and (168*b + 114) complex values = (168*b + 114)*16 byte
@@ -142,9 +142,7 @@ def account_traffic(b: int, dtype=np.complex128) -> dict:
 
 
 def _check_field(psi: BlockSpinorField, n_sites: int, system: str, dtype=None) -> None:
-    """Raise unless psi is a full spinor field on the ``n_sites`` sites of ``system`` (and of ``dtype``, if given)."""
-    if psi.s != SPINOR_LEN:
-        raise ValueError(f"expected full spinor field (s={SPINOR_LEN}), got s={psi.s}")
+    """Raise unless psi is a field on the ``n_sites`` sites of ``system`` (and of ``dtype``, if given)."""
     if psi.n_sites != n_sites:
         raise ValueError(f"field has {psi.n_sites} sites, {system} has {n_sites}")
     if dtype is not None and psi.dtype != dtype:

@@ -1,9 +1,10 @@
 """Field containers and their storage layouts.
 
 A block spinor field holds ``b`` right-hand-side vectors at once.  Per site
-it stores the s x b value block ``Row_x(V)`` (s components, b columns) in one
-of two flat orders inside a single contiguous complex array of either
-precision, complex128 (the default) or complex64:
+it stores the s x b value block ``Row_x(V)`` (the s = 12 spin-color
+components of a spinor, b columns) in one of two flat orders inside a
+single contiguous complex array of either precision, complex128 (the
+default) or complex64:
 
 * Layout 1 (rhs-major): column-major ``Row_x(V)``, element offset
   ``x*s*b + i*s + k`` -- each column's s components sit together.
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -84,16 +86,15 @@ def element_offset(layout: Layout, s: int, b: int, x: int, k: int, i: int) -> in
 
 @dataclass
 class BlockSpinorField:
-    """``b`` spinor vectors stored interleaved per site.
+    """``b`` 12-component spinor vectors stored interleaved per site.
 
-    ``s`` is 12 for full spinors and 6 for the half spinors produced by hop
-    projection.  ``geom`` is carried when the field spans a whole lattice;
+    ``geom`` is carried when the field spans a whole lattice;
     parity-restricted or synthetic fields leave it None and only the site
     count matters.
     """
 
+    s: ClassVar[int] = SPINOR_LEN
     n_sites: int
-    s: int
     b: int
     layout: Layout
     data: np.ndarray
@@ -105,31 +106,30 @@ class BlockSpinorField:
         n_sites: int,
         b: int,
         layout: Layout | int = Layout.RHS_MAJOR,
-        s: int = SPINOR_LEN,
         geom: LatticeGeometry | None = None,
         dtype=np.complex128,
     ) -> "BlockSpinorField":
-        if n_sites < 1 or b < 1 or s < 1:
-            raise ValueError(f"bad field shape: n_sites={n_sites}, s={s}, b={b}")
+        if n_sites < 1 or b < 1:
+            raise ValueError(f"bad field shape: n_sites={n_sites}, b={b}")
         if np.dtype(dtype) not in PRECISIONS:
             raise ValueError(f"field dtype must be complex128 or complex64, got {np.dtype(dtype)}")
-        data = np.zeros(n_sites * s * b, dtype=dtype)
-        return cls(n_sites, s, b, Layout(layout), data, geom)
+        data = np.zeros(n_sites * cls.s * b, dtype=dtype)
+        return cls(n_sites, b, Layout(layout), data, geom)
 
     @classmethod
     def zeros_like(cls, other: "BlockSpinorField") -> "BlockSpinorField":
-        return cls.zeros(other.n_sites, other.b, other.layout, other.s, other.geom, other.dtype)
+        return cls.zeros(other.n_sites, other.b, other.layout, other.geom, other.dtype)
 
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
     def copy(self) -> "BlockSpinorField":
-        return BlockSpinorField(self.n_sites, self.s, self.b, self.layout, self.data.copy(), self.geom)
+        return BlockSpinorField(self.n_sites, self.b, self.layout, self.data.copy(), self.geom)
 
     def astype(self, dtype) -> "BlockSpinorField":
         """Copy of the field with its values cast to ``dtype``, one of :data:`PRECISIONS`."""
-        out = BlockSpinorField.zeros(self.n_sites, self.b, self.layout, self.s, self.geom, dtype)
+        out = BlockSpinorField.zeros(self.n_sites, self.b, self.layout, self.geom, dtype)
         out.data[...] = self.data
         return out
 
@@ -156,11 +156,11 @@ class BlockSpinorField:
     def take_sites(self, sites: np.ndarray) -> "BlockSpinorField":
         """The field on ``sites``, in their order and in the same layout, without a geometry: one gather of whole site blocks."""
         data = self.storage_view()[sites].reshape(-1)
-        return BlockSpinorField(len(sites), self.s, self.b, self.layout, data)
+        return BlockSpinorField(len(sites), self.b, self.layout, data)
 
     def put_sites(self, sites: np.ndarray, part: "BlockSpinorField") -> None:
         """Inverse of :meth:`take_sites`: write ``part``'s site blocks to ``sites``."""
-        if (part.n_sites, part.s, part.b, part.layout) != (len(sites), self.s, self.b, self.layout):
+        if (part.n_sites, part.b, part.layout) != (len(sites), self.b, self.layout):
             raise ValueError(f"part {_describe(part)} does not fit {len(sites)} sites of field {_describe(self)}")
         if part.dtype != self.dtype:
             raise ValueError(f"part of dtype {part.dtype} does not fit a field of dtype {self.dtype}")
@@ -169,7 +169,7 @@ class BlockSpinorField:
     def convert(self, layout: Layout | int) -> "BlockSpinorField":
         """Copy of the field in the requested layout; content unchanged."""
         layout = Layout(layout)
-        out = BlockSpinorField.zeros(self.n_sites, self.b, layout, self.s, self.geom, self.dtype)
+        out = BlockSpinorField.zeros(self.n_sites, self.b, layout, self.geom, self.dtype)
         out.set_ksi(self.ksi())
         return out
 
@@ -191,14 +191,9 @@ class BlockSpinorField:
         for x0 in range(0, self.n_sites, step):
             dst[:, x0 : x0 + step] = src[x0 : x0 + step].transpose(2, 0, 1)
 
-    def load_column_form(self, src: np.ndarray, add: bool = False) -> None:
-        """Set the content from a (b, n_sites*s) column-form array, or add it with ``add``."""
-        dst = self.ksi()
-        values = src.reshape(self.b, self.n_sites, self.s).transpose(1, 2, 0)
-        if add:
-            dst += values
-        else:
-            dst[...] = values
+    def load_column_form(self, src: np.ndarray) -> None:
+        """Set the content from a (b, n_sites*s) column-form array."""
+        self.set_ksi(src.reshape(self.b, self.n_sites, self.s).transpose(1, 2, 0))
 
     def add_scaled_column_form(self, src: np.ndarray, scale: np.ndarray) -> None:
         """Add ``scale[i]`` times column i of a (b, n_sites*s) column-form array.
@@ -218,12 +213,12 @@ class BlockSpinorField:
 
 def _describe(f: BlockSpinorField) -> str:
     """The shape of a field, as error messages name it."""
-    return f"(n_sites={f.n_sites}, s={f.s}, b={f.b}) in {f.layout.name}"
+    return f"(n_sites={f.n_sites}, b={f.b}) in {f.layout.name}"
 
 
 def check_matching(f: BlockSpinorField, ref: BlockSpinorField, name: str, ref_name: str) -> None:
-    """Raise a ValueError naming both shapes unless ``f`` has ``ref``'s sites, spinor length, b and layout."""
-    if (f.n_sites, f.s, f.b, f.layout) != (ref.n_sites, ref.s, ref.b, ref.layout):
+    """Raise a ValueError naming both shapes unless ``f`` has ``ref``'s sites, b and layout."""
+    if (f.n_sites, f.b, f.layout) != (ref.n_sites, ref.b, ref.layout):
         raise ValueError(f"{name} {_describe(f)} does not match {ref_name} {_describe(ref)}")
 
 
@@ -232,13 +227,12 @@ def gen_spinor(
     b: int,
     layout: Layout | int,
     seed: int,
-    s: int = SPINOR_LEN,
     geom: LatticeGeometry | None = None,
 ) -> BlockSpinorField:
     """Gaussian random block field; identical content for every layout."""
     rng = make_rng(seed)
-    out = BlockSpinorField.zeros(n_sites, b, layout, s, geom)
-    shape = (n_sites, s, b)
+    out = BlockSpinorField.zeros(n_sites, b, layout, geom)
+    shape = (n_sites, SPINOR_LEN, b)
     out.set_ksi(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return out
 
@@ -372,6 +366,7 @@ def gen_clover(geom: LatticeGeometry, mode: str, scale: float = 0.1, seed: int =
 #
 # Common header, little-endian: magic (4 bytes), version u32, dims 4*u32,
 # s u32, b u32, layout u8.  Payload is raw complex128 in storage order.
+# A spinor snapshot's s is always 12; a reader rejects any other.
 # Gauge and clover snapshots reuse the slots: s/b carry the per-site matrix
 # shape and layout is 0.
 
@@ -405,6 +400,8 @@ def write_spinor(path: str | Path, field: BlockSpinorField) -> None:
 
 def read_spinor(path: str | Path) -> BlockSpinorField:
     dims, s, b, layout, payload = _read_snapshot(Path(path), _MAGIC_SPINOR)
+    if s != SPINOR_LEN:
+        raise ValueError(f"{path}: spinor length {s}, expected {SPINOR_LEN}")
     geom = None
     try:
         geom = LatticeGeometry(dims)
@@ -413,7 +410,7 @@ def read_spinor(path: str | Path) -> BlockSpinorField:
     n_sites = int(np.prod(dims))
     if payload.size != n_sites * s * b:
         raise ValueError(f"{path}: payload has {payload.size} values, expected {n_sites * s * b}")
-    return BlockSpinorField(n_sites, s, b, Layout(layout), payload.copy(), geom)
+    return BlockSpinorField(n_sites, b, Layout(layout), payload.copy(), geom)
 
 
 def write_gauge(path: str | Path, gauge: GaugeField) -> None:

@@ -94,6 +94,9 @@ _TINY = 1e-300
 # and its single columns, at 1e-3 6e-5; no iteration count moved.)
 RELIABLE_UPDATE_DELTA = 1e-3
 
+# a subdiagonal norm at or below this fraction of ||op v_j|| is a happy breakdown
+_BREAKDOWN_REL = 1e-14
+
 
 class NonFiniteResidualError(np.linalg.LinAlgError):
     """The residual norm of some rhs columns became NaN or infinite."""
@@ -117,7 +120,6 @@ class GmresConfig:
     restarts: int = 10
     tol: float = 1e-8
     fixed_iterations: bool = False
-    breakdown_rel: float = 1e-14
 
     def __post_init__(self) -> None:
         if self.restart_len < 1 or self.restarts < 1:
@@ -149,7 +151,7 @@ class SolverWorkspace:
         """Workspace for ``template``'s shape with the basis and stage in precision ``dtype``."""
         b = template.b
         basis = np.zeros((restart_len + 1, b, template.n_sites * template.s), dtype=dtype)
-        stage = BlockSpinorField(template.n_sites, template.s, b, template.layout, basis[-1].reshape(-1), template.geom)
+        stage = BlockSpinorField(template.n_sites, b, template.layout, basis[-1].reshape(-1), template.geom)
         return cls(
             basis=basis,
             stage=stage,
@@ -228,7 +230,7 @@ def arnoldi_step(op, ws: SolverWorkspace, j: int, cfg: GmresConfig) -> None:
         hnext[i] = block_norms(wi)[0]
     # ||op v_j||, from the orthogonal split of the column: the test is scale-free
     wnorm = np.sqrt((np.abs(ws.h_raw[:, : j + 1, j]) ** 2).sum(axis=1) + hnext**2)
-    ws.breakdown |= hnext <= cfg.breakdown_rel * wnorm
+    ws.breakdown |= hnext <= _BREAKDOWN_REL * wnorm
     ws.h_raw[:, j + 1, j] = np.where(ws.breakdown, 0.0, hnext)
     inv = np.where(ws.breakdown | (hnext <= 0), 0.0, 1.0 / np.where(hnext > 0, hnext, 1.0))
     block_scale(inv, w)
@@ -270,24 +272,19 @@ def least_squares_update(ws: SolverWorkspace, j_done: int | None = None) -> np.n
 
 
 def update_solution(ws: SolverWorkspace, y: np.ndarray, psi: BlockSpinorField) -> None:
-    """psi += V y for (b, m) coefficients y: one gemv per column, one copy-add.
+    """psi += V y for (b, m) coefficients y: one gemv per column, one scaled copy-add.
 
     The sum is formed in the last basis row, which the update does not read
-    (m <= restart_len) and no later step of the cycle needs.  A basis of
-    lower precision than psi forms V (y / ||r0||), whose size does not
-    depend on the residual's, and psi adds it times ||r0|| in its own
-    precision, so a residual far outside the basis' range neither
-    overflows nor sinks into its subnormals.
+    (m <= restart_len) and no later step of the cycle needs.  It is V
+    (y / ||r0||), whose size does not depend on the residual's, and psi
+    adds it times ||r0|| in its own precision, so with a basis of any
+    precision, the same as psi's or lower, a residual far outside the
+    basis' range neither overflows nor sinks into its subnormals.
     """
     acc = ws.basis[-1]
     acc[:] = 0.0
-    m = y.shape[1]
-    if acc.dtype == psi.dtype:
-        block_axpy(y, ws.basis[:m], acc)
-        psi.load_column_form(acc, add=True)
-        return
     r0 = ws.start_norms
-    block_axpy(y * _inverse(r0)[:, None], ws.basis[:m], acc)
+    block_axpy(y * _inverse(r0)[:, None], ws.basis[: y.shape[1]], acc)
     psi.add_scaled_column_form(acc, r0)
 
 
@@ -340,7 +337,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     with a basis of lower precision a cycle also ends at the
     reliable-update threshold (except under ``fixed_iterations``).
 
-    A ``psi0`` whose site count, spinor length, rhs count or layout differs
+    A ``psi0`` whose site count, rhs count or layout differs
     from ``eta``'s raises ``ValueError`` before the operator is called.
     """
     if psi0 is not None:
@@ -408,11 +405,11 @@ def batched_vs_independent_audit(op, eta: BlockSpinorField, psi0: BlockSpinorFie
     cols = eta.ksi()
     psi_cols = psi0.ksi() if psi0 is not None else None
     for i in range(eta.b):
-        eta_i = BlockSpinorField.zeros(eta.n_sites, 1, eta.layout, eta.s, eta.geom)
+        eta_i = BlockSpinorField.zeros(eta.n_sites, 1, eta.layout, eta.geom)
         eta_i.set_ksi(cols[:, :, i : i + 1])
         psi_i = None
         if psi_cols is not None:
-            psi_i = BlockSpinorField.zeros(eta.n_sites, 1, eta.layout, eta.s, eta.geom)
+            psi_i = BlockSpinorField.zeros(eta.n_sites, 1, eta.layout, eta.geom)
             psi_i.set_ksi(psi_cols[:, :, i : i + 1])
         single = gmres_solve(op, eta_i, psi_i, cfg, inner)
         for it in range(min(len(batched.history), len(single.history))):

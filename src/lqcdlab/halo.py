@@ -83,21 +83,17 @@ class _PeerFaulted(RuntimeError):
     """Raised in a rank whose receive was cut short by a fault on another rank."""
 
 
-@dataclass
-class HaloMessage:
-    src_rank: int
-    dst_rank: int
-    mu: int
-    step: int
-    payload: np.ndarray  # (boundary sites, 2, b, 3) complex (spin, rhs, color), ascending site order
-
-
 class _Mailbox:
-    """Single-slot channel; one producer, one consumer."""
+    """Single-slot channel (``rank``, ``mu``, ``step``); one producer, one consumer.
 
-    def __init__(self) -> None:
+    The slot holds the posted payload, (boundary sites, 2, b, 3) complex
+    (spin, rhs, color) in ascending site order.
+    """
+
+    def __init__(self, rank: int, mu: int, step: int) -> None:
+        self.rank, self.mu, self.step = rank, mu, step
         self._cond = threading.Condition()
-        self._slot: HaloMessage | None = None
+        self._slot: np.ndarray | None = None
         self._epoch = -1
         self._poisoned = False
         self.posted = 0
@@ -115,27 +111,27 @@ class _Mailbox:
             self._poisoned = True
             self._cond.notify_all()
 
-    def post(self, msg: HaloMessage) -> None:
+    def post(self, payload: np.ndarray) -> None:
         with self._cond:
             if self._slot is not None:
                 raise RuntimeError(
-                    f"duplicate post to rank {msg.dst_rank} channel "
-                    f"(mu={msg.mu}, dir={_STEP_NAME[msg.step]}) in epoch {self._epoch}"
+                    f"duplicate post to rank {self.rank} channel "
+                    f"(mu={self.mu}, dir={_STEP_NAME[self.step]}) in epoch {self._epoch}"
                 )
-            self._slot = msg
+            self._slot = payload
             self.posted += 1
             self._cond.notify()
 
-    def take(self, rank: int, mu: int, step: int, timeout: float) -> HaloMessage:
+    def take(self, timeout: float) -> np.ndarray:
         with self._cond:
             if not self._cond.wait_for(lambda: self._slot is not None or self._poisoned, timeout):
-                raise HaloTimeoutError(rank, mu, step, timeout)
+                raise HaloTimeoutError(self.rank, self.mu, self.step, timeout)
             if self._poisoned:
-                raise _PeerFaulted(f"rank {rank} stopped: another rank faulted in epoch {self._epoch}")
-            msg = self._slot
+                raise _PeerFaulted(f"rank {self.rank} stopped: another rank faulted in epoch {self._epoch}")
+            payload = self._slot
             self._slot = None
             self.consumed += 1
-            return msg
+            return payload
 
 
 @dataclass
@@ -153,7 +149,7 @@ class CommunicatorSet:
         self.timeout = timeout
         self.epoch = 0
         self._boxes = {
-            (rank, mu, step): _Mailbox()
+            (rank, mu, step): _Mailbox(rank, mu, step)
             for rank in range(grid.n_ranks)
             for mu in range(NDIM)
             for step in (1, -1)
@@ -197,19 +193,17 @@ class Communicator:
     def grid(self) -> RankGrid:
         return self.commset.grid
 
-    def post_send(self, mu: int, step: int, payload: np.ndarray) -> HaloMessage:
-        """Non-blocking: hand the payload to the (mu, step) neighbor's mailbox."""
+    def post_send(self, mu: int, step: int, payload: np.ndarray) -> None:
+        """Non-blocking: hand a private copy of the payload to the (mu, step) neighbor's mailbox."""
         dst = self.grid.neighbor_rank(self.rank, mu, step)
-        msg = HaloMessage(self.rank, dst, mu, step, np.array(payload, order="C"))
-        self.commset.box(dst, mu, step).post(msg)
-        return msg
+        self.commset.box(dst, mu, step).post(np.array(payload, order="C"))
 
     def complete_recv(self, mu: int, step: int) -> np.ndarray:
-        """Block until the (mu, step) message for this rank arrives."""
+        """Block until the (mu, step) payload for this rank arrives."""
         t0 = time.perf_counter()
-        msg = self.commset.box(self.rank, mu, step).take(self.rank, mu, step, self.commset.timeout)
+        payload = self.commset.box(self.rank, mu, step).take(self.commset.timeout)
         self._wait_seconds += time.perf_counter() - t0
-        return msg.payload
+        return payload
 
     def end_epoch(self) -> EpochStats:
         return EpochStats(epoch=self.commset.epoch, rank=self.rank, wait_seconds=self._wait_seconds)

@@ -6,8 +6,8 @@ Writing the system D x = eta in parity-sorted order,
     [ D_oe  D_oo ] [x_o] = [eta_o],
 
 the diagonal blocks are site local ((4+m0)I - C, two 6x6 Hermitian blocks
-per site) because every hop flips parity.  Eliminating one parity gives the
-half-size system
+per site) because every hop flips parity.  Eliminating the odd sites gives
+the half-size system on the even ones
 
     S x_e = eta_e - D_eo D_oo^-1 eta_o,
     S     = D_ee - D_eo D_oo^-1 D_oe,
@@ -15,9 +15,10 @@ half-size system
 and the eliminated half comes back through
 x_o = D_oo^-1 (eta_o - D_oe x_e).
 
-The keep parity defaults to even.  The operator runs on the stencil's two
-primitives only: site-block products
-(:func:`lqcdlab.dirac.apply_self_coupling`, with the kept parity's blocks
+The even sites are always the kept ones, as in DD-alphaAMG's odd-even
+preconditioning.  The operator runs on the stencil's two primitives only:
+site-block products
+(:func:`lqcdlab.dirac.apply_self_coupling`, with the even blocks
 or with N = -D_oo^-1, each held as the real (6, 12) matrices
 [Re B | Im B] that the self coupling multiplies in real arithmetic) and
 the hop sweep
@@ -43,8 +44,8 @@ iterative.  A half-lattice field is a gather of whole site blocks
 layout; the hop sweep runs on one parity's sites with cross-parity
 neighbor tables.  The real link matrices of the sweep
 (:func:`lqcdlab.dirac.link_matrices`) are built once per parity at build
-time and shared by both blocks: H_eo reads the kept parity's at its
-destination sites (the +mu side) and the eliminated parity's at its source
+time and shared by both blocks: H_eo reads the even sites' at its
+destination sites (the +mu side) and the odd sites' at its source
 sites (the -mu side), and H_oe the other way round.
 """
 
@@ -86,7 +87,7 @@ def split_fields(v: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorFiel
 
 def merge_fields(v_even: BlockSpinorField, v_odd: BlockSpinorField, geom: LatticeGeometry) -> BlockSpinorField:
     """Inverse of :func:`split_fields`, at the halves' precision."""
-    out = BlockSpinorField.zeros(geom.n_sites, v_even.b, v_even.layout, v_even.s, geom, v_even.dtype)
+    out = BlockSpinorField.zeros(geom.n_sites, v_even.b, v_even.layout, geom, v_even.dtype)
     out.put_sites(geom.even_sites, v_even)
     out.put_sites(geom.odd_sites, v_odd)
     return out
@@ -159,10 +160,10 @@ def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
 
 
 class SchurOperator:
-    """S = D_kk - D_ke D_ee'^-1 D_ek with parity k kept (default even).
+    """S = D_ee - D_eo D_oo^-1 D_oe on the even sites, the odd ones eliminated.
 
     Each piece is one or two site-block products (:meth:`solve_eliminated`
-    with N = -D_ee'^-1, and D_kk) and one hop sweep per off-diagonal block
+    with N = -D_oo^-1, and D_ee) and one hop sweep per off-diagonal block
     that subtracts into the destination field; the module docstring gives
     the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
     taken at build time: it keeps the diagonal blocks of both parities
@@ -177,21 +178,10 @@ class SchurOperator:
 
     dtype = np.dtype(np.complex128)
 
-    def __init__(
-        self,
-        params: DiracParams,
-        gauge: GaugeField,
-        clover: CloverField,
-        keep_parity: int = 0,
-    ):
-        if keep_parity not in (0, 1):
-            raise ValueError(f"parity must be 0 (even) or 1 (odd), got {keep_parity}")
+    def __init__(self, params: DiracParams, gauge: GaugeField, clover: CloverField):
         check_lattices(gauge, clover)
-        self.keep_parity = keep_parity
         self.geom = geom = gauge.geom
-        parity_sites = (geom.even_sites, geom.odd_sites)
-        self.keep_sites = parity_sites[keep_parity]
-        self.elim_sites = parity_sites[1 - keep_parity]
+        self.keep_sites, self.elim_sites = geom.even_sites, geom.odd_sites
 
         diag = site_blocks(params, clover)
         kept, elim = diag[self.keep_sites], diag[self.elim_sites]
@@ -200,9 +190,9 @@ class SchurOperator:
         np.negative(neg_inv, out=neg_inv)
         # each block array in its left real form, made in its own storage
         self._diag_kept, self._diag_elim, self._neg_inv = (left_real_form(a) for a in (kept, elim, neg_inv))
-        parity_links = tuple(link_matrices(gauge.data[sites]) for sites in parity_sites)
-        self._to_elim = ParityHop.build(geom, parity_links, 1 - keep_parity)
-        self._to_kept = ParityHop.build(geom, parity_links, keep_parity)
+        parity_links = tuple(link_matrices(gauge.data[sites]) for sites in (self.keep_sites, self.elim_sites))
+        self._to_elim = ParityHop.build(geom, parity_links, 1)
+        self._to_kept = ParityHop.build(geom, parity_links, 0)
 
     @property
     def n_sites(self) -> int:
@@ -232,21 +222,21 @@ class SchurOperator:
         return self.apply(v)
 
     def solve_eliminated(self, v: BlockSpinorField) -> BlockSpinorField:
-        """N v = -D_elim^-1 v on the eliminated parity: one batched product with the negated inverses."""
+        """N v = -D_oo^-1 v on the odd sites: one batched product with the negated inverses."""
         return apply_self_coupling(self._neg_inv, v)
 
     def apply(self, v: BlockSpinorField) -> BlockSpinorField:
-        """w = S v on the kept parity."""
+        """w = S v on the even sites."""
         _check_field(v, self.n_sites, "Schur system", self.dtype)
         t = BlockSpinorField.zeros_like(v)
-        self._to_elim(v, t)  # t = 0 - H_ek v = D_ek v
+        self._to_elim(v, t)  # t = 0 - H_oe v = D_oe v
         t = self.solve_eliminated(t)
         out = apply_self_coupling(self._diag_kept, v)
-        self._to_kept(t, out)  # out = D_kk v - H_ke N t
+        self._to_kept(t, out)  # out = D_ee v - H_eo N t
         return out
 
     def reduce_rhs(self, eta: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
-        """(eta_kept - D_ke D_elim^-1 eta_elim, eta_elim) for the half solve: eta_kept - H_ke N eta_elim."""
+        """(eta_e - D_eo D_oo^-1 eta_o, eta_o) for the half solve: eta_e - H_eo N eta_o."""
         _check_field(eta, self.geom.n_sites, "gauge lattice", self.dtype)
         eta_elim = eta.take_sites(self.elim_sites)
         reduced = eta.take_sites(self.keep_sites)
@@ -254,7 +244,7 @@ class SchurOperator:
         return reduced, eta_elim
 
     def reconstruct(self, x_kept: BlockSpinorField, eta_elim: BlockSpinorField) -> BlockSpinorField:
-        """x_elim = D_elim^-1 (eta_elim - D_ek x_kept) = N (-eta_elim - H_ek x_kept)."""
+        """x_o = D_oo^-1 (eta_o - D_oe x_e) = N (-eta_o - H_oe x_e), for x_e = ``x_kept`` and eta_o = ``eta_elim``."""
         _check_field(x_kept, self.n_sites, "Schur system", self.dtype)
         check_matching(eta_elim, x_kept, "eta_elim", "x_kept")
         t = replace(eta_elim, data=-eta_elim.data)
@@ -262,7 +252,7 @@ class SchurOperator:
         return self.solve_eliminated(t)
 
     def apply_full(self, psi: BlockSpinorField) -> BlockSpinorField:
-        """D psi on the whole lattice: D_kk x_k - H_ke x_e on the kept parity, D_ee x_e - H_ek x_k on the other."""
+        """D psi on the whole lattice: D_ee x_e - H_eo x_o on the even sites, D_oo x_o - H_oe x_e on the odd ones."""
         _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype)
         x_kept, x_elim = psi.take_sites(self.keep_sites), psi.take_sites(self.elim_sites)
         out_kept = apply_self_coupling(self._diag_kept, x_kept)
@@ -272,5 +262,5 @@ class SchurOperator:
         return self.merge(out_kept, out_elim)
 
     def merge(self, x_kept: BlockSpinorField, x_elim: BlockSpinorField) -> BlockSpinorField:
-        halves = (x_kept, x_elim) if self.keep_parity == 0 else (x_elim, x_kept)
-        return merge_fields(*halves, self.geom)
+        """The whole-lattice field of the even half ``x_kept`` and the odd half ``x_elim``."""
+        return merge_fields(x_kept, x_elim, self.geom)

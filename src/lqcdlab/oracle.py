@@ -69,15 +69,12 @@ def parity_component_indices(geom: LatticeGeometry, parity: int) -> np.ndarray:
     return (sites[:, None] * SPINOR_LEN + np.arange(SPINOR_LEN)).ravel()
 
 
-def assemble_schur_dense(params, gauge: GaugeField, clover: CloverField, keep_parity: int = 0) -> np.ndarray:
-    """Dense Schur complement S = D_ee - D_eo D_oo^-1 D_oe over the kept parity.
-
-    With ``keep_parity=1`` the roles swap: e are the odd sites, o the even.
-    """
+def assemble_schur_dense(params, gauge: GaugeField, clover: CloverField) -> np.ndarray:
+    """Dense Schur complement S = D_ee - D_eo D_oo^-1 D_oe over the even sites."""
     geom = gauge.geom
     full = assemble_dirac_dense(params, gauge, clover)
-    ev = parity_component_indices(geom, keep_parity)
-    od = parity_component_indices(geom, 1 - keep_parity)
+    ev = parity_component_indices(geom, 0)
+    od = parity_component_indices(geom, 1)
     d_ee = full[np.ix_(ev, ev)]
     d_eo = full[np.ix_(ev, od)]
     d_oe = full[np.ix_(od, ev)]

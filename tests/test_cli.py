@@ -86,9 +86,13 @@ def test_validation_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "--set", "block.layout=5")
     assert code == 1 and "layout" in err
     code, _, err = run_cli(capsys, "solve", "--set", "lattice.antiperiodic_time=yes")
-    assert code == 1 and "not implemented" in err
+    assert code == 1 and "unknown key" in err
     code, _, err = run_cli(capsys, "bogus-command")
     assert code == 1
+    # a negative seed is a validation error before the header, not numpy's after it
+    code, out, err = run_cli(capsys, "solve", "--set", "seed=-3")
+    assert code == 1 and "seed must be >= 0, got -3" in err
+    assert out == ""
 
 
 def test_solve_writes_outputs(capsys, tmp_path):
@@ -252,6 +256,17 @@ def test_bench_dirac_rejects_zero_reps(capsys):
     code, out, err = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=2 2 2 2", "--reps", "0")
     assert code == 1
     assert "--reps must be >= 1, got 0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--b-list", "2,0", "--b-list entries must be >= 1, got [2, 0]"),
+    ("--layout-list", "1 3", "--layout-list entries must be 1 or 2, got [1, 3]"),
+])
+def test_bench_dirac_rejects_bad_sweep_entries_before_the_header(capsys, option, value, message):
+    code, out, err = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=2 2 2 2", option, value)
+    assert code == 1
+    assert message in err
     assert out == ""
 
 

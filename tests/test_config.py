@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from lqcdlab.config import (
+    KEY_MAP,
     ConfigError,
     RunConfig,
     canonical,
@@ -43,6 +47,8 @@ def test_parse_errors():
         parse_config("volume = 16")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("output.format = yaml")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("lattice.antiperiodic_time = true")
     with pytest.raises(ConfigError, match="expected"):
         parse_config("block.b 4")
     with pytest.raises(ConfigError, match="boolean"):
@@ -94,10 +100,20 @@ def test_set_key():
         ("gauge.mode = cold", "gauge.mode"),
         ("solver.tol = 0", "tol"),
         ("solver.restart_len = 0", "restart"),
-        ("lattice.antiperiodic_time = true", "not implemented"),
+        ("seed = -3", "seed must be >= 0"),
     ],
 )
 def test_validate_rejects(line, match):
     cfg = parse_config(line)
     with pytest.raises(ConfigError, match=match):
         validate(cfg)
+
+
+def test_readme_key_table_matches_the_config_keys():
+    # the README's key table names every config key and no other; a row
+    # such as `gauge.mode` / `clover.mode` names two
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| key | default | meaning |"):].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines()[2:] if line.startswith("|")]
+    documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert documented == set(KEY_MAP)

@@ -176,11 +176,11 @@ def test_gamma_audit_keeps_config_fields(problem, monkeypatch):
 
     monkeypatch.setattr(gmres, "arnoldi_step", spy)
     eta = gen_spinor(geom.n_sites, 1, Layout.RHS_MAJOR, seed=13, geom=geom)
-    cfg = GmresConfig(restart_len=2, restarts=1, breakdown_rel=1e-3)
+    cfg = GmresConfig(restart_len=2, restarts=1, tol=1e-3)
     gamma_residual_audit(DiracOperator(DiracParams(m0=-0.5), gauge, clover), eta, None, cfg)
     assert len(seen) == 2
     for used in seen:
-        assert used.fixed_iterations and used.breakdown_rel == 1e-3
+        assert used.fixed_iterations and used.tol == 1e-3
 
 
 def test_stagnation_flagged():

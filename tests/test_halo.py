@@ -6,7 +6,7 @@ import pytest
 
 from lqcdlab import dirac
 from lqcdlab.dirac import DiracOperator, DiracParams, apply_dirac
-from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
+from lqcdlab.fields import Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
 from lqcdlab.gmres import GmresConfig, solve_dirac
 from lqcdlab.halo import (
@@ -16,7 +16,6 @@ from lqcdlab.halo import (
     MultiRankExecutor,
     RankFaultError,
 )
-from lqcdlab.projectors import HALF_SPINOR_LEN
 
 GRIDS = [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (1, 1, 1, 1), (2, 2, 2, 2)]
 # threads is the only execution mode; passing it explicitly, as the benchmark
@@ -170,11 +169,11 @@ def test_executor_rejects_mode():
         MultiRankExecutor(RankGrid((2, 1, 1, 1)), mode="sequential")
 
 
-def test_executor_rejects_half_spinor_before_the_split(problem):
+def test_executor_rejects_a_malformed_field_before_the_split(problem):
     # an input error is the caller's, not a fault of the rank that trips on it
-    geom, gauge, clover, params, _, _ = problem
-    half = BlockSpinorField.zeros(geom.n_sites, 2, Layout.RHS_MAJOR, HALF_SPINOR_LEN, geom)
-    with pytest.raises(ValueError, match="expected full spinor field"):
+    geom, gauge, clover, params, psi, _ = problem
+    half = psi.take_sites(geom.even_sites)
+    with pytest.raises(ValueError, match=f"field has {len(geom.even_sites)} sites, gauge lattice has {geom.n_sites}"):
         MultiRankExecutor(RankGrid((2, 1, 1, 1))).apply_dirac(params, gauge, clover, half)
 
 

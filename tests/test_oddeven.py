@@ -133,39 +133,21 @@ def _rel(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
-def test_keep_parity_odd(problem):
-    geom, gauge, clover, params = problem
-    schur_odd = SchurOperator(params, gauge, clover, keep_parity=1)
-    assert schur_odd.n_sites == geom.n_sites // 2
-    dense = assemble_schur_dense(params, gauge, clover, keep_parity=1)
-    v = gen_spinor(schur_odd.n_sites, 2, Layout.COMPONENT_MAJOR, seed=76)
-    assert _rel(schur_odd.apply(v).columns(), dense @ v.columns()) < 1e-12
-    # reduce, solve densely, reconstruct and merge with the odd half kept
-    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=78, geom=geom)
-    reduced, eta_elim = schur_odd.reduce_rhs(eta)
-    x_kept = BlockSpinorField.zeros_like(reduced)
-    x_kept.set_columns(dense_solve(dense, reduced.columns()))
-    psi = schur_odd.merge(x_kept, schur_odd.reconstruct(x_kept, eta_elim))
-    assert _rel(apply_dirac(params, gauge, clover, psi).columns(), eta.columns()) < 1e-12
-    dense_full = assemble_dirac_dense(params, gauge, clover)
-    assert _rel(schur_odd.apply_full(psi).columns(), dense_full @ psi.columns()) < 1e-12
-
-
-@pytest.mark.parametrize("keep_parity", [0, 1])
+@pytest.mark.parametrize("block", [0, 1])
 @pytest.mark.parametrize("fault", ["singular", "nan"])
-def test_bad_eliminated_block_is_attributed(problem, keep_parity, fault):
+def test_bad_eliminated_block_is_attributed(problem, block, fault):
     geom, gauge, clover, params = problem
-    site = int((geom.even_sites, geom.odd_sites)[1 - keep_parity][5])
+    site = int(geom.odd_sites[5])
     if fault == "singular":
         blocks = clover.blocks()
-        blocks[site, 1] = (4.0 + params.m0) * np.eye(6)  # diagonal block (4+m0)I - C = 0
+        blocks[site, block] = (4.0 + params.m0) * np.eye(6)  # diagonal block (4+m0)I - C = 0
         bad = CloverField.from_blocks(geom, blocks)
     else:
         bad = CloverField(geom, clover.data.copy())
-        bad.data[site, 1, 3] = np.nan
+        bad.data[site, block, 3] = np.nan
     with pytest.raises(SingularBlockError) as err:
-        SchurOperator(params, gauge, bad, keep_parity=keep_parity)
-    assert (err.value.site, err.value.block) == (site, 1)
+        SchurOperator(params, gauge, bad)
+    assert (err.value.site, err.value.block) == (site, block)
     assert f"at site {site}" in str(err.value)
     assert np.isnan(err.value.cond) == (fault == "nan")
 
@@ -236,7 +218,7 @@ def test_operator_is_a_build_time_snapshot(problem):
     assert _rel(rebuilt.apply(v).columns(), dense_now @ v.columns()) < 1e-12
 
 
-@pytest.mark.parametrize("case", ["eta larger lattice", "eta smaller lattice", "apply half spinor",
+@pytest.mark.parametrize("case", ["eta larger lattice", "eta smaller lattice",
                                   "apply full lattice", "apply_full half lattice", "reconstruct b",
                                   "reconstruct layout", "reconstruct sites"])
 def test_schur_rejects_mismatched_fields(problem, case):
@@ -255,14 +237,11 @@ def test_schur_rejects_mismatched_fields(problem, case):
         "eta smaller lattice": (
             lambda: schur.reduce_rhs(gen_spinor(smaller.n_sites, 2, Layout.RHS_MAJOR, seed=79, geom=smaller)),
             "field has 128 sites, gauge lattice has 256"),
-        "apply half spinor": (
-            lambda: schur.apply(BlockSpinorField.zeros(schur.n_sites, 2, Layout.RHS_MAJOR, 6)),
-            "expected full spinor field"),
         "apply full lattice": (lambda: schur.apply(eta), "field has 256 sites, Schur system has 128"),
         "apply_full half lattice": (lambda: schur.apply_full(reduced), "field has 128 sites, gauge lattice has 256"),
         "reconstruct b": (
             lambda: schur.reconstruct(reduced, BlockSpinorField.zeros(schur.n_sites, 1)),
-            r"eta_elim \(n_sites=128, s=12, b=1\) in RHS_MAJOR does not match x_kept \(n_sites=128, s=12, b=2\)"),
+            r"eta_elim \(n_sites=128, b=1\) in RHS_MAJOR does not match x_kept \(n_sites=128, b=2\)"),
         "reconstruct layout": (
             lambda: schur.reconstruct(reduced, eta_elim.convert(Layout.COMPONENT_MAJOR)),
             "eta_elim .* in COMPONENT_MAJOR does not match x_kept .* in RHS_MAJOR"),
@@ -295,13 +274,12 @@ def test_schur_apply_peak_temporaries(layout):
     assert peak < 3.5 * v.data.nbytes
 
 
-@pytest.mark.parametrize("keep_parity", [0, 1])
+@pytest.mark.parametrize("lattice", [0, 1])  # index into (problem, noncubic)
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
 @pytest.mark.parametrize("b", [1, 3, 16])
-def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypatch, keep_parity, layout, b):
-    geom, gauge, clover, params = problem
-    schurs = [SchurOperator(p, g, c, keep_parity=keep_parity) for _, g, c, p in (problem, noncubic)]
-    schur = schurs[0]
+def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypatch, lattice, layout, b):
+    geom, gauge, clover, params = (problem, noncubic)[lattice]
+    schur = SchurOperator(params, gauge, clover)
     for name in ("site_blocks", "link_matrices", "_invert_blocks"):
         monkeypatch.setattr(oddeven, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
     twin = schur.astype(np.complex64)
@@ -318,9 +296,8 @@ def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypa
     assert got.dtype == np.complex64
     assert np.linalg.norm(got.data - ref.data) <= 1e-6 * np.linalg.norm(ref.data)
     # the whole-lattice D from the parity blocks is bitwise the full operator's apply
-    for (lattice, gauge_, clover_, params_), op in zip((problem, noncubic), schurs):
-        psi = gen_spinor(lattice.n_sites, b, layout, seed=82, geom=lattice)
-        assert np.array_equal(op.apply_full(psi).data, apply_dirac(params_, gauge_, clover_, psi).data)
+    psi = gen_spinor(geom.n_sites, b, layout, seed=82, geom=geom)
+    assert np.array_equal(schur.apply_full(psi).data, apply_dirac(params, gauge, clover, psi).data)
 
 
 def test_schur_rejects_a_field_of_the_other_precision(problem):
