@@ -131,8 +131,11 @@ def cmd_bench_dirac(args) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     cfg = _load_runconfig(args)
-    b_list = _int_list(args.b_list) if args.b_list else [cfg.b]
-    layouts = _int_list(args.layout_list) if args.layout_list else [cfg.layout]
+    b_list = _int_list(args.b_list) if args.b_list is not None else [cfg.b]
+    layouts = _int_list(args.layout_list) if args.layout_list is not None else [cfg.layout]
+    for option, values in (("--b-list", b_list), ("--layout-list", layouts)):
+        if not values:
+            raise ConfigError(f"{option} names no values")
     if any(b < 1 for b in b_list):
         raise ConfigError(f"--b-list entries must be >= 1, got {b_list}")
     if any(layout not in (1, 2) for layout in layouts):

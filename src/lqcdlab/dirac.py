@@ -23,13 +23,17 @@ the field's logical view, in either layout, into one chunk buffer.
 
 The hops run as one sweep over chunks of destination sites, entirely in
 real matrix products: a complex row x times a complex z is the float row
-x_f times the real form of z (``_real_form``).  For each chunk
-and each mu the sweep gathers psi at the +mu and -mu neighbors as spinor
-rows, one per site and rhs, and compresses them to half spinors h = K psi
-with one product by a fixed real projection matrix per side (the real form
-of the projectors module's K = [I, -+A_mu] times the color identity); a
-chunk's half spinors are (m, b, 2, 3), color innermost, so each
-site's 2b rows of 3 colors are one (2b, 6) float64 matrix.  That matrix is
+x_f times the real form of z (``_real_form``).  The sweep reads psi as
+one contiguous array of spinor rows, (n_sites, b, 12), one row per site
+and rhs: a Layout-1 field's own storage, into which a Layout-2 field is
+transposed once per call (its gathered rows would not be contiguous, and
+the sweep gathers each row 8 times).  For each chunk and each mu the
+sweep gathers the rows of the +mu and -mu neighbors and compresses them
+to half spinors h = K psi with one product by a fixed real projection
+matrix per side (the real form of the projectors module's
+K = [I, -+A_mu] times the color identity); a chunk's half spinors are
+(m, b, 2, 3), color innermost, so each site's 2b rows of 3 colors are one
+(2b, 6) float64 matrix.  That matrix is
 multiplied by the site's real 6x6 link matrix W (:func:`link_matrices`) on
 the +mu side and by W^T, which is the link matrix of U^H, on the -mu side:
 one batched float64 ``matmul`` each, where a complex ``U @ h`` would be one
@@ -58,10 +62,13 @@ operator (oddeven module) passes link matrices built once per parity and
 cross-parity tables on half-lattice fields.  Through the multi-rank
 executor (halo module) the snapshot keeps each rank's rows of both arrays
 and calls the sweep on each rank's thread with them, its local tables and
-its communicator: the rank posts the
-compressed +mu-side half spinors of its -mu face and the link-multiplied
--mu-side values of its +mu face, completes its receives, and the sweep
-takes the face rows it cannot compute locally from the received halos.
+its communicator.  Each rank gathers its psi rows straight into row
+order, as a Layout-1 field whatever psi's layout, so its sweep copies
+nothing more, and writes its eta rows back with one transposing put.  The
+rank posts the compressed +mu-side half spinors of its -mu face and the
+link-multiplied -mu-side values of its +mu face, completes its receives,
+and the sweep takes the face rows it cannot compute locally from the
+received halos.
 The posted values come from the same helpers as the sweep's, so every site
 sees the same operations on the same values, which is why the multi-rank
 result is bitwise equal to the single-rank one.
@@ -105,7 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PRECISIONS, BlockSpinorField, CloverField, GaugeField
+from .fields import PRECISIONS, BlockSpinorField, CloverField, GaugeField, Layout
 from .geometry import NDIM
 from .projectors import A_BLOCKS, N_COLOR, compression
 
@@ -299,9 +306,27 @@ def _times(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (rows.view(r.dtype).reshape(-1, r.shape[0]) @ r).view(rows.dtype)
 
 
+def _gather_rows(psi: BlockSpinorField, sites: np.ndarray) -> BlockSpinorField:
+    """psi on ``sites``, in their order, as a Layout-1 field, whose spinor rows are contiguous.
+
+    Rows that are contiguous already (Layout 1, or b = 1) are gathered as
+    they are.  Otherwise each chunk of sites is gathered and transposed
+    into place, so the staging stays chunk-sized.
+    """
+    src = _rows(psi)
+    if src.flags.c_contiguous:
+        rows = src[sites]
+    else:
+        rows = np.empty((len(sites),) + src.shape[1:], dtype=psi.dtype)
+        step = _chunk_sites(psi.b)
+        for lo in range(0, len(sites), step):
+            rows[lo : lo + step] = src[sites[lo : lo + step]]
+    return BlockSpinorField(len(sites), psi.b, Layout.RHS_MAJOR, rows.reshape(-1))
+
+
 def _half(rows: np.ndarray, sites: np.ndarray, mu: int, side: int) -> np.ndarray:
-    """(m, b, 2, 3) half spinors of ``rows`` at ``sites``: the +mu side (``side`` 0) or the -mu side (1)."""
-    gathered = np.ascontiguousarray(rows[sites])
+    """(m, b, 2, 3) half spinors of contiguous ``rows`` at ``sites``: the +mu side (``side`` 0) or the -mu side (1)."""
+    gathered = rows[sites]
     return _times(gathered, _PROJECT_AT[rows.dtype][mu, side]).reshape(gathered.shape[:2] + (2, N_COLOR))
 
 
@@ -359,7 +384,7 @@ def subtract_hops(
     """
     if src_links is None:
         src_links = links
-    rows = _rows(psi)
+    rows = np.ascontiguousarray(_rows(psi))  # a copy only for a Layout-2 psi with b > 1
     if comm is not None:
         for mu in range(NDIM):
             comm.post_send(mu, -1, _half(rows, boundary[(mu, -1)], mu, 0).swapaxes(1, 2))
@@ -411,10 +436,10 @@ class DiracOperator:
     keeps each rank's domain and its rows of both arrays instead, each rank
     building its own rows from its slices of the fields on its own thread,
     and every call runs the ranks on the executor's threads: each rank
-    gathers its own psi rows (:meth:`BlockSpinorField.take_sites`), runs
-    the self coupling and the hop sweep through its communicator, and
-    writes its own eta rows out.  The ranks' rows are disjoint, so they
-    share eta without a lock.
+    gathers its own psi rows into row order (a Layout-1 field, one copy),
+    runs the self coupling and the hop sweep through its communicator, and
+    writes its own eta rows out in eta's layout.  The ranks' rows are
+    disjoint, so they share eta without a lock.
 
     The operator runs at one precision, ``dtype``: complex128 as built, or
     complex64 for the twin that :meth:`astype` returns.  A field of the
@@ -476,12 +501,12 @@ class DiracOperator:
             # replaces the face rows they get wrong with the received halos
             dom, blocks, links = self._ranks[rank]
             local = dom.local_geom
-            loc = psi.take_sites(dom.global_sites)
+            loc = _gather_rows(psi, dom.global_sites)
             out = apply_self_coupling(blocks, loc)
             fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
             back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
             subtract_hops(links, loc, out, fwd, back, comm=comm, boundary=dom.boundary)
-            eta.put_sites(dom.global_sites, out)
+            _rows(eta)[dom.global_sites] = _rows(out)
 
         self.comm.run_ranks(run_rank)
         return eta

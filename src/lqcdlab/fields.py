@@ -402,6 +402,8 @@ def read_spinor(path: str | Path) -> BlockSpinorField:
     dims, s, b, layout, payload = _read_snapshot(Path(path), _MAGIC_SPINOR)
     if s != SPINOR_LEN:
         raise ValueError(f"{path}: spinor length {s}, expected {SPINOR_LEN}")
+    if layout not in (1, 2):
+        raise ValueError(f"{path}: layout {layout}, expected 1 or 2")
     geom = None
     try:
         geom = LatticeGeometry(dims)

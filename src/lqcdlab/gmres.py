@@ -71,7 +71,7 @@ restart residual.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,7 +211,7 @@ def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def arnoldi_step(op, ws: SolverWorkspace, j: int, cfg: GmresConfig) -> None:
+def arnoldi_step(op, ws: SolverWorkspace, j: int) -> None:
     """Extend the basis by one vector and fold it into the rotated system."""
     ws.stage.load_column_form(ws.basis[j])
     w = ws.basis[j + 1]
@@ -361,7 +361,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
             break
         start_rel = ws.relnorm.copy()
         for j in range(cfg.restart_len):
-            arnoldi_step(inner, ws, j, cfg)
+            arnoldi_step(inner, ws, j)
             iterations += 1
             _check_finite(ws, iterations)
             history.append(ws.relnorm.copy())
@@ -426,7 +426,6 @@ def gamma_residual_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | Non
     expanded and the true residual formed, which is exactly what the rotation
     recurrence claims to track.
     """
-    cfg = replace(cfg, fixed_iterations=True)
     psi = BlockSpinorField.zeros_like(eta) if psi0 is None else psi0.copy()
     eta_norms = block_norms(eta)
     ws = SolverWorkspace.allocate(eta, cfg.restart_len, eta_norms)
@@ -434,7 +433,7 @@ def gamma_residual_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | Non
     for _cycle in range(cfg.restarts):
         _start_cycle(op, eta, psi, ws)
         for j in range(cfg.restart_len):
-            arnoldi_step(op, ws, j, cfg)
+            arnoldi_step(op, ws, j)
             probe = psi.copy()
             update_solution(ws, least_squares_update(ws, j + 1), probe)
             explicit = _residual_norms(op(probe), eta)

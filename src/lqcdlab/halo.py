@@ -30,10 +30,12 @@ call the one hop sweep :func:`lqcdlab.dirac.subtract_hops`: each rank with
 its own neighbor tables and communicator, the single-rank apply with the
 periodic tables and none.  Both run one :class:`lqcdlab.dirac.DiracOperator`
 snapshot, built once: each rank builds and keeps its own rows of the
-snapshot's site blocks and link matrices, and copies its own psi rows in
-and its eta rows out, all on its own thread.  Rank-local slices only
-permute the site axis and the posted values come from the same helpers as
-the sweep's, so every site sees the same operations in the same order.
+snapshot's site blocks and link matrices, gathers its psi rows in row
+order (a Layout-1 field, so the sweep reads them without another copy) and
+writes its eta rows out in eta's layout, all on its own thread.  Rank-local
+slices only permute the site axis and the posted values come from the same
+helpers as the sweep's, so every site sees the same operations in the same
+order.
 
 A fault on one rank poisons every mailbox, so its peers stop at their next
 receive instead of waiting out the timeout, and the executor re-raises it as

@@ -42,9 +42,11 @@ blocks, computed once per operator and exact up to roundoff, never
 iterative.  A half-lattice field is a gather of whole site blocks
 (:meth:`lqcdlab.fields.BlockSpinorField.take_sites`) that keeps the
 layout; the hop sweep runs on one parity's sites with cross-parity
-neighbor tables.  The real link matrices of the sweep
-(:func:`lqcdlab.dirac.link_matrices`) are built once per parity at build
-time and shared by both blocks: H_eo reads the even sites' at its
+neighbor tables.  :meth:`SchurOperator.apply` allocates its temporaries t
+and N t in row order (Layout 1), the order the sweep reads, so only its
+first sweep transposes a Layout-2 input and the second copies nothing.
+The real link matrices of the sweep (:func:`lqcdlab.dirac.link_matrices`)
+are built once per parity at build time and shared by both blocks: H_eo reads the even sites' at its
 destination sites (the +mu side) and the odd sites' at its source
 sites (the -mu side), and H_oe the other way round.
 """
@@ -58,7 +60,7 @@ import numpy as np
 
 from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, left_real_form,
                     link_matrices, site_blocks, subtract_hops)
-from .fields import BlockSpinorField, CloverField, GaugeField, check_matching
+from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching
 from .geometry import NDIM, LatticeGeometry
 
 # eliminated blocks with a larger condition estimate are rejected as singular
@@ -228,7 +230,8 @@ class SchurOperator:
     def apply(self, v: BlockSpinorField) -> BlockSpinorField:
         """w = S v on the even sites."""
         _check_field(v, self.n_sites, "Schur system", self.dtype)
-        t = BlockSpinorField.zeros_like(v)
+        # in row order, so the second sweep reads t's rows without a copy
+        t = BlockSpinorField.zeros(len(self.elim_sites), v.b, Layout.RHS_MAJOR, dtype=v.dtype)
         self._to_elim(v, t)  # t = 0 - H_oe v = D_oe v
         t = self.solve_eliminated(t)
         out = apply_self_coupling(self._diag_kept, v)

@@ -262,6 +262,8 @@ def test_bench_dirac_rejects_zero_reps(capsys):
 @pytest.mark.parametrize("option,value,message", [
     ("--b-list", "2,0", "--b-list entries must be >= 1, got [2, 0]"),
     ("--layout-list", "1 3", "--layout-list entries must be 1 or 2, got [1, 3]"),
+    ("--b-list", ",", "--b-list names no values"),
+    ("--layout-list", " ", "--layout-list names no values"),
 ])
 def test_bench_dirac_rejects_bad_sweep_entries_before_the_header(capsys, option, value, message):
     code, out, err = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=2 2 2 2", option, value)

@@ -157,6 +157,16 @@ def test_spinor_snapshot_rejects_a_spinor_length_other_than_12(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_spinor_snapshot_rejects_an_unknown_layout_byte(tmp_path):
+    path = tmp_path / "layout3.snap"
+    dims, s, b = (2, 2, 2, 2), 12, 1
+    header = struct.pack("<4sI4IIIB", b"LQML", 1, *dims, s, b, 3)
+    path.write_bytes(header + np.zeros(16 * s * b, dtype="<c16").tobytes())
+    with pytest.raises(ValueError, match="layout 3, expected 1 or 2") as err:
+        read_spinor(path)
+    assert str(path) in str(err.value)
+
+
 def test_snapshot_rejects_wrong_magic(tmp_path):
     geom = LatticeGeometry((2, 2, 2, 2))
     gauge = gen_gauge(geom, "unit")

@@ -1,5 +1,6 @@
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,3 +328,42 @@ def test_mixed_solve_uses_the_twin_and_matches_single_rank_bitwise(solve_problem
     assert np.array_equal(again.psi.data, single.psi.data)
     assert np.array_equal(report.psi.data, single.psi.data)
     assert (report.full_relnorms <= cfg.tol).all()
+
+
+@pytest.mark.parametrize("grid", [None, (1, 1, 1, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("b", [3, 16])
+def test_layout_two_and_its_conversion_apply_bitwise_equal(problem, grid, dtype, b):
+    # the sweep reads one contiguous spinor-row array: a Layout-2 field is
+    # transposed into it once per call (ranks gather their rows into it), so
+    # every site sees the same values as with the field's Layout-1 conversion
+    geom, gauge, clover, params, _, _ = problem
+    psi2 = gen_spinor(geom.n_sites, b, Layout.COMPONENT_MAJOR, seed=74, geom=geom).astype(dtype)
+    psi1 = psi2.convert(Layout.RHS_MAJOR)
+    op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None).astype(dtype)
+    eta2, eta1 = op(psi2), op(psi1)
+    assert (eta2.layout, eta1.layout) == (Layout.COMPONENT_MAJOR, Layout.RHS_MAJOR)
+    assert np.array_equal(eta2.ksi(), eta1.ksi())
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_layout_two_rank_apply_holds_no_second_rank_copy(dtype):
+    # each rank gathers its psi rows straight into row order and writes its
+    # eta rows back with one transposing put, so a Layout-2 apply holds what
+    # its Layout-1 conversion's does; a rank-sized Layout-2 copy kept next to
+    # a row copy adds a quarter of a field per rank here
+    geom = LatticeGeometry((8, 8, 8, 8))
+    gauge = gen_gauge(geom, "random", seed=75)
+    clover = gen_clover(geom, "random", scale=0.1, seed=76)
+    op = DiracOperator(DiracParams(m0=1.0), gauge, clover, MultiRankExecutor(RankGrid((1, 1, 1, 2)))).astype(dtype)
+    psi2 = gen_spinor(geom.n_sites, 16, Layout.COMPONENT_MAJOR, seed=77, geom=geom).astype(dtype)
+    peaks = []
+    for psi in (psi2, psi2.convert(Layout.RHS_MAJOR)):
+        op(psi)
+        tracemalloc.start()
+        try:
+            op(psi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.1 * peaks[1]

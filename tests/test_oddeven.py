@@ -119,6 +119,29 @@ def test_reduce_solve_reconstruct_solves_full_system(problem):
     assert res < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("b", [3, 16])
+def test_layout_two_and_its_conversion_give_bitwise_equal_schur_pieces(problem, dtype, b):
+    # every sweep reads one contiguous spinor-row array, so a Layout-2 field
+    # and its Layout-1 conversion see the same values at every site; the
+    # final residual's apply_full runs on the complex128 operator only
+    geom, gauge, clover, params = problem
+    full = SchurOperator(params, gauge, clover)
+    schur = full.astype(dtype)
+    psi2 = gen_spinor(geom.n_sites, b, Layout.COMPONENT_MAJOR, seed=75, geom=geom).astype(dtype)
+    psi1 = psi2.convert(Layout.RHS_MAJOR)
+    v2 = split_fields(psi2)[0]
+    v1 = v2.convert(Layout.RHS_MAJOR)
+    pieces = []
+    for psi, v in ((psi2, v2), (psi1, v1)):
+        reduced, eta_elim = schur.reduce_rhs(psi)
+        pieces.append((schur.apply(v), reduced, eta_elim, schur.reconstruct(v, eta_elim),
+                       full.apply_full(psi.astype(np.complex128))))
+    for got, ref in zip(*pieces):
+        assert (got.layout, ref.layout) == (Layout.COMPONENT_MAJOR, Layout.RHS_MAJOR)
+        assert np.array_equal(got.ksi(), ref.ksi())
+
+
 def test_singular_elimination_block_rejected():
     geom = LatticeGeometry((2, 2, 2, 2))
     gauge = gen_gauge(geom, "unit")
