@@ -284,7 +284,12 @@ def cmd_oracle_check(args) -> int:
         return metric
 
     def check_single_precision():
-        # the complex64 twins of D (both layouts) and S against the dense float64 oracles
+        # the complex64 twins of D (both layouts) and S against the dense float64 oracles, the S twin's
+        # reduce_rhs and reconstruct against the complex128 operator's, and its apply_full, which reads
+        # the float64 D_oo, must raise rather than return a wrong answer
+        def rel(got, ref):
+            return np.linalg.norm(got.columns() - ref.columns()) / np.linalg.norm(ref.columns())
+
         worst = 0.0
         dense = assemble_dirac_dense(params, gauge, clover)
         twin = DiracOperator(params, gauge, clover).astype(np.complex64)
@@ -295,12 +300,25 @@ def cmd_oracle_check(args) -> int:
             worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
         del dense
         schur = SchurOperator(params, gauge, clover)
+        schur_twin = schur.astype(np.complex64)
         v = gen_spinor(schur.n_sites, 2, layout_of(cfg), seed=cfg.seed + 3)
         ref = assemble_schur_dense(params, gauge, clover) @ v.columns()
-        got = schur.astype(np.complex64)(v.astype(np.complex64)).columns()
+        got = schur_twin(v.astype(np.complex64)).columns()
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
+        eta = gen_spinor(geom.n_sites, 2, layout_of(cfg), seed=cfg.seed + 4, geom=geom)
+        reduced, eta_elim = schur.reduce_rhs(eta)
+        reduced32, eta_elim32 = schur_twin.reduce_rhs(eta.astype(np.complex64))
+        worst = max(worst, rel(reduced32, reduced), rel(eta_elim32, eta_elim),
+                    rel(schur_twin.reconstruct(v.astype(np.complex64), eta_elim32), schur.reconstruct(v, eta_elim)))
         if worst > 1e-6:
             raise NumericalFailure(f"rel err {worst:.3e} > 1e-6")
+        try:
+            schur_twin.apply_full(eta.astype(np.complex64))
+        except ValueError as exc:
+            if "operator array of dtype" not in str(exc):
+                raise
+        else:
+            raise NumericalFailure("the complex64 S twin's apply_full did not raise for its float64 D_oo")
         return f"D and S twins, rel err {worst:.3e}"
 
     suite("gauge-unitarity", check_unitarity)

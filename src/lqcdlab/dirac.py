@@ -34,13 +34,18 @@ matrix per side (the real form of the projectors module's
 K = [I, -+A_mu] times the color identity); a chunk's half spinors are
 (m, b, 2, 3), color innermost, so each site's 2b rows of 3 colors are one
 (2b, 6) float64 matrix.  That matrix is
-multiplied by the site's real 6x6 link matrix W (:func:`link_matrices`) on
-the +mu side and by W^T, which is the link matrix of U^H, on the -mu side:
-one batched float64 ``matmul`` each, where a complex ``U @ h`` would be one
-zgemm call per site at several times the cost.  The 1/2 of the hop
-projectors is folded into W, so the projections run no 0.5 pass.  Both
-reconstructed halves go into the chunk's accumulator (A_mu^H is one more
-fixed real matrix), which is subtracted from eta once.
+multiplied by a real 6x6 link matrix (:func:`link_matrices`): on the +mu
+side by the destination site's own W, on the -mu side by W^T of its -mu
+neighbor, which is the link matrix of U^H; one batched float64 ``matmul``
+each, where a complex ``U @ h`` would be one zgemm call per site at several
+times the cost.  An operator stores both at build time in destination
+order, (8, n, 6, 6) hop matrices (:func:`hop_matrices`): slot 2mu holds
+W_mu(x), slot 2mu + 1 holds W_mu(x - mu^)^T, transposed and contiguous.
+Each chunk reads its own rows of both slots, so no apply gathers or
+transposes a link matrix; the cost is one more link array per operator.
+The 1/2 of the hop projectors is folded into W, so the projections run no
+0.5 pass.  Both reconstructed halves go into the chunk's accumulator
+(A_mu^H is one more fixed real matrix), which is subtracted from eta once.
 
 Both stages take one chunk rule (``_chunk_sites``): about 2048 site-rhs
 pairs per chunk, so a chunk's temporaries stay near L2, and never fewer
@@ -54,34 +59,39 @@ A_mu^H is one input or the rounded sum of two, however BLAS orders its
 sums: bitwise what the structured operation gives.
 
 One function, :func:`subtract_hops`, holds that sweep, and every caller
-passes it prebuilt link matrices and neighbor tables.  The full operator,
+passes it prebuilt hop matrices and neighbor tables.  The full operator,
 :class:`DiracOperator`, is a snapshot: it builds the site blocks and the
-link matrices of the whole lattice once, and every apply reuses them with
+hop matrices of the whole lattice once, and every apply reuses them with
 the periodic tables, so a solve pays for them once.  The even/odd Schur
-operator (oddeven module) passes link matrices built once per parity and
-cross-parity tables on half-lattice fields.  Through the multi-rank
-executor (halo module) the snapshot keeps each rank's rows of both arrays
-and calls the sweep on each rank's thread with them, its local tables and
-its communicator.  Each rank gathers its psi rows straight into row
+operator (oddeven module) passes each of its two parity hops its own hop
+matrices and cross-parity tables on half-lattice fields.  Through the
+multi-rank executor (halo module) the snapshot keeps each rank's rows of
+both arrays and calls the sweep on each rank's thread with them, its local
+tables and its communicator.  A rank builds slot 2mu + 1 of its -mu face
+rows through the rank-local wrap; the sweep replaces those rows' -mu side
+by the received halo.  Each rank gathers its psi rows straight into row
 order, as a Layout-1 field whatever psi's layout, so its sweep copies
 nothing more, and writes its eta rows back with one transposing put.  The
 rank posts the compressed +mu-side half spinors of its -mu face and the
-link-multiplied -mu-side values of its +mu face, completes its receives,
-and the sweep takes the face rows it cannot compute locally from the
-received halos.
-The posted values come from the same helpers as the sweep's, so every site
-sees the same operations on the same values, which is why the multi-rank
-result is bitwise equal to the single-rank one.
+link-multiplied -mu-side values of its +mu face (slot 2mu of the face
+rows, transposed for the post only), completes its receives, and the
+sweep takes the face rows it cannot compute locally from the received
+halos.  The posted values come from the same helpers and the same matrix
+values as the sweep's, so every site sees the same operations on the same
+values, which is why the multi-rank result is bitwise equal to the
+single-rank one.
 
 The sweep and the self coupling run at the precision of the field they
 are given: the helpers view complex128 data as float64 and complex64 data
 as float32, and pick the spin matrices of that precision (their entries
-are 0 and +-1, so the float32 copies are exact).  An operator holds its
-arrays at one precision; :meth:`DiracOperator.astype` makes the complex64
-twin, with float32 site blocks and link matrices, from cast copies of the
-arrays, and the twin is again bitwise equal across rank grids.  The solver
-applies the twin inside its Krylov cycles and the complex128 operator for
-every residual (gmres module).
+are 0 and +-1, so the float32 copies are exact).  Both stages raise a
+``ValueError`` naming both dtypes when an operator array's real dtype is
+not the field's, rather than view the field's bytes at the wrong width.
+An operator holds its arrays at one precision; :meth:`DiracOperator.astype`
+makes the complex64 twin, with float32 site blocks and hop matrices, from
+cast copies of the arrays, and the twin is again bitwise equal across rank
+grids.  The solver applies the twin inside its Krylov cycles and the
+complex128 operator for every residual (gmres module).
 
 Flop accounting counts the structured operations the operator needs: a
 complex multiply costs 6 flops, a complex add 2, a real-by-complex scale 2,
@@ -157,7 +167,7 @@ def _check_field(psi: BlockSpinorField, n_sites: int, system: str, dtype=None) -
 
 
 def _cast(arrays: tuple, dtype) -> tuple:
-    """Copies of an operator's arrays (site blocks in left real form, link matrices) at precision ``dtype``.
+    """Copies of an operator's arrays (site blocks in left real form, hop matrices) at precision ``dtype``.
 
     Complex arrays are cast to ``dtype``, real ones to its real counterpart.
     """
@@ -224,8 +234,10 @@ def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField) -> BlockSpino
     Chunk by chunk the stack [x ; i x] of each site's two (6, b) half-spinor
     blocks x is written to one buffer, and one batched real product of the
     blocks with its float view gives the float view of B x, which is copied
-    to eta.  The blocks' real precision must be psi's.
+    to eta.  The blocks' real precision must be psi's, or a ``ValueError``
+    names both dtypes.
     """
+    _check_precision(blocks, psi)
     eta = BlockSpinorField.zeros_like(psi)
     n, b = psi.n_sites, psi.b
     src, dst = (f.ksi().reshape(n, 2, 6, b) for f in (psi, eta))
@@ -337,15 +349,37 @@ def _link_multiply(w: np.ndarray, half: np.ndarray) -> np.ndarray:
     return prod.view(half.dtype).reshape(half.shape)
 
 
-def _adjoint_hop(links: np.ndarray, rows: np.ndarray, sites: np.ndarray, mu: int) -> np.ndarray:
-    """U_mu^H(x) / 2 times the -mu-side half spinor of psi(x) for every x in ``sites``.
+def hop_matrices(links: np.ndarray) -> np.ndarray:
+    """(8, n, 6, 6) matrices of the hop sweep in destination order, slot 2mu set from (n, 4, 6, 6) :func:`link_matrices`.
 
-    These values travel to x + mu^; the sweep and the halo posts both
-    compute them here, so a value is bitwise the same on either path.
+    For each destination site x, slot 2mu holds W_mu(x) and slot 2mu + 1
+    holds W_mu(x - mu^)^T, the link matrix of U_mu^H(x - mu^), transposed
+    and contiguous: numpy's batched matmul is 2-3x slower on a transposed
+    view.  This sets the slots 2mu; :func:`set_back_hops` sets the slots
+    2mu + 1.  The sweep reads both slots at a chunk's own rows, each a
+    contiguous (m, 6, 6) block, so no apply gathers or transposes a link
+    matrix.
     """
-    adjoint = np.empty((len(sites), 6, 6), dtype=links.dtype)
-    adjoint.swapaxes(1, 2)[...] = links[sites, mu]  # W^T made contiguous: numpy's matmul is slower on a transposed view
-    return _link_multiply(adjoint, _half(rows, sites, mu, 1))
+    hops = np.empty((2 * NDIM, len(links), 6, 6), dtype=links.dtype)
+    hops[0::2] = links.swapaxes(0, 1)
+    return hops
+
+
+def set_back_hops(hops: np.ndarray, back, src_hops: np.ndarray) -> None:
+    """Set slot 2mu + 1 of ``hops`` at each x to slot 2mu of ``src_hops`` at y = ``back[mu][x]``, transposed.
+
+    ``src_hops`` holds the source sites' :func:`hop_matrices`: ``hops``
+    itself when psi and eta share their sites, the other parity's array
+    for a parity-to-parity hop.
+    """
+    for mu in range(NDIM):
+        hops[2 * mu + 1] = src_hops[2 * mu][back[mu]].swapaxes(1, 2)
+
+
+def _check_precision(array: np.ndarray, psi: BlockSpinorField) -> None:
+    """Raise unless an operator array's real dtype is the one of psi's precision."""
+    if array.dtype != np.finfo(psi.dtype).dtype:
+        raise ValueError(f"operator array of dtype {array.dtype} given a field of dtype {psi.dtype}")
 
 
 def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, lo: int, hi: int) -> None:
@@ -355,41 +389,41 @@ def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, lo: in
 
 
 def subtract_hops(
-    links: np.ndarray,
+    hops: np.ndarray,
     psi: BlockSpinorField,
     eta: BlockSpinorField,
     fwd: list[np.ndarray],
     back: list[np.ndarray],
-    src_links: np.ndarray | None = None,
     comm=None,
     boundary: dict | None = None,
 ) -> None:
     """Run the hop sweep of the stencil, subtracting it from eta in place.
 
-    ``links`` are the (n_eta, 4, 6, 6) :func:`link_matrices` of eta's
-    sites, and ``fwd[mu]``/``back[mu]`` map each eta site to the psi index
-    of its +mu/-mu neighbor.  The link matrices multiplying the +mu side
-    are read from ``links`` at eta's sites, those of the -mu side from
-    ``src_links`` (default ``links``) at psi's sites; the two
-    differ only when psi and eta live on different site sets, as in the
-    parity-to-parity hops of the even/odd Schur operator.
+    ``hops`` are the (8, n_eta, 6, 6) :func:`hop_matrices` of eta's sites,
+    and ``fwd[mu]``/``back[mu]`` map each eta site to the psi index of its
+    +mu/-mu neighbor.  Each chunk of eta rows reads its own rows of
+    ``hops``: slot 2mu multiplies the +mu side, slot 2mu + 1 the -mu side.
+    Their real dtype must be psi's, or a ``ValueError`` names both dtypes.
 
     With a rank endpoint ``comm`` and its ``boundary`` face sets, ``fwd``/
     ``back`` are the rank-local periodic tables.  The rank first posts the
     +mu-side half spinors of every -mu face and the link-multiplied -mu-side
-    values of every +mu face, then completes its receives, and the sweep
-    replaces the rows of the +mu face (resp. -mu face) by the halo values
-    received from the +mu (resp. -mu) neighbor rank.  Halo payloads are
-    (n_face, 2, b, 3) (spin, rhs, color) in ascending face order.
+    values of every +mu face (slot 2mu of the face rows, transposed), then
+    completes its receives, and the sweep replaces the rows of the +mu face
+    (resp. -mu face) by the halo values received from the +mu (resp. -mu)
+    neighbor rank.  Halo payloads are (n_face, 2, b, 3) (spin, rhs, color)
+    in ascending face order.
     """
-    if src_links is None:
-        src_links = links
+    _check_precision(hops, psi)
     rows = np.ascontiguousarray(_rows(psi))  # a copy only for a Layout-2 psi with b > 1
     if comm is not None:
         for mu in range(NDIM):
             comm.post_send(mu, -1, _half(rows, boundary[(mu, -1)], mu, 0).swapaxes(1, 2))
         for mu in range(NDIM):
-            comm.post_send(mu, +1, _adjoint_hop(src_links, rows, boundary[(mu, 1)], mu).swapaxes(1, 2))
+            # U_mu^H(x) / 2 times the -mu-side half spinor of the +mu face, bound for x + mu^
+            face = boundary[(mu, 1)]
+            adjoint = np.ascontiguousarray(hops[2 * mu, face].swapaxes(1, 2))
+            comm.post_send(mu, +1, _link_multiply(adjoint, _half(rows, face, mu, 1)).swapaxes(1, 2))
         fwd_halo = [comm.complete_recv(mu, -1) for mu in range(NDIM)]
         back_halo = [comm.complete_recv(mu, +1) for mu in range(NDIM)]
 
@@ -406,8 +440,8 @@ def subtract_hops(
             up = _half(rows, fwd[mu][lo:hi], mu, 0)
             if comm is not None:
                 _take_halo_rows(up, boundary[(mu, 1)], fwd_halo[mu], lo, hi)
-            up = _link_multiply(links[lo:hi, mu], up)
-            down = _adjoint_hop(src_links, rows, back[mu][lo:hi], mu)
+            up = _link_multiply(hops[2 * mu, lo:hi], up)
+            down = _link_multiply(hops[2 * mu + 1, lo:hi], _half(rows, back[mu][lo:hi], mu, 1))
             if comm is not None:
                 _take_halo_rows(down, boundary[(mu, -1)], back_halo[mu], lo, hi)
             # (I + gamma_mu)/2 reconstructs the +mu side to (h, A^H h) and
@@ -425,8 +459,8 @@ class DiracOperator:
     """D for one ``(params, gauge, clover)``, as a snapshot taken at build time.
 
     The build makes the site blocks (:func:`site_blocks`, the mass folded
-    in, kept in :func:`left_real_form`) and the link matrices
-    (:func:`link_matrices`) of the whole lattice once, and every call
+    in, kept in :func:`left_real_form`) and the hop matrices
+    (:func:`hop_matrices`) of the whole lattice once, and every call
     reuses them with the periodic neighbor tables, so a solve that builds
     one operator pays for them once and not on every apply.  Both arrays
     are copies: editing the fields in place afterwards does not change the
@@ -454,25 +488,31 @@ class DiracOperator:
         self.comm = comm
         if comm is None:
             self._blocks = left_real_form(site_blocks(params, clover))
-            self._links = link_matrices(gauge.data)
             self._fwd = [self.geom.neighbor_table(mu, +1) for mu in range(NDIM)]
             self._back = [self.geom.neighbor_table(mu, -1) for mu in range(NDIM)]
+            self._hops = hop_matrices(link_matrices(gauge.data))
+            set_back_hops(self._hops, self._back, self._hops)
         else:
             domains = comm.domains(self.geom)
             self._ranks = [None] * len(domains)
 
             def build_rank(rank: int, _comm) -> None:
                 # from the rank's slices of the fields, so no whole-lattice array is made
+                # slot 2mu + 1 of a -mu face row comes from the rank-local wrap;
+                # the sweep overwrites that row's -mu side with the received halo
                 dom = domains[rank]
-                blocks = left_real_form(site_blocks(params, CloverField(dom.local_geom, clover.data[dom.global_sites])))
-                self._ranks[rank] = (dom, blocks, link_matrices(gauge.data[dom.global_sites]))
+                local = dom.local_geom
+                blocks = left_real_form(site_blocks(params, CloverField(local, clover.data[dom.global_sites])))
+                hops = hop_matrices(link_matrices(gauge.data[dom.global_sites]))
+                set_back_hops(hops, [local.neighbor_table(mu, -1) for mu in range(NDIM)], hops)
+                self._ranks[rank] = (dom, blocks, hops)
 
             comm.run_ranks(build_rank)
 
     def astype(self, dtype) -> "DiracOperator":
         """The operator's twin at precision ``dtype`` (itself if it has that precision already).
 
-        The twin holds cast copies of the site blocks and link matrices (of
+        The twin holds cast copies of the site blocks and hop matrices (of
         every rank's rows on an executor) and shares the neighbor tables and
         rank domains; it builds neither array again.  Its sweep runs real
         products at the real counterpart of ``dtype``.
@@ -482,9 +522,9 @@ class DiracOperator:
         twin = copy.copy(self)
         twin.dtype = np.dtype(dtype)
         if self.comm is None:
-            twin._blocks, twin._links = _cast((self._blocks, self._links), dtype)
+            twin._blocks, twin._hops = _cast((self._blocks, self._hops), dtype)
         else:
-            twin._ranks = [(dom, *_cast((blocks, links), dtype)) for dom, blocks, links in self._ranks]
+            twin._ranks = [(dom, *_cast(arrays, dtype)) for dom, *arrays in self._ranks]
         return twin
 
     def __call__(self, psi: BlockSpinorField) -> BlockSpinorField:
@@ -492,20 +532,20 @@ class DiracOperator:
         _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype)
         if self.comm is None:
             eta = apply_self_coupling(self._blocks, psi)
-            subtract_hops(self._links, psi, eta, self._fwd, self._back)
+            subtract_hops(self._hops, psi, eta, self._fwd, self._back)
             return eta
         eta = BlockSpinorField.zeros_like(psi)
 
         def run_rank(rank: int, comm) -> None:
             # the hops use the rank-local periodic tables; subtract_hops
             # replaces the face rows they get wrong with the received halos
-            dom, blocks, links = self._ranks[rank]
+            dom, blocks, hops = self._ranks[rank]
             local = dom.local_geom
             loc = _gather_rows(psi, dom.global_sites)
             out = apply_self_coupling(blocks, loc)
             fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
             back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
-            subtract_hops(links, loc, out, fwd, back, comm=comm, boundary=dom.boundary)
+            subtract_hops(hops, loc, out, fwd, back, comm=comm, boundary=dom.boundary)
             _rows(eta)[dom.global_sites] = _rows(out)
 
         self.comm.run_ranks(run_rank)

@@ -46,9 +46,15 @@ neighbor tables.  :meth:`SchurOperator.apply` allocates its temporaries t
 and N t in row order (Layout 1), the order the sweep reads, so only its
 first sweep transposes a Layout-2 input and the second copies nothing.
 The real link matrices of the sweep (:func:`lqcdlab.dirac.link_matrices`)
-are built once per parity at build time and shared by both blocks: H_eo reads the even sites' at its
-destination sites (the +mu side) and the odd sites' at its source
-sites (the -mu side), and H_oe the other way round.
+are built once per parity at build time, and each off-diagonal block keeps
+its own destination-ordered hop matrices
+(:func:`lqcdlab.dirac.hop_matrices`) made from them: H_eo holds the even
+sites' link matrices (the +mu side) and, transposed, those of each even
+site's odd -mu neighbor (the -mu side), and H_oe the other way round.  A
+parity's link matrices are dropped as soon as they are copied into its
+hop matrices, whose +mu slots then supply the other hop's -mu slots; the
+two hop arrays together hold twice the floats of the lattice's link
+matrices, and no sweep gathers a link matrix.
 """
 
 from __future__ import annotations
@@ -58,8 +64,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, left_real_form,
-                    link_matrices, site_blocks, subtract_hops)
+from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, hop_matrices,
+                    left_real_form, link_matrices, set_back_hops, site_blocks, subtract_hops)
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching
 from .geometry import NDIM, LatticeGeometry
 
@@ -99,33 +105,38 @@ def merge_fields(v_even: BlockSpinorField, v_odd: BlockSpinorField, geom: Lattic
 class ParityHop:
     """The hop sum H_dst,src of D between the two parities; D's off-diagonal block is D_dst,src = -H_dst,src.
 
-    ``dst_links``/``src_links`` are the link matrices
-    (:func:`lqcdlab.dirac.link_matrices`) at the destination and source
-    parity's sites; the two hops of a Schur operator share one array per
-    parity.  ``fwd[mu]``/``back[mu]`` give, for each destination site, the
-    source-half index of its +mu/-mu neighbor, which always has the other
-    parity.
+    ``hops`` are the destination-ordered hop matrices
+    (:func:`lqcdlab.dirac.hop_matrices`) of the destination parity's
+    sites: slot 2mu holds the destination site's own link matrix, slot
+    2mu + 1 the transposed link matrix of its -mu neighbor, a site of the
+    source parity.  ``fwd[mu]``/``back[mu]`` give, for each destination
+    site, the source-half index of its +mu/-mu neighbor, which always has
+    the other parity.
     """
 
-    dst_links: np.ndarray
-    src_links: np.ndarray
+    hops: np.ndarray
     fwd: tuple[np.ndarray, ...]
     back: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, geom: LatticeGeometry, parity_links: tuple[np.ndarray, np.ndarray], dst_parity: int) -> "ParityHop":
-        """H_dst,src from the (even, odd) link matrices ``parity_links``."""
+    def build(cls, geom: LatticeGeometry, parity_hops: tuple[np.ndarray, np.ndarray], dst_parity: int) -> "ParityHop":
+        """H_dst,src on the (even, odd) :func:`lqcdlab.dirac.hop_matrices` ``parity_hops``, whose slots 2mu are set.
+
+        This sets the destination array's slots 2mu + 1 from the source
+        array's slots 2mu and keeps the destination array.
+        """
         parity_sites = (geom.even_sites, geom.odd_sites)
         dst, src = parity_sites[dst_parity], parity_sites[1 - dst_parity]
         src_index = np.empty(geom.n_sites, dtype=np.int64)
         src_index[src] = np.arange(len(src))
         fwd = tuple(src_index[geom.neighbor_table(mu, +1)[dst]] for mu in range(NDIM))
         back = tuple(src_index[geom.neighbor_table(mu, -1)[dst]] for mu in range(NDIM))
-        return cls(parity_links[dst_parity], parity_links[1 - dst_parity], fwd, back)
+        set_back_hops(parity_hops[dst_parity], back, parity_hops[1 - dst_parity])
+        return cls(parity_hops[dst_parity], fwd, back)
 
     def __call__(self, v: BlockSpinorField, out: BlockSpinorField) -> None:
         """out -= H_dst,src v, in place: one hop sweep."""
-        subtract_hops(self.dst_links, v, out, fwd=self.fwd, back=self.back, src_links=self.src_links)
+        subtract_hops(self.hops, v, out, fwd=self.fwd, back=self.back)
 
 
 def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -170,7 +181,7 @@ class SchurOperator:
     the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
     taken at build time: it keeps the diagonal blocks of both parities
     and N, each in :func:`lqcdlab.dirac.left_real_form` (N inverted from
-    the complex blocks first), and the link matrices of both parities, all
+    the complex blocks first), and the hop matrices of its two hops, all
     copied, so editing the fields in place afterwards does not change it.
     Build a new operator for new fields.
 
@@ -192,9 +203,11 @@ class SchurOperator:
         np.negative(neg_inv, out=neg_inv)
         # each block array in its left real form, made in its own storage
         self._diag_kept, self._diag_elim, self._neg_inv = (left_real_form(a) for a in (kept, elim, neg_inv))
-        parity_links = tuple(link_matrices(gauge.data[sites]) for sites in (self.keep_sites, self.elim_sites))
-        self._to_elim = ParityHop.build(geom, parity_links, 1)
-        self._to_kept = ParityHop.build(geom, parity_links, 0)
+        # each parity's link matrices are built once and dropped as soon as they are copied
+        # to its hop matrices' slots 2mu (a smaller build peak than holding both parities')
+        parity_hops = tuple(hop_matrices(link_matrices(gauge.data[sites])) for sites in (self.keep_sites, self.elim_sites))
+        self._to_elim = ParityHop.build(geom, parity_hops, 1)
+        self._to_kept = ParityHop.build(geom, parity_hops, 0)
 
     @property
     def n_sites(self) -> int:
@@ -203,20 +216,21 @@ class SchurOperator:
     def astype(self, dtype) -> "SchurOperator":
         """The operator's twin at precision ``dtype`` (itself if it has that precision already).
 
-        The twin holds cast copies of the kept blocks, N and the two
-        parities' link matrices, still one array per parity shared by both
-        hops, and shares the site sets, the neighbor tables and, uncast,
-        the eliminated blocks that only :meth:`apply_full` reads.
+        The twin holds cast copies of the kept blocks, N and both hops'
+        hop matrices, and shares the site sets, the neighbor tables and,
+        uncast, the eliminated blocks D_oo that only :meth:`apply_full`
+        reads: the twin's :meth:`apply_full` raises a ``ValueError`` for
+        their precision, where casting them would cost half a site-block
+        array more in every twin.
         """
         if np.dtype(dtype) == self.dtype:
             return self
         twin = copy.copy(self)
         twin.dtype = np.dtype(dtype)
-        hop = self._to_kept  # its destination is the kept parity, its source the eliminated one
-        twin._diag_kept, twin._neg_inv, kept_links, elim_links = _cast(
-            (self._diag_kept, self._neg_inv, hop.dst_links, hop.src_links), dtype)
-        twin._to_kept = replace(hop, dst_links=kept_links, src_links=elim_links)
-        twin._to_elim = replace(self._to_elim, dst_links=elim_links, src_links=kept_links)
+        twin._diag_kept, twin._neg_inv, kept_hops, elim_hops = _cast(
+            (self._diag_kept, self._neg_inv, self._to_kept.hops, self._to_elim.hops), dtype)
+        twin._to_kept = replace(self._to_kept, hops=kept_hops)
+        twin._to_elim = replace(self._to_elim, hops=elim_hops)
         return twin
 
     def __call__(self, v: BlockSpinorField) -> BlockSpinorField:

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,34 @@ def test_oracle_check_single_precision_suite(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4")
     assert code == 2
     assert "single-precision-dense: FAIL" in out and "schur-dense-equivalence: PASS" in out
+
+
+def test_oracle_check_single_precision_suite_checks_the_schur_twin(capsys, monkeypatch):
+    # the complex64 S twin's reduce_rhs and reconstruct are held to 1e-6 of the
+    # complex128 operator's, and its apply_full must raise for the float64 D_oo
+    from lqcdlab.oddeven import SchurOperator
+
+    real_reconstruct, real_astype = SchurOperator.reconstruct, SchurOperator.astype
+
+    def off(self, x_kept, eta_elim):  # the twin's reconstruction off by 1e-4
+        x = real_reconstruct(self, x_kept, eta_elim)
+        return x if self.dtype == np.complex128 else replace(x, data=x.data * np.complex64(1 + 1e-4))
+
+    monkeypatch.setattr(SchurOperator, "reconstruct", off)
+    code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4")
+    assert code == 2
+    assert "single-precision-dense: FAIL (rel err " in out and "> 1e-6" in out
+    monkeypatch.setattr(SchurOperator, "reconstruct", real_reconstruct)
+
+    def casting_elim(self, dtype):  # a twin whose D_oo is cast: apply_full no longer raises
+        twin = real_astype(self, dtype)
+        twin._diag_elim = self._diag_elim.astype(np.float32)
+        return twin
+
+    monkeypatch.setattr(SchurOperator, "astype", casting_elim)
+    code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4")
+    assert code == 2
+    assert "single-precision-dense: FAIL (the complex64 S twin's apply_full did not raise" in out
 
 
 def test_oracle_check_schur_suite_checks_apply_full(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from lqcdlab.dirac import (
     site_blocks,
 )
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
-from lqcdlab.geometry import LatticeGeometry, RankGrid
+from lqcdlab.geometry import NDIM, LatticeGeometry, RankGrid
 from lqcdlab.halo import MultiRankExecutor
 from lqcdlab.oddeven import SchurOperator, split_fields
 from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense
@@ -116,20 +117,28 @@ def test_self_coupling_holds_no_field_sized_temporary():
 @pytest.mark.parametrize("grid", [None, (1, 1, 1, 2)])
 def test_site_block_arrays_keep_the_complex_bytes(problem, grid):
     # every operator and twin holds its site blocks in left real form, in
-    # exactly the bytes of the complex (n, 2, 6, 6) blocks they replace
+    # exactly the bytes of the complex (n, 2, 6, 6) blocks they replace, and
+    # its hop matrices as n * 8 * 36 floats, all at its real dtype
     geom, gauge, clover, params, _ = problem
     complex_bytes = {dtype: geom.n_sites * 72 * np.dtype(dtype).itemsize for dtype in (np.complex128, np.complex64)}
+    hop_floats = geom.n_sites * 8 * 36
     op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None)
     for dtype, nbytes in complex_bytes.items():
         o = op.astype(dtype)
         blocks = [o._blocks] if grid is None else [rank[1] for rank in o._ranks]
         assert all(a.dtype == np.finfo(dtype).dtype and a.shape[1:] == (2, 6, 12) for a in blocks)
         assert sum(a.nbytes for a in blocks) == nbytes
+        hops = [o._hops] if grid is None else [rank[2] for rank in o._ranks]
+        assert all(a.dtype == np.finfo(dtype).dtype and a.shape[0] == 8 and a.shape[2:] == (6, 6) for a in hops)
+        assert sum(a.size for a in hops) == hop_floats
     schur = SchurOperator(params, gauge, clover)
     for dtype, nbytes in complex_bytes.items():
         s = schur.astype(dtype)
         for a in (s._diag_kept, s._neg_inv):
             assert a.dtype == np.finfo(dtype).dtype and a.nbytes == nbytes // 2
+        hops = (s._to_kept.hops, s._to_elim.hops)
+        assert all(a.dtype == np.finfo(dtype).dtype for a in hops)
+        assert sum(a.size for a in hops) == hop_floats
     # the eliminated blocks are read only at complex128, and shared by the twin
     assert schur._diag_elim.nbytes == complex_bytes[np.complex128] // 2
 
@@ -290,6 +299,52 @@ def test_twin_builds_nothing(problem, monkeypatch, grid):
     twin = op.astype(np.complex64)
     psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=49, geom=geom)
     assert twin(psi.astype(np.complex64)).dtype == np.complex64
+
+
+def test_hop_matrices_are_destination_ordered(problem):
+    # slot 2mu holds W_mu at each destination site, slot 2mu + 1 the
+    # transposed W_mu of its -mu neighbor: on the full lattice, on both
+    # parity hops, and on each rank, whose -mu face rows take slot 2mu + 1
+    # from the rank-local wrap, so it is checked on the other rows
+    geom, gauge, clover, params, _ = problem
+    w = link_matrices(gauge.data)
+
+    def check(hops, dst, rows=slice(None)):
+        # dst: the global site of each hop row
+        assert hops.shape == (8, len(dst), 6, 6)
+        for mu in range(NDIM):
+            back = geom.neighbor_table(mu, -1)[dst[rows]]
+            assert np.array_equal(hops[2 * mu], w[dst, mu])
+            assert np.array_equal(hops[2 * mu + 1, rows], w[back, mu].swapaxes(1, 2))
+
+    check(DiracOperator(params, gauge, clover)._hops, np.arange(geom.n_sites))
+    schur = SchurOperator(params, gauge, clover)
+    check(schur._to_kept.hops, geom.even_sites)
+    check(schur._to_elim.hops, geom.odd_sites)
+    multi = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid((1, 1, 1, 2))))
+    for dom, _, hops in multi._ranks:
+        faces = np.concatenate([dom.boundary[(mu, -1)] for mu in range(NDIM)])
+        interior = np.setdiff1d(np.arange(len(dom.global_sites)), faces)
+        assert 0 < len(interior) < len(dom.global_sites)
+        check(hops, dom.global_sites, interior)
+
+
+def test_operator_array_of_another_precision_raises(problem):
+    # a float64 array read against complex64 data once viewed the field's
+    # bytes as float64 and returned NaN without an error; the self coupling
+    # and the sweep now raise, naming both dtypes
+    geom, gauge, clover, params, _ = problem
+    op = DiracOperator(params, gauge, clover)
+    psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=51, geom=geom).astype(np.complex64)
+    message = "operator array of dtype float64 given a field of dtype complex64"
+    for name in ("_blocks", "_hops"):
+        twin = copy.copy(op.astype(np.complex64))
+        setattr(twin, name, getattr(op, name))
+        with pytest.raises(ValueError, match=message):
+            twin(psi)
+    # the Schur twin shares the float64 D_oo, read only by apply_full
+    with pytest.raises(ValueError, match=message):
+        SchurOperator(params, gauge, clover).astype(np.complex64).apply_full(psi)
 
 
 def test_operator_rejects_a_field_of_the_other_precision(problem):

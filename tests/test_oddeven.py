@@ -308,9 +308,9 @@ def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypa
     twin = schur.astype(np.complex64)
     assert (schur.dtype, twin.dtype) == (np.complex128, np.complex64)
     assert schur.astype(np.complex128) is schur
-    # both hops of the twin still share one link-matrix array per parity
-    assert twin._to_kept.dst_links is twin._to_elim.src_links
-    assert twin._to_kept.src_links is twin._to_elim.dst_links
+    # each hop of the twin holds its own hop matrices, float32 copies of the operator's
+    for hop, ref in ((twin._to_kept, schur._to_kept), (twin._to_elim, schur._to_elim)):
+        assert hop.hops.dtype == np.float32 and np.array_equal(hop.hops, ref.hops.astype(np.float32))
     # the eliminated blocks are read only by apply_full, at complex128: the twin shares them uncast
     assert twin._diag_elim is schur._diag_elim
     v = gen_spinor(schur.n_sites, b, layout, seed=79)
