@@ -222,6 +222,10 @@ def cmd_oracle_check(args) -> int:
     if args.corrupt_gauge:
         gauge.data[0, 0, 0, 0] += 0.5
     params = DiracParams(m0=cfg.m0)
+    grid = _rank_grid(cfg, geom)
+    # with ranks.grid set, the dense suites apply D through the ranks as well, halo exchange included
+    comms = [None] if grid is None else [None, MultiRankExecutor(grid)]
+    ranks = "" if grid is None else f"1 and {grid.n_ranks} ranks, "
     failures = []
 
     def suite(name: str, fn):
@@ -248,13 +252,13 @@ def cmd_oracle_check(args) -> int:
             worst = 0.0
             for layout in (1, 2):
                 psi = gen_spinor(geom.n_sites, b, layout, seed=cfg.seed + 2, geom=geom)
-                eta = apply_dirac(params, gauge, clover, psi)
                 ref = dense @ psi.columns()
-                err = np.linalg.norm(eta.columns() - ref) / np.linalg.norm(ref)
-                worst = max(worst, err)
+                for comm in comms:
+                    eta = apply_dirac(params, gauge, clover, psi, comm)
+                    worst = max(worst, np.linalg.norm(eta.columns() - ref) / np.linalg.norm(ref))
             if worst > 1e-12:
-                raise NumericalFailure(f"rel err {worst:.3e} > 1e-12")
-            return f"rel err {worst:.3e}"
+                raise NumericalFailure(f"{ranks}rel err {worst:.3e} > 1e-12")
+            return f"{ranks}rel err {worst:.3e}"
 
         return run
 
@@ -284,7 +288,7 @@ def cmd_oracle_check(args) -> int:
         return metric
 
     def check_single_precision():
-        # the complex64 twins of D (both layouts) and S against the dense float64 oracles, the S twin's
+        # the complex64 twins of D (both layouts, every grid) and S against the dense float64 oracles, the S twin's
         # reduce_rhs and reconstruct against the complex128 operator's, and its apply_full, which reads
         # the float64 D_oo, must raise rather than return a wrong answer
         def rel(got, ref):
@@ -292,12 +296,13 @@ def cmd_oracle_check(args) -> int:
 
         worst = 0.0
         dense = assemble_dirac_dense(params, gauge, clover)
-        twin = DiracOperator(params, gauge, clover).astype(np.complex64)
+        twins = [DiracOperator(params, gauge, clover, comm).astype(np.complex64) for comm in comms]
         for layout in (1, 2):
             psi = gen_spinor(geom.n_sites, 4, layout, seed=cfg.seed + 2, geom=geom)
             ref = dense @ psi.columns()
-            got = twin(psi.astype(np.complex64)).columns()
-            worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
+            for twin in twins:
+                got = twin(psi.astype(np.complex64)).columns()
+                worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
         del dense
         schur = SchurOperator(params, gauge, clover)
         schur_twin = schur.astype(np.complex64)

@@ -34,18 +34,17 @@ matrix per side (the real form of the projectors module's
 K = [I, -+A_mu] times the color identity); a chunk's half spinors are
 (m, b, 2, 3), color innermost, so each site's 2b rows of 3 colors are one
 (2b, 6) float64 matrix.  That matrix is
-multiplied by a real 6x6 link matrix (:func:`link_matrices`): on the +mu
-side by the destination site's own W, on the -mu side by W^T of its -mu
-neighbor, which is the link matrix of U^H; one batched float64 ``matmul``
-each, where a complex ``U @ h`` would be one zgemm call per site at several
-times the cost.  An operator stores both at build time in destination
-order, (8, n, 6, 6) hop matrices (:func:`hop_matrices`): slot 2mu holds
-W_mu(x), slot 2mu + 1 holds W_mu(x - mu^)^T, transposed and contiguous.
-Each chunk reads its own rows of both slots, so no apply gathers or
-transposes a link matrix; the cost is one more link array per operator.
-The 1/2 of the hop projectors is folded into W, so the projections run no
-0.5 pass.  Both reconstructed halves go into the chunk's accumulator
-(A_mu^H is one more fixed real matrix), which is subtracted from eta once.
+multiplied by a real 6x6 link matrix: on the +mu side by the destination
+site's own W, on the -mu side by W^T of its -mu neighbor, which is the
+link matrix of U^H; one batched float64 ``matmul`` each, where a complex
+``U @ h`` would be one zgemm call per site at several times the cost.  An
+operator stores both in destination order, as (8, n, 6, 6) hop matrices
+(:func:`hop_matrices`): slot 2mu holds W_mu(x), slot 2mu + 1 holds
+W_mu(x - mu^)^T, contiguous.  Each chunk reads its own rows of both slots,
+so no apply gathers or transposes a link matrix.  The 1/2 of the hop
+projectors is folded into W, so the projections run no 0.5 pass.  Both
+reconstructed halves go into the chunk's accumulator (A_mu^H is one more
+fixed real matrix), which is subtracted from eta once.
 
 Both stages take one chunk rule (``_chunk_sites``): about 2048 site-rhs
 pairs per chunk, so a chunk's temporaries stay near L2, and never fewer
@@ -58,28 +57,30 @@ matrices have entries 0 and +-1, so each output of a projection or of
 A_mu^H is one input or the rounded sum of two, however BLAS orders its
 sums: bitwise what the structured operation gives.
 
-One function, :func:`subtract_hops`, holds that sweep, and every caller
-passes it prebuilt hop matrices and neighbor tables.  The full operator,
-:class:`DiracOperator`, is a snapshot: it builds the site blocks and the
-hop matrices of the whole lattice once, and every apply reuses them with
-the periodic tables, so a solve pays for them once.  The even/odd Schur
-operator (oddeven module) passes each of its two parity hops its own hop
-matrices and cross-parity tables on half-lattice fields.  Through the
-multi-rank executor (halo module) the snapshot keeps each rank's rows of
-both arrays and calls the sweep on each rank's thread with them, its local
-tables and its communicator.  A rank builds slot 2mu + 1 of its -mu face
-rows through the rank-local wrap; the sweep replaces those rows' -mu side
-by the received halo.  Each rank gathers its psi rows straight into row
-order, as a Layout-1 field whatever psi's layout, so its sweep copies
-nothing more, and writes its eta rows back with one transposing put.  The
-rank posts the compressed +mu-side half spinors of its -mu face and the
-link-multiplied -mu-side values of its +mu face (slot 2mu of the face
-rows, transposed for the post only), completes its receives, and the
-sweep takes the face rows it cannot compute locally from the received
-halos.  The posted values come from the same helpers and the same matrix
-values as the sweep's, so every site sees the same operations on the same
-values, which is why the multi-rank result is bitwise equal to the
-single-rank one.
+Every operator builds its rows the same way, from the global lattice by
+site set: one :func:`site_blocks` and one :func:`hop_matrices` call for
+the sites whose eta rows it writes.  The full operator,
+:class:`DiracOperator`, is a snapshot: it builds them for the whole
+lattice once, and every apply reuses them with the periodic tables, so a
+solve pays for them once.  Through the multi-rank executor (halo module)
+each rank builds them for its own sites (its domain's global sites) on its
+own thread; the even/odd Schur operator (oddeven module) builds them for
+each parity.  Every row's slot 2mu + 1 holds the link of its true global
+-mu neighbor, whoever owns that site.  One function, :func:`subtract_hops`,
+holds the sweep; the full operator passes it the periodic tables, each
+parity hop its cross-parity tables on half-lattice fields, and each rank
+its local periodic tables and its communicator.  A rank gathers its psi
+rows straight into row order, as a Layout-1 field whatever psi's layout,
+so its sweep copies nothing more, and writes its eta rows back with one
+transposing put.  It posts the compressed half spinors of both faces,
+the +mu side of its -mu face and the -mu side of its +mu face, completes
+its receives, and the sweep takes the half spinors of the face rows that
+the local tables get wrong from the received halos, before its own link
+multiply, on both sides alike.  The posted values come from the same
+helper as the sweep's, and every row's link matrices are the single-rank
+operator's, so every site sees the same operations on the same values,
+which is why the multi-rank result is bitwise equal to the single-rank
+one.
 
 The sweep and the self coupling run at the precision of the field they
 are given: the helpers view complex128 data as float64 and complex64 data
@@ -179,17 +180,18 @@ def _cast(arrays: tuple, dtype) -> tuple:
 
 
 def check_lattices(gauge: GaugeField, clover: CloverField) -> None:
-    """Raise unless the gauge and clover fields cover the same number of sites."""
-    if len(clover.data) != len(gauge.data):
-        raise ValueError(f"clover field has {len(clover.data)} sites, gauge field has {len(gauge.data)}")
+    """Raise unless the gauge and clover fields live on the same lattice, not merely on as many sites."""
+    if clover.geom.dims != gauge.geom.dims:
+        raise ValueError(f"clover lattice {clover.geom.dims} is not the gauge lattice {gauge.geom.dims}: "
+                         f"clover field has {len(clover.data)} sites, gauge field has {len(gauge.data)}")
 
 
 _DIAG6 = np.arange(6)
 
 
-def site_blocks(params: DiracParams, clover: CloverField) -> np.ndarray:
-    """(n_sites, 2, 6, 6) site-local blocks (4 + m0) I - C of the operator."""
-    blocks = clover.blocks()
+def site_blocks(params: DiracParams, clover: CloverField, sites: np.ndarray) -> np.ndarray:
+    """(len(sites), 2, 6, 6) site-local blocks (4 + m0) I - C of the operator at the global ``sites``."""
+    blocks = clover.blocks(sites)
     np.negative(blocks, out=blocks)
     blocks[..., _DIAG6, _DIAG6] += 4.0 + params.m0
     return blocks
@@ -289,23 +291,10 @@ _ADJOINT = np.stack([_real_form(np.kron(a.conj().T, _EYE3).T) for a in A_BLOCKS]
 _PROJECT_AT, _ADJOINT_AT = ({dtype: m.astype(np.finfo(dtype).dtype, copy=False) for dtype in PRECISIONS}
                             for m in (_PROJECT, _ADJOINT))
 
-# (18, 36) map from the float64 view of a link U to its link matrix W
+# (18, 36) maps from the float64 view of a link U to its link matrix W and,
+# columns permuted, to W^T
 _EMBED = _real_form(0.5 * np.eye(18).view(np.complex128).reshape(18, N_COLOR, N_COLOR).swapaxes(1, 2)).reshape(18, 36)
-
-
-def link_matrices(links: np.ndarray) -> np.ndarray:
-    """(..., 6, 6) float64 link matrices W with the 1/2 of the hop projectors folded in.
-
-    For (..., 3, 3) complex links U and a half spinor row h of 3 colors,
-    viewed as 6 floats, ``h @ W`` is U h / 2 and ``h @ W^T`` is U^H h / 2:
-    W is the real form of U^T / 2, whose 2x2 block (a, c) is
-    [[Re U_ca, Im U_ca], [-Im U_ca, Re U_ca]] / 2.  Every entry of W is the
-    real or imaginary part of an entry of U times +-1/2, so W is exact; it
-    is built as one product of the links' float64 view with a fixed
-    (18, 36) map whose columns hold a single nonzero each.
-    """
-    flat = np.ascontiguousarray(links).view(np.float64).reshape(-1, 18)
-    return (flat @ _EMBED).reshape(links.shape[:-2] + (6, 6))
+_EMBED_T = _EMBED.reshape(18, 6, 6).swapaxes(1, 2).reshape(18, 36)
 
 
 def _rows(field: BlockSpinorField) -> np.ndarray:
@@ -349,31 +338,29 @@ def _link_multiply(w: np.ndarray, half: np.ndarray) -> np.ndarray:
     return prod.view(half.dtype).reshape(half.shape)
 
 
-def hop_matrices(links: np.ndarray) -> np.ndarray:
-    """(8, n, 6, 6) matrices of the hop sweep in destination order, slot 2mu set from (n, 4, 6, 6) :func:`link_matrices`.
+def hop_matrices(gauge: GaugeField, sites: np.ndarray) -> np.ndarray:
+    """(8, len(sites), 6, 6) float64 matrices of the hop sweep for the global destination ``sites``.
 
-    For each destination site x, slot 2mu holds W_mu(x) and slot 2mu + 1
-    holds W_mu(x - mu^)^T, the link matrix of U_mu^H(x - mu^), transposed
-    and contiguous: numpy's batched matmul is 2-3x slower on a transposed
-    view.  This sets the slots 2mu; :func:`set_back_hops` sets the slots
-    2mu + 1.  The sweep reads both slots at a chunk's own rows, each a
-    contiguous (m, 6, 6) block, so no apply gathers or transposes a link
-    matrix.
+    For a complex link U and a half spinor row h of 3 colors, viewed as 6
+    floats, the link matrix W gives ``h @ W`` = U h / 2 and ``h @ W^T`` =
+    U^H h / 2, the 1/2 of the hop projectors folded in: W is the real form
+    of U^T / 2, whose 2x2 block (a, c) is [[Re U_ca, Im U_ca],
+    [-Im U_ca, Re U_ca]] / 2.  For each destination site x, slot 2mu holds
+    W_mu(x) and slot 2mu + 1 holds W_mu(x - mu^)^T of x's -mu neighbor on
+    the global lattice.  Each slot is one product of its links' float64
+    view with a fixed (18, 36) map whose columns hold a single nonzero
+    each, ``_EMBED`` for W and its column-permuted copy for W^T, so every
+    entry is the real or imaginary part of an entry of U times +-1/2,
+    exactly, and W^T comes out contiguous without a transpose (numpy's
+    batched matmul is 2-3x slower on a transposed view).
     """
-    hops = np.empty((2 * NDIM, len(links), 6, 6), dtype=links.dtype)
-    hops[0::2] = links.swapaxes(0, 1)
-    return hops
-
-
-def set_back_hops(hops: np.ndarray, back, src_hops: np.ndarray) -> None:
-    """Set slot 2mu + 1 of ``hops`` at each x to slot 2mu of ``src_hops`` at y = ``back[mu][x]``, transposed.
-
-    ``src_hops`` holds the source sites' :func:`hop_matrices`: ``hops``
-    itself when psi and eta share their sites, the other parity's array
-    for a parity-to-parity hop.
-    """
+    hops = np.empty((2 * NDIM, len(sites), 6, 6))
     for mu in range(NDIM):
-        hops[2 * mu + 1] = src_hops[2 * mu][back[mu]].swapaxes(1, 2)
+        back = gauge.geom.neighbor_table(mu, -1)[sites]
+        for slot, src, embed in ((2 * mu, sites, _EMBED), (2 * mu + 1, back, _EMBED_T)):
+            links = gauge.data[src, mu].view(np.float64).reshape(-1, 18)
+            np.matmul(links, embed, out=hops[slot].reshape(-1, 36))
+    return hops
 
 
 def _check_precision(array: np.ndarray, psi: BlockSpinorField) -> None:
@@ -407,23 +394,20 @@ def subtract_hops(
 
     With a rank endpoint ``comm`` and its ``boundary`` face sets, ``fwd``/
     ``back`` are the rank-local periodic tables.  The rank first posts the
-    +mu-side half spinors of every -mu face and the link-multiplied -mu-side
-    values of every +mu face (slot 2mu of the face rows, transposed), then
-    completes its receives, and the sweep replaces the rows of the +mu face
-    (resp. -mu face) by the halo values received from the +mu (resp. -mu)
-    neighbor rank.  Halo payloads are (n_face, 2, b, 3) (spin, rhs, color)
-    in ascending face order.
+    +mu-side half spinors of every -mu face and the -mu-side half spinors
+    of every +mu face, then completes its receives, and the sweep replaces
+    the +mu-side half spinors of its +mu face rows (resp. the -mu-side ones
+    of its -mu face rows) by those received from the +mu (resp. -mu)
+    neighbor rank, before the link multiply.  Halo payloads are
+    (n_face, 2, b, 3) (spin, rhs, color) in ascending face order.
     """
     _check_precision(hops, psi)
     rows = np.ascontiguousarray(_rows(psi))  # a copy only for a Layout-2 psi with b > 1
     if comm is not None:
+        # the -mu face's +mu side travels down, the +mu face's -mu side up
         for mu in range(NDIM):
-            comm.post_send(mu, -1, _half(rows, boundary[(mu, -1)], mu, 0).swapaxes(1, 2))
-        for mu in range(NDIM):
-            # U_mu^H(x) / 2 times the -mu-side half spinor of the +mu face, bound for x + mu^
-            face = boundary[(mu, 1)]
-            adjoint = np.ascontiguousarray(hops[2 * mu, face].swapaxes(1, 2))
-            comm.post_send(mu, +1, _link_multiply(adjoint, _half(rows, face, mu, 1)).swapaxes(1, 2))
+            for step, side in ((-1, 0), (+1, 1)):
+                comm.post_send(mu, step, _half(rows, boundary[(mu, step)], mu, side).swapaxes(1, 2))
         fwd_halo = [comm.complete_recv(mu, -1) for mu in range(NDIM)]
         back_halo = [comm.complete_recv(mu, +1) for mu in range(NDIM)]
 
@@ -438,12 +422,12 @@ def subtract_hops(
         lower.fill(0)
         for mu in range(NDIM):
             up = _half(rows, fwd[mu][lo:hi], mu, 0)
+            down = _half(rows, back[mu][lo:hi], mu, 1)
             if comm is not None:
                 _take_halo_rows(up, boundary[(mu, 1)], fwd_halo[mu], lo, hi)
-            up = _link_multiply(hops[2 * mu, lo:hi], up)
-            down = _link_multiply(hops[2 * mu + 1, lo:hi], _half(rows, back[mu][lo:hi], mu, 1))
-            if comm is not None:
                 _take_halo_rows(down, boundary[(mu, -1)], back_halo[mu], lo, hi)
+            up = _link_multiply(hops[2 * mu, lo:hi], up)
+            down = _link_multiply(hops[2 * mu + 1, lo:hi], down)
             # (I + gamma_mu)/2 reconstructs the +mu side to (h, A^H h) and
             # (I - gamma_mu)/2 the -mu side to (h, -A^H h); the 1/2 is in
             # the link matrices
@@ -468,7 +452,7 @@ class DiracOperator:
 
     With a :class:`lqcdlab.halo.MultiRankExecutor` as ``comm``, the build
     keeps each rank's domain and its rows of both arrays instead, each rank
-    building its own rows from its slices of the fields on its own thread,
+    building the rows of its own sites on its own thread,
     and every call runs the ranks on the executor's threads: each rank
     gathers its own psi rows into row order (a Layout-1 field, one copy),
     runs the self coupling and the hop sweep through its communicator, and
@@ -487,25 +471,19 @@ class DiracOperator:
         self.geom = gauge.geom
         self.comm = comm
         if comm is None:
-            self._blocks = left_real_form(site_blocks(params, clover))
+            sites = np.arange(self.geom.n_sites)
+            self._blocks = left_real_form(site_blocks(params, clover, sites))
+            self._hops = hop_matrices(gauge, sites)
             self._fwd = [self.geom.neighbor_table(mu, +1) for mu in range(NDIM)]
             self._back = [self.geom.neighbor_table(mu, -1) for mu in range(NDIM)]
-            self._hops = hop_matrices(link_matrices(gauge.data))
-            set_back_hops(self._hops, self._back, self._hops)
         else:
             domains = comm.domains(self.geom)
             self._ranks = [None] * len(domains)
 
             def build_rank(rank: int, _comm) -> None:
-                # from the rank's slices of the fields, so no whole-lattice array is made
-                # slot 2mu + 1 of a -mu face row comes from the rank-local wrap;
-                # the sweep overwrites that row's -mu side with the received halo
                 dom = domains[rank]
-                local = dom.local_geom
-                blocks = left_real_form(site_blocks(params, CloverField(local, clover.data[dom.global_sites])))
-                hops = hop_matrices(link_matrices(gauge.data[dom.global_sites]))
-                set_back_hops(hops, [local.neighbor_table(mu, -1) for mu in range(NDIM)], hops)
-                self._ranks[rank] = (dom, blocks, hops)
+                blocks = left_real_form(site_blocks(params, clover, dom.global_sites))
+                self._ranks[rank] = (dom, blocks, hop_matrices(gauge, dom.global_sites))
 
             comm.run_ranks(build_rank)
 

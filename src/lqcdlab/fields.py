@@ -341,12 +341,12 @@ class CloverField:
         packed[..., diag] = packed[..., diag].real
         return cls(geom, packed)
 
-    def blocks(self) -> np.ndarray:
-        """(n_sites, 2, 6, 6) Hermitian blocks rebuilt from the packed form."""
-        out = np.take(self.data, _UNPACK, axis=-1)
+    def blocks(self, sites: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """(n, 2, 6, 6) Hermitian blocks rebuilt from the packed form, of every site or of ``sites``, in their order."""
+        out = np.take(self.data[sites], _UNPACK, axis=-1)
         parts = out.view(np.float64)
         parts *= _CONJ_SIGNS
-        return out.reshape(*self.data.shape[:-1], 6, 6)
+        return out.reshape(*out.shape[:-1], 6, 6)
 
 
 def gen_clover(geom: LatticeGeometry, mode: str, scale: float = 0.1, seed: int = 0) -> CloverField:

@@ -500,6 +500,8 @@ def solve_dirac(
     system; ``full_relnorms`` is always the full system's).
     """
     _check_field(eta, gauge.geom.n_sites, "gauge lattice", np.complex128)
+    if eta.geom is not None and eta.geom.dims != gauge.geom.dims:
+        raise ValueError(f"eta lattice {eta.geom.dims} is not the gauge lattice {gauge.geom.dims}")
     if not odd_even:
         op = DiracOperator(params, gauge, clover, comm)
         result = gmres_solve(op, eta, psi0, cfg, inner=op.astype(np.complex64))

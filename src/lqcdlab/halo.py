@@ -10,15 +10,15 @@ Message flow per apply, for each direction mu with more than one rank:
 * the +mu-side half spinors (compressed (I + gamma_mu)/2 psi) of the local
   -mu face travel one rank downward (step -1); the receiver uses them as the
   +mu-side half spinors of its own +mu face rows.
-* the -mu-side values (U_mu^H / 2 times the compressed (I - gamma_mu)/2 psi)
-  of the local +mu face travel one rank upward (step +1); the receiver uses
-  them as the -mu-side values of its own -mu face rows.  The sender makes
-  them with a face-only transposed copy of its hop matrices' slot 2mu (the
-  link matrix W_mu of the face site); the sweep's own -mu side reads slot
-  2mu + 1, stored transposed at build time.
+* the -mu-side half spinors (compressed (I - gamma_mu)/2 psi) of the local
+  +mu face travel one rank upward (step +1); the receiver uses them as the
+  -mu-side half spinors of its own -mu face rows.
 
-A payload is (n_face, 2, b, 3) complex: spin, rhs, color, in ascending face
-order.  The sweep holds half spinors as (m, b, 2, 3), so a payload is its
+Both streams carry half spinors, and no sender multiplies a link: each
+receiver multiplies the received rows by its own hop matrices, whose
+slot 2mu + 1 already holds W_mu(x - mu^)^T of the global -mu neighbor on
+another rank.  A payload is (n_face, 2, b, 3) complex: spin, rhs, color,
+in ascending face order.  The sweep holds half spinors as (m, b, 2, 3), so a payload is its
 rows with the spin and rhs axes swapped, which leaves the values bitwise
 unchanged.
 
@@ -32,13 +32,13 @@ The multi-rank apply is bit-identical to the single-rank one because both
 call the one hop sweep :func:`lqcdlab.dirac.subtract_hops`: each rank with
 its own neighbor tables and communicator, the single-rank apply with the
 periodic tables and none.  Both run one :class:`lqcdlab.dirac.DiracOperator`
-snapshot, built once: each rank builds and keeps its own rows of the
-snapshot's site blocks and hop matrices, gathers its psi rows in row
-order (a Layout-1 field, so the sweep reads them without another copy) and
-writes its eta rows out in eta's layout, all on its own thread.  Rank-local
-slices only permute the site axis and the posted values come from the same
-helpers as the sweep's, so every site sees the same operations in the same
-order.
+snapshot, built once: each rank builds and keeps the site blocks and hop
+matrices of its own sites, from the global lattice, gathers its psi rows
+in row order (a Layout-1 field, so the sweep reads them without another
+copy) and writes its eta rows out in eta's layout, all on its own thread.
+A rank's rows are the single-rank operator's rows of its sites and the
+posted half spinors come from the same helper as the sweep's, so every
+site sees the same operations in the same order.
 
 A fault on one rank poisons every mailbox, so its peers stop at their next
 receive instead of waiting out the timeout, and the executor re-raises it as
@@ -219,7 +219,7 @@ class MultiRankExecutor:
 
     Passing an instance as ``comm`` to :class:`lqcdlab.dirac.DiracOperator`
     (or to :func:`lqcdlab.dirac.apply_dirac`) routes the operator through
-    here: the operator keeps each rank's slices of its site blocks and hop
+    here: the operator keeps each rank's rows of its site blocks and hop
     matrices, and :meth:`run_ranks` runs every rank's part of its build and
     of each apply on the rank's own thread.  Only
     the rank domains are cached, keyed on the lattice extents (every rank

@@ -45,16 +45,14 @@ layout; the hop sweep runs on one parity's sites with cross-parity
 neighbor tables.  :meth:`SchurOperator.apply` allocates its temporaries t
 and N t in row order (Layout 1), the order the sweep reads, so only its
 first sweep transposes a Layout-2 input and the second copies nothing.
-The real link matrices of the sweep (:func:`lqcdlab.dirac.link_matrices`)
-are built once per parity at build time, and each off-diagonal block keeps
-its own destination-ordered hop matrices
-(:func:`lqcdlab.dirac.hop_matrices`) made from them: H_eo holds the even
-sites' link matrices (the +mu side) and, transposed, those of each even
-site's odd -mu neighbor (the -mu side), and H_oe the other way round.  A
-parity's link matrices are dropped as soon as they are copied into its
-hop matrices, whose +mu slots then supply the other hop's -mu slots; the
-two hop arrays together hold twice the floats of the lattice's link
-matrices, and no sweep gathers a link matrix.
+Each parity's rows are built as any operator's are, from the global
+lattice by site set: :func:`lqcdlab.dirac.site_blocks` of the even and of
+the odd sites gives D_ee and D_oo, and each off-diagonal block keeps the
+destination-ordered hop matrices (:func:`lqcdlab.dirac.hop_matrices`) of
+its destination parity's sites: H_eo those of the even sites, whose -mu
+slots hold the transposed link matrices of their odd -mu neighbors, and
+H_oe those of the odd sites.  The two hop arrays together hold the rows of
+the whole lattice once, and no sweep gathers a link matrix.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, hop_matrices,
-                    left_real_form, link_matrices, set_back_hops, site_blocks, subtract_hops)
+                    left_real_form, site_blocks, subtract_hops)
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching
 from .geometry import NDIM, LatticeGeometry
 
@@ -119,20 +117,16 @@ class ParityHop:
     back: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, geom: LatticeGeometry, parity_hops: tuple[np.ndarray, np.ndarray], dst_parity: int) -> "ParityHop":
-        """H_dst,src on the (even, odd) :func:`lqcdlab.dirac.hop_matrices` ``parity_hops``, whose slots 2mu are set.
-
-        This sets the destination array's slots 2mu + 1 from the source
-        array's slots 2mu and keeps the destination array.
-        """
+    def build(cls, gauge: GaugeField, dst_parity: int) -> "ParityHop":
+        """H_dst,src of ``gauge`` into the sites of parity ``dst_parity`` (0 even, 1 odd)."""
+        geom = gauge.geom
         parity_sites = (geom.even_sites, geom.odd_sites)
         dst, src = parity_sites[dst_parity], parity_sites[1 - dst_parity]
         src_index = np.empty(geom.n_sites, dtype=np.int64)
         src_index[src] = np.arange(len(src))
         fwd = tuple(src_index[geom.neighbor_table(mu, +1)[dst]] for mu in range(NDIM))
         back = tuple(src_index[geom.neighbor_table(mu, -1)[dst]] for mu in range(NDIM))
-        set_back_hops(parity_hops[dst_parity], back, parity_hops[1 - dst_parity])
-        return cls(parity_hops[dst_parity], fwd, back)
+        return cls(hop_matrices(gauge, dst), fwd, back)
 
     def __call__(self, v: BlockSpinorField, out: BlockSpinorField) -> None:
         """out -= H_dst,src v, in place: one hop sweep."""
@@ -196,18 +190,13 @@ class SchurOperator:
         self.geom = geom = gauge.geom
         self.keep_sites, self.elim_sites = geom.even_sites, geom.odd_sites
 
-        diag = site_blocks(params, clover)
-        kept, elim = diag[self.keep_sites], diag[self.elim_sites]
-        del diag
+        kept, elim = (site_blocks(params, clover, sites) for sites in (self.keep_sites, self.elim_sites))
         neg_inv = _invert_blocks(elim, self.elim_sites)
         np.negative(neg_inv, out=neg_inv)
         # each block array in its left real form, made in its own storage
         self._diag_kept, self._diag_elim, self._neg_inv = (left_real_form(a) for a in (kept, elim, neg_inv))
-        # each parity's link matrices are built once and dropped as soon as they are copied
-        # to its hop matrices' slots 2mu (a smaller build peak than holding both parities')
-        parity_hops = tuple(hop_matrices(link_matrices(gauge.data[sites])) for sites in (self.keep_sites, self.elim_sites))
-        self._to_elim = ParityHop.build(geom, parity_hops, 1)
-        self._to_kept = ParityHop.build(geom, parity_hops, 0)
+        self._to_elim = ParityHop.build(gauge, 1)
+        self._to_kept = ParityHop.build(gauge, 0)
 
     @property
     def n_sites(self) -> int:

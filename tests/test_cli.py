@@ -104,6 +104,28 @@ def test_oracle_check_schur_suite_checks_apply_full(capsys, monkeypatch):
     assert "schur-dense-equivalence: FAIL (S rel err " in out and "above 1e-12" in out
 
 
+def test_oracle_check_applies_through_the_rank_grid(capsys, monkeypatch):
+    # with ranks.grid set, the dense suites also apply D through the ranks,
+    # so a corrupted halo payload fails them
+    args = ("oracle-check", "--set", "lattice.dims=2 2 2 4", "--set", "ranks.grid=1 1 1 2")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert "dense-vs-kernel-b1: PASS (1 and 2 ranks, rel err " in out
+    from lqcdlab.halo import Communicator
+
+    real = Communicator.post_send
+
+    def corrupted(self, mu, step, payload):  # the upward stream off by 1e-3
+        real(self, mu, step, payload * (1 + 1e-3) if step == 1 else payload)
+
+    monkeypatch.setattr(Communicator, "post_send", corrupted)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 2
+    for suite in ("dense-vs-kernel-b1", "dense-vs-kernel-b8", "single-precision-dense"):
+        assert f"{suite}: FAIL" in out
+    assert "schur-dense-equivalence: PASS" in out and "free-field-identity: PASS" in out
+
+
 def test_oracle_check_corrupted_gauge_fails(capsys):
     code, out, err = run_cli(capsys, "oracle-check", "--corrupt-gauge")
     assert code == 2
@@ -308,13 +330,14 @@ def test_bench_dirac_builds_once_per_record(capsys, monkeypatch):
     from lqcdlab import dirac
 
     builds = []
-    real = dirac.link_matrices
-    monkeypatch.setattr(dirac, "link_matrices", lambda links: builds.append(1) or real(links))
+    for name in ("site_blocks", "hop_matrices"):
+        real = getattr(dirac, name)
+        monkeypatch.setattr(dirac, name, lambda *args, _name=name, _real=real: builds.append(_name) or _real(*args))
     code, out, _ = run_cli(capsys, "bench-dirac", "--set", "lattice.dims=2 2 2 2",
                            "--b-list", "1,2", "--reps", "3")
     assert code == 0
     assert len(json.loads("\n".join(out.splitlines()[1:]))["records"]) == 4
-    assert len(builds) == 2
+    assert sorted(builds) == ["hop_matrices"] * 2 + ["site_blocks"] * 2
 
 
 def test_bench_checksums_deterministic(capsys, tmp_path):

@@ -16,14 +16,14 @@ from lqcdlab.dirac import (
     apply_dirac,
     apply_self_coupling,
     left_real_form,
-    link_matrices,
+    hop_matrices,
     site_blocks,
 )
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import NDIM, LatticeGeometry, RankGrid
 from lqcdlab.halo import MultiRankExecutor
 from lqcdlab.oddeven import SchurOperator, split_fields
-from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense
+from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense, parity_component_indices
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,8 @@ def test_traffic_ledger_counts_bytes_at_the_precision():
 
 def test_left_real_form_is_made_in_place(problem):
     # L = [Re B | Im B] row by row, in the bytes of the complex blocks it replaces
-    _, _, clover, params, _ = problem
-    blocks = site_blocks(params, clover)
+    geom, _, clover, params, _ = problem
+    blocks = site_blocks(params, clover, np.arange(geom.n_sites))
     ref = blocks.copy()
     for dtype in (np.complex128, np.complex64):
         b = ref.astype(dtype)
@@ -79,21 +79,33 @@ def schur_dense(problem):
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
 @pytest.mark.parametrize("b", [1, 3, 16])
 def test_real_self_coupling_operators_match_dense_oracle(problem, schur_dense, layout, b):
-    # every operator that runs the self coupling on [Re B | Im B] blocks: D,
-    # S and the whole-lattice D from the Schur operator's parity blocks;
-    # their complex64 twins within float32 rounding
+    # every public apply against the dense oracle: D on one rank and through
+    # two rank grids, S with its right-hand-side reduction and its
+    # reconstruction, and the whole-lattice D from the Schur operator's
+    # parity blocks; the complex64 twins within float32 rounding
     geom, gauge, clover, params, dense = problem
     psi = gen_spinor(geom.n_sites, b, layout, seed=60 + b, geom=geom)
-    ref = dense @ psi.columns()
-    op, schur = DiracOperator(params, gauge, clover), SchurOperator(params, gauge, clover)
-    half = split_fields(psi)[0]
-    half_ref = schur_dense @ half.columns()
-    assert _rel(op(psi).columns(), ref) < 1e-12
-    assert _rel(schur.apply_full(psi).columns(), ref) < 1e-12
-    assert _rel(schur.apply(half).columns(), half_ref) < 1e-12
     single = psi.astype(np.complex64)
-    assert _rel(op.astype(np.complex64)(single).columns(), ref) < 1e-6
-    assert _rel(schur.astype(np.complex64).apply(single.take_sites(geom.even_sites)).columns(), half_ref) < 1e-6
+    ref = dense @ psi.columns()
+    for grid in (None, (1, 1, 1, 2), (2, 2, 2, 2)):
+        op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None)
+        assert _rel(op(psi).columns(), ref) < 1e-12
+        assert _rel(op.astype(np.complex64)(single).columns(), ref) < 1e-6
+    schur = SchurOperator(params, gauge, clover)
+    assert _rel(schur.apply_full(psi).columns(), ref) < 1e-12
+    # psi's halves serve as x_e and as eta_o
+    even, odd = (parity_component_indices(geom, parity) for parity in (0, 1))
+    d_eo, d_oe, d_oo = (dense[np.ix_(rows, cols)] for rows, cols in ((even, odd), (odd, even), (odd, odd)))
+    x_kept, eta_elim = (half.columns() for half in split_fields(psi))
+    schur_ref = schur_dense @ x_kept
+    reduced_ref = x_kept - d_eo @ np.linalg.solve(d_oo, eta_elim)
+    elim_ref = np.linalg.solve(d_oo, eta_elim - d_oe @ x_kept)
+    for op, field, tol in ((schur, psi, 1e-12), (schur.astype(np.complex64), single, 1e-6)):
+        half = split_fields(field)[0]
+        reduced, elim = op.reduce_rhs(field)
+        assert _rel(op.apply(half).columns(), schur_ref) < tol
+        assert _rel(reduced.columns(), reduced_ref) < tol
+        assert _rel(op.reconstruct(half, elim).columns(), elim_ref) < tol
 
 
 def test_self_coupling_holds_no_field_sized_temporary():
@@ -101,7 +113,8 @@ def test_self_coupling_holds_no_field_sized_temporary():
     # its output and 1.5 chunks of 512 sites, 1.375 fields at 8^4, b=4; a
     # whole-field stack would add 2 fields
     geom = LatticeGeometry((8, 8, 8, 8))
-    blocks = left_real_form(site_blocks(DiracParams(m0=1.0), gen_clover(geom, "random", scale=0.1, seed=61)))
+    clover = gen_clover(geom, "random", scale=0.1, seed=61)
+    blocks = left_real_form(site_blocks(DiracParams(m0=1.0), clover, np.arange(geom.n_sites)))
     psi = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=62, geom=geom)
     ref = apply_self_coupling(blocks, psi)
     tracemalloc.start()
@@ -166,25 +179,35 @@ def test_matches_dense_oracle_component_major(problem, b):
     assert np.linalg.norm(eta.columns() - ref) / np.linalg.norm(ref) < 1e-13
 
 
-def test_link_matrices_reproduce_link_products(problem):
-    # float64 rows of 3 colors times W give U h / 2, times W^T give U^H h / 2
-    _, gauge, _, _, _ = problem
-    links = gauge.data[:50]  # (50, 4, 3, 3) random SU(3)
+def test_hop_matrix_slots_reproduce_link_products(problem):
+    # float64 rows of 3 colors times slot 2mu give U_mu(x) h / 2, times
+    # slot 2mu + 1 give U_mu^H(x - mu^) h / 2
+    geom, gauge, _, _, _ = problem
+    sites = np.arange(7, 57)
+    back = np.stack([geom.neighbor_table(mu, -1)[sites] for mu in range(NDIM)])
+    links = gauge.data[sites].swapaxes(0, 1)  # (4, 50, 3, 3) random SU(3) at x
+    back_links = gauge.data[back, np.arange(NDIM)[:, None]]  # (4, 50, 3, 3) at x - mu^
     rng = np.random.default_rng(7)
-    h = rng.standard_normal((50, 4, 5, 3)) + 1j * rng.standard_normal((50, 4, 5, 3))
-    w = link_matrices(links)
-    assert w.shape == (50, 4, 6, 6) and w.dtype == np.float64
+    h = rng.standard_normal((4, 50, 5, 3)) + 1j * rng.standard_normal((4, 50, 5, 3))
+    hops = hop_matrices(gauge, sites)
+    assert hops.shape == (8, 50, 6, 6) and hops.dtype == np.float64 and hops.flags.c_contiguous
     rows = h.view(np.float64)
-    forward = (rows @ w).view(np.complex128)
-    adjoint = (rows @ w.swapaxes(-1, -2)).view(np.complex128)
-    assert np.abs(forward - 0.5 * np.einsum("xdca,xdra->xdrc", links, h)).max() < 1e-15
-    assert np.abs(adjoint - 0.5 * np.einsum("xdac,xdra->xdrc", links.conj(), h)).max() < 1e-15
-    # the 2x2 block (a, c) is [[Re U_ca, Im U_ca], [-Im U_ca, Re U_ca]] / 2, exactly
-    u, blocks = links[3, 2], w[3, 2].reshape(3, 2, 3, 2)
-    for a in range(3):
-        for c in range(3):
-            re, im = u[c, a].real, u[c, a].imag
-            assert np.array_equal(blocks[a, :, c], 0.5 * np.array([[re, im], [-im, re]]))
+    forward = (rows @ hops[0::2]).view(np.complex128)
+    adjoint = (rows @ hops[1::2]).view(np.complex128)
+    assert np.abs(forward - 0.5 * np.einsum("dxca,dxra->dxrc", links, h)).max() < 1e-15
+    assert np.abs(adjoint - 0.5 * np.einsum("dxac,dxra->dxrc", back_links.conj(), h)).max() < 1e-15
+    # the 2x2 block (a, c) of slot 2mu is [[Re U_ca, Im U_ca], [-Im U_ca, Re U_ca]] / 2
+    # of U = U_mu(x), the one of slot 2mu + 1 its transpose for U = U_mu(x - mu^), exactly
+    for mu in range(NDIM):
+        for i in (0, 31):
+            for slot, u in ((2 * mu, links[mu, i]), (2 * mu + 1, back_links[mu, i])):
+                blocks = hops[slot, i].reshape(3, 2, 3, 2)
+                for a in range(3):
+                    for c in range(3):
+                        re, im = u[c, a].real, u[c, a].imag
+                        block = 0.5 * np.array([[re, im], [-im, re]])
+                        got = blocks[a, :, c] if slot % 2 == 0 else blocks[c, :, a].T
+                        assert np.array_equal(got, block)
 
 
 def test_free_field_identity():
@@ -291,10 +314,10 @@ def test_single_precision_twin_matches_float64_apply(problem, monkeypatch, layou
 @pytest.mark.parametrize("grid", [None, (1, 1, 1, 2)])
 def test_twin_builds_nothing(problem, monkeypatch, grid):
     # a twin casts the operator's arrays; it makes no second site-block or
-    # link-matrix build
+    # hop-matrix build
     geom, gauge, clover, params, _ = problem
     op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None)
-    for name in ("site_blocks", "link_matrices"):
+    for name in ("site_blocks", "hop_matrices"):
         monkeypatch.setattr(dirac, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
     twin = op.astype(np.complex64)
     psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=49, geom=geom)
@@ -303,30 +326,29 @@ def test_twin_builds_nothing(problem, monkeypatch, grid):
 
 def test_hop_matrices_are_destination_ordered(problem):
     # slot 2mu holds W_mu at each destination site, slot 2mu + 1 the
-    # transposed W_mu of its -mu neighbor: on the full lattice, on both
-    # parity hops, and on each rank, whose -mu face rows take slot 2mu + 1
-    # from the rank-local wrap, so it is checked on the other rows
+    # transposed W_mu of its -mu neighbor on the global lattice: on the
+    # full lattice, on both parity hops, and on every row of every rank,
+    # its -mu face rows included
     geom, gauge, clover, params, _ = problem
-    w = link_matrices(gauge.data)
+    # W = the real form of U^T / 2, made without the build's embedding map
+    w = dirac._real_form(0.5 * gauge.data.swapaxes(-1, -2))
 
-    def check(hops, dst, rows=slice(None)):
+    def check(hops, dst):
         # dst: the global site of each hop row
         assert hops.shape == (8, len(dst), 6, 6)
         for mu in range(NDIM):
-            back = geom.neighbor_table(mu, -1)[dst[rows]]
+            back = geom.neighbor_table(mu, -1)[dst]
             assert np.array_equal(hops[2 * mu], w[dst, mu])
-            assert np.array_equal(hops[2 * mu + 1, rows], w[back, mu].swapaxes(1, 2))
+            assert np.array_equal(hops[2 * mu + 1], w[back, mu].swapaxes(1, 2))
 
     check(DiracOperator(params, gauge, clover)._hops, np.arange(geom.n_sites))
     schur = SchurOperator(params, gauge, clover)
     check(schur._to_kept.hops, geom.even_sites)
     check(schur._to_elim.hops, geom.odd_sites)
-    multi = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid((1, 1, 1, 2))))
-    for dom, _, hops in multi._ranks:
-        faces = np.concatenate([dom.boundary[(mu, -1)] for mu in range(NDIM)])
-        interior = np.setdiff1d(np.arange(len(dom.global_sites)), faces)
-        assert 0 < len(interior) < len(dom.global_sites)
-        check(hops, dom.global_sites, interior)
+    for grid in ((1, 1, 1, 2), (2, 2, 2, 2)):
+        multi = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)))
+        for dom, _, hops in multi._ranks:
+            check(hops, dom.global_sites)
 
 
 def test_operator_array_of_another_precision_raises(problem):

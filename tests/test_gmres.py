@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -339,11 +340,14 @@ def test_odd_even_rejects_mismatched_initial_guess(problem, monkeypatch, dims):
 
 @pytest.mark.parametrize("odd_even", [False, True])
 @pytest.mark.parametrize("field, dims", [("eta", (4, 4, 4, 2)), ("eta", (4, 4, 4, 8)),
-                                         ("clover", (4, 4, 4, 2)), ("clover", (4, 4, 4, 8))])
+                                         ("clover", (4, 4, 4, 2)), ("clover", (4, 4, 4, 8)),
+                                         ("eta", (2, 4, 4, 8)), ("clover", (2, 4, 4, 8))])
 def test_lattice_mismatch_fails_before_any_build(problem, monkeypatch, odd_even, field, dims):
     # a smaller eta or clover used to raise a bare IndexError or a broadcast
     # error after the Schur build, and a larger clover was silently sliced
-    # until the final residual; every case now fails before anything is built
+    # until the final residual; an eta or clover on another lattice of as
+    # many sites was solved with its values misplaced; every case now fails
+    # before anything is built
     geom, gauge, clover = problem
     other = LatticeGeometry(dims)
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=93, geom=geom)
@@ -353,65 +357,65 @@ def test_lattice_mismatch_fails_before_any_build(problem, monkeypatch, odd_even,
     else:
         clover = gen_clover(other, "random", scale=0.1, seed=94)
         message = f"clover field has {other.n_sites} sites, gauge field has {geom.n_sites}"
+    if other.n_sites == geom.n_sites:
+        message = re.escape(f"{field} lattice {other.dims} is not the gauge lattice {geom.dims}")
     builds = []
     for module in (dirac, oddeven):
         monkeypatch.setattr(module, "site_blocks", lambda *args: builds.append("site blocks"))
-        monkeypatch.setattr(module, "link_matrices", lambda *args: builds.append("link matrices"))
+        monkeypatch.setattr(module, "hop_matrices", lambda *args: builds.append("hop matrices"))
     with pytest.raises(ValueError, match=message):
         solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(), odd_even=odd_even)
     assert builds == []
 
 
+def _count_row_builds(monkeypatch, modules) -> dict:
+    """Count the calls of both row builders and record the sites of every call, by builder name."""
+    builds = {"site_blocks": [], "hop_matrices": []}
+    for name, sites in builds.items():
+        real = getattr(dirac, name)
+
+        def counted(*args, _real=real, _sites=sites):
+            _sites.append(np.array(args[-1]))
+            return _real(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return builds
+
+
+def _assert_each_site_built_once(builds, geom, calls):
+    for name, sites in builds.items():
+        assert len(sites) == calls, name
+        assert np.array_equal(np.sort(np.concatenate(sites)), np.arange(geom.n_sites)), name
+
+
 @pytest.mark.parametrize("grid", [None, (1, 1, 1, 2)])
 def test_one_operator_build_per_solve(problem, monkeypatch, grid):
-    # one build of the site blocks and link matrices per solve (per rank on
-    # an executor), not one per operator call
+    # one build of each site's block rows and hop rows per solve (per rank
+    # on an executor, each rank its own sites), not one per operator call
     geom, gauge, clover = problem
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=95, geom=geom)
     comm = MultiRankExecutor(RankGrid(grid)) if grid else None
-    n_ranks = comm.grid.n_ranks if comm else 1
-    builds = {"site_blocks": 0, "link_matrices": 0}
-    for name in builds:
-        real = getattr(dirac, name)
-
-        def counted(*args, _real=real, _name=name):
-            builds[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(dirac, name, counted)
+    builds = _count_row_builds(monkeypatch, (dirac,))
     report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(tol=1e-8), comm=comm)
     assert report.iterations > 2 and (report.full_relnorms <= 1e-8).all()
-    assert builds == {"site_blocks": n_ranks, "link_matrices": n_ranks}
+    _assert_each_site_built_once(builds, geom, comm.grid.n_ranks if comm else 1)
+    if comm:
+        ranks = {tuple(dom.global_sites) for dom in comm.domains(geom)}
+        assert {tuple(sites) for sites in builds["hop_matrices"]} == ranks
 
 
 def test_one_operator_build_per_odd_even_solve(problem, monkeypatch):
     # the Schur operator's one build also serves the final full-system
-    # residual: one site_blocks call, each site's link matrix built once and
-    # no DiracOperator (oddeven imports both builders by name)
+    # residual: each site's block rows and hop rows are built once, one call
+    # per parity, and no DiracOperator (oddeven imports both builders by name)
     geom, gauge, clover = problem
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=96, geom=geom)
-    builds = {"site_blocks": 0, "link rows": 0, "DiracOperator": 0}
-    real_blocks, real_links, real_init = dirac.site_blocks, dirac.link_matrices, dirac.DiracOperator.__init__
-
-    def site_blocks(*args):
-        builds["site_blocks"] += 1
-        return real_blocks(*args)
-
-    def link_matrices(links):
-        builds["link rows"] += len(links)
-        return real_links(links)
-
-    def init(self, *args, **kwargs):
-        builds["DiracOperator"] += 1
-        real_init(self, *args, **kwargs)
-
-    for module in (dirac, oddeven):
-        monkeypatch.setattr(module, "site_blocks", site_blocks)
-        monkeypatch.setattr(module, "link_matrices", link_matrices)
-    monkeypatch.setattr(dirac.DiracOperator, "__init__", init)
+    builds = _count_row_builds(monkeypatch, (dirac, oddeven))
+    monkeypatch.setattr(dirac.DiracOperator, "__init__", lambda *args, **kwargs: pytest.fail("DiracOperator built"))
     report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(tol=1e-8), odd_even=True)
     assert report.iterations > 2 and (report.full_relnorms <= 1e-8).all()
-    assert builds == {"site_blocks": 1, "link rows": geom.n_sites, "DiracOperator": 0}
+    _assert_each_site_built_once(builds, geom, 2)
 
 
 def test_odd_even_solve_ignores_the_executor(problem):

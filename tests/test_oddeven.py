@@ -196,7 +196,7 @@ def test_condition_limit_classifies_as_the_exact_check(monkeypatch, kappa):
     clover = _clover_with_block(geom, site, 1, kappa, 4.0 + params.m0)
     from lqcdlab.dirac import site_blocks
 
-    exact = np.linalg.cond(site_blocks(params, clover)[site, 1])
+    exact = np.linalg.cond(site_blocks(params, clover, np.array([site]))[0, 1])
     assert (exact > 1e12) == (kappa > 1e12)
     checked = []
     real_cond = np.linalg.cond
@@ -303,7 +303,7 @@ def test_schur_apply_peak_temporaries(layout):
 def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypatch, lattice, layout, b):
     geom, gauge, clover, params = (problem, noncubic)[lattice]
     schur = SchurOperator(params, gauge, clover)
-    for name in ("site_blocks", "link_matrices", "_invert_blocks"):
+    for name in ("site_blocks", "hop_matrices", "_invert_blocks"):
         monkeypatch.setattr(oddeven, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
     twin = schur.astype(np.complex64)
     assert (schur.dtype, twin.dtype) == (np.complex128, np.complex64)
