@@ -9,16 +9,19 @@ All kernels treat the b columns independently and return per-column results.
   (Layout 2) consecutive stream positions cycle through the columns, so a
   lane accumulator of width L = ceil(8/b)*b (or b itself once b >= 8) keeps
   every lane pinned to a single column without any shuffling; lane j feeds
-  column j mod b.  Column-major data (Layout 1) is already separated, so
-  there the deferred strategy runs 8 lanes inside each column's stream.
+  column j mod b.  In Layout 1 each site's columns are already separated,
+  and in Layout 3 each column is one contiguous stream, so there the
+  deferred strategy runs 8 lanes inside each column's stream.
 
 A short zero pad brings the stream up to a whole number of lane groups; the
 pad contributes exact zeros.
 
-Every kernel also has a multi-vector form on column-form arrays (see
-:mod:`lqcdlab.fields`), the "multi inner product" of a Krylov solver: a
-(k, b, n) stack ``q`` of k vectors and one (b, n) vector ``w``, where
-``q[:, i]`` is rhs i's k vectors as one matrix with leading dimension b*n.
+Every kernel also has a multi-vector form on arrays whose rows are the
+storage of Layout-3 fields (see :mod:`lqcdlab.fields`), the "multi inner
+product" of a Krylov solver: a (k, b, n) stack ``q`` of k vectors and one
+(b, n) vector ``w``, where ``q[p]`` and ``w`` are the data of Layout-3
+fields and ``q[:, i]`` is rhs i's k vectors as one matrix with leading
+dimension b*n.
 ``block_dot(q, w)`` returns the (b, k) products conj(q[p, i]) . w[i] and
 ``block_axpy(a, q, w)`` adds a[i] @ q[:, i] to w[i], one BLAS gemv per
 column each; ``block_norms`` and ``block_scale`` take one (b, n) array.
@@ -39,7 +42,7 @@ import math
 
 import numpy as np
 
-from .fields import BlockSpinorField, Layout, check_matching
+from .fields import BlockSpinorField, check_matching
 
 ACC_LANES = 8  # complex accumulator lanes in the deferred dot
 
@@ -58,7 +61,7 @@ def _as_coeffs(alpha, b: int, dtype) -> np.ndarray:
 def _check_stack(q: np.ndarray, w: np.ndarray) -> None:
     if not isinstance(w, np.ndarray) or q.ndim != 3 or q.shape[1:] != w.shape:
         raise ValueError(
-            f"expected a (k, b, n) stack and a (b, n) column-form vector, got "
+            f"expected a (k, b, n) stack and a (b, n) vector, got "
             f"{q.shape} and {getattr(w, 'shape', type(w).__name__)}"
         )
     if q.dtype != w.dtype:
@@ -86,7 +89,7 @@ def block_axpy(alpha, x, y) -> None:
 
 
 def block_scale(alpha, x) -> None:
-    """x[:, i] *= alpha[i], in place; x a field or a (b, n) column-form array."""
+    """x[:, i] *= alpha[i], in place; x a field or a (b, n) array, one rhs per row."""
     if isinstance(x, np.ndarray):
         x *= _as_coeffs(alpha, x.shape[0], x.dtype)[:, None]
         return
@@ -96,14 +99,15 @@ def block_scale(alpha, x) -> None:
 
 
 def block_norms(x) -> np.ndarray:
-    """(b,) Euclidean norms, one per column; x a field or a (b, n) column-form array."""
+    """(b,) Euclidean norms, one per column; x a field or a (b, n) array, one rhs per row."""
     if isinstance(x, np.ndarray):
         return np.sqrt(np.array([np.vdot(row, row).real for row in x]))
     # squared moduli as a real self-dot on the storage: no field-sized temporary
     f = x.storage_view().view(np.finfo(x.dtype).dtype)
-    if x.layout == Layout.RHS_MAJOR:  # (n_sites, b, 2s)
-        return np.sqrt(np.einsum("xbk,xbk->b", f, f))
-    return np.sqrt(np.einsum("xkc,xkc->c", f, f).reshape(x.b, 2).sum(axis=1))  # (n_sites, s, 2b)
+    axes = x.layout.axes
+    if axes[-1] == "i":  # (n_sites, s, 2b): each column's re and im side by side
+        return np.sqrt(np.einsum("xki,xki->i", f, f).reshape(x.b, 2).sum(axis=1))
+    return np.sqrt(np.einsum(f"{axes},{axes}->i", f, f))  # 2s floats per site and column
 
 
 def _lane_width(b: int) -> int:
@@ -128,12 +132,13 @@ def _dot_naive(w: BlockSpinorField, e: BlockSpinorField) -> np.ndarray:
 
 def _dot_deferred(w: BlockSpinorField, e: BlockSpinorField) -> np.ndarray:
     prod = w.data.conj() * e.data
-    if w.layout == Layout.COMPONENT_MAJOR:
+    if w.layout.axes[-1] == "i":  # the columns cycle fastest (Layout 2)
         width = _lane_width(w.b)
         lanes = _pad_to(prod, width).reshape(-1, width).sum(axis=0)
         return lanes.reshape(-1, w.b).sum(axis=0)
-    # column-major storage: the stream of one column is already contiguous
-    per_col = prod.reshape(w.n_sites, w.b, w.s).swapaxes(0, 1).reshape(w.b, -1)
+    # per-column storage: the stream of one column is contiguous per site
+    # (Layout 1) or over the whole field (Layout 3)
+    per_col = np.moveaxis(prod.reshape(w.storage_view().shape), w.layout.axes.index("i"), 0).reshape(w.b, -1)
     lanes = _pad_to(per_col, ACC_LANES).reshape(w.b, -1, ACC_LANES).sum(axis=1)
     return lanes.sum(axis=1)
 

@@ -19,18 +19,18 @@ L [x ; i x] = Re B x + Im B (i x) = B x, and the float view of the (12, b)
 complex stack [x ; i x] is a (12, 2b) float matrix, so each site's block
 is one real (6, 12) x (12, 2b) product whose (6, 2b) float result is the
 float view of B x.  The stack is written a chunk of sites at a time from
-the field's logical view, in either layout, into one chunk buffer.
+the field's logical view, in any layout, into one chunk buffer.
 
 The hops run as one sweep over chunks of destination sites, entirely in
 real matrix products: a complex row x times a complex z is the float row
 x_f times the real form of z (``_real_form``).  The sweep reads psi as
 one contiguous array of spinor rows, (n_sites, b, 12), one row per site
-and rhs: a Layout-1 field's own storage, into which a Layout-2 field is
-transposed once per call (its gathered rows would not be contiguous, and
-the sweep gathers each row 8 times).  For each chunk and each mu the
-sweep gathers the rows of the +mu and -mu neighbors and compresses them
-to half spinors h = K psi with one product by a fixed real projection
-matrix per side (the real form of the projectors module's
+and rhs: a Layout-1 field's own storage, into which a field of any other
+layout is transposed once per call (its gathered rows would not be
+contiguous, and the sweep gathers each row 8 times).  For each chunk and
+each mu the sweep gathers the rows of the +mu and -mu neighbors and
+compresses them to half spinors h = K psi with one product by a fixed
+real projection matrix per side (the real form of the projectors module's
 K = [I, -+A_mu] times the color identity); a chunk's half spinors are
 (m, b, 2, 3), color innermost, so each site's 2b rows of 3 colors are one
 (2b, 6) float64 matrix.  That matrix is
@@ -82,6 +82,12 @@ operator's, so every site sees the same operations on the same values,
 which is why the multi-rank result is bitwise equal to the single-rank
 one.
 
+Every apply writes its eta into a field it is given, ``out``, of any
+layout, or into a new field like psi; both stages write every row of it,
+and each rank its own rows, so ``out`` needs no zeroing.  The solver thus
+applies the operator from one row of its Krylov basis, a Layout-3 field,
+straight into the next (gmres module).
+
 The sweep and the self coupling run at the precision of the field they
 are given: the helpers view complex128 data as float64 and complex64 data
 as float32, and pick the spin matrices of that precision (their entries
@@ -123,7 +129,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PRECISIONS, BlockSpinorField, CloverField, GaugeField, Layout
+from .fields import PRECISIONS, BlockSpinorField, CloverField, GaugeField, Layout, result_field
 from .geometry import NDIM
 from .projectors import A_BLOCKS, N_COLOR, compression
 
@@ -159,10 +165,16 @@ def account_traffic(b: int, dtype=np.complex128) -> dict:
     }
 
 
-def _check_field(psi: BlockSpinorField, n_sites: int, system: str, dtype=None) -> None:
-    """Raise unless psi is a field on the ``n_sites`` sites of ``system`` (and of ``dtype``, if given)."""
+def _check_field(psi: BlockSpinorField, n_sites: int, system: str, dtype=None, dims: tuple | None = None) -> None:
+    """Raise unless psi is a field on the ``n_sites`` sites of ``system`` (and of ``dtype``, if given).
+
+    With ``dims``, a psi that carries a geometry must also be on that
+    lattice, not merely on as many sites.
+    """
     if psi.n_sites != n_sites:
         raise ValueError(f"field has {psi.n_sites} sites, {system} has {n_sites}")
+    if dims is not None and psi.geom is not None and psi.geom.dims != dims:
+        raise ValueError(f"field lattice {psi.geom.dims} is not the {system} {dims}")
     if dtype is not None and psi.dtype != dtype:
         raise ValueError(f"field of dtype {psi.dtype} given to an operator of dtype {dtype}")
 
@@ -230,17 +242,19 @@ def left_real_form(blocks: np.ndarray) -> np.ndarray:
     return rows.reshape(blocks.shape[:-1] + (12,))
 
 
-def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField) -> BlockSpinorField:
+def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField,
+                        out: BlockSpinorField | None = None) -> BlockSpinorField:
     """eta = B psi per site, with psi's (n_sites, 2, 6, 12) site blocks B in :func:`left_real_form`.
 
     Chunk by chunk the stack [x ; i x] of each site's two (6, b) half-spinor
     blocks x is written to one buffer, and one batched real product of the
     blocks with its float view gives the float view of B x, which is copied
-    to eta.  The blocks' real precision must be psi's, or a ``ValueError``
-    names both dtypes.
+    to eta: ``out`` if given (:func:`lqcdlab.fields.result_field`), whose
+    every row is written, so it needs no zeroing.  The blocks' real
+    precision must be psi's, or a ``ValueError`` names both dtypes.
     """
     _check_precision(blocks, psi)
-    eta = BlockSpinorField.zeros_like(psi)
+    eta = result_field(psi, out)
     n, b = psi.n_sites, psi.b
     src, dst = (f.ksi().reshape(n, 2, 6, b) for f in (psi, eta))
     step = _chunk_sites(b)
@@ -402,7 +416,7 @@ def subtract_hops(
     (n_face, 2, b, 3) (spin, rhs, color) in ascending face order.
     """
     _check_precision(hops, psi)
-    rows = np.ascontiguousarray(_rows(psi))  # a copy only for a Layout-2 psi with b > 1
+    rows = np.ascontiguousarray(_rows(psi))  # a copy only for a psi whose rows are not contiguous
     if comm is not None:
         # the -mu face's +mu side travels down, the +mu face's -mu side up
         for mu in range(NDIM):
@@ -505,14 +519,18 @@ class DiracOperator:
             twin._ranks = [(dom, *_cast(arrays, dtype)) for dom, *arrays in self._ranks]
         return twin
 
-    def __call__(self, psi: BlockSpinorField) -> BlockSpinorField:
-        """eta = D psi over all rhs columns."""
-        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype)
+    def __call__(self, psi: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
+        """eta = D psi over all rhs columns, written into ``out`` if given and returned.
+
+        ``out`` is checked by :func:`lqcdlab.fields.result_field`, and psi
+        must be on the operator's lattice, both before any rank runs.
+        """
+        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
+        eta = result_field(psi, out)
         if self.comm is None:
-            eta = apply_self_coupling(self._blocks, psi)
+            apply_self_coupling(self._blocks, psi, out=eta)
             subtract_hops(self._hops, psi, eta, self._fwd, self._back)
             return eta
-        eta = BlockSpinorField.zeros_like(psi)
 
         def run_rank(rank: int, comm) -> None:
             # the hops use the rank-local periodic tables; subtract_hops
@@ -520,11 +538,12 @@ class DiracOperator:
             dom, blocks, hops = self._ranks[rank]
             local = dom.local_geom
             loc = _gather_rows(psi, dom.global_sites)
-            out = apply_self_coupling(blocks, loc)
+            part = apply_self_coupling(blocks, loc)
             fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
             back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
-            subtract_hops(hops, loc, out, fwd, back, comm=comm, boundary=dom.boundary)
-            _rows(eta)[dom.global_sites] = _rows(out)
+            subtract_hops(hops, loc, part, fwd, back, comm=comm, boundary=dom.boundary)
+            # the ranks' rows cover the lattice, so eta needs no zeroing
+            _rows(eta)[dom.global_sites] = _rows(part)
 
         self.comm.run_ranks(run_rank)
         return eta

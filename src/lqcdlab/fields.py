@@ -2,7 +2,7 @@
 
 A block spinor field holds ``b`` right-hand-side vectors at once.  Per site
 it stores the s x b value block ``Row_x(V)`` (the s = 12 spin-color
-components of a spinor, b columns) in one of two flat orders inside a
+components of a spinor, b columns) in one of three flat orders inside a
 single contiguous complex array of either precision, complex128 (the
 default) or complex64:
 
@@ -10,13 +10,12 @@ default) or complex64:
   ``x*s*b + i*s + k`` -- each column's s components sit together.
 * Layout 2 (component-major): row-major ``Row_x(V)``, element offset
   ``x*s*b + k*b + i`` -- the b values of one component sit together.
+* Layout 3 (column): element offset ``i*n_sites*s + x*s + k`` -- each
+  column is one contiguous vector, as in a row of the solver's Krylov basis.
 
-For b = 1 the two orders coincide.  Solvers that work one rhs at a time
-copy a field to and from the layout-free *column form*, a (b, n_sites*s)
-array whose row i is column i, contiguous; the column form may be of
-lower precision than the field, which then scales what it adds from it
-in its own precision (:meth:`~BlockSpinorField.add_scaled_column_form`).
-A field keeps its precision
+For b = 1 the three orders coincide.  Every operation goes through
+:attr:`Layout.axes` (the storage order) or the logical view
+:meth:`BlockSpinorField.ksi`.  A field keeps its precision
 through :meth:`BlockSpinorField.zeros_like`, :meth:`~BlockSpinorField.copy`,
 :meth:`~BlockSpinorField.convert` and the site gathers; only
 :meth:`~BlockSpinorField.astype` changes it.  Gauge links are 3x3
@@ -54,10 +53,9 @@ _MAGIC_CLOVER = b"LQMC"
 # number of independent complex entries in a packed 6x6 Hermitian block
 _TRI6 = 21
 
-# site-rhs pairs per block of a field -> column-form copy: each block of the
-# source stays in cache while the b destination rows are written, which at
-# b = 16 halves the time of one whole-field transposing copy
-_STORE_CHUNK_SITE_RHS = 1024
+# site-rhs pairs per chunk of a copy or scaled add between fields: a chunk stays in cache
+# while it is written (3x faster than a whole-field Layout 2 -> 3 copy at b = 16)
+_CHUNK_SITE_RHS = 1024
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -68,20 +66,29 @@ def make_rng(seed: int) -> np.random.Generator:
 class Layout(enum.IntEnum):
     RHS_MAJOR = 1
     COMPONENT_MAJOR = 2
+    COLUMN = 3
+
+    @property
+    def axes(self) -> str:
+        """Storage order of the site (x), component (k) and column (i) axes, slowest first."""
+        return {1: "xik", 2: "xki", 3: "ixk"}[self]
 
 
-def element_offset(layout: Layout, s: int, b: int, x: int, k: int, i: int) -> int:
-    """Flat array position of component k, column i at site x."""
+def element_offset(layout: Layout, s: int, b: int, x: int, k: int, i: int, n_sites: int | None = None) -> int:
+    """Flat array position of component k, column i at site x; Layout 3 needs the field's ``n_sites``."""
     if not 0 <= k < s:
         raise ValueError(f"component {k} out of range for s={s}")
     if not 0 <= i < b:
         raise ValueError(f"column {i} out of range for b={b}")
-    if x < 0:
+    if x < 0 or (n_sites is not None and x >= n_sites):
         raise ValueError(f"site {x} out of range")
-    base = x * s * b
-    if layout == Layout.RHS_MAJOR:
-        return base + i * s + k
-    return base + k * b + i
+    axes, sizes, index = Layout(layout).axes, {"x": n_sites, "k": s, "i": b}, {"x": x, "k": k, "i": i}
+    if sizes[axes[1]] is None:
+        raise ValueError(f"the {Layout(layout).name} layout needs n_sites to place an element")
+    offset = index[axes[0]]
+    for a in axes[1:]:
+        offset = offset * sizes[a] + index[a]
+    return offset
 
 
 @dataclass
@@ -134,28 +141,25 @@ class BlockSpinorField:
         return out
 
     def storage_view(self) -> np.ndarray:
-        """3-d view of the flat data in storage order.
-
-        (n_sites, b, s) for Layout 1, (n_sites, s, b) for Layout 2.
-        """
-        if self.layout == Layout.RHS_MAJOR:
-            return self.data.reshape(self.n_sites, self.b, self.s)
-        return self.data.reshape(self.n_sites, self.s, self.b)
+        """The flat data in storage order (:attr:`Layout.axes`): (n_sites, b, s), (n_sites, s, b) or (b, n_sites, s)."""
+        sizes = {"x": self.n_sites, "k": self.s, "i": self.b}
+        return self.data.reshape([sizes[a] for a in self.layout.axes])
 
     def ksi(self) -> np.ndarray:
         """(n_sites, s, b) logical view [site, component, column]; no copy."""
-        v = self.storage_view()
-        if self.layout == Layout.RHS_MAJOR:
-            return v.swapaxes(1, 2)
-        return v
+        return self.storage_view().transpose([self.layout.axes.index(a) for a in "xki"])
 
     def set_ksi(self, values: np.ndarray) -> None:
-        """Fill the field from a (n_sites, s, b) logical array."""
-        self.ksi()[...] = values
+        """Fill the field from a (n_sites, s, b) logical array, a chunk of sites at a time."""
+        dst = self.ksi()
+        values = np.broadcast_to(values, dst.shape)
+        step = max(1, _CHUNK_SITE_RHS // self.b)
+        for x0 in range(0, self.n_sites, step):
+            dst[x0 : x0 + step] = values[x0 : x0 + step]
 
     def take_sites(self, sites: np.ndarray) -> "BlockSpinorField":
         """The field on ``sites``, in their order and in the same layout, without a geometry: one gather of whole site blocks."""
-        data = self.storage_view()[sites].reshape(-1)
+        data = np.take(self.storage_view(), sites, axis=self.layout.axes.index("x")).reshape(-1)
         return BlockSpinorField(len(sites), self.b, self.layout, data)
 
     def put_sites(self, sites: np.ndarray, part: "BlockSpinorField") -> None:
@@ -164,11 +168,11 @@ class BlockSpinorField:
             raise ValueError(f"part {_describe(part)} does not fit {len(sites)} sites of field {_describe(self)}")
         if part.dtype != self.dtype:
             raise ValueError(f"part of dtype {part.dtype} does not fit a field of dtype {self.dtype}")
-        self.storage_view()[sites] = part.storage_view()
+        axis = self.layout.axes.index("x")
+        np.moveaxis(self.storage_view(), axis, 0)[sites] = np.moveaxis(part.storage_view(), axis, 0)
 
     def convert(self, layout: Layout | int) -> "BlockSpinorField":
         """Copy of the field in the requested layout; content unchanged."""
-        layout = Layout(layout)
         out = BlockSpinorField.zeros(self.n_sites, self.b, layout, self.geom, self.dtype)
         out.set_ksi(self.ksi())
         return out
@@ -180,46 +184,46 @@ class BlockSpinorField:
     def set_columns(self, mat: np.ndarray) -> None:
         self.set_ksi(mat.reshape(self.n_sites, self.s, self.b))
 
-    def store_column_form(self, out: np.ndarray) -> None:
-        """Copy the content into ``out``, a (b, n_sites*s) column-form array.
+    def add_scaled(self, other: "BlockSpinorField", scale: np.ndarray) -> None:
+        """Add ``scale[i]`` times column i of ``other``, a field of the same sites and b in any layout.
 
-        Row i of the column form is rhs column i, site-major and component-
-        minor, whatever the layout: one contiguous vector per rhs.
+        Each chunk of sites is scaled in this field's precision, so ``other``
+        may be of lower precision than its scaled values.
         """
-        dst, src = out.reshape(self.b, self.n_sites, self.s), self.ksi()
-        step = max(1, _STORE_CHUNK_SITE_RHS // self.b)
-        for x0 in range(0, self.n_sites, step):
-            dst[:, x0 : x0 + step] = src[x0 : x0 + step].transpose(2, 0, 1)
-
-    def load_column_form(self, src: np.ndarray) -> None:
-        """Set the content from a (b, n_sites*s) column-form array."""
-        self.set_ksi(src.reshape(self.b, self.n_sites, self.s).transpose(1, 2, 0))
-
-    def add_scaled_column_form(self, src: np.ndarray, scale: np.ndarray) -> None:
-        """Add ``scale[i]`` times column i of a (b, n_sites*s) column-form array.
-
-        The product is formed in the field's precision, a chunk of sites at
-        a time, so ``src`` may be of lower precision than its scaled values.
-        """
-        dst = self.ksi()
-        values = src.reshape(self.b, self.n_sites, self.s).transpose(1, 2, 0)
+        if (other.n_sites, other.b) != (self.n_sites, self.b):
+            raise ValueError(f"field {_describe(other)} cannot be added to field {_describe(self)}")
+        dst, src = self.ksi(), other.ksi()
         scale = np.asarray(scale, dtype=np.finfo(self.dtype).dtype)
-        step = max(1, _STORE_CHUNK_SITE_RHS // self.b)
+        step = max(1, _CHUNK_SITE_RHS // self.b)
         for x0 in range(0, self.n_sites, step):
-            part = values[x0 : x0 + step].astype(self.dtype)
-            part *= scale
-            dst[x0 : x0 + step] += part
+            dst[x0 : x0 + step] += src[x0 : x0 + step].astype(self.dtype) * scale
 
 
 def _describe(f: BlockSpinorField) -> str:
     """The shape of a field, as error messages name it."""
-    return f"(n_sites={f.n_sites}, b={f.b}) in {f.layout.name}"
+    return f"(n_sites={f.n_sites}, b={f.b}) in {f.layout.name}" + (f" on lattice {f.geom.dims}" if f.geom else "")
+
+
+def _other_lattice(f: BlockSpinorField, ref: BlockSpinorField) -> bool:
+    """True if both fields carry a geometry and their lattices differ."""
+    return f.geom is not None and ref.geom is not None and f.geom.dims != ref.geom.dims
 
 
 def check_matching(f: BlockSpinorField, ref: BlockSpinorField, name: str, ref_name: str) -> None:
-    """Raise a ValueError naming both shapes unless ``f`` has ``ref``'s sites, b and layout."""
-    if (f.n_sites, f.b, f.layout) != (ref.n_sites, ref.b, ref.layout):
+    """Raise a ValueError naming both shapes unless ``f`` has ``ref``'s sites, b, layout and lattice (if both have one)."""
+    if (f.n_sites, f.b, f.layout) != (ref.n_sites, ref.b, ref.layout) or _other_lattice(f, ref):
         raise ValueError(f"{name} {_describe(f)} does not match {ref_name} {_describe(ref)}")
+
+
+def result_field(psi: BlockSpinorField, out: BlockSpinorField | None) -> BlockSpinorField:
+    """A new field like ``psi`` for an operator's result, or ``out`` of any layout, checked to fit psi."""
+    if out is None:
+        return BlockSpinorField.zeros_like(psi)
+    if (out.n_sites, out.b, out.dtype) != (psi.n_sites, psi.b, psi.dtype) or _other_lattice(out, psi):
+        raise ValueError(f"out {_describe(out)} of {out.dtype} does not fit psi {_describe(psi)} of {psi.dtype}")
+    if np.shares_memory(out.data, psi.data):
+        raise ValueError("out shares memory with psi")
+    return out
 
 
 def gen_spinor(
@@ -402,8 +406,8 @@ def read_spinor(path: str | Path) -> BlockSpinorField:
     dims, s, b, layout, payload = _read_snapshot(Path(path), _MAGIC_SPINOR)
     if s != SPINOR_LEN:
         raise ValueError(f"{path}: spinor length {s}, expected {SPINOR_LEN}")
-    if layout not in (1, 2):
-        raise ValueError(f"{path}: layout {layout}, expected 1 or 2")
+    if layout not in tuple(Layout):
+        raise ValueError(f"{path}: layout {layout}, expected 1, 2 or 3")
     geom = None
     try:
         geom = LatticeGeometry(dims)

@@ -32,21 +32,21 @@ A NaN or infinite residual norm in any rhs stops the solve at once with a
 :class:`NonFiniteResidualError`, checked after every restart residual and
 every Arnoldi step.
 
-The Krylov basis is one (restart_len + 1, b, n_sites*s) array in column
-form (see :mod:`lqcdlab.fields`), in the inner operator's precision:
-``basis[p]`` is basis vector p, and for rhs i the rows ``basis[:j+1, i]``
-are one matrix with leading dimension b*n_sites*s.  Each Arnoldi step
-copies the operator output into ``basis[j+1]`` once and orthogonalizes
-every column by classical Gram-Schmidt run twice (CGS2, "twice is
-enough": Giraud, Langou and Rozloznik, Numer. Math. 101 (2005) 87):
-h = Q^H w, w -= Q h, two passes
+The Krylov basis is one (restart_len + 1, b, n_sites*s) array in the
+inner operator's precision whose rows are the operator's fields:
+``basis[p]`` is the storage of ``SolverWorkspace.fields[p]``, basis
+vector p as a Layout-3 field (see :mod:`lqcdlab.fields`), and for rhs i
+the rows ``basis[:j+1, i]`` are one matrix with leading dimension
+b*n_sites*s.  Each Arnoldi step applies the operator from field j
+straight into field j+1, ``inner(v, out=w)`` (every operator takes an
+optional ``out`` field), and orthogonalizes every column by classical
+Gram-Schmidt run twice (CGS2, "twice is enough": Giraud, Langou and
+Rozloznik, Numer. Math. 101 (2005) 87): h = Q^H w, w -= Q h, two passes
 with the two h summed, each pass one multi-vector ``block_dot`` and one
-``block_axpy`` on that column's rows, i.e. two gemv calls.  The operator
-reads its input from a field over the storage of the last basis row,
-which no step needs until the last one of a cycle writes its output
-there; the restart update psi += V y (one gemv per column) also goes
-through that row.  The solver thus holds restart_len + 1 field-sized
-buffers and no more.
+``block_axpy`` on that column's rows, i.e. two gemv calls.  The restart
+update psi += V y (one gemv per column) is formed in the last basis row,
+which it does not read.  The solver thus holds restart_len + 1
+field-sized buffers and no more.
 
 The per-rhs recurrence is the textbook one.  With Gram-Schmidt
 coefficients h and rotation pairs (c real, s complex),
@@ -78,7 +78,7 @@ import numpy as np
 from .blas import block_axpy, block_dot, block_norms, block_scale
 from .dirac import DiracOperator, DiracParams, _check_field
 from .dirac import apply_dirac  # noqa: F401  # unused here; the benchmark traces and calls it as gmres.apply_dirac
-from .fields import BlockSpinorField, CloverField, GaugeField, check_matching
+from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching, result_field
 from .oddeven import SchurOperator
 
 log = logging.getLogger(__name__)
@@ -132,8 +132,8 @@ class GmresConfig:
 class SolverWorkspace:
     """State of one restart cycle; every array but the basis leads with the rhs axis."""
 
-    basis: np.ndarray           # (rl+1, b, n_sites*s) column-form basis vectors
-    stage: BlockSpinorField     # operator input, a field over basis[-1]'s storage
+    basis: np.ndarray           # (rl+1, b, n_sites*s) basis vectors, one rhs per row
+    fields: list                # rl+1 Layout-3 fields, fields[p] over basis[p]'s storage
     h: np.ndarray               # (b, rl+1, rl) rotated Hessenberg
     h_raw: np.ndarray           # (b, rl+1, rl) pre-rotation coefficients
     gamma: np.ndarray           # (b, rl+1)
@@ -148,13 +148,13 @@ class SolverWorkspace:
     @classmethod
     def allocate(cls, template: BlockSpinorField, restart_len: int, eta_norms: np.ndarray,
                  dtype=np.complex128) -> "SolverWorkspace":
-        """Workspace for ``template``'s shape with the basis and stage in precision ``dtype``."""
+        """Workspace for ``template``'s shape with the basis in precision ``dtype``."""
         b = template.b
         basis = np.zeros((restart_len + 1, b, template.n_sites * template.s), dtype=dtype)
-        stage = BlockSpinorField(template.n_sites, b, template.layout, basis[-1].reshape(-1), template.geom)
         return cls(
             basis=basis,
-            stage=stage,
+            fields=[BlockSpinorField(template.n_sites, b, Layout.COLUMN, row.reshape(-1), template.geom)
+                    for row in basis],
             h=np.zeros((b, restart_len + 1, restart_len), dtype=np.complex128),
             h_raw=np.zeros((b, restart_len + 1, restart_len), dtype=np.complex128),
             gamma=np.zeros((b, restart_len + 1), dtype=np.complex128),
@@ -213,9 +213,8 @@ def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def arnoldi_step(op, ws: SolverWorkspace, j: int) -> None:
     """Extend the basis by one vector and fold it into the rotated system."""
-    ws.stage.load_column_form(ws.basis[j])
+    op(ws.fields[j], out=ws.fields[j + 1])
     w = ws.basis[j + 1]
-    op(ws.stage).store_column_form(w)
     hnext = np.empty(w.shape[0])
     # CGS2 one rhs column at a time: the column's basis rows, read four
     # times, stay partly in cache between passes (about 10% less time at
@@ -272,7 +271,7 @@ def least_squares_update(ws: SolverWorkspace, j_done: int | None = None) -> np.n
 
 
 def update_solution(ws: SolverWorkspace, y: np.ndarray, psi: BlockSpinorField) -> None:
-    """psi += V y for (b, m) coefficients y: one gemv per column, one scaled copy-add.
+    """psi += V y for (b, m) coefficients y: one gemv per column, one scaled add.
 
     The sum is formed in the last basis row, which the update does not read
     (m <= restart_len) and no later step of the cycle needs.  It is V
@@ -281,11 +280,10 @@ def update_solution(ws: SolverWorkspace, y: np.ndarray, psi: BlockSpinorField) -
     precision, the same as psi's or lower, a residual far outside the
     basis' range neither overflows nor sinks into its subnormals.
     """
-    acc = ws.basis[-1]
-    acc[:] = 0.0
+    ws.basis[-1] = 0.0
     r0 = ws.start_norms
-    block_axpy(y * _inverse(r0)[:, None], ws.basis[: y.shape[1]], acc)
-    psi.add_scaled_column_form(acc, r0)
+    block_axpy(y * _inverse(r0)[:, None], ws.basis[: y.shape[1]], ws.basis[-1])
+    psi.add_scaled(ws.fields[-1], r0)
 
 
 def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField | None, ws: SolverWorkspace) -> np.ndarray:
@@ -303,7 +301,7 @@ def _start_cycle(op, eta: BlockSpinorField, psi: BlockSpinorField | None, ws: So
         r = op(psi)
         norms = _residual_norms(r, eta)
     block_scale(_inverse(norms), r)
-    r.store_column_form(ws.basis[0])
+    ws.fields[0].set_ksi(r.ksi())
     ws.start_norms = norms
     ws.breakdown[:] = False
     ws.h[:] = 0.0
@@ -337,7 +335,7 @@ def gmres_solve(op, eta: BlockSpinorField, psi0: BlockSpinorField | None, cfg: G
     with a basis of lower precision a cycle also ends at the
     reliable-update threshold (except under ``fixed_iterations``).
 
-    A ``psi0`` whose site count, rhs count or layout differs
+    A ``psi0`` whose site count, rhs count, layout or lattice differs
     from ``eta``'s raises ``ValueError`` before the operator is called.
     """
     if psi0 is not None:
@@ -402,15 +400,11 @@ def batched_vs_independent_audit(op, eta: BlockSpinorField, psi0: BlockSpinorFie
     """
     batched = gmres_solve(op, eta, psi0, cfg, inner)
     worst = 0.0
-    cols = eta.ksi()
-    psi_cols = psi0.ksi() if psi0 is not None else None
+    # rhs i of a field is row i of its Layout-3 copy, and a b = 1 field is stored alike in every layout
+    rows = [None if f is None else f.convert(Layout.COLUMN).storage_view() for f in (eta, psi0)]
     for i in range(eta.b):
-        eta_i = BlockSpinorField.zeros(eta.n_sites, 1, eta.layout, eta.geom)
-        eta_i.set_ksi(cols[:, :, i : i + 1])
-        psi_i = None
-        if psi_cols is not None:
-            psi_i = BlockSpinorField.zeros(eta.n_sites, 1, eta.layout, eta.geom)
-            psi_i.set_ksi(psi_cols[:, :, i : i + 1])
+        eta_i, psi_i = (None if r is None else BlockSpinorField(eta.n_sites, 1, eta.layout, r[i].reshape(-1), eta.geom)
+                        for r in rows)
         single = gmres_solve(op, eta_i, psi_i, cfg, inner)
         for it in range(min(len(batched.history), len(single.history))):
             ref = single.history[it][0]
@@ -449,12 +443,13 @@ def gamma_residual_audit(op, eta: BlockSpinorField, psi0: BlockSpinorField | Non
 def matrix_op(a: np.ndarray):
     """Wrap a dense matrix as a field operator (test and oracle plumbing).
 
-    Its ``dtype`` is complex64 for a complex64 matrix and complex128 otherwise.
+    Its ``dtype`` is complex64 for a complex64 matrix and complex128
+    otherwise; it takes ``out`` as the stencil operators do.
     """
     a = np.asarray(a)
 
-    def apply(v: BlockSpinorField) -> BlockSpinorField:
-        out = BlockSpinorField.zeros_like(v)
+    def apply(v: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
+        out = result_field(v, out)
         out.set_columns(a @ v.columns())
         return out
 
@@ -502,13 +497,13 @@ def solve_dirac(
     _check_field(eta, gauge.geom.n_sites, "gauge lattice", np.complex128)
     if eta.geom is not None and eta.geom.dims != gauge.geom.dims:
         raise ValueError(f"eta lattice {eta.geom.dims} is not the gauge lattice {gauge.geom.dims}")
+    if psi0 is not None:
+        check_matching(psi0, eta, "psi0", "eta")
     if not odd_even:
         op = DiracOperator(params, gauge, clover, comm)
         result = gmres_solve(op, eta, psi0, cfg, inner=op.astype(np.complex64))
         return SolveReport(result.psi, result, False, result.final_relnorms, result.iterations)
 
-    if psi0 is not None:
-        check_matching(psi0, eta, "psi0", "eta")
     schur = SchurOperator(params, gauge, clover)
     reduced, eta_elim = schur.reduce_rhs(eta)
     x0 = None if psi0 is None else psi0.take_sites(schur.keep_sites)

@@ -64,7 +64,7 @@ import numpy as np
 
 from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, hop_matrices,
                     left_real_form, site_blocks, subtract_hops)
-from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching
+from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching, result_field
 from .geometry import NDIM, LatticeGeometry
 
 # eliminated blocks with a larger condition estimate are rejected as singular
@@ -222,28 +222,34 @@ class SchurOperator:
         twin._to_elim = replace(self._to_elim, hops=elim_hops)
         return twin
 
-    def __call__(self, v: BlockSpinorField) -> BlockSpinorField:
+    def __call__(self, v: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
         """w = S v, through :meth:`apply`."""
-        return self.apply(v)
+        return self.apply(v, out)
 
     def solve_eliminated(self, v: BlockSpinorField) -> BlockSpinorField:
         """N v = -D_oo^-1 v on the odd sites: one batched product with the negated inverses."""
         return apply_self_coupling(self._neg_inv, v)
 
-    def apply(self, v: BlockSpinorField) -> BlockSpinorField:
-        """w = S v on the even sites."""
+    def apply(self, v: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
+        """w = S v on the even sites, written into ``out`` if given and returned.
+
+        ``out`` is checked by :func:`lqcdlab.fields.result_field` before
+        any work.
+        """
         _check_field(v, self.n_sites, "Schur system", self.dtype)
+        if out is not None:  # checked now; a new output is allocated only after t is made
+            result_field(v, out)
         # in row order, so the second sweep reads t's rows without a copy
         t = BlockSpinorField.zeros(len(self.elim_sites), v.b, Layout.RHS_MAJOR, dtype=v.dtype)
         self._to_elim(v, t)  # t = 0 - H_oe v = D_oe v
         t = self.solve_eliminated(t)
-        out = apply_self_coupling(self._diag_kept, v)
+        out = apply_self_coupling(self._diag_kept, v, out=out)
         self._to_kept(t, out)  # out = D_ee v - H_eo N t
         return out
 
     def reduce_rhs(self, eta: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
         """(eta_e - D_eo D_oo^-1 eta_o, eta_o) for the half solve: eta_e - H_eo N eta_o."""
-        _check_field(eta, self.geom.n_sites, "gauge lattice", self.dtype)
+        _check_field(eta, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
         eta_elim = eta.take_sites(self.elim_sites)
         reduced = eta.take_sites(self.keep_sites)
         self._to_kept(self.solve_eliminated(eta_elim), reduced)
@@ -259,7 +265,7 @@ class SchurOperator:
 
     def apply_full(self, psi: BlockSpinorField) -> BlockSpinorField:
         """D psi on the whole lattice: D_ee x_e - H_eo x_o on the even sites, D_oo x_o - H_oe x_e on the odd ones."""
-        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype)
+        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
         x_kept, x_elim = psi.take_sites(self.keep_sites), psi.take_sites(self.elim_sites)
         out_kept = apply_self_coupling(self._diag_kept, x_kept)
         self._to_kept(x_elim, out_kept)

@@ -22,11 +22,13 @@ from lqcdlab.geometry import LatticeGeometry
 
 
 def test_element_offset_frozen():
-    # rhs-major: site base + i*s + k; component-major: site base + k*b + i
+    # rhs-major: site base + i*s + k; component-major: site base + k*b + i;
+    # column: i*n_sites*s + x*s + k
     assert element_offset(Layout.RHS_MAJOR, s=6, b=2, x=5, k=4, i=1) == 70
     assert element_offset(Layout.COMPONENT_MAJOR, s=6, b=2, x=5, k=4, i=1) == 69
-    assert element_offset(Layout.RHS_MAJOR, s=12, b=1, x=0, k=11, i=0) == 11
-    assert element_offset(Layout.COMPONENT_MAJOR, s=12, b=1, x=0, k=11, i=0) == 11
+    assert element_offset(Layout.COLUMN, s=6, b=2, x=5, k=4, i=1, n_sites=8) == 82
+    for layout in Layout:
+        assert element_offset(layout, s=12, b=1, x=0, k=11, i=0, n_sites=1) == 11
 
 
 def test_element_offset_bounds():
@@ -34,6 +36,10 @@ def test_element_offset_bounds():
         element_offset(Layout.RHS_MAJOR, s=6, b=2, x=0, k=6, i=0)
     with pytest.raises(ValueError):
         element_offset(Layout.RHS_MAJOR, s=6, b=2, x=0, k=0, i=2)
+    with pytest.raises(ValueError, match="needs n_sites"):
+        element_offset(Layout.COLUMN, s=6, b=2, x=0, k=0, i=0)
+    with pytest.raises(ValueError, match="site 8 out of range"):
+        element_offset(Layout.COLUMN, s=6, b=2, x=8, k=0, i=0, n_sites=8)
 
 
 def test_layouts_same_logical_content():
@@ -44,20 +50,20 @@ def test_layouts_same_logical_content():
 
 
 def test_ksi_view_writable():
-    f = gen_spinor(8, 2, Layout.RHS_MAJOR, seed=0)
-    f.ksi()[3, 5, 1] = 42.0
-    assert f.data[element_offset(Layout.RHS_MAJOR, 12, 2, 3, 5, 1)] == 42.0
-    g = gen_spinor(8, 2, Layout.COMPONENT_MAJOR, seed=0)
-    g.ksi()[3, 5, 1] = 42.0
-    assert g.data[element_offset(Layout.COMPONENT_MAJOR, 12, 2, 3, 5, 1)] == 42.0
+    for layout in Layout:
+        f = gen_spinor(8, 2, layout, seed=0)
+        f.ksi()[3, 5, 1] = 42.0
+        assert f.data[element_offset(layout, 12, 2, 3, 5, 1, n_sites=8)] == 42.0
 
 
 def test_convert_roundtrip():
-    f = gen_spinor(16, 4, Layout.RHS_MAJOR, seed=3)
-    g = f.convert(Layout.COMPONENT_MAJOR)
-    assert np.array_equal(f.ksi(), g.ksi())
-    h = g.convert(Layout.RHS_MAJOR)
-    assert np.array_equal(f.data, h.data)
+    # every layout to every other and back, bitwise
+    for src in Layout:
+        f = gen_spinor(16, 4, src, seed=3)
+        for dst in Layout:
+            g = f.convert(dst)
+            assert g.layout == dst and np.array_equal(f.ksi(), g.ksi())
+            assert np.array_equal(f.data, g.convert(src).data)
 
 
 def test_columns_roundtrip():
@@ -135,7 +141,7 @@ def test_snapshot_roundtrips(tmp_path):
     assert np.array_equal(read_clover(tmp_path / "c.snap").data, clover.data)
 
 
-@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("layout", list(Layout))
 @pytest.mark.parametrize("b", [1, 3])
 def test_spinor_snapshot_round_trip_bitwise(tmp_path, layout, b):
     geom = LatticeGeometry((2, 2, 2, 4))
@@ -158,11 +164,12 @@ def test_spinor_snapshot_rejects_a_spinor_length_other_than_12(tmp_path):
 
 
 def test_spinor_snapshot_rejects_an_unknown_layout_byte(tmp_path):
-    path = tmp_path / "layout3.snap"
+    # 4 is the first layout byte that names no layout
+    path = tmp_path / "layout4.snap"
     dims, s, b = (2, 2, 2, 2), 12, 1
-    header = struct.pack("<4sI4IIIB", b"LQML", 1, *dims, s, b, 3)
+    header = struct.pack("<4sI4IIIB", b"LQML", 1, *dims, s, b, 4)
     path.write_bytes(header + np.zeros(16 * s * b, dtype="<c16").tobytes())
-    with pytest.raises(ValueError, match="layout 3, expected 1 or 2") as err:
+    with pytest.raises(ValueError, match="layout 4, expected 1, 2 or 3") as err:
         read_spinor(path)
     assert str(path) in str(err.value)
 
@@ -188,16 +195,17 @@ def test_bad_modes():
 @pytest.mark.parametrize("b", [1, 3, 16])
 def test_column_form_round_trip_bitwise(layout, n_sites, b):
     f = gen_spinor(n_sites, b, layout, seed=61)
-    cols = np.empty((b, n_sites * 12), dtype=np.complex128)
-    f.store_column_form(cols)
-    # row i is column i, site-major and component-minor, in every layout
-    assert np.array_equal(cols, f.ksi().transpose(2, 0, 1).reshape(b, -1))
-    back = BlockSpinorField.zeros_like(f)
-    back.load_column_form(cols)
-    assert np.array_equal(back.data, f.data)
+    cols = f.convert(Layout.COLUMN)
+    # row i of the Layout-3 storage is column i, site-major and component-minor
+    rows = cols.data.reshape(b, -1)
+    assert np.array_equal(rows, f.ksi().transpose(2, 0, 1).reshape(b, -1))
+    # a field over such a row array, as the Krylov basis holds, is a view
+    view = BlockSpinorField(n_sites, b, Layout.COLUMN, rows.reshape(-1))
+    assert np.shares_memory(view.ksi(), rows)
+    assert np.array_equal(view.convert(layout).data, f.data)
 
 
-@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("layout", list(Layout))
 @pytest.mark.parametrize("t_extent", [12, 6])
 @pytest.mark.parametrize("b", [1, 3, 16])
 @pytest.mark.parametrize("with_geom", [False, True])
@@ -206,10 +214,11 @@ def test_site_take_put_round_trip_bitwise(layout, t_extent, b, with_geom):
     f = gen_spinor(geom.n_sites, b, layout, seed=62, geom=geom if with_geom else None)
     parts = [geom.even_sites, geom.odd_sites[::-1], geom.odd_sites[:3]]
     halves = [f.take_sites(sites) for sites in parts[:2]]
+    site_axis = 1 if layout == Layout.COLUMN else 0
     for sites, half in zip(parts[:2], halves):
         # same layout, sites in the given order, whole site blocks, no geometry
         assert (half.n_sites, half.b, half.layout, half.geom) == (len(sites), b, layout, None)
-        assert np.array_equal(half.storage_view(), f.storage_view()[sites])
+        assert np.array_equal(half.storage_view(), np.take(f.storage_view(), sites, axis=site_axis))
         assert np.array_equal(half.ksi(), f.ksi()[sites])
     back = BlockSpinorField.zeros_like(f)
     for sites, half in zip(parts[:2], halves):
@@ -235,12 +244,26 @@ def test_single_precision_field_keeps_its_dtype(layout, b):
     back.put_sites(geom.even_sites, f.take_sites(geom.even_sites))
     back.put_sites(geom.odd_sites, f.take_sites(geom.odd_sites))
     assert back.dtype == np.complex64 and np.array_equal(back.data, f.data)
-    # a column-form round trip through a complex64 array is bitwise
-    cols = np.empty((b, geom.n_sites * 12), dtype=np.complex64)
-    f.store_column_form(cols)
-    back = BlockSpinorField.zeros_like(f)
-    back.load_column_form(cols)
-    assert back.dtype == np.complex64 and np.array_equal(back.data, f.data)
+    # a round trip through a complex64 Layout-3 field is bitwise
+    cols = f.convert(Layout.COLUMN)
+    assert cols.dtype == np.complex64 and np.array_equal(cols.convert(layout).data, f.data)
+
+
+@pytest.mark.parametrize("layout", list(Layout))
+@pytest.mark.parametrize("b", [1, 3, 16])
+def test_add_scaled_forms_the_product_in_the_fields_precision(layout, b):
+    # a complex64 Layout-3 field added to a complex128 field of any layout:
+    # each value is cast up, scaled in complex128 and added, so far outside
+    # float32's range the sum is still finite and exact to complex128 rounding
+    geom = LatticeGeometry((2, 2, 2, 4))
+    psi = gen_spinor(geom.n_sites, b, layout, seed=65, geom=geom)
+    small = gen_spinor(geom.n_sites, b, Layout.COLUMN, seed=66, geom=geom).astype(np.complex64)
+    scale = np.array([1e40, 2.5, -3.0] * 6)[:b]
+    expect = psi.ksi() + small.ksi().astype(np.complex128) * scale
+    psi.add_scaled(small, scale)
+    assert np.array_equal(psi.ksi(), expect)
+    with pytest.raises(ValueError, match="cannot be added"):
+        psi.add_scaled(small.take_sites(geom.even_sites), scale)
 
 
 def test_field_precision_mismatches_are_rejected():

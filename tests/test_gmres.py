@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -219,9 +220,9 @@ def test_non_finite_residual_stops_at_once(first_bad, iteration):
     base = matrix_op(a)
     calls = []
 
-    def op(v):
+    def op(v, out=None):
         calls.append(1)
-        out = base(v)
+        out = base(v, out=out)
         if len(calls) >= first_bad:
             out.ksi()[0, 0, 1] = np.nan
         return out
@@ -245,9 +246,9 @@ def test_zero_guess_takes_eta_as_first_residual_and_a_nan_operator_stops_at_its_
     base = matrix_op(4.0 * np.eye(12 * n) + 0.1 * rng.standard_normal((12 * n, 12 * n)))
     calls = []
 
-    def op(v):
+    def op(v, out=None):
         calls.append(v.data.copy())
-        out = base(v)
+        out = base(v, out=out)
         out.ksi()[0, 0, 2] = np.nan
         return out
 
@@ -310,9 +311,9 @@ def test_mismatched_initial_guess_raises_before_any_apply(bad):
     base = matrix_op(np.eye(16 * 12))
     calls = []
 
-    def op(v):
+    def op(v, out=None):
         calls.append(1)
-        return base(v)
+        return base(v, out=out)
 
     with pytest.raises(ValueError, match="psi0") as err:
         gmres_solve(op, eta, psi0, GmresConfig())
@@ -341,16 +342,50 @@ def test_odd_even_rejects_mismatched_initial_guess(problem, monkeypatch, dims):
 @pytest.mark.parametrize("odd_even", [False, True])
 @pytest.mark.parametrize("field, dims", [("eta", (4, 4, 4, 2)), ("eta", (4, 4, 4, 8)),
                                          ("clover", (4, 4, 4, 2)), ("clover", (4, 4, 4, 8)),
-                                         ("eta", (2, 4, 4, 8)), ("clover", (2, 4, 4, 8))])
+                                         ("eta", (2, 4, 4, 8)), ("clover", (2, 4, 4, 8)),
+                                         ("psi", (2, 4, 4, 8)), ("psi0", (2, 4, 4, 8))])
 def test_lattice_mismatch_fails_before_any_build(problem, monkeypatch, odd_even, field, dims):
     # a smaller eta or clover used to raise a bare IndexError or a broadcast
     # error after the Schur build, and a larger clover was silently sliced
-    # until the final residual; an eta or clover on another lattice of as
-    # many sites was solved with its values misplaced; every case now fails
-    # before anything is built
+    # until the final residual; an eta, clover, operator input or initial
+    # guess on another lattice of as many sites was used with its values
+    # misplaced; every case now fails before anything is built or any rank
+    # runs
     geom, gauge, clover = problem
     other = LatticeGeometry(dims)
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=93, geom=geom)
+    wrong = gen_spinor(other.n_sites, 2, Layout.RHS_MAJOR, seed=93, geom=other)
+    if field == "psi":
+        # the operators themselves: D through a rank grid, and S's whole-lattice D
+        params = DiracParams(m0=1.0)
+        if odd_even:
+            op = oddeven.SchurOperator(params, gauge, clover).apply_full
+        else:
+            op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid((1, 1, 1, 2))))
+        runs = []
+        for module in (dirac, oddeven):
+            monkeypatch.setattr(module, "apply_self_coupling", lambda *args, **kwargs: runs.append("stage"))
+        monkeypatch.setattr(MultiRankExecutor, "run_ranks", lambda *args: runs.append("ranks"))
+        with pytest.raises(ValueError, match=re.escape(f"field lattice {dims} is not the gauge lattice {geom.dims}")):
+            op(wrong)
+        assert runs == []
+        return
+    if field == "psi0":
+        # the initial guess, checked by solve_dirac before its build and by gmres_solve before any apply
+        message = re.escape(f"psi0 (n_sites={other.n_sites}, b=2) in RHS_MAJOR on lattice {dims} does not match eta")
+        if not odd_even:
+            calls = []
+            op = _counted(DiracOperator(DiracParams(m0=1.0), gauge, clover), calls, "op")
+            with pytest.raises(ValueError, match=message):
+                gmres_solve(op, eta, wrong, GmresConfig())
+            assert calls == []
+        builds = []
+        for module in (dirac, oddeven):
+            monkeypatch.setattr(module, "site_blocks", lambda *args: builds.append("site blocks"))
+        with pytest.raises(ValueError, match=message):
+            solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(), odd_even=odd_even, psi0=wrong)
+        assert builds == []
+        return
     if field == "eta":
         eta = gen_spinor(other.n_sites, 2, Layout.RHS_MAJOR, seed=93, geom=other)
         message = f"field has {other.n_sites} sites, gauge lattice has {geom.n_sites}"
@@ -366,6 +401,86 @@ def test_lattice_mismatch_fails_before_any_build(problem, monkeypatch, odd_even,
     with pytest.raises(ValueError, match=message):
         solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(), odd_even=odd_even)
     assert builds == []
+
+
+def _operator_case(problem, which: str, dtype):
+    """(operator, psi) of one out= contract case: D on one rank or a rank grid, S, or a dense matrix."""
+    geom, gauge, clover = problem
+    params = DiracParams(m0=1.0)
+    if which == "schur":
+        op = oddeven.SchurOperator(params, gauge, clover).astype(dtype)
+        return op, gen_spinor(op.n_sites, 3, Layout.RHS_MAJOR, seed=98).astype(dtype)
+    if which == "matrix":
+        a = np.random.default_rng(98).standard_normal((8 * 12, 8 * 12)) + 4.0 * np.eye(8 * 12)
+        return matrix_op(a.astype(dtype)), gen_spinor(8, 3, Layout.COMPONENT_MAJOR, seed=98).astype(dtype)
+    grid = {"dirac": None, "dirac (1,1,1,2)": (1, 1, 1, 2), "dirac (2,2,2,2)": (2, 2, 2, 2)}[which]
+    op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None).astype(dtype)
+    return op, gen_spinor(geom.n_sites, 3, Layout.COMPONENT_MAJOR, seed=98, geom=geom).astype(dtype)
+
+
+@pytest.mark.parametrize("which", ["dirac", "dirac (1,1,1,2)", "dirac (2,2,2,2)", "schur", "matrix"])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_out_field_contract(problem, monkeypatch, which, dtype):
+    # an operator writes every row of out, in any layout, bitwise what it
+    # returns without one, and returns out; an out it cannot fill raises
+    # before any stage or rank runs and is left as it was
+    op, psi = _operator_case(problem, which, dtype)
+    ref = op(psi)
+    for layout in Layout:
+        out = BlockSpinorField.zeros(psi.n_sites, psi.b, layout, psi.geom, dtype)
+        out.data[:] = np.nan
+        assert op(psi, out=out) is out
+        assert np.array_equal(out.ksi(), ref.ksi())
+    other = np.complex64 if dtype == np.complex128 else np.complex128
+    bad = {
+        "sites": BlockSpinorField.zeros(psi.n_sites // 2, psi.b, dtype=dtype),
+        "b": BlockSpinorField.zeros(psi.n_sites, psi.b - 1, dtype=dtype),
+        "dtype": BlockSpinorField.zeros(psi.n_sites, psi.b, dtype=other),
+        "psi itself": psi,
+        "a view of psi": BlockSpinorField(psi.n_sites, psi.b, Layout.COLUMN, psi.data, psi.geom),
+    }
+    runs = []
+    for module in (dirac, oddeven):
+        for stage in ("apply_self_coupling", "subtract_hops"):
+            monkeypatch.setattr(module, stage, lambda *args, **kwargs: runs.append("stage"))
+    monkeypatch.setattr(MultiRankExecutor, "run_ranks", lambda *args: runs.append("ranks"))
+    before = psi.data.copy()
+    for case, out in bad.items():
+        kept = out.data.copy()
+        message = "shares memory with psi" if case in ("psi itself", "a view of psi") else "does not fit psi"
+        with pytest.raises(ValueError, match=message):
+            op(psi, out=out)
+        assert np.array_equal(out.data, kept, equal_nan=True), case
+    assert runs == [] and np.array_equal(psi.data, before)
+
+
+def test_arnoldi_step_applies_the_operator_from_one_basis_row_into_the_next():
+    # the basis rows are the operator's fields (Layout 3, no copy), so one
+    # step holds no eta and no staged input: at 8^4, b=16, complex64 its
+    # peak is the sweep's contiguous copy of row j plus chunk buffers, 1.22
+    # rows; a step that allocated eta and copied it into the basis held 2.22
+    # rows with a Layout-2 eta
+    geom = LatticeGeometry((8, 8, 8, 8))
+    op = DiracOperator(DiracParams(m0=1.0), gen_gauge(geom, "random", seed=99),
+                       gen_clover(geom, "random", scale=0.1, seed=100)).astype(np.complex64)
+    eta = gen_spinor(geom.n_sites, 16, Layout.COMPONENT_MAJOR, seed=101, geom=geom)
+    ws = SolverWorkspace.allocate(eta, 3, block_norms(eta), np.complex64)
+    assert all(f.layout == Layout.COLUMN and np.shares_memory(f.data, row) for f, row in zip(ws.fields, ws.basis))
+    _start_cycle(op, eta, None, ws)
+    arnoldi_step(op, ws, 0)
+    tracemalloc.start()
+    try:
+        arnoldi_step(op, ws, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ws.basis[0].nbytes
+    # row 2 is the operator applied to row 1, orthogonalized against rows 0 and 1
+    w = op(ws.fields[1]).data.reshape(ws.basis[2].shape)
+    for i in range(eta.b):
+        q = ws.basis[:3, i]
+        expect = w[i] - q[:2].T @ (q[:2].conj() @ w[i])
+        assert np.abs(ws.basis[2, i] * np.linalg.norm(expect) - expect).max() <= 1e-5 * np.linalg.norm(expect)
 
 
 def _count_row_builds(monkeypatch, modules) -> dict:
@@ -455,9 +570,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def _counted(op, calls: list, tag: str):
-    def apply(v):
+    def apply(v, out=None):
         calls.append(tag)
-        return op(v)
+        return op(v, out=out)
 
     apply.dtype = getattr(op, "dtype", np.dtype(np.complex128))
     return apply

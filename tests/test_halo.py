@@ -312,9 +312,9 @@ def test_mixed_solve_uses_the_twin_and_matches_single_rank_bitwise(solve_problem
     real = DiracOperator.__call__
     seen = []
 
-    def recorded(self, psi):
+    def recorded(self, psi, out=None):
         seen.append((self.comm is not None, psi.dtype))
-        return real(self, psi)
+        return real(self, psi, out)
 
     monkeypatch.setattr(DiracOperator, "__call__", recorded)
     again = solve_dirac(params, gauge, clover, eta, cfg)
