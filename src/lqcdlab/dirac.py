@@ -46,30 +46,27 @@ projectors is folded into W, so the projections run no 0.5 pass.  Both
 reconstructed halves go into the chunk's accumulator (A_mu^H is one more
 fixed real matrix), which is subtracted from eta once.
 
-Both stages take one chunk rule (``_chunk_sites``): about 2048 site-rhs
-pairs per chunk, so a chunk's temporaries stay near L2, and never fewer
-than 256 sites, so that at b = 16 each numpy call does enough work to
-amortize its fixed cost (on two rank threads a call of some 40 us scaled
-no better than 1.2x).  b <= 8 thus gets 2048 / b sites per chunk and
-b = 16 gets 256.  Each site's arithmetic does not depend on the chunking,
-so the result is bitwise the same for any chunk size.  The fixed spin
+Both stages chunk their sites by the one rule of the fields module
+(:func:`lqcdlab.fields.chunk_sites`): 2048 / b sites for b <= 8, 256 for
+b = 16.  Each site's arithmetic does not depend on the chunking, so the
+result is bitwise the same for any chunk size.  The fixed spin
 matrices have entries 0 and +-1, so each output of a projection or of
 A_mu^H is one input or the rounded sum of two, however BLAS orders its
 sums: bitwise what the structured operation gives.
 
-Every operator builds its rows the same way, from the global lattice by
-site set: one :func:`site_blocks` and one :func:`hop_matrices` call for
-the sites whose eta rows it writes.  The full operator,
-:class:`DiracOperator`, is a snapshot: it builds them for the whole
-lattice once, and every apply reuses them with the periodic tables, so a
-solve pays for them once.  Through the multi-rank executor (halo module)
-each rank builds them for its own sites (its domain's global sites) on its
-own thread; the even/odd Schur operator (oddeven module) builds them for
-each parity.  Every row's slot 2mu + 1 holds the link of its true global
--mu neighbor, whoever owns that site.  One function, :func:`subtract_hops`,
-holds the sweep; the full operator passes it the periodic tables, each
-parity hop its cross-parity tables on half-lattice fields, and each rank
-its local periodic tables and its communicator.  A rank gathers its psi
+Every operator builds its rows the same way and keeps them in one kind
+of record, :class:`SiteRows`, per set of sites whose eta rows it writes:
+their site blocks and hop matrices, from one :func:`site_blocks` and one
+:func:`hop_matrices` call on the global lattice, and the (8, n) neighbor
+table the sweep reads, in the hop matrices' slot order.
+:class:`DiracOperator` keeps one record for the whole lattice with the
+periodic tables, or, through the multi-rank executor (halo module), one
+per rank, built on the rank's thread, with the rank-local periodic tables
+and the rank's face sets; the even/odd Schur operator (oddeven module)
+keeps one per parity, with cross-parity tables on half-lattice fields.
+Every row's slot 2mu + 1 holds the link of its true global -mu neighbor,
+whoever owns that site.  One function, :func:`subtract_hops`, runs the
+sweep of any record, and with a rank's communicator.  A rank gathers its psi
 rows straight into row order, as a Layout-1 field whatever psi's layout,
 so its sweep copies nothing more, and writes its eta rows back with one
 transposing put.  It posts the compressed half spinors of both faces,
@@ -95,9 +92,9 @@ are 0 and +-1, so the float32 copies are exact).  Both stages raise a
 ``ValueError`` naming both dtypes when an operator array's real dtype is
 not the field's, rather than view the field's bytes at the wrong width.
 An operator holds its arrays at one precision; :meth:`DiracOperator.astype`
-makes the complex64 twin, with float32 site blocks and hop matrices, from
-cast copies of the arrays, and the twin is again bitwise equal across rank
-grids.  The solver applies the twin inside its Krylov cycles and the
+makes the complex64 twin from :meth:`SiteRows.astype` copies of its
+records, float32 site blocks and hop matrices beside the shared tables,
+and the twin is again bitwise equal across rank grids.  The solver applies the twin inside its Krylov cycles and the
 complex128 operator for every residual (gmres module).
 
 Flop accounting counts the structured operations the operator needs: a
@@ -125,11 +122,12 @@ GF/s are quoted against; its breakdown is not recorded.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import PRECISIONS, BlockSpinorField, CloverField, GaugeField, Layout, result_field
+from .fields import (PRECISIONS, BlockSpinorField, CloverField, GaugeField, Layout, chunk_sites, result_field,
+                     site_chunks)
 from .geometry import NDIM
 from .projectors import A_BLOCKS, N_COLOR, compression
 
@@ -209,18 +207,6 @@ def site_blocks(params: DiracParams, clover: CloverField, sites: np.ndarray) -> 
     return blocks
 
 
-# Sites per chunk of both stencil stages: about 2048 site-rhs pairs, so that
-# one chunk's temporaries stay near L2, and at least 256 sites, so that at
-# large b each numpy call amortizes its fixed cost (see the module docstring).
-_CHUNK_SITE_RHS = 2048
-_MIN_CHUNK_SITES = 256
-
-
-def _chunk_sites(b: int) -> int:
-    """Sites per chunk of the self coupling and the hop sweep for b right-hand sides."""
-    return max(_MIN_CHUNK_SITES, _CHUNK_SITE_RHS // b)
-
-
 # a row of 6 complex values as 12 floats (re, im interleaved) -> [re | im]
 _SPLIT_ROW = np.concatenate([np.arange(0, 12, 2), np.arange(1, 12, 2)])
 
@@ -236,9 +222,8 @@ def left_real_form(blocks: np.ndarray) -> np.ndarray:
     array shares its memory.
     """
     rows = blocks.view(np.finfo(blocks.dtype).dtype).reshape(-1, 12)
-    for lo in range(0, len(rows), _CHUNK_SITE_RHS):
-        part = rows[lo : lo + _CHUNK_SITE_RHS]
-        part[...] = part[:, _SPLIT_ROW]
+    for chunk in site_chunks(len(rows), 1):
+        rows[chunk] = rows[chunk, _SPLIT_ROW]
     return rows.reshape(blocks.shape[:-1] + (12,))
 
 
@@ -257,16 +242,15 @@ def apply_self_coupling(blocks: np.ndarray, psi: BlockSpinorField,
     eta = result_field(psi, out)
     n, b = psi.n_sites, psi.b
     src, dst = (f.ksi().reshape(n, 2, 6, b) for f in (psi, eta))
-    step = _chunk_sites(b)
-    stack = np.empty((min(step, n), 2, 12, b), dtype=psi.dtype)
-    prod = np.empty((min(step, n), 2, 6, b), dtype=psi.dtype)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        xs, bx = stack[: hi - lo], prod[: hi - lo]
-        xs[:, :, :6] = src[lo:hi]
+    stack = np.empty((min(chunk_sites(b), n), 2, 12, b), dtype=psi.dtype)
+    prod = np.empty((min(chunk_sites(b), n), 2, 6, b), dtype=psi.dtype)
+    for chunk in site_chunks(n, b):
+        m = chunk.stop - chunk.start
+        xs, bx = stack[:m], prod[:m]
+        xs[:, :, :6] = src[chunk]
         np.multiply(xs[:, :, :6], 1j, out=xs[:, :, 6:])
-        np.matmul(blocks[lo:hi], xs.view(blocks.dtype), out=bx.view(blocks.dtype))
-        dst[lo:hi] = bx
+        np.matmul(blocks[chunk], xs.view(blocks.dtype), out=bx.view(blocks.dtype))
+        dst[chunk] = bx
     return eta
 
 
@@ -333,9 +317,8 @@ def _gather_rows(psi: BlockSpinorField, sites: np.ndarray) -> BlockSpinorField:
         rows = src[sites]
     else:
         rows = np.empty((len(sites),) + src.shape[1:], dtype=psi.dtype)
-        step = _chunk_sites(psi.b)
-        for lo in range(0, len(sites), step):
-            rows[lo : lo + step] = src[sites[lo : lo + step]]
+        for chunk in site_chunks(len(sites), psi.b):
+            rows[chunk] = src[sites[chunk]]
     return BlockSpinorField(len(sites), psi.b, Layout.RHS_MAJOR, rows.reshape(-1))
 
 
@@ -370,7 +353,7 @@ def hop_matrices(gauge: GaugeField, sites: np.ndarray) -> np.ndarray:
     """
     hops = np.empty((2 * NDIM, len(sites), 6, 6))
     for mu in range(NDIM):
-        back = gauge.geom.neighbor_table(mu, -1)[sites]
+        back = gauge.geom.neighbor_tables[2 * mu + 1, sites]
         for slot, src, embed in ((2 * mu, sites, _EMBED), (2 * mu + 1, back, _EMBED_T)):
             links = gauge.data[src, mu].view(np.float64).reshape(-1, 18)
             np.matmul(links, embed, out=hops[slot].reshape(-1, 36))
@@ -383,65 +366,90 @@ def _check_precision(array: np.ndarray, psi: BlockSpinorField) -> None:
         raise ValueError(f"operator array of dtype {array.dtype} given a field of dtype {psi.dtype}")
 
 
-def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, lo: int, hi: int) -> None:
-    """Overwrite the rows of chunk [lo, hi) on the sorted ``face`` with their (spin-outer) halo values."""
-    j0, j1 = np.searchsorted(face, (lo, hi))
-    half[face[j0:j1] - lo] = halo[j0:j1].swapaxes(1, 2)
+def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, chunk: slice) -> None:
+    """Overwrite the rows of ``chunk`` on the sorted ``face`` with their (spin-outer) halo values."""
+    j0, j1 = np.searchsorted(face, (chunk.start, chunk.stop))
+    half[face[j0:j1] - chunk.start] = halo[j0:j1].swapaxes(1, 2)
 
 
-def subtract_hops(
-    hops: np.ndarray,
-    psi: BlockSpinorField,
-    eta: BlockSpinorField,
-    fwd: list[np.ndarray],
-    back: list[np.ndarray],
-    comm=None,
-    boundary: dict | None = None,
-) -> None:
+@dataclass(frozen=True)
+class SiteRows:
+    """An operator's rows for one set of destination sites: what its self coupling and hop sweep read.
+
+    ``sites`` are the global sites whose eta rows the record writes, in
+    row order.  ``blocks`` are their (n, 2, 6, 12) site blocks in
+    :func:`left_real_form` and ``hops`` their (8, n, 6, 6)
+    :func:`hop_matrices`.  ``tables`` is (8, n), in the hop matrices' slot
+    order: row 2mu gives each row's +mu neighbor and row 2mu + 1 its -mu
+    neighbor, both as rows of the field the sweep reads.  ``boundary``, on
+    a rank only, maps ``(mu, step)`` to the sorted rows whose neighbor lives
+    on another rank (:class:`lqcdlab.geometry.RankDomain`).
+    """
+
+    sites: np.ndarray
+    blocks: np.ndarray
+    hops: np.ndarray
+    tables: np.ndarray
+    boundary: dict | None = None
+
+    def astype(self, dtype) -> "SiteRows":
+        """The record at precision ``dtype``: cast copies of ``blocks`` and ``hops``, the rest shared."""
+        blocks, hops = _cast((self.blocks, self.hops), dtype)
+        return replace(self, blocks=blocks, hops=hops)
+
+
+def site_rows(params: DiracParams, gauge: GaugeField, clover: CloverField, sites: np.ndarray,
+              tables: np.ndarray, boundary: dict | None = None) -> SiteRows:
+    """The :class:`SiteRows` of D at the global ``sites``: one :func:`site_blocks` and one :func:`hop_matrices` call."""
+    blocks = left_real_form(site_blocks(params, clover, sites))
+    return SiteRows(sites, blocks, hop_matrices(gauge, sites), tables, boundary)
+
+
+def subtract_hops(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, comm=None) -> None:
     """Run the hop sweep of the stencil, subtracting it from eta in place.
 
-    ``hops`` are the (8, n_eta, 6, 6) :func:`hop_matrices` of eta's sites,
-    and ``fwd[mu]``/``back[mu]`` map each eta site to the psi index of its
-    +mu/-mu neighbor.  Each chunk of eta rows reads its own rows of
-    ``hops``: slot 2mu multiplies the +mu side, slot 2mu + 1 the -mu side.
-    Their real dtype must be psi's, or a ``ValueError`` names both dtypes.
+    ``rows`` are the :class:`SiteRows` of eta's sites: its ``tables`` map
+    each eta row to the psi rows of its neighbors, and each chunk of eta
+    rows reads its own rows of its ``hops``, slot 2mu on the +mu side and
+    slot 2mu + 1 on the -mu side.  Their real dtype must be psi's, or a
+    ``ValueError`` names both dtypes.
 
-    With a rank endpoint ``comm`` and its ``boundary`` face sets, ``fwd``/
-    ``back`` are the rank-local periodic tables.  The rank first posts the
-    +mu-side half spinors of every -mu face and the -mu-side half spinors
-    of every +mu face, then completes its receives, and the sweep replaces
-    the +mu-side half spinors of its +mu face rows (resp. the -mu-side ones
-    of its -mu face rows) by those received from the +mu (resp. -mu)
-    neighbor rank, before the link multiply.  Halo payloads are
+    With a rank endpoint ``comm``, the tables are the rank-local periodic
+    ones and ``rows.boundary`` holds the rank's face sets.  The rank first
+    posts the +mu-side half spinors of every -mu face and the -mu-side half
+    spinors of every +mu face, then completes its receives, and the sweep
+    replaces the +mu-side half spinors of its +mu face rows (resp. the
+    -mu-side ones of its -mu face rows) by those received from the +mu
+    (resp. -mu) neighbor rank, before the link multiply.  Halo payloads are
     (n_face, 2, b, 3) (spin, rhs, color) in ascending face order.
     """
-    _check_precision(hops, psi)
-    rows = np.ascontiguousarray(_rows(psi))  # a copy only for a psi whose rows are not contiguous
+    _check_precision(rows.hops, psi)
+    src = np.ascontiguousarray(_rows(psi))  # a copy only for a psi whose rows are not contiguous
+    tables, hops, boundary = rows.tables, rows.hops, rows.boundary
     if comm is not None:
         # the -mu face's +mu side travels down, the +mu face's -mu side up
         for mu in range(NDIM):
             for step, side in ((-1, 0), (+1, 1)):
-                comm.post_send(mu, step, _half(rows, boundary[(mu, step)], mu, side).swapaxes(1, 2))
+                comm.post_send(mu, step, _half(src, boundary[(mu, step)], mu, side).swapaxes(1, 2))
         fwd_halo = [comm.complete_recv(mu, -1) for mu in range(NDIM)]
         back_halo = [comm.complete_recv(mu, +1) for mu in range(NDIM)]
 
     n, b = eta.n_sites, eta.b
     out = _rows(eta)
-    step = _chunk_sites(b)
-    acc_buf = np.empty((2, min(step, n), b, 2, N_COLOR), dtype=out.dtype)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        upper, lower = acc_buf[:, : hi - lo]
+    acc_buf = np.empty((2, min(chunk_sites(b), n), b, 2, N_COLOR), dtype=out.dtype)
+    for chunk in site_chunks(n, b):
+        m = chunk.stop - chunk.start
+        upper, lower = acc_buf[:, :m]
         upper.fill(0)
         lower.fill(0)
         for mu in range(NDIM):
-            up = _half(rows, fwd[mu][lo:hi], mu, 0)
-            down = _half(rows, back[mu][lo:hi], mu, 1)
+            up = _half(src, tables[2 * mu, chunk], mu, 0)
+            down = _half(src, tables[2 * mu + 1, chunk], mu, 1)
             if comm is not None:
-                _take_halo_rows(up, boundary[(mu, 1)], fwd_halo[mu], lo, hi)
-                _take_halo_rows(down, boundary[(mu, -1)], back_halo[mu], lo, hi)
-            up = _link_multiply(hops[2 * mu, lo:hi], up)
-            down = _link_multiply(hops[2 * mu + 1, lo:hi], down)
+                _take_halo_rows(up, boundary[(mu, 1)], fwd_halo[mu], chunk)
+                _take_halo_rows(down, boundary[(mu, -1)], back_halo[mu], chunk)
+            up = _link_multiply(hops[2 * mu, chunk], up)
+            down = _link_multiply(hops[2 * mu + 1, chunk], down)
             # (I + gamma_mu)/2 reconstructs the +mu side to (h, A^H h) and
             # (I - gamma_mu)/2 the -mu side to (h, -A^H h); the 1/2 is in
             # the link matrices
@@ -449,29 +457,29 @@ def subtract_hops(
             upper += down
             up -= down
             lower += _times(up, _ADJOINT_AT[up.dtype][mu]).reshape(up.shape)
-        out[lo:hi, :, :6] -= upper.reshape(hi - lo, b, 6)
-        out[lo:hi, :, 6:] -= lower.reshape(hi - lo, b, 6)
+        out[chunk, :, :6] -= upper.reshape(m, b, 6)
+        out[chunk, :, 6:] -= lower.reshape(m, b, 6)
 
 
 class DiracOperator:
     """D for one ``(params, gauge, clover)``, as a snapshot taken at build time.
 
-    The build makes the site blocks (:func:`site_blocks`, the mass folded
-    in, kept in :func:`left_real_form`) and the hop matrices
-    (:func:`hop_matrices`) of the whole lattice once, and every call
-    reuses them with the periodic neighbor tables, so a solve that builds
-    one operator pays for them once and not on every apply.  Both arrays
-    are copies: editing the fields in place afterwards does not change the
-    operator.  Build a new one for new fields.
+    The operator holds only :class:`SiteRows` records in ``_rows``, built
+    once (:func:`site_rows`; the mass folded into the site blocks) and
+    reused by every call, so a solve that builds one operator pays for them
+    once.  Their arrays are copies: editing the fields in place afterwards
+    does not change the operator.  Build a new one for new fields.  On one
+    rank ``_rows`` is one record of the whole lattice with the periodic
+    tables (:attr:`lqcdlab.geometry.LatticeGeometry.neighbor_tables`).
 
-    With a :class:`lqcdlab.halo.MultiRankExecutor` as ``comm``, the build
-    keeps each rank's domain and its rows of both arrays instead, each rank
-    building the rows of its own sites on its own thread,
-    and every call runs the ranks on the executor's threads: each rank
-    gathers its own psi rows into row order (a Layout-1 field, one copy),
-    runs the self coupling and the hop sweep through its communicator, and
-    writes its own eta rows out in eta's layout.  The ranks' rows are
-    disjoint, so they share eta without a lock.
+    With a :class:`lqcdlab.halo.MultiRankExecutor` as ``comm``, it is one
+    record per rank instead, of the rank's domain with its local periodic
+    tables and face sets, built on the rank's thread, and every call runs
+    the ranks on the executor's threads: each rank gathers its own psi rows
+    into row order (a Layout-1 field, one copy), runs the self coupling and
+    the hop sweep through its communicator, and writes its own eta rows out
+    in eta's layout.  The ranks' rows are disjoint, so they share eta
+    without a lock.
 
     The operator runs at one precision, ``dtype``: complex128 as built, or
     complex64 for the twin that :meth:`astype` returns.  A field of the
@@ -485,38 +493,31 @@ class DiracOperator:
         self.geom = gauge.geom
         self.comm = comm
         if comm is None:
-            sites = np.arange(self.geom.n_sites)
-            self._blocks = left_real_form(site_blocks(params, clover, sites))
-            self._hops = hop_matrices(gauge, sites)
-            self._fwd = [self.geom.neighbor_table(mu, +1) for mu in range(NDIM)]
-            self._back = [self.geom.neighbor_table(mu, -1) for mu in range(NDIM)]
+            self._rows = [site_rows(params, gauge, clover, np.arange(self.geom.n_sites), self.geom.neighbor_tables)]
         else:
             domains = comm.domains(self.geom)
-            self._ranks = [None] * len(domains)
+            self._rows = [None] * len(domains)
 
             def build_rank(rank: int, _comm) -> None:
                 dom = domains[rank]
-                blocks = left_real_form(site_blocks(params, clover, dom.global_sites))
-                self._ranks[rank] = (dom, blocks, hop_matrices(gauge, dom.global_sites))
+                self._rows[rank] = site_rows(params, gauge, clover, dom.global_sites,
+                                             dom.local_geom.neighbor_tables, dom.boundary)
 
             comm.run_ranks(build_rank)
 
     def astype(self, dtype) -> "DiracOperator":
         """The operator's twin at precision ``dtype`` (itself if it has that precision already).
 
-        The twin holds cast copies of the site blocks and hop matrices (of
-        every rank's rows on an executor) and shares the neighbor tables and
-        rank domains; it builds neither array again.  Its sweep runs real
-        products at the real counterpart of ``dtype``.
+        The twin holds the :meth:`SiteRows.astype` copy of every record:
+        cast site blocks and hop matrices, shared sites, tables and face
+        sets; it builds neither array again.  Its sweep runs real products
+        at the real counterpart of ``dtype``.
         """
         if np.dtype(dtype) == self.dtype:
             return self
         twin = copy.copy(self)
         twin.dtype = np.dtype(dtype)
-        if self.comm is None:
-            twin._blocks, twin._hops = _cast((self._blocks, self._hops), dtype)
-        else:
-            twin._ranks = [(dom, *_cast(arrays, dtype)) for dom, *arrays in self._ranks]
+        twin._rows = [rows.astype(dtype) for rows in self._rows]
         return twin
 
     def __call__(self, psi: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
@@ -528,22 +529,20 @@ class DiracOperator:
         _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
         eta = result_field(psi, out)
         if self.comm is None:
-            apply_self_coupling(self._blocks, psi, out=eta)
-            subtract_hops(self._hops, psi, eta, self._fwd, self._back)
+            (rows,) = self._rows
+            apply_self_coupling(rows.blocks, psi, out=eta)
+            subtract_hops(rows, psi, eta)
             return eta
 
         def run_rank(rank: int, comm) -> None:
             # the hops use the rank-local periodic tables; subtract_hops
             # replaces the face rows they get wrong with the received halos
-            dom, blocks, hops = self._ranks[rank]
-            local = dom.local_geom
-            loc = _gather_rows(psi, dom.global_sites)
-            part = apply_self_coupling(blocks, loc)
-            fwd = [local.neighbor_table(mu, +1) for mu in range(NDIM)]
-            back = [local.neighbor_table(mu, -1) for mu in range(NDIM)]
-            subtract_hops(hops, loc, part, fwd, back, comm=comm, boundary=dom.boundary)
+            rows = self._rows[rank]
+            loc = _gather_rows(psi, rows.sites)
+            part = apply_self_coupling(rows.blocks, loc)
+            subtract_hops(rows, loc, part, comm=comm)
             # the ranks' rows cover the lattice, so eta needs no zeroing
-            _rows(eta)[dom.global_sites] = _rows(part)
+            _rows(eta)[rows.sites] = _rows(part)
 
         self.comm.run_ranks(run_rank)
         return eta

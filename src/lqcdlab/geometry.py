@@ -105,28 +105,33 @@ class LatticeGeometry:
         return idx
 
     @cached_property
-    def _neighbor_tables(self) -> dict[tuple[int, int], np.ndarray]:
-        """The eight periodic neighbor tables, keyed on ``(mu, step)``, read-only."""
-        tables = {}
+    def neighbor_tables(self) -> np.ndarray:
+        """(8, n_sites) read-only periodic neighbor tables in the hop sweep's slot order.
+
+        Row 2mu maps each site to its +mu neighbor, row 2mu + 1 to its -mu
+        neighbor.  Built on first use and shared afterwards.
+        """
+        tables = np.empty((2 * NDIM, self.n_sites), dtype=np.int64)
         for mu in range(NDIM):
-            for step in (1, -1):
+            for side, step in enumerate((1, -1)):
                 c = self.coords.copy()
                 c[:, mu] = (c[:, mu] + step) % self.dims[mu]
-                table = self.site_indices(c)
-                table.flags.writeable = False
-                tables[(mu, step)] = table
+                tables[2 * mu + side] = self.site_indices(c)
+        tables.flags.writeable = False
         return tables
 
-    def neighbor_table(self, mu: int, step: int) -> np.ndarray:
-        """(n_sites,) read-only array mapping each site to its ``mu``-direction neighbor.
+    @cached_property
+    def _table_rows(self) -> tuple[np.ndarray, ...]:
+        """The rows of :attr:`neighbor_tables` as views, made once so every lookup returns the same one."""
+        return tuple(self.neighbor_tables)
 
-        All eight tables are built on the first call and shared afterwards.
-        """
+    def neighbor_table(self, mu: int, step: int) -> np.ndarray:
+        """(n_sites,) read-only row of :attr:`neighbor_tables`: each site's ``step``-direction ``mu`` neighbor."""
         if not 0 <= mu < NDIM:
             raise ValueError(f"direction {mu} out of range")
         if step not in (1, -1):
             raise ValueError(f"step must be +1 or -1, got {step}")
-        return self._neighbor_tables[(mu, step)]
+        return self._table_rows[2 * mu + (step == -1)]
 
     @cached_property
     def even_sites(self) -> np.ndarray:

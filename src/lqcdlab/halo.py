@@ -29,16 +29,17 @@ in their direction degenerate to loopback mailboxes carrying empty
 payloads, so the epoch audit stays uniform across grid shapes.
 
 The multi-rank apply is bit-identical to the single-rank one because both
-call the one hop sweep :func:`lqcdlab.dirac.subtract_hops`: each rank with
-its own neighbor tables and communicator, the single-rank apply with the
-periodic tables and none.  Both run one :class:`lqcdlab.dirac.DiracOperator`
-snapshot, built once: each rank builds and keeps the site blocks and hop
-matrices of its own sites, from the global lattice, gathers its psi rows
-in row order (a Layout-1 field, so the sweep reads them without another
-copy) and writes its eta rows out in eta's layout, all on its own thread.
-A rank's rows are the single-rank operator's rows of its sites and the
-posted half spinors come from the same helper as the sweep's, so every
-site sees the same operations in the same order.
+call the one hop sweep :func:`lqcdlab.dirac.subtract_hops`, each on a
+:class:`lqcdlab.dirac.SiteRows` record of one
+:class:`lqcdlab.dirac.DiracOperator` snapshot: each rank with the record of
+its own sites (built from the global lattice, with its local periodic
+tables and face sets) and its communicator, the single-rank apply with the
+whole lattice's and none.  Each rank builds its record, gathers its psi
+rows in row order (a Layout-1 field, so the sweep reads them without
+another copy) and writes its eta rows out in eta's layout, all on its own
+thread.  A rank's rows are the single-rank operator's rows of its sites
+and the posted half spinors come from the same helper as the sweep's, so
+every site sees the same operations in the same order.
 
 A fault on one rank poisons every mailbox, so its peers stop at their next
 receive instead of waiting out the timeout, and the executor re-raises it as
@@ -219,11 +220,11 @@ class MultiRankExecutor:
 
     Passing an instance as ``comm`` to :class:`lqcdlab.dirac.DiracOperator`
     (or to :func:`lqcdlab.dirac.apply_dirac`) routes the operator through
-    here: the operator keeps each rank's rows of its site blocks and hop
-    matrices, and :meth:`run_ranks` runs every rank's part of its build and
-    of each apply on the rank's own thread.  Only
-    the rank domains are cached, keyed on the lattice extents (every rank
-    reads its neighbor tables from their shared local geometry).
+    here: the operator keeps one :class:`lqcdlab.dirac.SiteRows` record per
+    rank, and :meth:`run_ranks` runs every rank's part of its build and of
+    each apply on the rank's own thread.  Only the rank domains are cached,
+    keyed on the lattice extents; every rank's record takes its tables from
+    their common local geometry.
     :meth:`apply_dirac` builds a new operator on every call, so in-place
     updates of the fields take effect there; an operator built once (as a
     solve builds its own) keeps the fields as they were at its build.

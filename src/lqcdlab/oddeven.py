@@ -45,27 +45,27 @@ layout; the hop sweep runs on one parity's sites with cross-parity
 neighbor tables.  :meth:`SchurOperator.apply` allocates its temporaries t
 and N t in row order (Layout 1), the order the sweep reads, so only its
 first sweep transposes a Layout-2 input and the second copies nothing.
-Each parity's rows are built as any operator's are, from the global
-lattice by site set: :func:`lqcdlab.dirac.site_blocks` of the even and of
-the odd sites gives D_ee and D_oo, and each off-diagonal block keeps the
-destination-ordered hop matrices (:func:`lqcdlab.dirac.hop_matrices`) of
-its destination parity's sites: H_eo those of the even sites, whose -mu
-slots hold the transposed link matrices of their odd -mu neighbors, and
-H_oe those of the odd sites.  The two hop arrays together hold the rows of
-the whole lattice once, and no sweep gathers a link matrix.
+Each parity keeps one :class:`lqcdlab.dirac.SiteRows` record, its rows
+built from the global lattice by site set as any operator's are: the kept
+one holds D_ee and H_eo, the hop matrices of the even sites, whose -mu
+slots hold the transposed link matrices of their odd -mu neighbors; the
+eliminated one holds N and H_oe, those of the odd sites.  Each record's
+tables map its sites to the other parity's half-field rows.  The two hop
+arrays together hold the rows of the whole lattice once, and no sweep
+gathers a link matrix.  D_oo stays beside the records.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .dirac import (DiracParams, _cast, _check_field, apply_self_coupling, check_lattices, hop_matrices,
+from .dirac import (DiracParams, SiteRows, _check_field, apply_self_coupling, check_lattices, hop_matrices,
                     left_real_form, site_blocks, subtract_hops)
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching, result_field
-from .geometry import NDIM, LatticeGeometry
+from .geometry import LatticeGeometry
 
 # eliminated blocks with a larger condition estimate are rejected as singular
 _COND_LIMIT = 1e12
@@ -99,38 +99,16 @@ def merge_fields(v_even: BlockSpinorField, v_odd: BlockSpinorField, geom: Lattic
     return out
 
 
-@dataclass(frozen=True)
-class ParityHop:
-    """The hop sum H_dst,src of D between the two parities; D's off-diagonal block is D_dst,src = -H_dst,src.
+def _cross_rows(geom: LatticeGeometry, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """(8, len(dst)) slot-ordered tables from each ``dst`` site to the ``src``-half rows of its neighbors.
 
-    ``hops`` are the destination-ordered hop matrices
-    (:func:`lqcdlab.dirac.hop_matrices`) of the destination parity's
-    sites: slot 2mu holds the destination site's own link matrix, slot
-    2mu + 1 the transposed link matrix of its -mu neighbor, a site of the
-    source parity.  ``fwd[mu]``/``back[mu]`` give, for each destination
-    site, the source-half index of its +mu/-mu neighbor, which always has
-    the other parity.
+    Row 2mu holds the +mu neighbor and row 2mu + 1 the -mu neighbor of each
+    destination site, as indices into the half field of the ``src`` sites,
+    which are the other parity's.
     """
-
-    hops: np.ndarray
-    fwd: tuple[np.ndarray, ...]
-    back: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(cls, gauge: GaugeField, dst_parity: int) -> "ParityHop":
-        """H_dst,src of ``gauge`` into the sites of parity ``dst_parity`` (0 even, 1 odd)."""
-        geom = gauge.geom
-        parity_sites = (geom.even_sites, geom.odd_sites)
-        dst, src = parity_sites[dst_parity], parity_sites[1 - dst_parity]
-        src_index = np.empty(geom.n_sites, dtype=np.int64)
-        src_index[src] = np.arange(len(src))
-        fwd = tuple(src_index[geom.neighbor_table(mu, +1)[dst]] for mu in range(NDIM))
-        back = tuple(src_index[geom.neighbor_table(mu, -1)[dst]] for mu in range(NDIM))
-        return cls(hop_matrices(gauge, dst), fwd, back)
-
-    def __call__(self, v: BlockSpinorField, out: BlockSpinorField) -> None:
-        """out -= H_dst,src v, in place: one hop sweep."""
-        subtract_hops(self.hops, v, out, fwd=self.fwd, back=self.back)
+    src_index = np.empty(geom.n_sites, dtype=np.int64)
+    src_index[src] = np.arange(len(src))
+    return src_index[geom.neighbor_tables[:, dst]]
 
 
 def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -173,11 +151,11 @@ class SchurOperator:
     with N = -D_oo^-1, and D_ee) and one hop sweep per off-diagonal block
     that subtracts into the destination field; the module docstring gives
     the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
-    taken at build time: it keeps the diagonal blocks of both parities
-    and N, each in :func:`lqcdlab.dirac.left_real_form` (N inverted from
-    the complex blocks first), and the hop matrices of its two hops, all
-    copied, so editing the fields in place afterwards does not change it.
-    Build a new operator for new fields.
+    taken at build time: its records ``_kept`` (D_ee, H_eo) and ``_elim``
+    (N, H_oe) and D_oo, every block array in
+    :func:`lqcdlab.dirac.left_real_form` (N inverted from the complex
+    blocks first), are copies, so editing the fields in place afterwards
+    does not change it.  Build a new operator for new fields.
 
     As :class:`lqcdlab.dirac.DiracOperator`, it runs at one precision,
     ``dtype``, and :meth:`astype` returns its complex64 twin.
@@ -188,15 +166,17 @@ class SchurOperator:
     def __init__(self, params: DiracParams, gauge: GaugeField, clover: CloverField):
         check_lattices(gauge, clover)
         self.geom = geom = gauge.geom
-        self.keep_sites, self.elim_sites = geom.even_sites, geom.odd_sites
-
-        kept, elim = (site_blocks(params, clover, sites) for sites in (self.keep_sites, self.elim_sites))
-        neg_inv = _invert_blocks(elim, self.elim_sites)
+        self.keep_sites, self.elim_sites = keep, elim = geom.even_sites, geom.odd_sites
+        diag_kept, diag_elim = (site_blocks(params, clover, sites) for sites in (keep, elim))
+        neg_inv = _invert_blocks(diag_elim, elim)
         np.negative(neg_inv, out=neg_inv)
         # each block array in its left real form, made in its own storage
-        self._diag_kept, self._diag_elim, self._neg_inv = (left_real_form(a) for a in (kept, elim, neg_inv))
-        self._to_elim = ParityHop.build(gauge, 1)
-        self._to_kept = ParityHop.build(gauge, 0)
+        diag_kept, self._diag_elim, neg_inv = (left_real_form(a) for a in (diag_kept, diag_elim, neg_inv))
+        # the eliminated parity's rows first, each record's tables before its
+        # hop matrices: the process's peak memory moves with the order of
+        # build temporaries
+        self._elim = SiteRows(elim, neg_inv, tables=_cross_rows(geom, elim, keep), hops=hop_matrices(gauge, elim))
+        self._kept = SiteRows(keep, diag_kept, tables=_cross_rows(geom, keep, elim), hops=hop_matrices(gauge, keep))
 
     @property
     def n_sites(self) -> int:
@@ -205,21 +185,18 @@ class SchurOperator:
     def astype(self, dtype) -> "SchurOperator":
         """The operator's twin at precision ``dtype`` (itself if it has that precision already).
 
-        The twin holds cast copies of the kept blocks, N and both hops'
-        hop matrices, and shares the site sets, the neighbor tables and,
-        uncast, the eliminated blocks D_oo that only :meth:`apply_full`
-        reads: the twin's :meth:`apply_full` raises a ``ValueError`` for
-        their precision, where casting them would cost half a site-block
-        array more in every twin.
+        The twin holds the :meth:`lqcdlab.dirac.SiteRows.astype` copy of
+        both records (cast D_ee, N and hop matrices, shared sites and
+        tables) and shares, uncast, the eliminated blocks D_oo that only
+        :meth:`apply_full` reads: the twin's :meth:`apply_full` raises a
+        ``ValueError`` for their precision, where casting them would cost
+        half a site-block array more in every twin.
         """
         if np.dtype(dtype) == self.dtype:
             return self
         twin = copy.copy(self)
         twin.dtype = np.dtype(dtype)
-        twin._diag_kept, twin._neg_inv, kept_hops, elim_hops = _cast(
-            (self._diag_kept, self._neg_inv, self._to_kept.hops, self._to_elim.hops), dtype)
-        twin._to_kept = replace(self._to_kept, hops=kept_hops)
-        twin._to_elim = replace(self._to_elim, hops=elim_hops)
+        twin._kept, twin._elim = self._kept.astype(dtype), self._elim.astype(dtype)
         return twin
 
     def __call__(self, v: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
@@ -228,7 +205,7 @@ class SchurOperator:
 
     def solve_eliminated(self, v: BlockSpinorField) -> BlockSpinorField:
         """N v = -D_oo^-1 v on the odd sites: one batched product with the negated inverses."""
-        return apply_self_coupling(self._neg_inv, v)
+        return apply_self_coupling(self._elim.blocks, v)
 
     def apply(self, v: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
         """w = S v on the even sites, written into ``out`` if given and returned.
@@ -241,10 +218,10 @@ class SchurOperator:
             result_field(v, out)
         # in row order, so the second sweep reads t's rows without a copy
         t = BlockSpinorField.zeros(len(self.elim_sites), v.b, Layout.RHS_MAJOR, dtype=v.dtype)
-        self._to_elim(v, t)  # t = 0 - H_oe v = D_oe v
+        subtract_hops(self._elim, v, t)  # t = 0 - H_oe v = D_oe v
         t = self.solve_eliminated(t)
-        out = apply_self_coupling(self._diag_kept, v, out=out)
-        self._to_kept(t, out)  # out = D_ee v - H_eo N t
+        out = apply_self_coupling(self._kept.blocks, v, out=out)
+        subtract_hops(self._kept, t, out)  # out = D_ee v - H_eo N t
         return out
 
     def reduce_rhs(self, eta: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
@@ -252,7 +229,7 @@ class SchurOperator:
         _check_field(eta, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
         eta_elim = eta.take_sites(self.elim_sites)
         reduced = eta.take_sites(self.keep_sites)
-        self._to_kept(self.solve_eliminated(eta_elim), reduced)
+        subtract_hops(self._kept, self.solve_eliminated(eta_elim), reduced)
         return reduced, eta_elim
 
     def reconstruct(self, x_kept: BlockSpinorField, eta_elim: BlockSpinorField) -> BlockSpinorField:
@@ -260,17 +237,17 @@ class SchurOperator:
         _check_field(x_kept, self.n_sites, "Schur system", self.dtype)
         check_matching(eta_elim, x_kept, "eta_elim", "x_kept")
         t = replace(eta_elim, data=-eta_elim.data)
-        self._to_elim(x_kept, t)
+        subtract_hops(self._elim, x_kept, t)
         return self.solve_eliminated(t)
 
     def apply_full(self, psi: BlockSpinorField) -> BlockSpinorField:
         """D psi on the whole lattice: D_ee x_e - H_eo x_o on the even sites, D_oo x_o - H_oe x_e on the odd ones."""
         _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
         x_kept, x_elim = psi.take_sites(self.keep_sites), psi.take_sites(self.elim_sites)
-        out_kept = apply_self_coupling(self._diag_kept, x_kept)
-        self._to_kept(x_elim, out_kept)
+        out_kept = apply_self_coupling(self._kept.blocks, x_kept)
+        subtract_hops(self._kept, x_elim, out_kept)
         out_elim = apply_self_coupling(self._diag_elim, x_elim)
-        self._to_elim(x_kept, out_elim)
+        subtract_hops(self._elim, x_kept, out_elim)
         return self.merge(out_kept, out_elim)
 
     def merge(self, x_kept: BlockSpinorField, x_elim: BlockSpinorField) -> BlockSpinorField:

@@ -1,10 +1,11 @@
 import copy
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lqcdlab import dirac
+from lqcdlab import dirac, fields
 from lqcdlab.dirac import (
     BYTES_PER_VALUE,
     FLOPS_PER_SITE_RHS,
@@ -138,18 +139,18 @@ def test_site_block_arrays_keep_the_complex_bytes(problem, grid):
     op = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)) if grid else None)
     for dtype, nbytes in complex_bytes.items():
         o = op.astype(dtype)
-        blocks = [o._blocks] if grid is None else [rank[1] for rank in o._ranks]
+        blocks = [rows.blocks for rows in o._rows]
         assert all(a.dtype == np.finfo(dtype).dtype and a.shape[1:] == (2, 6, 12) for a in blocks)
         assert sum(a.nbytes for a in blocks) == nbytes
-        hops = [o._hops] if grid is None else [rank[2] for rank in o._ranks]
+        hops = [rows.hops for rows in o._rows]
         assert all(a.dtype == np.finfo(dtype).dtype and a.shape[0] == 8 and a.shape[2:] == (6, 6) for a in hops)
         assert sum(a.size for a in hops) == hop_floats
     schur = SchurOperator(params, gauge, clover)
     for dtype, nbytes in complex_bytes.items():
         s = schur.astype(dtype)
-        for a in (s._diag_kept, s._neg_inv):
+        for a in (s._kept.blocks, s._elim.blocks):
             assert a.dtype == np.finfo(dtype).dtype and a.nbytes == nbytes // 2
-        hops = (s._to_kept.hops, s._to_elim.hops)
+        hops = (s._kept.hops, s._elim.hops)
         assert all(a.dtype == np.finfo(dtype).dtype for a in hops)
         assert sum(a.size for a in hops) == hop_floats
     # the eliminated blocks are read only at complex128, and shared by the twin
@@ -244,9 +245,9 @@ def test_sweep_bitwise_independent_of_chunk_size(monkeypatch, layout):
     psi = gen_spinor(geom.n_sites, b, layout, seed=47, geom=geom)
     half = split_fields(psi)[0]
     outs = []
-    monkeypatch.setattr(dirac, "_MIN_CHUNK_SITES", 1)
+    monkeypatch.setattr(fields, "_MIN_CHUNK_SITES", 1)
     for chunk in (1, 7, 64, geom.n_sites):
-        monkeypatch.setattr(dirac, "_CHUNK_SITE_RHS", chunk * b)
+        monkeypatch.setattr(fields, "_CHUNK_SITE_RHS", chunk * b)
         eta = apply_dirac(params, gauge, clover, psi)
         schur = SchurOperator(params, gauge, clover).apply(half)
         outs.append((eta.data, schur.data))
@@ -306,9 +307,9 @@ def test_single_precision_twin_matches_float64_apply(problem, monkeypatch, layou
     assert got.dtype == np.complex64 and got.layout == layout
     assert np.linalg.norm(got.data - ref.data) <= 1e-6 * np.linalg.norm(ref.data)
     # the twin's sweep gives the same values for any chunking, as the float64 one does
-    monkeypatch.setattr(dirac, "_MIN_CHUNK_SITES", 1)
+    monkeypatch.setattr(fields, "_MIN_CHUNK_SITES", 1)
     for chunk in (1, 64):
-        monkeypatch.setattr(dirac, "_CHUNK_SITE_RHS", chunk * b)
+        monkeypatch.setattr(fields, "_CHUNK_SITE_RHS", chunk * b)
         assert np.array_equal(twin(psi.astype(np.complex64)).data, got.data)
 
 
@@ -342,14 +343,67 @@ def test_hop_matrices_are_destination_ordered(problem):
             assert np.array_equal(hops[2 * mu], w[dst, mu])
             assert np.array_equal(hops[2 * mu + 1], w[back, mu].swapaxes(1, 2))
 
-    check(DiracOperator(params, gauge, clover)._hops, np.arange(geom.n_sites))
+    (rows,) = DiracOperator(params, gauge, clover)._rows
+    check(rows.hops, np.arange(geom.n_sites))
     schur = SchurOperator(params, gauge, clover)
-    check(schur._to_kept.hops, geom.even_sites)
-    check(schur._to_elim.hops, geom.odd_sites)
+    check(schur._kept.hops, geom.even_sites)
+    check(schur._elim.hops, geom.odd_sites)
     for grid in ((1, 1, 1, 2), (2, 2, 2, 2)):
         multi = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)))
-        for dom, _, hops in multi._ranks:
-            check(hops, dom.global_sites)
+        for rows in multi._rows:
+            check(rows.hops, rows.sites)
+
+
+def test_operators_keep_one_site_rows_record(problem, monkeypatch):
+    # the single-rank operator, every rank and both Schur parities hold
+    # their rows as one SiteRows record each, with the periodic, the
+    # rank-local periodic and the cross-parity tables; a twin shares all
+    # but its cast blocks and hops, and no apply looks a table up again
+    geom, gauge, clover, params, _ = problem
+    single = DiracOperator(params, gauge, clover)
+    (rows,) = single._rows
+    assert isinstance(rows, dirac.SiteRows) and rows.boundary is None
+    assert np.array_equal(rows.sites, np.arange(geom.n_sites)) and rows.tables is geom.neighbor_tables
+    operators = [single]
+    for grid in ((1, 1, 1, 2), (2, 2, 2, 2)):
+        executor = MultiRankExecutor(RankGrid(grid))
+        multi = DiracOperator(params, gauge, clover, executor)
+        domains = executor.domains(geom)
+        assert len(multi._rows) == len(domains)
+        for rows, dom in zip(multi._rows, domains):
+            assert isinstance(rows, dirac.SiteRows)
+            assert rows.sites is dom.global_sites and rows.boundary is dom.boundary
+            assert np.array_equal(rows.tables, dom.local_geom.neighbor_tables)
+        operators.append(multi)
+    schur = SchurOperator(params, gauge, clover)
+    parities = ((schur._kept, geom.even_sites, geom.odd_sites), (schur._elim, geom.odd_sites, geom.even_sites))
+    for rows, dst, src in parities:
+        assert isinstance(rows, dirac.SiteRows) and rows.sites is dst and rows.boundary is None
+        # each table entry is the source-half row of the destination site's global neighbor
+        for mu in range(NDIM):
+            for side, step in enumerate((1, -1)):
+                assert np.array_equal(src[rows.tables[2 * mu + side]], geom.neighbor_table(mu, step)[dst])
+    twin_schur = schur.astype(np.complex64)
+    pairs = [(t, r) for op in operators for t, r in zip(op.astype(np.complex64)._rows, op._rows)]
+    pairs += [(twin_schur._kept, schur._kept), (twin_schur._elim, schur._elim)]
+    for twin, ref in pairs:
+        assert twin.sites is ref.sites and twin.tables is ref.tables and twin.boundary is ref.boundary
+        for a, b in ((twin.blocks, ref.blocks), (twin.hops, ref.hops)):
+            assert a.dtype == np.float32 and np.array_equal(a, b.astype(np.float32))
+
+    def looked_up(*args):
+        raise AssertionError("LatticeGeometry.neighbor_table called after the build")
+
+    monkeypatch.setattr(LatticeGeometry, "neighbor_table", looked_up)
+    psi = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=52, geom=geom)
+    v = gen_spinor(schur.n_sites, 2, Layout.COMPONENT_MAJOR, seed=53)
+    for op in operators:
+        op(psi)
+        op.astype(np.complex64)(psi.astype(np.complex64))
+    reduced, eta_elim = schur.reduce_rhs(psi)
+    schur.reconstruct(schur(reduced), eta_elim)
+    schur.apply_full(psi)
+    twin_schur(v.astype(np.complex64))
 
 
 def test_operator_array_of_another_precision_raises(problem):
@@ -360,9 +414,9 @@ def test_operator_array_of_another_precision_raises(problem):
     op = DiracOperator(params, gauge, clover)
     psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=51, geom=geom).astype(np.complex64)
     message = "operator array of dtype float64 given a field of dtype complex64"
-    for name in ("_blocks", "_hops"):
+    for name in ("blocks", "hops"):
         twin = copy.copy(op.astype(np.complex64))
-        setattr(twin, name, getattr(op, name))
+        twin._rows = [replace(twin._rows[0], **{name: getattr(op._rows[0], name)})]
         with pytest.raises(ValueError, match=message):
             twin(psi)
     # the Schur twin shares the float64 D_oo, read only by apply_full

@@ -174,6 +174,24 @@ def test_spinor_snapshot_rejects_an_unknown_layout_byte(tmp_path):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("magic, dims, s, b", [
+    (b"LQML", (2, 2, 2, 2), 12, 0),
+    (b"LQML", (2, 0, 2, 2), 12, 2),
+    (b"LQMG", (2, 2, 0, 2), 3, 3),
+    (b"LQMC", (0, 2, 2, 2), 2, 21),
+])
+def test_snapshot_rejects_an_empty_shape(tmp_path, magic, dims, s, b):
+    # a spinor header with b = 0 or a zero extent once gave a field that
+    # BlockSpinorField.zeros rejects, and the gauge and clover readers'
+    # errors for a zero extent did not name the file
+    path = tmp_path / "empty.snap"
+    path.write_bytes(struct.pack("<4sI4IIIB", magic, 1, *dims, s, b, 1 if magic == b"LQML" else 0))
+    reader = {b"LQML": read_spinor, b"LQMG": read_gauge, b"LQMC": read_clover}[magic]
+    with pytest.raises(ValueError, match="empty snapshot shape") as err:
+        reader(path)
+    assert str(path) in str(err.value)
+
+
 def test_snapshot_rejects_wrong_magic(tmp_path):
     geom = LatticeGeometry((2, 2, 2, 2))
     gauge = gen_gauge(geom, "unit")

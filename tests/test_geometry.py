@@ -69,6 +69,9 @@ def test_neighbor_table_is_permutation(geom44):
 def test_neighbor_table_cached_read_only(geom44):
     table = geom44.neighbor_table(2, -1)
     assert geom44.neighbor_table(2, -1) is table
+    # the row of the read-only (8, n) table in slot order, 2mu + 1 for step -1
+    tables = geom44.neighbor_tables
+    assert tables.shape == (8, 256) and not tables.flags.writeable and np.shares_memory(tables[5], table)
     with pytest.raises(ValueError):
         table[0] = 1
 

@@ -299,7 +299,7 @@ def test_multirank_bitwise_over_several_chunks(grid, layout):
     psi = gen_spinor(geom.n_sites, 16, layout, seed=73, geom=geom)
     single = DiracOperator(params, gauge, clover)
     multi = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)))
-    assert all(len(dom.global_sites) == 384 and hops.shape == (8, 384, 6, 6) for dom, _, hops in multi._ranks)
+    assert all(len(rows.sites) == 384 and rows.hops.shape == (8, 384, 6, 6) for rows in multi._rows)
     for dtype in (np.complex128, np.complex64):
         field = psi.astype(dtype)
         assert np.array_equal(multi.astype(dtype)(field).data, single.astype(dtype)(field).data)

@@ -308,9 +308,9 @@ def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypa
     twin = schur.astype(np.complex64)
     assert (schur.dtype, twin.dtype) == (np.complex128, np.complex64)
     assert schur.astype(np.complex128) is schur
-    # each hop of the twin holds its own hop matrices, float32 copies of the operator's
-    for hop, ref in ((twin._to_kept, schur._to_kept), (twin._to_elim, schur._to_elim)):
-        assert hop.hops.dtype == np.float32 and np.array_equal(hop.hops, ref.hops.astype(np.float32))
+    # each parity record of the twin holds its own hop matrices, float32 copies of the operator's
+    for rows, ref in ((twin._kept, schur._kept), (twin._elim, schur._elim)):
+        assert rows.hops.dtype == np.float32 and np.array_equal(rows.hops, ref.hops.astype(np.float32))
     # the eliminated blocks are read only by apply_full, at complex128: the twin shares them uncast
     assert twin._diag_elim is schur._diag_elim
     v = gen_spinor(schur.n_sites, b, layout, seed=79)
