@@ -309,12 +309,16 @@ def _gather_rows(psi: BlockSpinorField, sites: np.ndarray) -> BlockSpinorField:
     """psi on ``sites``, in their order, as a Layout-1 field, whose spinor rows are contiguous.
 
     Rows that are contiguous already (Layout 1, or b = 1) are gathered as
-    they are.  Otherwise each chunk of sites is gathered and transposed
-    into place, so the staging stays chunk-sized.
+    they are.  A Layout-3 psi is gathered from its (b, n_sites, s) storage,
+    one contiguous run of s values per column and site, and transposed
+    into row order once.  Otherwise (Layout 2) each chunk of sites is
+    gathered and transposed into place, so the staging stays chunk-sized.
     """
     src = _rows(psi)
     if src.flags.c_contiguous:
         rows = src[sites]
+    elif psi.layout is Layout.COLUMN:
+        rows = np.ascontiguousarray(psi.storage_view()[:, sites].swapaxes(0, 1))
     else:
         rows = np.empty((len(sites),) + src.shape[1:], dtype=psi.dtype)
         for chunk in site_chunks(len(sites), psi.b):
@@ -322,10 +326,17 @@ def _gather_rows(psi: BlockSpinorField, sites: np.ndarray) -> BlockSpinorField:
     return BlockSpinorField(len(sites), psi.b, Layout.RHS_MAJOR, rows.reshape(-1))
 
 
-def _half(rows: np.ndarray, sites: np.ndarray, mu: int, side: int) -> np.ndarray:
-    """(m, b, 2, 3) half spinors of contiguous ``rows`` at ``sites``: the +mu side (``side`` 0) or the -mu side (1)."""
+def _half(rows: np.ndarray, sites: np.ndarray, mu: int, side: int, halo: tuple | None = None) -> np.ndarray:
+    """(m, b, 2, 3) half spinors of contiguous ``rows`` at ``sites``: the +mu side (``side`` 0) or the -mu side (1).
+
+    ``halo``, if given, is (result rows, their (k, b, 2, 3) values): received
+    half spinors that replace the computed ones of those rows.
+    """
     gathered = rows[sites]
-    return _times(gathered, _PROJECT_AT[rows.dtype][mu, side]).reshape(gathered.shape[:2] + (2, N_COLOR))
+    half = _times(gathered, _PROJECT_AT[rows.dtype][mu, side]).reshape(gathered.shape[:2] + (2, N_COLOR))
+    if halo is not None:
+        half[halo[0]] = halo[1]
+    return half
 
 
 def _link_multiply(w: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -364,12 +375,6 @@ def _check_precision(array: np.ndarray, psi: BlockSpinorField) -> None:
     """Raise unless an operator array's real dtype is the one of psi's precision."""
     if array.dtype != np.finfo(psi.dtype).dtype:
         raise ValueError(f"operator array of dtype {array.dtype} given a field of dtype {psi.dtype}")
-
-
-def _take_halo_rows(half: np.ndarray, face: np.ndarray, halo: np.ndarray, chunk: slice) -> None:
-    """Overwrite the rows of ``chunk`` on the sorted ``face`` with their (spin-outer) halo values."""
-    j0, j1 = np.searchsorted(face, (chunk.start, chunk.stop))
-    half[face[j0:j1] - chunk.start] = halo[j0:j1].swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -420,36 +425,45 @@ def subtract_hops(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, 
     spinors of every +mu face, then completes its receives, and the sweep
     replaces the +mu-side half spinors of its +mu face rows (resp. the
     -mu-side ones of its -mu face rows) by those received from the +mu
-    (resp. -mu) neighbor rank, before the link multiply.  Halo payloads are
-    (n_face, 2, b, 3) (spin, rhs, color) in ascending face order.
+    (resp. -mu) neighbor rank, before the link multiply.  One
+    ``searchsorted`` per face splits its received rows over the chunks,
+    once per apply, and a chunk with no rows on a face places nothing for
+    it.  Halo payloads are (n_face, b, 2, 3) (rhs, spin, color) in
+    ascending face order, the sweep's own order of half spinors, so
+    neither side transposes them.
     """
     _check_precision(rows.hops, psi)
     src = np.ascontiguousarray(_rows(psi))  # a copy only for a psi whose rows are not contiguous
     tables, hops, boundary = rows.tables, rows.hops, rows.boundary
+    n, b = eta.n_sites, eta.b
+    chunks = list(site_chunks(n, b))
+    # per chunk, slot -> (chunk rows on that slot's face, their received half spinors)
+    halos = [{} for _ in chunks]
     if comm is not None:
         # the -mu face's +mu side travels down, the +mu face's -mu side up
         for mu in range(NDIM):
             for step, side in ((-1, 0), (+1, 1)):
-                comm.post_send(mu, step, _half(src, boundary[(mu, step)], mu, side).swapaxes(1, 2))
-        fwd_halo = [comm.complete_recv(mu, -1) for mu in range(NDIM)]
-        back_halo = [comm.complete_recv(mu, +1) for mu in range(NDIM)]
+                comm.post_send(mu, step, _half(src, boundary[(mu, step)], mu, side))
+        edges = [chunk.start for chunk in chunks] + [n]
+        for mu in range(NDIM):
+            for step, side in ((+1, 0), (-1, 1)):
+                face, halo = boundary[(mu, step)], comm.complete_recv(mu, -step)
+                spans = np.searchsorted(face, edges)
+                for c in np.flatnonzero(spans[1:] > spans[:-1]):
+                    j0, j1 = spans[c], spans[c + 1]
+                    halos[c][2 * mu + side] = (face[j0:j1] - chunks[c].start, halo[j0:j1])
 
-    n, b = eta.n_sites, eta.b
     out = _rows(eta)
     acc_buf = np.empty((2, min(chunk_sites(b), n), b, 2, N_COLOR), dtype=out.dtype)
-    for chunk in site_chunks(n, b):
+    for chunk, chunk_halos in zip(chunks, halos):
         m = chunk.stop - chunk.start
         upper, lower = acc_buf[:, :m]
         upper.fill(0)
         lower.fill(0)
         for mu in range(NDIM):
-            up = _half(src, tables[2 * mu, chunk], mu, 0)
-            down = _half(src, tables[2 * mu + 1, chunk], mu, 1)
-            if comm is not None:
-                _take_halo_rows(up, boundary[(mu, 1)], fwd_halo[mu], chunk)
-                _take_halo_rows(down, boundary[(mu, -1)], back_halo[mu], chunk)
-            up = _link_multiply(hops[2 * mu, chunk], up)
-            down = _link_multiply(hops[2 * mu + 1, chunk], down)
+            fwd, back = 2 * mu, 2 * mu + 1
+            up = _link_multiply(hops[fwd, chunk], _half(src, tables[fwd, chunk], mu, 0, chunk_halos.get(fwd)))
+            down = _link_multiply(hops[back, chunk], _half(src, tables[back, chunk], mu, 1, chunk_halos.get(back)))
             # (I + gamma_mu)/2 reconstructs the +mu side to (h, A^H h) and
             # (I - gamma_mu)/2 the -mu side to (h, -A^H h); the 1/2 is in
             # the link matrices

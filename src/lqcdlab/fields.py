@@ -386,7 +386,8 @@ def gen_clover(geom: LatticeGeometry, mode: str, scale: float = 0.1, seed: int =
 # s u32, b u32, layout u8.  Payload is raw complex128 in storage order.
 # A spinor snapshot's s is always 12; a reader rejects any other.
 # Gauge and clover snapshots reuse the slots: s/b carry the per-site matrix
-# shape and layout is 0.
+# shape, (3, 3) for gauge and (2, 21) for clover, and layout is 0; a reader
+# rejects any other shape.
 
 _HEADER = struct.Struct("<4sI4IIIB")
 
@@ -439,13 +440,27 @@ def write_gauge(path: str | Path, gauge: GaugeField) -> None:
     _write_snapshot(Path(path), _MAGIC_GAUGE, gauge.geom.dims, 3, 3, 0, gauge.data)
 
 
-def read_gauge(path: str | Path) -> GaugeField:
-    dims, s, b, _, payload = _read_snapshot(Path(path), _MAGIC_GAUGE)
-    geom = LatticeGeometry(dims)
-    expected = geom.n_sites * NDIM * s * b
+def _read_site_matrices(path: str | Path, magic: bytes, site_shape: tuple) -> tuple[LatticeGeometry, np.ndarray]:
+    """The lattice and (n_sites, *site_shape) values of a gauge or clover snapshot.
+
+    The header's s/b slots must hold the last two axes of ``site_shape``,
+    and every header error names the file.
+    """
+    dims, s, b, _, payload = _read_snapshot(Path(path), magic)
+    if (s, b) != site_shape[-2:]:
+        raise ValueError(f"{path}: per-site matrix shape {(s, b)}, expected {site_shape[-2:]}")
+    try:
+        geom = LatticeGeometry(dims)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+    expected = geom.n_sites * int(np.prod(site_shape))
     if payload.size != expected:
         raise ValueError(f"{path}: payload has {payload.size} values, expected {expected}")
-    return GaugeField(geom, payload.reshape(geom.n_sites, NDIM, 3, 3).copy())
+    return geom, payload.reshape((geom.n_sites,) + site_shape).copy()
+
+
+def read_gauge(path: str | Path) -> GaugeField:
+    return GaugeField(*_read_site_matrices(path, _MAGIC_GAUGE, (NDIM, 3, 3)))
 
 
 def write_clover(path: str | Path, clover: CloverField) -> None:
@@ -453,9 +468,4 @@ def write_clover(path: str | Path, clover: CloverField) -> None:
 
 
 def read_clover(path: str | Path) -> CloverField:
-    dims, s, b, _, payload = _read_snapshot(Path(path), _MAGIC_CLOVER)
-    geom = LatticeGeometry(dims)
-    expected = geom.n_sites * s * b
-    if payload.size != expected:
-        raise ValueError(f"{path}: payload has {payload.size} values, expected {expected}")
-    return CloverField(geom, payload.reshape(geom.n_sites, 2, _TRI6).copy())
+    return CloverField(*_read_site_matrices(path, _MAGIC_CLOVER, (2, _TRI6)))

@@ -17,10 +17,11 @@ Message flow per apply, for each direction mu with more than one rank:
 Both streams carry half spinors, and no sender multiplies a link: each
 receiver multiplies the received rows by its own hop matrices, whose
 slot 2mu + 1 already holds W_mu(x - mu^)^T of the global -mu neighbor on
-another rank.  A payload is (n_face, 2, b, 3) complex: spin, rhs, color,
-in ascending face order.  The sweep holds half spinors as (m, b, 2, 3), so a payload is its
-rows with the spin and rhs axes swapped, which leaves the values bitwise
-unchanged.
+another rank.  A payload is (n_face, b, 2, 3) complex: rhs, spin, color,
+in ascending face order.  That is the order in which the sweep holds half
+spinors, so a payload is the sweep's own rows, and neither side
+transposes it.  The receiver splits each face's rows over its sweep's
+chunks once per apply and places them only in the chunks that hold some.
 
 A rank posts both streams before it receives anything, so no rank waits on
 a message that a waiting peer has yet to post, and completes its receives
@@ -92,8 +93,8 @@ class _PeerFaulted(RuntimeError):
 class _Mailbox:
     """Single-slot channel (``rank``, ``mu``, ``step``); one producer, one consumer.
 
-    The slot holds the posted payload, (boundary sites, 2, b, 3) complex
-    (spin, rhs, color) in ascending site order.
+    The slot holds the posted payload, (boundary sites, b, 2, 3) complex
+    (rhs, spin, color) in ascending site order.
     """
 
     def __init__(self, rank: int, mu: int, step: int) -> None:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -190,6 +191,40 @@ def test_snapshot_rejects_an_empty_shape(tmp_path, magic, dims, s, b):
     with pytest.raises(ValueError, match="empty snapshot shape") as err:
         reader(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("magic, s, b", [
+    (b"LQMG", 9, 1),
+    (b"LQMG", 1, 9),
+    (b"LQMG", 3, 1),
+    (b"LQMC", 21, 2),
+    (b"LQMC", 1, 42),
+])
+def test_matrix_snapshot_rejects_a_wrong_matrix_shape(tmp_path, magic, s, b):
+    # the payload has the right number of values (as many as s * b = 9 or 42
+    # per matrix allows), so only the header's s/b slots are wrong
+    path = tmp_path / "shape.snap"
+    dims = (2, 2, 2, 2)
+    per_site = 4 * 9 if magic == b"LQMG" else 42
+    header = struct.pack("<4sI4IIIB", magic, 1, *dims, s, b, 0)
+    path.write_bytes(header + np.zeros(16 * per_site, dtype="<c16").tobytes())
+    reader = {b"LQMG": read_gauge, b"LQMC": read_clover}[magic]
+    expected = "(3, 3)" if magic == b"LQMG" else "(2, 21)"
+    with pytest.raises(ValueError, match=re.escape(f"per-site matrix shape {(s, b)}, expected {expected}")) as err:
+        reader(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("magic, s, b", [(b"LQMG", 3, 3), (b"LQMC", 2, 21)])
+def test_matrix_snapshot_names_the_file_for_an_odd_extent(tmp_path, magic, s, b):
+    path = tmp_path / "odd.snap"
+    dims = (3, 2, 2, 2)
+    header = struct.pack("<4sI4IIIB", magic, 1, *dims, s, b, 0)
+    path.write_bytes(header + np.zeros(24 * (4 * s * b if magic == b"LQMG" else s * b), dtype="<c16").tobytes())
+    reader = {b"LQMG": read_gauge, b"LQMC": read_clover}[magic]
+    with pytest.raises(ValueError, match="extent 3 in direction 0 is not an even number") as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_snapshot_rejects_wrong_magic(tmp_path):

@@ -112,7 +112,7 @@ def test_duplicate_post_rejected():
 @pytest.mark.parametrize("transposed", [False, True])
 def test_received_payload_is_a_private_copy(transposed):
     # the receiver must not see later writes of the sender, whether the
-    # posted array is contiguous or a transposed view (as the sweep posts)
+    # posted array is contiguous or a transposed view
     cs = CommunicatorSet(RankGrid((2, 1, 1, 1)))
     cs.begin_epoch()
     base = np.arange(24, dtype=np.complex128).reshape(2, 3, 4, 1)
@@ -127,8 +127,9 @@ def test_received_payload_is_a_private_copy(transposed):
 
 
 def test_payload_shape(problem):
-    # boundary messages carry (n_boundary, 2, b, 3) half-spinor values (spin,
-    # rhs, color); undivided directions still post, with empty payloads
+    # boundary messages carry (n_boundary, b, 2, 3) half-spinor values (rhs,
+    # spin, color), the sweep's own row order; undivided directions still
+    # post, with empty payloads
     _, gauge, clover, params, psi, _ = problem
     ex = MultiRankExecutor(RankGrid((2, 1, 1, 1)))
     seen = []
@@ -143,14 +144,14 @@ def test_payload_shape(problem):
     assert len(seen) == 8
     for mu, step, shape in seen:
         expected_rows = 64 if mu == 0 else 0
-        assert shape == (expected_rows, 2, 3, 3), (mu, step, shape)
+        assert shape == (expected_rows, 3, 2, 3), (mu, step, shape)
 
 
-def test_payload_orientation_spin_rhs_color(problem):
-    # with b = 2 the rhs axis and the color axis differ in length
+def test_payload_orientation_rhs_spin_color(problem):
+    # with b = 4 the rhs axis differs in length from the spin and color axes
     _, gauge, clover, params, _, _ = problem
     geom = gauge.geom
-    psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=59, geom=geom)
+    psi = gen_spinor(geom.n_sites, 4, Layout.RHS_MAJOR, seed=59, geom=geom)
     ex = MultiRankExecutor(RankGrid((2, 1, 1, 1)))
     seen = []
     orig_post = ex.commset.rank_comm(0).post_send
@@ -161,7 +162,7 @@ def test_payload_orientation_spin_rhs_color(problem):
 
     ex.commset.rank_comm(0).post_send = spy
     eta = ex.apply_dirac(params, gauge, clover, psi)
-    assert sorted(seen) == sorted((mu, step, (64 if mu == 0 else 0, 2, 2, 3)) for mu in range(4) for step in (1, -1))
+    assert sorted(seen) == sorted((mu, step, (64 if mu == 0 else 0, 4, 2, 3)) for mu in range(4) for step in (1, -1))
     assert np.array_equal(eta.data, apply_dirac(params, gauge, clover, psi).data)
 
 

@@ -11,7 +11,8 @@ It covers the full operator D on one rank and on several rank grids, the
 even/odd Schur operator's S, ``reduce_rhs``, ``reconstruct`` and
 ``apply_full``, each at b in {1, 4, 16}, in all three layouts and at both
 precisions (``apply_full`` at complex128 only), and the three benchmark
-solves on their seed-5 inputs with their iteration counts.  Each line is
+solves on their seed-5 inputs with their iteration counts and the largest
+of their final full-system relative residuals.  Each line is
 ``<what> <sha256 prefix>``; the script reads only the library's public
 calls, so it runs on any tree that has them.
 """
@@ -102,7 +103,8 @@ def solve_lines():
         eta = gen_spinor(geom.n_sites, b, layout, seed=SOLVE_SEED + 2, geom=geom)
         comm = MultiRankExecutor(RankGrid(grid)) if grid else None
         report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, cfg, odd_even=odd_even, comm=comm)
-        yield f"solve {label} seed={SOLVE_SEED} iterations={report.iterations}", digest(report.psi)
+        yield (f"solve {label} seed={SOLVE_SEED} iterations={report.iterations} "
+               f"max_full_relnorm={report.full_relnorms.max():.3e}"), digest(report.psi)
 
 
 def main() -> None:
