@@ -52,7 +52,11 @@ b = 16.  Each site's arithmetic does not depend on the chunking, so the
 result is bitwise the same for any chunk size.  The fixed spin
 matrices have entries 0 and +-1, so each output of a projection or of
 A_mu^H is one input or the rounded sum of two, however BLAS orders its
-sums: bitwise what the structured operation gives.
+sums: bitwise what the structured operation gives.  That holds for any
+split of such a product into row blocks, so :func:`_times` splits one
+whose rows would take it past OpenBLAS's small-matrix bound: the
+projections at b = 16, A_mu^H from b = 32.  A_0 = I, so direction 0 runs
+no A^H product and its two halves start the accumulators.
 
 Every operator builds its rows the same way and keeps them in one kind
 of record, :class:`SiteRows`, per set of sites whose eta rows it writes:
@@ -112,8 +116,9 @@ each 12 floats of 12 multiplies and 11 adds), the same count as the
 structured complex product, plus 72 for i x (a complex multiply by 1j per
 value, 12 values at 6); per direction 1128 for the two projections (the
 fixed spin matrices applied densely, zeros included), 264 for the two link
-products, 276 for A_mu^H and 48 for the four accumulating adds; the final
-subtraction 24.  That is 7512 per site and rhs, and per site 1260 per link
+products, 276 for A_mu^H and 48 for the four accumulating adds, except
+in direction 0, which runs no A_0^H product and two adds (24); the final
+subtraction 24.  That is 7212 per site and rhs, and per site 1260 per link
 for the embedding and 12 for the mass, 5052.  The traffic ledger below is a
 fixed analytic budget, 2574 per site and rhs, that arithmetic intensity and
 GF/s are quoted against; its breakdown is not recorded.
@@ -300,9 +305,30 @@ def _rows(field: BlockSpinorField) -> np.ndarray:
     return field.ksi().swapaxes(1, 2)
 
 
+# OpenBLAS runs a real product of M x K by K x N on its small-matrix path
+# only while M * N * K stays at or below this; past it, a projection took
+# 1.6-2.6 times as long per row (4096 rows at b = 16, 2-vCPU Xeon VM)
+_BLAS_SMALL_MNK = 10**6
+
+
 def _times(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Contiguous complex rows times a complex matrix given by its real form ``r``, as one real product at ``r``'s precision."""
-    return (rows.view(r.dtype).reshape(-1, r.shape[0]) @ r).view(rows.dtype)
+    """Contiguous complex rows times a complex matrix given by its real form ``r``, in real products at ``r``'s precision.
+
+    The rows are multiplied in equal blocks of at most
+    ``_BLAS_SMALL_MNK // r.size`` rows, one product each, so every product
+    stays on OpenBLAS's small-matrix path.  Each output row depends on its
+    input row alone, so the result does not depend on the blocks.
+    """
+    x = rows.view(r.dtype).reshape(-1, r.shape[0])
+    m, cap = len(x), _BLAS_SMALL_MNK // r.size
+    if m <= cap:
+        return (x @ r).view(rows.dtype)
+    out = np.empty((m, r.shape[1]), dtype=r.dtype)
+    blocks = -(-m // cap)
+    step = -(-m // blocks)
+    for start in range(0, m, step):
+        np.matmul(x[start : start + step], r, out=out[start : start + step])
+    return out.view(rows.dtype)
 
 
 def _gather_rows(psi: BlockSpinorField, sites: np.ndarray) -> BlockSpinorField:
@@ -458,15 +484,17 @@ def subtract_hops(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, 
     for chunk, chunk_halos in zip(chunks, halos):
         m = chunk.stop - chunk.start
         upper, lower = acc_buf[:, :m]
-        upper.fill(0)
-        lower.fill(0)
         for mu in range(NDIM):
             fwd, back = 2 * mu, 2 * mu + 1
             up = _link_multiply(hops[fwd, chunk], _half(src, tables[fwd, chunk], mu, 0, chunk_halos.get(fwd)))
             down = _link_multiply(hops[back, chunk], _half(src, tables[back, chunk], mu, 1, chunk_halos.get(back)))
             # (I + gamma_mu)/2 reconstructs the +mu side to (h, A^H h) and
             # (I - gamma_mu)/2 the -mu side to (h, -A^H h); the 1/2 is in
-            # the link matrices
+            # the link matrices.  A_0 = I, so mu = 0 starts both accumulators
+            if mu == 0:
+                np.add(up, down, out=upper)
+                np.subtract(up, down, out=lower)
+                continue
             upper += up
             upper += down
             up -= down

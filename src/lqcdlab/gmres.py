@@ -53,7 +53,12 @@ column whose pass left ||w'|| < 0.1 ||w|| (||w||^2 taken as ||w'||^2 +
 a complex128 basis in particular, runs classical Gram-Schmidt twice
 (CGS2, "twice is enough": Giraud, Langou and Rozloznik, Numer. Math. 101
 (2005) 87), with the two h summed, and keeps its basis orthonormal to
-rounding level.  The
+rounding level.  When the operator runs on a rank grid (its ``comm`` is a
+:class:`lqcdlab.halo.MultiRankExecutor`), the columns are split over the
+executor's shares, columns i = s (mod n) to share s, share 0 on the
+calling thread and the others on the rank workers, which sit idle
+between applies.  Each column runs the same kernels on the same rows
+either way, so the step is bitwise the same as on one thread.  The
 restart update psi += V y (one gemv per column) is formed in the last
 basis row, which it does not read.  The solver thus holds restart_len + 1
 field-sized buffers and no more.
@@ -239,27 +244,39 @@ def arnoldi_step(op, ws: SolverWorkspace, j: int) -> None:
     op(ws.fields[j], out=ws.fields[j + 1])
     w = ws.basis[j + 1]
     hnext = np.empty(w.shape[0])
+
     # Gram-Schmidt one rhs column at a time: the column's basis rows, read
     # twice per pass, stay partly in cache between reads (with CGS2, about
     # 10% less time at b = 16 than four passes over every column's rows).
     # A cycle that ends at the reliable-update threshold runs one classical
     # pass per column, and a second only where the first left less than
     # _SECOND_PASS_BELOW of the column's norm; every other cycle runs CGS2
-    for i in range(w.shape[0]):
-        qi, wi = ws.basis[: j + 1, i : i + 1], w[i : i + 1]
-        h = block_dot(qi, wi)
-        block_axpy(-h, qi, wi)
-        again = True
-        if ws.reliable:
-            # ||w||^2 = ||w'||^2 + ||h||^2, so the test reads w' only once
-            hnext[i] = block_norms(wi)[0]
-            again = hnext[i] < _SECOND_PASS_BELOW * np.sqrt(hnext[i] ** 2 + np.vdot(h, h).real)
-        if again:
-            h2 = block_dot(qi, wi)
-            block_axpy(-h2, qi, wi)
-            h += h2
-            hnext[i] = block_norms(wi)[0]
-        ws.h_raw[i, : j + 1, j] = h[0]
+    def orthogonalize(share: int, n: int) -> None:
+        for i in range(share, w.shape[0], n):
+            qi, wi = ws.basis[: j + 1, i : i + 1], w[i : i + 1]
+            h = block_dot(qi, wi)
+            block_axpy(-h, qi, wi)
+            again = True
+            if ws.reliable:
+                # ||w||^2 = ||w'||^2 + ||h||^2, so the test reads w' only once
+                hnext[i] = block_norms(wi)[0]
+                again = hnext[i] < _SECOND_PASS_BELOW * np.sqrt(hnext[i] ** 2 + np.vdot(h, h).real)
+            if again:
+                h2 = block_dot(qi, wi)
+                block_axpy(-h2, qi, wi)
+                h += h2
+                hnext[i] = block_norms(wi)[0]
+            ws.h_raw[i, : j + 1, j] = h[0]
+
+    # on a rank grid the columns i = share (mod n) go to the executor's
+    # rank workers, share 0 staying on this thread; each column runs the
+    # same kernels either way and writes only its own rows
+    comm = getattr(op, "comm", None)
+    if comm is None:
+        orthogonalize(0, 1)
+    else:
+        comm.share(orthogonalize)
+
     # ||op v_j||, from the orthogonal split of the column: the test is scale-free
     wnorm = np.sqrt((np.abs(ws.h_raw[:, : j + 1, j]) ** 2).sum(axis=1) + hnext**2)
     ws.breakdown |= hnext <= _BREAKDOWN_REL * wnorm

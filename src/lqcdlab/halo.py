@@ -3,7 +3,16 @@
 The communicator reproduces the send/receive pattern of the stencil apply
 without any real transport: every (destination rank, direction mu, travel
 step) channel is a capacity-one mailbox, and every rank runs on its own
-worker thread.
+worker thread.  The workers are persistent, one per rank, started on an
+executor's first run, shared by the executors of as many ranks that are
+alive together, and stopped once the last of them is dropped.  On a
+machine where the process may run on at least as many CPUs as there are
+ranks, each worker is pinned to a CPU of its own.  (On a 2-vCPU VM,
+fresh threads per apply put both ranks of a two-rank complex64 b = 16
+apply on one vCPU in 25 to 35 of 60 applies, which then took 1.6 to 1.8
+times as long.)  Between applies the executor lends its workers to the
+solver (:meth:`MultiRankExecutor.share`), which splits its Gram-Schmidt
+columns over them (gmres module).
 
 Message flow per apply, for each direction mu with more than one rank:
 
@@ -38,7 +47,7 @@ tables and face sets) and its communicator, the single-rank apply with the
 whole lattice's and none.  Each rank builds its record, gathers its psi
 rows in row order (a Layout-1 field, so the sweep reads them without
 another copy) and writes its eta rows out in eta's layout, all on its own
-thread.  A rank's rows are the single-rank operator's rows of its sites
+worker.  A rank's rows are the single-rank operator's rows of its sites
 and the posted half spinors come from the same helper as the sweep's, so
 every site sees the same operations in the same order.
 
@@ -49,8 +58,12 @@ a :class:`RankFaultError` naming that rank.
 
 from __future__ import annotations
 
+import functools
+import os
+import queue
 import threading
 import time
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -216,20 +229,132 @@ class Communicator:
         return EpochStats(epoch=self.commset.epoch, rank=self.rank, wait_seconds=self._wait_seconds)
 
 
+def _rank_worker(inbox: queue.SimpleQueue, cpu: int | None) -> None:
+    """Body of one rank's persistent worker thread: run tasks until a ``None`` arrives.
+
+    It holds its inbox and nothing else between tasks, so an idle worker
+    keeps neither its executor nor the closures of its last run alive.
+    """
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, {cpu})  # pid 0: this thread only
+        except OSError:  # a CPU the process may not use after all: the worker stays unpinned
+            pass
+    while True:
+        task = inbox.get()
+        if task is None:
+            return
+        task()
+        del task
+
+
+def _stop_workers(inboxes: list) -> None:
+    for inbox in inboxes:
+        inbox.put(None)
+
+
+class _RankWorkers:
+    """One persistent worker thread per rank, shared by every live executor of as many ranks.
+
+    Each thread that allocates gets a malloc arena of its own, which keeps
+    memory freed into it for reuse, so threads per executor would cost
+    memory per executor: with a second two-rank executor alive beside the
+    solve's (as the benchmark's repeated set-up keeps one), four rank
+    threads raised the tworank-b16 peak RSS from 211 to 259 MB (2-vCPU
+    VM; shared, 199 MB).  The
+    threads stop once the last executor holding them is dropped.
+
+    When the CPUs the process may run on (``os.sched_getaffinity``) number
+    at least the ranks, and there is more than one rank, rank r's worker is
+    pinned to the r-th of them; otherwise no worker is pinned.  One set of
+    tasks runs at a time; a caller that holds the workers already, or is
+    one of them, is refused, since waiting would deadlock.
+    """
+
+    _live: "weakref.WeakValueDictionary[int, _RankWorkers]" = weakref.WeakValueDictionary()
+    _live_lock = threading.Lock()
+
+    def __init__(self, n: int):
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        pinned = n > 1 and len(cpus) >= n
+        self.inboxes = [queue.SimpleQueue() for _ in range(n)]
+        self.threads = [threading.Thread(target=_rank_worker, args=(inbox, cpus[rank] if pinned else None),
+                                         name=f"rank-{rank}", daemon=True)
+                        for rank, inbox in enumerate(self.inboxes)]
+        self._lock = threading.Lock()
+        self._holder: int | None = None
+        weakref.finalize(self, _stop_workers, self.inboxes)
+        for thread in self.threads:
+            thread.start()
+
+    @classmethod
+    def shared(cls, n: int) -> "_RankWorkers":
+        """The workers of the live executors of ``n`` ranks, started if there are none."""
+        with cls._live_lock:
+            workers = cls._live.get(n)
+            if workers is None:
+                workers = cls._live[n] = cls(n)
+            return workers
+
+    def run(self, task: Callable[[int], None], first_on_caller: bool) -> None:
+        """Run ``task(r)`` on rank r's worker for every rank r (rank 0 on this thread if ``first_on_caller``); wait for all.
+
+        ``task`` must not raise.
+        """
+        if self._holder == threading.get_ident() or threading.current_thread() in self.threads:
+            raise RuntimeError("run_ranks and share do not nest: the rank workers are already running this caller's run")
+        with self._lock:
+            self._holder = threading.get_ident()
+            try:
+                done: queue.SimpleQueue = queue.SimpleQueue()
+
+                def run(rank: int) -> None:
+                    try:
+                        task(rank)
+                    finally:
+                        done.put(rank)
+
+                remote = range(int(first_on_caller), len(self.inboxes))
+                for rank in remote:
+                    self.inboxes[rank].put(functools.partial(run, rank))
+                try:
+                    if first_on_caller:
+                        task(0)
+                finally:
+                    for _ in remote:
+                        done.get()
+            finally:
+                self._holder = None
+
+
 class MultiRankExecutor:
-    """Runs the stencil apply over a simulated rank grid.
+    """Runs the stencil apply over a simulated rank grid, one persistent worker thread per rank.
 
     Passing an instance as ``comm`` to :class:`lqcdlab.dirac.DiracOperator`
     (or to :func:`lqcdlab.dirac.apply_dirac`) routes the operator through
     here: the operator keeps one :class:`lqcdlab.dirac.SiteRows` record per
     rank, and :meth:`run_ranks` runs every rank's part of its build and of
-    each apply on the rank's own thread.  Only the rank domains are cached,
+    each apply on the rank's worker.  Only the rank domains are cached,
     keyed on the lattice extents; every rank's record takes its tables from
     their common local geometry.
     :meth:`apply_dirac` builds a new operator on every call, so in-place
     updates of the fields take effect there; an operator built once (as a
     solve builds its own) keeps the fields as they were at its build.
     ``mode`` accepts only ``"threads"``, the one way ranks run.
+
+    The workers are started on first use and shared with every other live
+    executor of as many ranks; they stop once the last of them is dropped
+    (they hold no reference to any executor between runs).  When the CPUs
+    the process may run on (``os.sched_getaffinity``) number at least the
+    ranks, and there is more than one rank, rank r's worker is pinned to
+    the r-th of them, so two ranks never share a CPU while another idles;
+    otherwise no worker is pinned.  The calling thread is never pinned.
+    :meth:`share` lends the workers to other work between applies: the
+    solver splits its Gram-Schmidt columns over them (gmres module).
+    The workers run one call at a time: :meth:`run_ranks` or :meth:`share`
+    called again from inside a run (from a worker, or from the caller's
+    own share 0), where waiting would deadlock, raises ``RuntimeError``;
+    a call from another thread waits for the run to end.
     """
 
     def __init__(self, grid: RankGrid, mode: str = "threads", timeout: float = DEFAULT_TIMEOUT):
@@ -240,6 +365,7 @@ class MultiRankExecutor:
         self._domains: list[RankDomain] = []
         self._domain_dims: tuple | None = None
         self.last_stats: list[EpochStats] = []
+        self._workers: _RankWorkers | None = None
 
     def domains(self, geom: LatticeGeometry) -> list[RankDomain]:
         """The rank domains of ``geom``, in rank order."""
@@ -248,34 +374,54 @@ class MultiRankExecutor:
             self._domain_dims = geom.dims
         return self._domains
 
+    def _run(self, task: Callable[[int], None], first_on_caller: bool = False, on_fault=None) -> None:
+        """Run ``task(r)`` for every rank r on its worker (rank 0 on this thread if ``first_on_caller``); wait for all.
+
+        A rank whose task raises calls ``on_fault()``; once every rank has
+        ended, the first fault is re-raised as :class:`RankFaultError`
+        naming its rank.
+        """
+        if self._workers is None:
+            self._workers = _RankWorkers.shared(self.grid.n_ranks)
+        faults: list[tuple[int, Exception]] = []
+
+        def attempt(rank: int) -> None:
+            try:
+                task(rank)
+            except Exception as exc:  # the caller re-raises it, naming the rank
+                faults.append((rank, exc))
+                if on_fault is not None:
+                    on_fault()
+
+        self._workers.run(attempt, first_on_caller)
+        if faults:
+            # with on_fault set, peers it stopped append after the fault that called it
+            rank, exc = faults[0]
+            raise RankFaultError(rank, exc) from exc
+
     def run_ranks(self, work: Callable[[int, Communicator], None]) -> None:
-        """Run ``work(rank, comm)`` for every rank on its own thread, in one new epoch.
+        """Run ``work(rank, comm)`` for every rank on its worker, in one new epoch.
 
         A rank that raises poisons the epoch, so its peers stop at their next
         receive, and the first fault is re-raised as :class:`RankFaultError`
         naming its rank.  On success ``last_stats`` holds every rank's epoch
         statistics.
         """
-        faults: list[tuple[int, Exception]] = []
+        commset = self.commset
+        commset.begin_epoch()
+        self._run(lambda rank: work(rank, commset.rank_comm(rank)), on_fault=commset.poison)
+        self.last_stats = [commset.rank_comm(r).end_epoch() for r in range(self.grid.n_ranks)]
 
-        def run(rank: int) -> None:
-            try:
-                work(rank, self.commset.rank_comm(rank))
-            except Exception as exc:  # a rank thread reports its fault, then stops its peers
-                faults.append((rank, exc))
-                self.commset.poison()
+    def share(self, work: Callable[[int, int], None]) -> None:
+        """Run ``work(i, n)`` for every share i < n = ``grid.n_ranks``: share 0 on this thread, share i on rank i's worker.
 
-        self.commset.begin_epoch()
-        threads = [threading.Thread(target=run, args=(rank,), name=f"rank-{rank}") for rank in range(self.grid.n_ranks)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if faults:
-            # peers stopped by the poison append after the fault that set it
-            rank, exc = faults[0]
-            raise RankFaultError(rank, exc) from exc
-        self.last_stats = [self.commset.rank_comm(r).end_epoch() for r in range(self.grid.n_ranks)]
+        The shares run at once and exchange no messages; each must write
+        only what no other share reads or writes.  A share that raises is
+        re-raised, once every share has ended, as :class:`RankFaultError`
+        naming it.
+        """
+        n = self.grid.n_ranks
+        self._run(lambda i: work(i, n), first_on_caller=True)
 
     def apply_dirac(
         self,

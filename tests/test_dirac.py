@@ -256,6 +256,24 @@ def test_sweep_bitwise_independent_of_chunk_size(monkeypatch, layout):
         assert np.array_equal(schur, outs[0][1])
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_products_past_the_blas_bound_split_bitwise(dtype):
+    # 8192 rows take both the projection (24 x 12) and A^H (12 x 12) past
+    # M*N*K = 10^6, so each runs in row blocks; every output is one input or
+    # the rounded sum of two, so the blocks change no bit
+    rng = np.random.default_rng(3)
+    rows = (rng.standard_normal((8192, 12)) + 1j * rng.standard_normal((8192, 12))).astype(dtype)
+    for r, width in ((dirac._PROJECT_AT[np.dtype(dtype)][1, 0], 12), (dirac._ADJOINT_AT[np.dtype(dtype)][2], 6)):
+        x = rows[:, :width].copy()
+        whole = x.view(r.dtype).reshape(-1, r.shape[0]) @ r
+        assert len(whole) * r.size > dirac._BLAS_SMALL_MNK
+        assert np.array_equal(dirac._times(x, r), whole.view(dtype))
+    # up to b = 8 a chunk's projection stays one product
+    assert fields.chunk_sites(8) * 8 * dirac._PROJECT.shape[-1] * dirac._PROJECT.shape[-2] <= dirac._BLAS_SMALL_MNK
+    # direction 0 starts the accumulators without an A^H product: A_0 = I
+    assert np.array_equal(dirac._ADJOINT[0], np.eye(12))
+
+
 def test_linearity(problem):
     geom, gauge, clover, params, _ = problem
     a = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=43, geom=geom)

@@ -591,6 +591,35 @@ def test_arnoldi_step_applies_the_operator_from_one_basis_row_into_the_next():
         assert np.abs(ws.basis[2, i] * np.linalg.norm(expect) - expect).max() <= 1e-5 * np.linalg.norm(expect)
 
 
+@pytest.mark.parametrize("reliable", [True, False])
+def test_shared_gram_schmidt_keeps_the_step_bitwise(problem, monkeypatch, reliable):
+    # on a rank grid the step splits its columns over the executor's shares,
+    # each column running the kernels it runs on one rank: from the same
+    # basis, the (1,1,1,2) twin's steps leave the single-rank twin's rows,
+    # coefficients and breakdown flags bit for bit
+    geom, gauge, clover = problem
+    params = DiracParams(m0=1.0)
+    eta = gen_spinor(geom.n_sites, 5, Layout.COMPONENT_MAJOR, seed=19, geom=geom)
+    ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)))
+    shares = []
+    real_share = ex.share
+    monkeypatch.setattr(ex, "share", lambda work: shares.append(1) or real_share(work))
+    runs = []
+    for comm in (None, ex):
+        op = DiracOperator(params, gauge, clover, comm).astype(np.complex64)
+        ws = SolverWorkspace.allocate(eta, 4, block_norms(eta), np.complex64)
+        ws.reliable = reliable
+        _start_cycle(op, eta, None, ws)
+        for j in range(4):
+            arnoldi_step(op, ws, j)
+        runs.append(ws)
+    assert len(shares) == 4
+    single, shared = runs
+    assert np.array_equal(shared.basis, single.basis)
+    assert np.array_equal(shared.h_raw, single.h_raw)
+    assert np.array_equal(shared.breakdown, single.breakdown)
+
+
 def _count_row_builds(monkeypatch, modules) -> dict:
     """Count the calls of both row builders and record the sites of every call, by builder name."""
     builds = {"site_blocks": [], "hop_matrices": []}

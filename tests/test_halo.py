@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -217,15 +219,17 @@ def test_rank_fault_is_attributed_at_once(problem, monkeypatch, mode):
 
     monkeypatch.setattr(dirac, "subtract_hops", faulty)
     ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)), mode=mode)
+    workers = _worker_idents(ex)
     t0 = time.perf_counter()
     with pytest.raises(RankFaultError, match="rank 1 failed: ValueError: injected fault") as err:
         ex.apply_dirac(params, gauge, clover, psi)
     assert time.perf_counter() - t0 < DEFAULT_TIMEOUT / 10
     assert err.value.rank == 1
     assert isinstance(err.value.__cause__, ValueError)
-    # the poison lasts one epoch: the next apply runs clean
+    # the poison lasts one epoch: the next apply runs clean, on the same workers
     monkeypatch.setattr(dirac, "subtract_hops", real)
     assert np.array_equal(ex.apply_dirac(params, gauge, clover, psi).data, eta_single.data)
+    assert _worker_idents(ex) == workers
 
 
 @pytest.fixture(scope="module")
@@ -368,3 +372,149 @@ def test_layout_two_rank_apply_holds_no_second_rank_copy(dtype):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 1.1 * peaks[1]
+
+
+def _worker_idents(ex: MultiRankExecutor) -> list:
+    idents = [None] * ex.grid.n_ranks
+    ex.run_ranks(lambda rank, _comm: idents.__setitem__(rank, threading.get_ident()))
+    return idents
+
+
+def _affinities(ex: MultiRankExecutor) -> list:
+    seen = [None] * ex.grid.n_ranks
+    ex.run_ranks(lambda rank, _comm: seen.__setitem__(rank, os.sched_getaffinity(0)))
+    return seen
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs the process may run on")
+def test_rank_workers_are_pinned_only_when_every_rank_gets_a_cpu():
+    allowed = os.sched_getaffinity(0)
+    pinned = _affinities(MultiRankExecutor(RankGrid((1, 1, 1, 2))))
+    assert all(len(cpus) == 1 and cpus <= allowed for cpus in pinned)
+    assert pinned[0] != pinned[1]
+    # the calling thread is never pinned
+    assert os.sched_getaffinity(0) == allowed
+    many = _affinities(MultiRankExecutor(RankGrid((2, 2, 2, 2))))
+    if len(allowed) < 16:
+        assert all(cpus == allowed for cpus in many)
+    else:
+        assert len(set().union(*many)) == 16
+
+
+def test_share_runs_share_zero_on_the_calling_thread():
+    ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)))
+    workers = _worker_idents(ex)
+    seen = {}
+    ex.share(lambda i, n: seen.__setitem__(i, (n, threading.get_ident())))
+    assert seen == {0: (2, threading.get_ident()), 1: (2, workers[1])}
+    one = MultiRankExecutor(RankGrid((1, 1, 1, 1)))
+    one.share(lambda i, n: seen.__setitem__(i, (n, threading.get_ident())))
+    assert seen[0] == (1, threading.get_ident())
+
+
+def test_share_fault_is_attributed_and_the_next_share_runs():
+    ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)))
+    done = []
+
+    def work(i, n):
+        if i == 1:
+            raise ValueError("injected fault")
+        done.append(i)
+
+    with pytest.raises(RankFaultError, match="rank 1 failed: ValueError: injected fault") as err:
+        ex.share(work)
+    # share 0 ran to its end before the fault was raised
+    assert err.value.rank == 1 and done == [0]
+    ex.share(lambda i, n: done.append(i))
+    assert sorted(done[1:]) == [0, 1]
+
+
+def test_dropped_executors_stop_their_workers(problem):
+    # an idle worker holds neither its executor nor its last task, so
+    # dropping the executor stops its workers without a collection pass
+    _, gauge, clover, params, psi, eta_single = problem
+    baseline = threading.active_count()
+    for _ in range(20):
+        ex = MultiRankExecutor(RankGrid((2, 2, 2, 2)))
+        assert np.array_equal(ex.apply_dirac(params, gauge, clover, psi).data, eta_single.data)
+        del ex
+    deadline = time.monotonic() + DEFAULT_TIMEOUT
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= baseline
+
+
+def test_executors_of_as_many_ranks_share_their_workers_one_run_at_a_time(problem):
+    # every thread that allocates keeps a malloc arena, so executors alive
+    # side by side run on one set of workers; callers on two threads take
+    # turns on it, each in its own executor's epochs
+    _, gauge, clover, params, psi, eta_single = problem
+    executors = [MultiRankExecutor(RankGrid((1, 1, 1, 2))) for _ in range(2)]
+    assert _worker_idents(executors[0]) == _worker_idents(executors[1])
+    results = [[], []]
+
+    def apply(k):
+        op = DiracOperator(params, gauge, clover, executors[k])
+        results[k].extend(np.array_equal(op(psi).data, eta_single.data) for _ in range(3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=apply, args=(k,), daemon=True) for k in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(DEFAULT_TIMEOUT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [[True] * 3, [True] * 3]
+    assert [ex.commset.epoch for ex in executors] == [5, 5]
+
+    # a share called while another executor's run holds the workers waits
+    # for that run to end, even its share 0 on the calling thread
+    started, release, order = threading.Event(), threading.Event(), []
+
+    def hold(rank, _comm):
+        started.set()
+        release.wait(DEFAULT_TIMEOUT)
+        order.append("run")
+
+    holder = threading.Thread(target=executors[0].run_ranks, args=(hold,), daemon=True)
+    holder.start()
+    assert started.wait(DEFAULT_TIMEOUT)
+    sharer = threading.Thread(target=executors[1].share, args=(lambda i, n: order.append("share"),), daemon=True)
+    sharer.start()
+    sharer.join(0.1)
+    assert order == []
+    release.set()
+    for t in (holder, sharer):
+        t.join(DEFAULT_TIMEOUT)
+        assert not t.is_alive()
+    assert order == ["run", "run", "share", "share"]
+
+
+@pytest.mark.parametrize("outer", ["run_ranks", "share"])
+@pytest.mark.parametrize("inner", ["run_ranks", "share"])
+def test_nested_runs_raise_instead_of_deadlocking(outer, inner):
+    # a worker that waited for its own executor would never return
+    ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)))
+    calls = {"run_ranks": lambda work: ex.run_ranks(lambda rank, _comm: work()),
+             "share": lambda work: ex.share(lambda i, _n: work())}
+    errors = []
+
+    def nested():
+        try:
+            calls[outer](lambda: calls[inner](lambda: None))
+        except RankFaultError as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=nested, daemon=True)
+    t.start()
+    t.join(DEFAULT_TIMEOUT)
+    assert not t.is_alive()
+    assert len(errors) == 1 and isinstance(errors[0].__cause__, RuntimeError)
+    assert "already running" in str(errors[0])
+    # the executor stays usable
+    assert len(_worker_idents(ex)) == 2
