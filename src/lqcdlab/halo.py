@@ -5,12 +5,12 @@ without any real transport: every (destination rank, direction mu, travel
 step) channel is a capacity-one mailbox, and every rank runs on its own
 worker thread.  The workers are persistent, one per rank, started on an
 executor's first run, shared by the executors of as many ranks that are
-alive together, and stopped once the last of them is dropped.  On a
-machine where the process may run on at least as many CPUs as there are
-ranks, each worker is pinned to a CPU of its own.  (On a 2-vCPU VM,
-fresh threads per apply put both ranks of a two-rank complex64 b = 16
-apply on one vCPU in 25 to 35 of 60 applies, which then took 1.6 to 1.8
-times as long.)  Between applies the executor lends its workers to the
+alive together, and stopped once the last of them is dropped.  Where
+the process may run on exactly as many CPUs as there are ranks, each
+worker is pinned to a CPU of its own.  (On a 2-vCPU VM, fresh threads per
+apply put both ranks of a two-rank complex64 b = 16 apply on one vCPU in
+25 to 35 of 60 applies, which then took 1.6 to 1.8 times as long.)
+Between applies the executor lends its workers to the
 solver (:meth:`MultiRankExecutor.share`), which splits its Gram-Schmidt
 columns over them (gmres module).
 
@@ -229,6 +229,20 @@ class Communicator:
         return EpochStats(epoch=self.commset.epoch, rank=self.rank, wait_seconds=self._wait_seconds)
 
 
+def _rank_cpus(n: int) -> list[int] | None:
+    """The CPU rank r's worker is pinned to, for each of ``n`` ranks; ``None`` leaves the workers to the scheduler.
+
+    Only where the process may run on exactly ``n`` CPUs, more than one,
+    are the workers pinned, rank r's to the r-th.  With more CPUs than
+    ranks the same rule would put rank 0 of every process on one CPU while
+    others idle, and that case has not been measured.
+    """
+    if n < 2 or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) == n else None
+
+
 def _rank_worker(inbox: queue.SimpleQueue, cpu: int | None) -> None:
     """Body of one rank's persistent worker thread: run tasks until a ``None`` arrives.
 
@@ -260,13 +274,12 @@ class _RankWorkers:
     memory freed into it for reuse, so threads per executor would cost
     memory per executor: with a second two-rank executor alive beside the
     solve's (as the benchmark's repeated set-up keeps one), four rank
-    threads raised the tworank-b16 peak RSS from 211 to 259 MB (2-vCPU
-    VM; shared, 199 MB).  The
-    threads stop once the last executor holding them is dropped.
+    threads raised the tworank-b16 ``peak_rss_mb`` from 211.6 to 259.1 MB
+    (one pair of benchmark runs, 2-vCPU VM); shared, they leave it at the
+    parent's level.  The threads stop once the last executor holding them
+    is dropped.
 
-    When the CPUs the process may run on (``os.sched_getaffinity``) number
-    at least the ranks, and there is more than one rank, rank r's worker is
-    pinned to the r-th of them; otherwise no worker is pinned.  One set of
+    The workers are pinned as :func:`_rank_cpus` says.  One set of
     tasks runs at a time; a caller that holds the workers already, or is
     one of them, is refused, since waiting would deadlock.
     """
@@ -275,10 +288,9 @@ class _RankWorkers:
     _live_lock = threading.Lock()
 
     def __init__(self, n: int):
-        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-        pinned = n > 1 and len(cpus) >= n
+        cpus = _rank_cpus(n)
         self.inboxes = [queue.SimpleQueue() for _ in range(n)]
-        self.threads = [threading.Thread(target=_rank_worker, args=(inbox, cpus[rank] if pinned else None),
+        self.threads = [threading.Thread(target=_rank_worker, args=(inbox, cpus[rank] if cpus else None),
                                          name=f"rank-{rank}", daemon=True)
                         for rank, inbox in enumerate(self.inboxes)]
         self._lock = threading.Lock()
@@ -345,7 +357,7 @@ class MultiRankExecutor:
     The workers are started on first use and shared with every other live
     executor of as many ranks; they stop once the last of them is dropped
     (they hold no reference to any executor between runs).  When the CPUs
-    the process may run on (``os.sched_getaffinity``) number at least the
+    the process may run on (``os.sched_getaffinity``) number exactly the
     ranks, and there is more than one rank, rank r's worker is pinned to
     the r-th of them, so two ranks never share a CPU while another idles;
     otherwise no worker is pinned.  The calling thread is never pinned.
@@ -379,16 +391,16 @@ class MultiRankExecutor:
 
         A rank whose task raises calls ``on_fault()``; once every rank has
         ended, the first fault is re-raised as :class:`RankFaultError`
-        naming its rank.
+        naming its rank, or as itself if it is no ``Exception``.
         """
         if self._workers is None:
             self._workers = _RankWorkers.shared(self.grid.n_ranks)
-        faults: list[tuple[int, Exception]] = []
+        faults: list[tuple[int, BaseException]] = []
 
         def attempt(rank: int) -> None:
             try:
                 task(rank)
-            except Exception as exc:  # the caller re-raises it, naming the rank
+            except BaseException as exc:  # the caller re-raises it; no fault ends a worker
                 faults.append((rank, exc))
                 if on_fault is not None:
                     on_fault()
@@ -397,6 +409,8 @@ class MultiRankExecutor:
         if faults:
             # with on_fault set, peers it stopped append after the fault that called it
             rank, exc = faults[0]
+            if not isinstance(exc, Exception):  # SystemExit, KeyboardInterrupt: raised as they are
+                raise exc
             raise RankFaultError(rank, exc) from exc
 
     def run_ranks(self, work: Callable[[int, Communicator], None]) -> None:
@@ -404,7 +418,7 @@ class MultiRankExecutor:
 
         A rank that raises poisons the epoch, so its peers stop at their next
         receive, and the first fault is re-raised as :class:`RankFaultError`
-        naming its rank.  On success ``last_stats`` holds every rank's epoch
+        naming its rank (one that is no ``Exception`` as itself).  On success ``last_stats`` holds every rank's epoch
         statistics.
         """
         commset = self.commset
@@ -418,7 +432,7 @@ class MultiRankExecutor:
         The shares run at once and exchange no messages; each must write
         only what no other share reads or writes.  A share that raises is
         re-raised, once every share has ended, as :class:`RankFaultError`
-        naming it.
+        naming it (a fault that is no ``Exception`` as itself).
         """
         n = self.grid.n_ranks
         self._run(lambda i: work(i, n), first_on_caller=True)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lqcdlab import dirac
+from lqcdlab import dirac, halo
 from lqcdlab.dirac import DiracOperator, DiracParams, apply_dirac
 from lqcdlab.fields import Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import LatticeGeometry, RankGrid
@@ -386,20 +386,53 @@ def _affinities(ex: MultiRankExecutor) -> list:
     return seen
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs at least two CPUs the process may run on")
-def test_rank_workers_are_pinned_only_when_every_rank_gets_a_cpu():
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_rank_cpus_pin_only_where_the_cpus_number_the_ranks(monkeypatch):
+    # with more CPUs than ranks, rank r on the r-th CPU would put rank 0 of
+    # every process on one CPU while others idle
+    monkeypatch.setattr(halo.os, "sched_getaffinity", lambda pid: {3, 1})
+    assert halo._rank_cpus(2) == [1, 3]
+    assert halo._rank_cpus(1) is None and halo._rank_cpus(4) is None
+    monkeypatch.setattr(halo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert halo._rank_cpus(2) is None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_rank_workers_are_pinned_only_where_the_cpus_number_the_ranks():
     allowed = os.sched_getaffinity(0)
-    pinned = _affinities(MultiRankExecutor(RankGrid((1, 1, 1, 2))))
-    assert all(len(cpus) == 1 and cpus <= allowed for cpus in pinned)
-    assert pinned[0] != pinned[1]
+    two = _affinities(MultiRankExecutor(RankGrid((1, 1, 1, 2))))
+    if len(allowed) == 2:
+        assert two == [{cpu} for cpu in sorted(allowed)]
+    else:
+        assert two == [allowed, allowed]
     # the calling thread is never pinned
     assert os.sched_getaffinity(0) == allowed
     many = _affinities(MultiRankExecutor(RankGrid((2, 2, 2, 2))))
-    if len(allowed) < 16:
-        assert all(cpus == allowed for cpus in many)
+    if len(allowed) == 16:
+        assert many == [{cpu} for cpu in sorted(allowed)]
     else:
-        assert len(set().union(*many)) == 16
+        assert all(cpus == allowed for cpus in many)
+
+
+def test_a_rank_that_raises_system_exit_leaves_its_worker_running(problem, monkeypatch):
+    # a fault that is no Exception reaches the caller as it is, and the
+    # worker that ran it lives on to run the next apply
+    _, gauge, clover, params, psi, eta_single = problem
+    real = dirac.subtract_hops
+
+    def exits(*args, comm=None, **kwargs):
+        if comm is not None and comm.rank == 1:
+            raise SystemExit("injected exit")
+        real(*args, comm=comm, **kwargs)
+
+    ex = MultiRankExecutor(RankGrid((1, 1, 1, 2)))
+    workers = _worker_idents(ex)
+    monkeypatch.setattr(dirac, "subtract_hops", exits)
+    with pytest.raises(SystemExit, match="injected exit"):
+        ex.apply_dirac(params, gauge, clover, psi)
+    monkeypatch.setattr(dirac, "subtract_hops", real)
+    assert np.array_equal(ex.apply_dirac(params, gauge, clover, psi).data, eta_single.data)
+    assert _worker_idents(ex) == workers
 
 
 def test_share_runs_share_zero_on_the_calling_thread():
