@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -21,11 +22,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, config_hash, layout_of, load_config,
-                     set_key, text_hash, validate)
+from .config import ConfigError, RunConfig, config_hash, load_config, set_key, text_hash, validate
 from .costmodel import AbstractMachine, CostWeights, cost as weighted_cost, delta_cost, run_kernel
 from .dirac import DiracOperator, DiracParams, account_traffic, apply_dirac
-from .fields import (RNG_ALGORITHM, BlockSpinorField, gen_clover, gen_gauge, gen_spinor,
+from .fields import (RNG_ALGORITHM, BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor,
                      write_clover, write_gauge, write_spinor)
 from .geometry import LatticeGeometry, RankGrid, decompose
 from .gmres import GmresConfig, solve_dirac
@@ -78,12 +78,12 @@ def _load_runconfig(args) -> RunConfig:
     return cfg
 
 
-def _build_problem(cfg: RunConfig):
+def _seeded_fields(cfg: RunConfig):
+    """The geometry and the gauge (from ``seed``) and clover (from ``seed + 1``) fields of a config."""
     geom = LatticeGeometry(cfg.dims)
     gauge = gen_gauge(geom, cfg.gauge_mode, seed=cfg.seed)
     clover = gen_clover(geom, cfg.clover_mode, cfg.clover_scale, seed=cfg.seed + 1)
-    eta = gen_spinor(geom.n_sites, cfg.b, layout_of(cfg), seed=cfg.seed + 2, geom=geom)
-    return geom, gauge, clover, eta
+    return geom, gauge, clover
 
 
 def _rank_grid(cfg: RunConfig, geom: LatticeGeometry) -> RankGrid | None:
@@ -141,9 +141,7 @@ def cmd_bench_dirac(args) -> int:
     if any(layout not in (1, 2) for layout in layouts):
         raise ConfigError(f"--layout-list entries must be 1 or 2, got {layouts}")
     _emit_header(config_hash(cfg), cfg.seed)
-    geom = LatticeGeometry(cfg.dims)
-    gauge = gen_gauge(geom, cfg.gauge_mode, seed=cfg.seed)
-    clover = gen_clover(geom, cfg.clover_mode, cfg.clover_scale, seed=cfg.seed + 1)
+    geom, gauge, clover = _seeded_fields(cfg)
     params = DiracParams(m0=cfg.m0)
     grid = _rank_grid(cfg, geom)
     comm = MultiRankExecutor(grid) if grid is not None else None
@@ -168,7 +166,8 @@ def cmd_bench_dirac(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_runconfig(args)
     _emit_header(config_hash(cfg), cfg.seed)
-    _, gauge, clover, eta = _build_problem(cfg)
+    geom, gauge, clover = _seeded_fields(cfg)
+    eta = gen_spinor(geom.n_sites, cfg.b, Layout(cfg.layout), seed=cfg.seed + 2, geom=geom)
     params = DiracParams(m0=cfg.m0)
     gcfg = GmresConfig(
         restart_len=cfg.restart_len,
@@ -176,7 +175,7 @@ def cmd_solve(args) -> int:
         tol=cfg.tol,
         fixed_iterations=cfg.fixed_iterations,
     )
-    grid = _rank_grid(cfg, eta.geom)
+    grid = _rank_grid(cfg, geom)
     # the grid is validated on either path, but the even/odd solve runs
     # single-rank, so only a full-system solve gets an executor
     comm = MultiRankExecutor(grid) if grid is not None and not cfg.odd_even else None
@@ -212,13 +211,10 @@ def cmd_solve(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = _load_runconfig(args)
     _emit_header(config_hash(cfg), cfg.seed)
-    geom = LatticeGeometry(cfg.dims)
-    if 12 * geom.n_sites > MAX_DENSE_DIM:
-        raise ConfigError(
-            f"lattice too large for the dense oracle ({12 * geom.n_sites} > {MAX_DENSE_DIM})"
-        )
-    gauge = gen_gauge(geom, cfg.gauge_mode, seed=cfg.seed)
-    clover = gen_clover(geom, cfg.clover_mode, cfg.clover_scale, seed=cfg.seed + 1)
+    dense_dim = 12 * math.prod(cfg.dims)
+    if dense_dim > MAX_DENSE_DIM:
+        raise ConfigError(f"lattice too large for the dense oracle ({dense_dim} > {MAX_DENSE_DIM})")
+    geom, gauge, clover = _seeded_fields(cfg)
     if args.corrupt_gauge:
         gauge.data[0, 0, 0, 0] += 0.5
     params = DiracParams(m0=cfg.m0)
@@ -265,7 +261,7 @@ def cmd_oracle_check(args) -> int:
     def check_free_field():
         unit = gen_gauge(geom, "unit")
         zero = gen_clover(geom, "zero")
-        psi = BlockSpinorField.zeros(geom.n_sites, 2, layout_of(cfg), geom=geom)
+        psi = BlockSpinorField.zeros(geom.n_sites, 2, Layout(cfg.layout), geom=geom)
         psi.set_ksi(np.ones((geom.n_sites, 12, 2), dtype=np.complex128))
         eta = apply_dirac(params, unit, zero, psi)
         err = np.abs(eta.ksi() - params.m0 * psi.ksi()).max()
@@ -279,7 +275,7 @@ def cmd_oracle_check(args) -> int:
         errs = []
         for apply, dense, n_sites in ((schur.apply, assemble_schur_dense, schur.n_sites),
                                       (schur.apply_full, assemble_dirac_dense, geom.n_sites)):
-            v = gen_spinor(n_sites, 2, layout_of(cfg), seed=cfg.seed + 3)
+            v = gen_spinor(n_sites, 2, Layout(cfg.layout), seed=cfg.seed + 3)
             ref = dense(params, gauge, clover) @ v.columns()
             errs.append(np.linalg.norm(apply(v).columns() - ref) / np.linalg.norm(ref))
         metric = f"S rel err {errs[0]:.3e}, apply_full rel err {errs[1]:.3e}"
@@ -306,11 +302,11 @@ def cmd_oracle_check(args) -> int:
         del dense
         schur = SchurOperator(params, gauge, clover)
         schur_twin = schur.astype(np.complex64)
-        v = gen_spinor(schur.n_sites, 2, layout_of(cfg), seed=cfg.seed + 3)
+        v = gen_spinor(schur.n_sites, 2, Layout(cfg.layout), seed=cfg.seed + 3)
         ref = assemble_schur_dense(params, gauge, clover) @ v.columns()
         got = schur_twin(v.astype(np.complex64)).columns()
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
-        eta = gen_spinor(geom.n_sites, 2, layout_of(cfg), seed=cfg.seed + 4, geom=geom)
+        eta = gen_spinor(geom.n_sites, 2, Layout(cfg.layout), seed=cfg.seed + 4, geom=geom)
         reduced, eta_elim = schur.reduce_rhs(eta)
         reduced32, eta_elim32 = schur_twin.reduce_rhs(eta.astype(np.complex64))
         worst = max(worst, rel(reduced32, reduced), rel(eta_elim32, eta_elim),
@@ -342,22 +338,24 @@ def cmd_oracle_check(args) -> int:
 def cmd_gen_fields(args) -> int:
     cfg = _load_runconfig(args)
     _emit_header(config_hash(cfg), cfg.seed)
-    geom, gauge, clover, psi = _build_problem(cfg)
+    geom, gauge, clover = _seeded_fields(cfg)
+    eta = gen_spinor(geom.n_sites, cfg.b, Layout(cfg.layout), seed=cfg.seed + 2, geom=geom)
+    # the rhs is eta.snap: psi.snap is the name solve gives its solution under the same output.path
     prefix = cfg.out_path
     paths = {
         "gauge": f"{prefix}gauge.snap",
         "clover": f"{prefix}clover.snap",
-        "psi": f"{prefix}psi.snap",
+        "eta": f"{prefix}eta.snap",
     }
     write_gauge(_prepare_out(paths["gauge"]), gauge)
     write_clover(_prepare_out(paths["clover"]), clover)
-    write_spinor(_prepare_out(paths["psi"]), psi)
+    write_spinor(_prepare_out(paths["eta"]), eta)
     print(json.dumps({
         "files": paths,
         "checksums": {
             "gauge": _checksum(gauge.data),
             "clover": _checksum(clover.data),
-            "psi": _checksum(psi.data),
+            "eta": _checksum(eta.data),
         },
     }, indent=2))
     return 0

@@ -8,9 +8,8 @@ order, single-space separators) so configs diff cleanly and hash stably.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields as dc_fields
-
-from .fields import Layout
 
 
 class ConfigError(ValueError):
@@ -168,13 +167,13 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"gauge.mode must be unit or random, got {cfg.gauge_mode!r}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    for key in ("dirac.m0", "clover.scale", "solver.tol"):
+        value = getattr(cfg, KEY_MAP[key])
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.clover_scale < 0:
         raise ConfigError("clover.scale must be nonnegative")
     if not cfg.tol > 0:
         raise ConfigError("solver.tol must be positive")
     if cfg.restart_len < 1 or cfg.restarts < 1:
         raise ConfigError("solver.restart_len and solver.restarts must be >= 1")
-
-
-def layout_of(cfg: RunConfig) -> Layout:
-    return Layout(cfg.layout)

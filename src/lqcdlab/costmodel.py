@@ -66,9 +66,6 @@ class InstructionHistogram:
     def __getitem__(self, op: str) -> int:
         return self.counts.get(op, 0)
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def as_dict(self) -> dict:
         return {op: self.counts.get(op, 0) for op in OPCODES}
 
@@ -164,10 +161,6 @@ class AbstractMachine:
         re[:pairs] = chunk[0::2]
         im[:pairs] = chunk[1::2]
         self.trace["LD2"] += 1
-
-    def st1(self, src: str, mem: np.ndarray, offset: int, count: int) -> None:
-        mem[offset : offset + count] = self.regs[src][:count]
-        self.trace["ST1"] += 1
 
     def st1_tile_row(self, row: int, mem: np.ndarray, offset: int, count: int) -> None:
         mem[offset : offset + count] = self.za[row, :count]
@@ -373,31 +366,6 @@ def run_kernel(
     _RUNNERS[strategy](mch, a_mem, m_mem, o_mem, b)
     out = o_mem[0::2].reshape(3, b) + 1j * o_mem[1::2].reshape(3, b)
     return out, InstructionHistogram(dict(mch.trace))
-
-
-def neg_a_tile_accumulation(a: np.ndarray, m: np.ndarray, machine: AbstractMachine | None = None) -> np.ndarray:
-    """Tile contents after one column-row accumulation of the neg-A strategy.
-
-    Row 2i holds Re(a[i,0]*m[0,j]) across j, row 2i+1 the imaginary parts.
-    """
-    mch = machine if machine is not None else AbstractMachine()
-    if mch.svl_bits < 384:
-        raise UnsupportedConfigError("needs svl_bits >= 384")
-    mch.reset()
-    a = np.asarray(a, dtype=np.complex128)
-    m = np.asarray(m, dtype=np.complex128)
-    b = m.shape[1]
-    w = min(mch.lanes64, b)
-    a_mem = _interleave(a.T)
-    m_mem = _interleave(m)
-    mch.ld1("a0", a_mem, 0, 6)
-    mch.revd("t0", "a0")
-    mch.fneg_even("an0", "t0")
-    mch.zero_za()
-    mch.ld2("mre", "mim", m_mem, 0, w)
-    mch.fmopa("a0", "mre", 6, w)
-    mch.fmopa("an0", "mim", 6, w)
-    return mch.za.copy()
 
 
 def delta_cost(

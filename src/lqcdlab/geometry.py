@@ -48,44 +48,6 @@ class LatticeGeometry:
     def n_sites(self) -> int:
         return math.prod(self.dims)
 
-    def site_index(self, coord: Coord) -> int:
-        """Mixed-radix site number of a coordinate, x3 fastest."""
-        idx = 0
-        for d in range(NDIM):
-            c = coord[d]
-            if not 0 <= c < self.dims[d]:
-                raise ValueError(f"coordinate {coord} out of range for dims {self.dims}")
-            idx = idx * self.dims[d] + c
-        return idx
-
-    def site_coord(self, idx: int) -> Coord:
-        """Inverse of :meth:`site_index`."""
-        if not 0 <= idx < self.n_sites:
-            raise ValueError(f"site index {idx} out of range for dims {self.dims}")
-        out = [0] * NDIM
-        for d in reversed(range(NDIM)):
-            idx, out[d] = divmod(idx, self.dims[d])
-        return tuple(out)
-
-    def parity(self, coord: Coord) -> int:
-        """0 for even sites, 1 for odd; checkerboard color of the site."""
-        return sum(coord) % 2
-
-    def neighbor(self, coord: Coord, mu: int, step: int) -> Coord:
-        """Coordinate one hop away in direction ``mu``; wraps periodically.
-
-        ``step`` is +1 or -1.
-        """
-        if not 0 <= mu < NDIM:
-            raise ValueError(f"direction {mu} out of range")
-        if step not in (1, -1):
-            raise ValueError(f"step must be +1 or -1, got {step}")
-        out = list(coord)
-        out[mu] = (coord[mu] + step) % self.dims[mu]
-        return tuple(out)
-
-    # -- vectorized tables -------------------------------------------------
-
     @cached_property
     def coords(self) -> np.ndarray:
         """(n_sites, 4) int array; row i is the coordinate of site i."""
@@ -98,7 +60,7 @@ class LatticeGeometry:
         return self.coords.sum(axis=1) % 2
 
     def site_indices(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`site_index` for an (n, 4) coordinate array."""
+        """Mixed-radix site numbers of an (n, 4) coordinate array, x3 fastest."""
         idx = np.zeros(len(coords), dtype=np.int64)
         for d in range(NDIM):
             idx = idx * self.dims[d] + coords[:, d]

@@ -86,6 +86,7 @@ restart residual.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,8 @@ class GmresConfig:
     def __post_init__(self) -> None:
         if self.restart_len < 1 or self.restarts < 1:
             raise ValueError("restart_len and restarts must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass

@@ -369,11 +369,11 @@ class MultiRankExecutor:
     a call from another thread waits for the run to end.
     """
 
-    def __init__(self, grid: RankGrid, mode: str = "threads", timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, grid: RankGrid, mode: str = "threads"):
         if mode != "threads":
             raise ValueError(f"unknown execution mode {mode!r}; ranks run only on threads")
         self.grid = grid
-        self.commset = CommunicatorSet(grid, timeout)
+        self.commset = CommunicatorSet(grid)
         self._domains: list[RankDomain] = []
         self._domain_dims: tuple | None = None
         self.last_stats: list[EpochStats] = []

@@ -40,8 +40,10 @@ Negation is exact, so every value is the one the algebra written with
 D_oo^-1 gives.  N is the negated batched inverse of the eliminated 6x6
 blocks, computed once per operator and exact up to roundoff, never
 iterative.  A half-lattice field is a gather of whole site blocks
-(:meth:`lqcdlab.fields.BlockSpinorField.take_sites`) that keeps the
-layout; the hop sweep runs on one parity's sites with cross-parity
+(:meth:`lqcdlab.fields.BlockSpinorField.take_sites` of the geometry's
+``even_sites`` or ``odd_sites``) that keeps the layout, and
+:meth:`SchurOperator.merge` puts two halves back into a whole-lattice
+field; the hop sweep runs on one parity's sites with cross-parity
 neighbor tables.  :meth:`SchurOperator.apply` allocates its temporaries t
 and N t in row order (Layout 1), the order the sweep reads, so only its
 first sweep transposes a Layout-2 input and the second copies nothing.
@@ -82,21 +84,6 @@ class SingularBlockError(np.linalg.LinAlgError):
         super().__init__(
             f"site-local block {block} at site {site} {what} (condition estimate {cond:.3e})"
         )
-
-
-def split_fields(v: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
-    """Partition a full-lattice field into its (even, odd) halves, sites ascending."""
-    if v.geom is None:
-        raise ValueError("field carries no geometry to split by parity")
-    return v.take_sites(v.geom.even_sites), v.take_sites(v.geom.odd_sites)
-
-
-def merge_fields(v_even: BlockSpinorField, v_odd: BlockSpinorField, geom: LatticeGeometry) -> BlockSpinorField:
-    """Inverse of :func:`split_fields`, at the halves' precision."""
-    out = BlockSpinorField.zeros(geom.n_sites, v_even.b, v_even.layout, geom, v_even.dtype)
-    out.put_sites(geom.even_sites, v_even)
-    out.put_sites(geom.odd_sites, v_odd)
-    return out
 
 
 def _cross_rows(geom: LatticeGeometry, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -251,5 +238,8 @@ class SchurOperator:
         return self.merge(out_kept, out_elim)
 
     def merge(self, x_kept: BlockSpinorField, x_elim: BlockSpinorField) -> BlockSpinorField:
-        """The whole-lattice field of the even half ``x_kept`` and the odd half ``x_elim``."""
-        return merge_fields(x_kept, x_elim, self.geom)
+        """The whole-lattice field of the even half ``x_kept`` and the odd half ``x_elim``, at the halves' precision."""
+        out = BlockSpinorField.zeros(self.geom.n_sites, x_kept.b, x_kept.layout, self.geom, x_kept.dtype)
+        out.put_sites(self.keep_sites, x_kept)
+        out.put_sites(self.elim_sites, x_elim)
+        return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -7,7 +8,8 @@ import pytest
 
 from lqcdlab.cli import main
 from lqcdlab.config import RunConfig, config_hash, set_key
-from lqcdlab.fields import read_spinor
+from lqcdlab.fields import Layout, gen_spinor, read_spinor
+from lqcdlab.geometry import LatticeGeometry
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +145,15 @@ def test_validation_exit_code(capsys):
     # a negative seed is a validation error before the header, not numpy's after it
     code, out, err = run_cli(capsys, "solve", "--set", "seed=-3")
     assert code == 1 and "seed must be >= 0, got -3" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("setting", ["solver.tol=inf", "solver.tol=nan", "dirac.m0=nan", "clover.scale=inf"])
+def test_non_finite_setting_is_a_validation_error(capsys, setting):
+    # rejected before the header, not a solve that "converges" at tol=inf
+    # after 0 iterations or runs a non-finite operator until it fails
+    code, out, err = run_cli(capsys, "solve", "--set", setting)
+    assert code == 1 and f"{setting.split('=')[0]} must be finite" in err
     assert out == ""
 
 
@@ -359,6 +370,21 @@ def test_gen_fields(capsys, tmp_path):
     payload = json.loads("\n".join(out.splitlines()[1:]))
     for path in payload["files"].values():
         assert os.path.exists(path)
+
+
+def test_gen_fields_rhs_survives_a_solve_under_the_same_prefix(capsys, tmp_path):
+    settings = ["--set", "lattice.dims=2 2 2 4", "--set", "block.b=2", "--set", "seed=6",
+                "--set", "dirac.m0=1.0", "--set", f"output.path={tmp_path}{os.sep}"]
+    code, out, _ = run_cli(capsys, "gen-fields", *settings)
+    assert code == 0
+    payload = json.loads("\n".join(out.splitlines()[1:]))
+    assert payload["files"]["eta"] == f"{tmp_path}{os.sep}eta.snap"
+    code, _, _ = run_cli(capsys, "solve", *settings)
+    assert code == 0 and (tmp_path / "psi.snap").exists()
+    eta = read_spinor(tmp_path / "eta.snap")
+    geom = LatticeGeometry((2, 2, 2, 4))
+    assert np.array_equal(eta.data, gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=6 + 2, geom=geom).data)
+    assert hashlib.sha256(eta.data.tobytes()).hexdigest()[:16] == payload["checksums"]["eta"]
 
 
 def test_cost_model_json(capsys, tmp_path):

@@ -105,6 +105,10 @@ def test_set_key():
         ("solver.tol = 0", "tol"),
         ("solver.restart_len = 0", "restart"),
         ("seed = -3", "seed must be >= 0"),
+        ("dirac.m0 = nan", "dirac.m0 must be finite"),
+        ("clover.scale = inf", "clover.scale must be finite"),
+        ("solver.tol = inf", "solver.tol must be finite"),
+        ("solver.tol = nan", "solver.tol must be finite"),
     ],
 )
 def test_validate_rejects(line, match):

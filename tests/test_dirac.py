@@ -23,7 +23,7 @@ from lqcdlab.dirac import (
 from lqcdlab.fields import BlockSpinorField, Layout, gen_clover, gen_gauge, gen_spinor
 from lqcdlab.geometry import NDIM, LatticeGeometry, RankGrid
 from lqcdlab.halo import MultiRankExecutor
-from lqcdlab.oddeven import SchurOperator, split_fields
+from lqcdlab.oddeven import SchurOperator
 from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense, parity_component_indices
 
 
@@ -97,12 +97,12 @@ def test_real_self_coupling_operators_match_dense_oracle(problem, schur_dense, l
     # psi's halves serve as x_e and as eta_o
     even, odd = (parity_component_indices(geom, parity) for parity in (0, 1))
     d_eo, d_oe, d_oo = (dense[np.ix_(rows, cols)] for rows, cols in ((even, odd), (odd, even), (odd, odd)))
-    x_kept, eta_elim = (half.columns() for half in split_fields(psi))
+    x_kept, eta_elim = (psi.take_sites(sites).columns() for sites in (geom.even_sites, geom.odd_sites))
     schur_ref = schur_dense @ x_kept
     reduced_ref = x_kept - d_eo @ np.linalg.solve(d_oo, eta_elim)
     elim_ref = np.linalg.solve(d_oo, eta_elim - d_oe @ x_kept)
     for op, field, tol in ((schur, psi, 1e-12), (schur.astype(np.complex64), single, 1e-6)):
-        half = split_fields(field)[0]
+        half = field.take_sites(geom.even_sites)
         reduced, elim = op.reduce_rhs(field)
         assert _rel(op.apply(half).columns(), schur_ref) < tol
         assert _rel(reduced.columns(), reduced_ref) < tol
@@ -243,7 +243,7 @@ def test_sweep_bitwise_independent_of_chunk_size(monkeypatch, layout):
     params = DiracParams(m0=-0.5)
     b = 3
     psi = gen_spinor(geom.n_sites, b, layout, seed=47, geom=geom)
-    half = split_fields(psi)[0]
+    half = psi.take_sites(geom.even_sites)
     outs = []
     monkeypatch.setattr(fields, "_MIN_CHUNK_SITES", 1)
     for chunk in (1, 7, 64, geom.n_sites):

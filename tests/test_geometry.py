@@ -20,18 +20,21 @@ def test_dims_validation():
         LatticeGeometry((4, 0, 4, 4))
 
 
+def _sites(geom, *coords):
+    return geom.site_indices(np.array(coords))
+
+
 def test_site_index_frozen(geom44):
     # mixed radix with the last direction fastest
-    assert geom44.site_index((0, 0, 0, 0)) == 0
-    assert geom44.site_index((0, 0, 0, 1)) == 1
-    assert geom44.site_index((0, 0, 1, 0)) == 4
-    assert geom44.site_index((1, 2, 3, 0)) == 108
-    assert geom44.site_index((3, 3, 3, 3)) == 255
+    got = _sites(geom44, (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (1, 2, 3, 0), (3, 3, 3, 3))
+    assert got.tolist() == [0, 1, 4, 108, 255]
 
 
 def test_site_coord_roundtrip(geom44):
-    for i in range(geom44.n_sites):
-        assert geom44.site_index(geom44.site_coord(i)) == i
+    # row i of coords is the coordinate of site i, in any order of rows
+    assert geom44.coords[108].tolist() == [1, 2, 3, 0]
+    perm = np.random.default_rng(0).permutation(geom44.n_sites)
+    assert np.array_equal(geom44.site_indices(geom44.coords[perm]), perm)
 
 
 @settings(max_examples=40, deadline=None)
@@ -44,16 +47,15 @@ def test_site_index_roundtrip_any_lattice(halves):
 
 
 def test_parity(geom44):
-    assert geom44.parity((0, 0, 0, 0)) == 0
-    assert geom44.parity((0, 0, 0, 1)) == 1
-    assert geom44.parity((1, 1, 0, 0)) == 0
+    assert geom44.parities[_sites(geom44, (0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0))].tolist() == [0, 1, 0]
     assert len(geom44.even_sites) == len(geom44.odd_sites) == geom44.n_sites // 2
 
 
 def test_neighbor_wraps(geom44):
-    assert geom44.neighbor((3, 0, 0, 0), 0, +1) == (0, 0, 0, 0)
-    assert geom44.neighbor((0, 0, 0, 0), 0, -1) == (3, 0, 0, 0)
-    assert geom44.neighbor((1, 2, 3, 0), 2, +1) == (1, 2, 0, 0)
+    tables = geom44.neighbor_tables
+    assert tables[0, _sites(geom44, (3, 0, 0, 0))] == _sites(geom44, (0, 0, 0, 0))
+    assert tables[1, _sites(geom44, (0, 0, 0, 0))] == _sites(geom44, (3, 0, 0, 0))
+    assert tables[4, _sites(geom44, (1, 2, 3, 0))] == _sites(geom44, (1, 2, 0, 0))
 
 
 def test_neighbor_table_is_permutation(geom44):

@@ -43,6 +43,9 @@ def test_config_validation():
         GmresConfig(restart_len=0)
     with pytest.raises(ValueError):
         GmresConfig(tol=0.0)
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            GmresConfig(tol=tol)
 
 
 def test_identity_converges_in_one_iteration():

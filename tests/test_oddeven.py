@@ -16,12 +16,7 @@ from lqcdlab.fields import (
     gen_spinor,
 )
 from lqcdlab.geometry import LatticeGeometry
-from lqcdlab.oddeven import (
-    SchurOperator,
-    SingularBlockError,
-    merge_fields,
-    split_fields,
-)
+from lqcdlab.oddeven import SchurOperator, SingularBlockError
 from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense, dense_solve
 
 
@@ -35,11 +30,11 @@ def problem():
 
 
 def test_split_merge_roundtrip(problem):
-    geom, *_ = problem
+    geom, gauge, clover, params = problem
     v = gen_spinor(geom.n_sites, 3, Layout.RHS_MAJOR, seed=70, geom=geom)
-    ve, vo = split_fields(v)
+    ve, vo = v.take_sites(geom.even_sites), v.take_sites(geom.odd_sites)
     assert ve.n_sites == vo.n_sites == geom.n_sites // 2
-    back = merge_fields(ve, vo, geom)
+    back = SchurOperator(params, gauge, clover).merge(ve, vo)
     assert np.array_equal(back.data, v.data)
     # energy splits exactly across parities
     tot = block_norms(v) ** 2
@@ -59,19 +54,20 @@ def test_merge_keeps_the_halves_precision(problem):
     # merging two complex64 halves used to allocate a complex128 field and fail
     geom, gauge, clover, params = problem
     v = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=74, geom=geom).astype(np.complex64)
-    ve, vo = split_fields(v)
-    back = merge_fields(ve, vo, geom)
-    assert back.dtype == np.complex64 and np.array_equal(back.data, v.data)
-    assert np.array_equal(SchurOperator(params, gauge, clover).astype(np.complex64).merge(ve, vo).data, v.data)
+    ve, vo = v.take_sites(geom.even_sites), v.take_sites(geom.odd_sites)
+    schur = SchurOperator(params, gauge, clover)
+    for merge in (schur.merge, schur.astype(np.complex64).merge):
+        back = merge(ve, vo)
+        assert back.dtype == np.complex64 and np.array_equal(back.data, v.data)
     for halves in ((ve, vo.astype(np.complex128)), (ve.astype(np.complex128), vo)):
         with pytest.raises(ValueError, match="complex64.*complex128|complex128.*complex64"):
-            merge_fields(*halves, geom)
+            schur.merge(*halves)
 
 
 def test_split_ordering_is_site_ascending(problem):
     geom, *_ = problem
     v = gen_spinor(geom.n_sites, 1, Layout.COMPONENT_MAJOR, seed=71, geom=geom)
-    ve, _ = split_fields(v)
+    ve = v.take_sites(geom.even_sites)
     assert np.array_equal(ve.ksi(), v.ksi()[geom.even_sites])
     assert np.array_equal(geom.even_sites, np.sort(geom.even_sites))
 
@@ -130,7 +126,7 @@ def test_layout_two_and_its_conversion_give_bitwise_equal_schur_pieces(problem, 
     schur = full.astype(dtype)
     psi2 = gen_spinor(geom.n_sites, b, Layout.COMPONENT_MAJOR, seed=75, geom=geom).astype(dtype)
     psi1 = psi2.convert(Layout.RHS_MAJOR)
-    v2 = split_fields(psi2)[0]
+    v2 = psi2.take_sites(geom.even_sites)
     v1 = v2.convert(Layout.RHS_MAJOR)
     pieces = []
     for psi, v in ((psi2, v2), (psi1, v1)):
