@@ -32,7 +32,7 @@ from .gmres import GmresConfig, solve_dirac
 from .halo import MultiRankExecutor
 from .oracle import MAX_DENSE_DIM, assemble_dirac_dense, assemble_schur_dense
 from .oddeven import SchurOperator
-from .perf import RooflineInputs, roofline_report, stream_bench
+from .perf import roofline_report, stream_bench
 from .projectors import check_algebra
 
 
@@ -380,7 +380,7 @@ def cmd_roofline(args) -> int:
     if isinstance(data, dict) and "records" not in data:
         raise ValueError(f"{args.infile} holds an object without a 'records' list")
     runs = data["records"] if isinstance(data, dict) else data
-    report = roofline_report(runs, RooflineInputs(stream_triad_bw=args.triad_bw * 1e9))
+    report = roofline_report(runs, args.triad_bw * 1e9)
     csv_text = report.to_csv()
     if args.out:
         with open(_prepare_out(args.out), "w", encoding="utf-8") as fh:

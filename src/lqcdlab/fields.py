@@ -54,6 +54,10 @@ _MAGIC_CLOVER = b"LQMC"
 # number of independent complex entries in a packed 6x6 Hermitian block
 _TRI6 = 21
 
+# largest deviation from special-unitary links or Hermitian clover blocks
+# that GaugeField.validate and CloverField.from_blocks accept
+_FIELD_TOL = 1e-12
+
 # Sites per chunk of every chunked loop over a field's sites (the stencil's
 # two stages, the copies and scaled adds between fields): about 2048 site-rhs
 # pairs, so that one chunk's temporaries stay near L2, and at least 256 sites,
@@ -255,6 +259,13 @@ def gen_spinor(
     return out
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise naming how many sites of the site-major ``values`` hold a NaN or an infinity, and the first."""
+    bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{what} not finite at {int(bad.sum())} site(s), first at site {int(bad.argmax())}")
+
+
 @dataclass
 class GaugeField:
     """One 3x3 special-unitary link per site and direction, row-major."""
@@ -268,19 +279,16 @@ class GaugeField:
         data[..., np.arange(3), np.arange(3)] = 1.0
         return cls(geom, data)
 
-    def mu(self, mu: int) -> np.ndarray:
-        """(n_sites, 3, 3) links in direction mu."""
-        return self.data[:, mu]
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise if any link strays from special-unitary by more than tol."""
+    def validate(self) -> None:
+        """Raise if any link is not finite or strays from special-unitary by more than ``_FIELD_TOL``."""
         u = self.data
+        _check_finite(u, "gauge links")
         gram = np.einsum("xdab,xdcb->xdac", u, u.conj())
         unit_err = np.abs(gram - np.eye(3)).max()
-        if unit_err > tol:
+        if not unit_err <= _FIELD_TOL:
             raise ValueError(f"gauge link unitarity violated: max |U U^H - I| = {unit_err:.3e}")
         det_err = np.abs(np.linalg.det(u) - 1.0).max()
-        if det_err > tol:
+        if not det_err <= _FIELD_TOL:
             raise ValueError(f"gauge link determinant violated: max |det U - 1| = {det_err:.3e}")
 
 
@@ -348,10 +356,11 @@ class CloverField:
         return cls(geom, np.zeros((geom.n_sites, 2, _TRI6), dtype=np.complex128))
 
     @classmethod
-    def from_blocks(cls, geom: LatticeGeometry, blocks: np.ndarray, tol: float = 1e-12) -> "CloverField":
-        """Pack (n_sites, 2, 6, 6) Hermitian blocks; rejects non-Hermitian input."""
+    def from_blocks(cls, geom: LatticeGeometry, blocks: np.ndarray) -> "CloverField":
+        """Pack (n_sites, 2, 6, 6) Hermitian blocks; rejects non-finite or non-Hermitian input."""
+        _check_finite(blocks, "clover blocks")
         herm_err = np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max()
-        if herm_err > tol:
+        if not herm_err <= _FIELD_TOL:
             raise ValueError(f"clover blocks not Hermitian: max deviation {herm_err:.3e}")
         rows, cols = _tri_indices()
         packed = blocks[..., rows, cols].copy()
@@ -410,6 +419,7 @@ def _read_snapshot(path: Path, magic: bytes) -> tuple[tuple, int, int, int, np.n
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         if 0 in (n0, n1, n2, n3, b):
             raise ValueError(f"{path}: empty snapshot shape, extents {(n0, n1, n2, n3)} and b {b}")
+        # astype copies, so every reader gets a fresh, writable array
         payload = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
     return (n0, n1, n2, n3), s, b, layout, payload
 
@@ -433,7 +443,7 @@ def read_spinor(path: str | Path) -> BlockSpinorField:
     n_sites = int(np.prod(dims))
     if payload.size != n_sites * s * b:
         raise ValueError(f"{path}: payload has {payload.size} values, expected {n_sites * s * b}")
-    return BlockSpinorField(n_sites, b, Layout(layout), payload.copy(), geom)
+    return BlockSpinorField(n_sites, b, Layout(layout), payload, geom)
 
 
 def write_gauge(path: str | Path, gauge: GaugeField) -> None:
@@ -456,7 +466,7 @@ def _read_site_matrices(path: str | Path, magic: bytes, site_shape: tuple) -> tu
     expected = geom.n_sites * int(np.prod(site_shape))
     if payload.size != expected:
         raise ValueError(f"{path}: payload has {payload.size} values, expected {expected}")
-    return geom, payload.reshape((geom.n_sites,) + site_shape).copy()
+    return geom, payload.reshape((geom.n_sites,) + site_shape)
 
 
 def read_gauge(path: str | Path) -> GaugeField:

@@ -83,19 +83,6 @@ class LatticeGeometry:
         return tables
 
     @cached_property
-    def _table_rows(self) -> tuple[np.ndarray, ...]:
-        """The rows of :attr:`neighbor_tables` as views, made once so every lookup returns the same one."""
-        return tuple(self.neighbor_tables)
-
-    def neighbor_table(self, mu: int, step: int) -> np.ndarray:
-        """(n_sites,) read-only row of :attr:`neighbor_tables`: each site's ``step``-direction ``mu`` neighbor."""
-        if not 0 <= mu < NDIM:
-            raise ValueError(f"direction {mu} out of range")
-        if step not in (1, -1):
-            raise ValueError(f"step must be +1 or -1, got {step}")
-        return self._table_rows[2 * mu + (step == -1)]
-
-    @cached_property
     def even_sites(self) -> np.ndarray:
         return np.nonzero(self.parities == 0)[0]
 

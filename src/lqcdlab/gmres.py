@@ -526,7 +526,6 @@ def solve_dirac(
     eta: BlockSpinorField,
     cfg: GmresConfig,
     odd_even: bool = False,
-    psi0: BlockSpinorField | None = None,
     comm=None,
 ) -> SolveReport:
     """Solve D psi = eta directly or through the even-site Schur system.
@@ -548,17 +547,14 @@ def solve_dirac(
     _check_field(eta, gauge.geom.n_sites, "gauge lattice", np.complex128)
     if eta.geom is not None and eta.geom.dims != gauge.geom.dims:
         raise ValueError(f"eta lattice {eta.geom.dims} is not the gauge lattice {gauge.geom.dims}")
-    if psi0 is not None:
-        check_matching(psi0, eta, "psi0", "eta")
     if not odd_even:
         op = DiracOperator(params, gauge, clover, comm)
-        result = gmres_solve(op, eta, psi0, cfg, inner=op.astype(np.complex64))
+        result = gmres_solve(op, eta, None, cfg, inner=op.astype(np.complex64))
         return SolveReport(result.psi, result, False, result.final_relnorms, result.iterations)
 
     schur = SchurOperator(params, gauge, clover)
     reduced, eta_elim = schur.reduce_rhs(eta)
-    x0 = None if psi0 is None else psi0.take_sites(schur.keep_sites)
-    result = gmres_solve(schur, reduced, x0, cfg, inner=schur.astype(np.complex64))
+    result = gmres_solve(schur, reduced, None, cfg, inner=schur.astype(np.complex64))
     psi = schur.merge(result.psi, schur.reconstruct(result.psi, eta_elim))
     full = _relative(_residual_norms(schur.apply_full(psi), eta), block_norms(eta))
     return SolveReport(psi, result, True, full, result.iterations)

@@ -164,9 +164,8 @@ class EpochStats:
 class CommunicatorSet:
     """All mailboxes of one rank grid plus the global epoch counter."""
 
-    def __init__(self, grid: RankGrid, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, grid: RankGrid):
         self.grid = grid
-        self.timeout = timeout
         self.epoch = 0
         self._boxes = {
             (rank, mu, step): _Mailbox(rank, mu, step)
@@ -221,7 +220,7 @@ class Communicator:
     def complete_recv(self, mu: int, step: int) -> np.ndarray:
         """Block until the (mu, step) payload for this rank arrives."""
         t0 = time.perf_counter()
-        payload = self.commset.box(self.rank, mu, step).take(self.commset.timeout)
+        payload = self.commset.box(self.rank, mu, step).take(DEFAULT_TIMEOUT)
         self._wait_seconds += time.perf_counter() - t0
         return payload
 

@@ -50,9 +50,9 @@ def assemble_dirac_dense(params, gauge: GaugeField, clover: CloverField) -> np.n
         a[r + 6 : r + 12, r + 6 : r + 12] -= blocks[x, 1]
 
     for mu in range(NDIM):
-        fwd = geom.neighbor_table(mu, +1)
-        back = geom.neighbor_table(mu, -1)
-        links = gauge.mu(mu)
+        fwd = geom.neighbor_tables[2 * mu]
+        back = geom.neighbor_tables[2 * mu + 1]
+        links = gauge.data[:, mu]
         p_minus, p_plus = projector(mu, -1), projector(mu, 1)
         for x in range(geom.n_sites):
             r = x * SPINOR_LEN

@@ -22,19 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from .dirac import account_traffic
+from .fields import PRECISIONS
 
 STREAM_KINDS = ("copy", "scale", "add", "triad")
 STREAM_SCALAR = 3.0
 DEFAULT_LLC_BYTES = 32 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class RooflineInputs:
-    stream_triad_bw: float
-
-    def __post_init__(self) -> None:
-        if self.stream_triad_bw <= 0:
-            raise ValueError("stream_triad_bw must be positive")
 
 
 @dataclass(frozen=True)
@@ -239,15 +231,17 @@ class RooflineReport:
         )
 
 
-def roofline_report(runs, inputs: RooflineInputs) -> RooflineReport:
-    """Arrange kernel perf records against the bandwidth ceiling.
+def roofline_report(runs, triad_bw: float) -> RooflineReport:
+    """Arrange kernel perf records against the ceiling of a positive, finite triad bandwidth (bytes/s).
 
-    Each run is a dict (a ``bench-dirac`` record) with keys b, layout and
-    gflops, and optionally dtype (default complex128), the precision whose
-    bytes set its ceiling; any other run raises ValueError naming its
-    index.  Efficiencies above 1 contradict the memory-bound model and are
-    reported as warnings rather than clipped.
+    Each run is a dict (a ``bench-dirac`` record) with keys b (an integer
+    >= 1), layout and gflops (finite, >= 0), and optionally dtype (default
+    complex128), the field precision whose bytes set its ceiling; any other
+    run raises ValueError naming its index.  Efficiencies above 1 contradict
+    the memory-bound model and are reported as warnings rather than clipped.
     """
+    if not 0 < triad_bw < math.inf:
+        raise ValueError(f"triad bandwidth must be positive and finite, got {triad_bw}")
     rows = []
     warnings = []
     for i, run in enumerate(runs):
@@ -256,9 +250,15 @@ def roofline_report(runs, inputs: RooflineInputs) -> RooflineReport:
         for key in ("b", "layout", "gflops"):
             if key not in run:
                 raise ValueError(f"roofline record {i} lacks key {key!r}")
-        b, layout, gflops = int(run["b"]), int(run["layout"]), float(run["gflops"])
-        dtype = run.get("dtype", "complex128")
-        theor = theoretical_perf(inputs.stream_triad_bw, b, dtype) / 1e9
+        b, gflops, dtype = run["b"], run["gflops"], run.get("dtype", "complex128")
+        if type(b) is not int or b < 1:
+            raise ValueError(f"roofline record {i} has b {b!r}, expected an integer >= 1")
+        if type(gflops) not in (int, float) or not 0 <= gflops < math.inf:
+            raise ValueError(f"roofline record {i} has gflops {gflops!r}, expected a finite number >= 0")
+        if dtype not in [d.name for d in PRECISIONS]:
+            raise ValueError(f"roofline record {i} has dtype {dtype!r}, expected complex128 or complex64")
+        layout, gflops = int(run["layout"]), float(gflops)
+        theor = theoretical_perf(triad_bw, b, dtype) / 1e9
         eff = arch_efficiency(gflops, theor)
         rows.append(RooflineRow(b, layout, float(arithmetic_intensity(b, dtype)), gflops, theor, eff))
         if eff > 1.0:

@@ -56,6 +56,8 @@ def _gamma_from_block(a: np.ndarray) -> np.ndarray:
 
 GAMMA = np.stack([_gamma_from_block(a) for a in A_BLOCKS])
 
+_ALGEBRA_ATOL = 1e-15  # absolute tolerance of every identity check_algebra tests
+
 
 def _check_sign(sign: int) -> None:
     if sign not in (1, -1):
@@ -74,23 +76,23 @@ def compression(mu: int, sign: int) -> np.ndarray:
     return np.concatenate([np.eye(2, dtype=np.complex128), -sign * A_BLOCKS[mu]], axis=1)
 
 
-def check_algebra(atol: float = 1e-15) -> None:
+def check_algebra() -> None:
     """Sanity checks of the basis: Clifford algebra, projector identities, compression."""
     eye = np.eye(4)
     for mu in range(NDIM):
         g = GAMMA[mu]
-        if not np.allclose(g, g.conj().T, atol=atol):
+        if not np.allclose(g, g.conj().T, atol=_ALGEBRA_ATOL):
             raise AssertionError(f"gamma_{mu} not Hermitian")
         for nu in range(NDIM):
             anti = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
-            if not np.allclose(anti, 2 * (mu == nu) * eye, atol=atol):
+            if not np.allclose(anti, 2 * (mu == nu) * eye, atol=_ALGEBRA_ATOL):
                 raise AssertionError(f"gamma_{mu}, gamma_{nu} anticommutator wrong")
         for sign in (1, -1):
             p, k = projector(mu, sign), compression(mu, sign)
-            if not np.allclose(p @ p, p, atol=atol):
+            if not np.allclose(p @ p, p, atol=_ALGEBRA_ATOL):
                 raise AssertionError(f"projector for direction {mu} not idempotent")
             rebuilt = np.concatenate([k, -sign * A_BLOCKS[mu].conj().T @ k]) / 2
-            if not np.allclose(rebuilt, p, atol=atol):
+            if not np.allclose(rebuilt, p, atol=_ALGEBRA_ATOL):
                 raise AssertionError(f"compression for direction {mu}, sign {sign} loses the projection")
-        if not np.allclose(projector(mu, 1) + projector(mu, -1), eye, atol=atol):
+        if not np.allclose(projector(mu, 1) + projector(mu, -1), eye, atol=_ALGEBRA_ATOL):
             raise AssertionError(f"projectors for direction {mu} do not sum to identity")

@@ -297,13 +297,24 @@ def test_bench_dirac_honours_the_rank_grid(capsys, monkeypatch):
     assert len(epochs) == 1 + 2 * 3  # the rank build, then a warm-up and 2 reps per precision
 
 
+_RECORD = {"b": 1, "layout": 1, "gflops": 1.0}
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({"records": [{"b": 1, "layout": 1, "gflops": 1.0}, {"b": 2, "layout": 1}]},
+        ({"records": [_RECORD, {"b": 2, "layout": 1}]},
          "record 1 lacks key 'gflops'"),
         ([1.5, 2.5], "record 0 is not an object"),
         ({"runs": []}, "without a 'records' list"),
+        # a NaN or infinite gflops printed NaN or Infinity rows and exited 0, b = true
+        # read as b = 1, and an unknown dtype raised without naming its record
+        ({"records": [_RECORD, {**_RECORD, "gflops": float("nan")}]}, "record 1 has gflops nan"),
+        ({"records": [_RECORD, {**_RECORD, "gflops": float("inf")}]}, "record 1 has gflops inf"),
+        ({"records": [_RECORD, {**_RECORD, "gflops": -1.0}]}, "record 1 has gflops -1.0"),
+        ({"records": [_RECORD, {**_RECORD, "b": True}]}, "record 1 has b True"),
+        ({"records": [_RECORD, {**_RECORD, "b": 0}]}, "record 1 has b 0"),
+        ({"records": [_RECORD, {**_RECORD, "dtype": "float32"}]}, "record 1 has dtype 'float32'"),
     ],
 )
 def test_roofline_malformed_input_is_a_usage_error(capsys, tmp_path, data, message):
@@ -312,6 +323,15 @@ def test_roofline_malformed_input_is_a_usage_error(capsys, tmp_path, data, messa
     code, _, err = run_cli(capsys, "roofline", "--in", str(runs), "--triad-bw", "100")
     assert code == 1
     assert message in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("bw", ["nan", "inf", "0", "-100"])
+def test_roofline_rejects_a_bad_triad_bandwidth(capsys, tmp_path, bw):
+    runs = tmp_path / "runs.json"
+    runs.write_text(json.dumps({"records": [_RECORD]}))
+    code, _, err = run_cli(capsys, "roofline", "--in", str(runs), f"--triad-bw={bw}")
+    assert code == 1
+    assert "triad bandwidth must be positive and finite" in err
 
 
 def test_bench_dirac_rejects_zero_reps(capsys):

@@ -185,7 +185,7 @@ def test_hop_matrix_slots_reproduce_link_products(problem):
     # slot 2mu + 1 give U_mu^H(x - mu^) h / 2
     geom, gauge, _, _, _ = problem
     sites = np.arange(7, 57)
-    back = np.stack([geom.neighbor_table(mu, -1)[sites] for mu in range(NDIM)])
+    back = geom.neighbor_tables[1::2, sites]
     links = gauge.data[sites].swapaxes(0, 1)  # (4, 50, 3, 3) random SU(3) at x
     back_links = gauge.data[back, np.arange(NDIM)[:, None]]  # (4, 50, 3, 3) at x - mu^
     rng = np.random.default_rng(7)
@@ -357,7 +357,7 @@ def test_hop_matrices_are_destination_ordered(problem):
         # dst: the global site of each hop row
         assert hops.shape == (8, len(dst), 6, 6)
         for mu in range(NDIM):
-            back = geom.neighbor_table(mu, -1)[dst]
+            back = geom.neighbor_tables[2 * mu + 1, dst]
             assert np.array_equal(hops[2 * mu], w[dst, mu])
             assert np.array_equal(hops[2 * mu + 1], w[back, mu].swapaxes(1, 2))
 
@@ -398,9 +398,8 @@ def test_operators_keep_one_site_rows_record(problem, monkeypatch):
     for rows, dst, src in parities:
         assert isinstance(rows, dirac.SiteRows) and rows.sites is dst and rows.boundary is None
         # each table entry is the source-half row of the destination site's global neighbor
-        for mu in range(NDIM):
-            for side, step in enumerate((1, -1)):
-                assert np.array_equal(src[rows.tables[2 * mu + side]], geom.neighbor_table(mu, step)[dst])
+        for slot in range(2 * NDIM):
+            assert np.array_equal(src[rows.tables[slot]], geom.neighbor_tables[slot, dst])
     twin_schur = schur.astype(np.complex64)
     pairs = [(t, r) for op in operators for t, r in zip(op.astype(np.complex64)._rows, op._rows)]
     pairs += [(twin_schur._kept, schur._kept), (twin_schur._elim, schur._elim)]
@@ -409,10 +408,11 @@ def test_operators_keep_one_site_rows_record(problem, monkeypatch):
         for a, b in ((twin.blocks, ref.blocks), (twin.hops, ref.hops)):
             assert a.dtype == np.float32 and np.array_equal(a, b.astype(np.float32))
 
-    def looked_up(*args):
-        raise AssertionError("LatticeGeometry.neighbor_table called after the build")
+    def looked_up(self):
+        raise AssertionError("LatticeGeometry.neighbor_tables read after the build")
 
-    monkeypatch.setattr(LatticeGeometry, "neighbor_table", looked_up)
+    # a property outranks the cached value in the instance, so every read raises
+    monkeypatch.setattr(LatticeGeometry, "neighbor_tables", property(looked_up))
     psi = gen_spinor(geom.n_sites, 2, Layout.COMPONENT_MAJOR, seed=52, geom=geom)
     v = gen_spinor(schur.n_sites, 2, Layout.COMPONENT_MAJOR, seed=53)
     for op in operators:

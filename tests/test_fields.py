@@ -1,11 +1,13 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from lqcdlab.fields import (
     BlockSpinorField,
+    CloverField,
     Layout,
     element_offset,
     gen_clover,
@@ -106,6 +108,29 @@ def test_gauge_validate_catches_corruption():
         gauge.validate()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gauge_validate_rejects_a_non_finite_link(value):
+    # err > tol is False for NaN, so a NaN link passed validate with no
+    # more than numpy's RuntimeWarning from det
+    geom = LatticeGeometry((2, 2, 2, 2))
+    gauge = gen_gauge(geom, "random", seed=2)
+    gauge.data[3, 1, 2, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("gauge links not finite at 1 site(s), first at site 3")):
+            gauge.validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_clover_from_blocks_rejects_a_non_finite_block(value):
+    # a NaN block used to pack without complaint
+    geom = LatticeGeometry((2, 2, 2, 2))
+    blocks = gen_clover(geom, "random", scale=0.3, seed=7).blocks()
+    blocks[[5, 9], 1, 2, 2] = value
+    with pytest.raises(ValueError, match=re.escape("clover blocks not finite at 2 site(s), first at site 5")):
+        CloverField.from_blocks(geom, blocks)
+
+
 def test_clover_blocks_hermitian():
     geom = LatticeGeometry((2, 2, 2, 2))
     clover = gen_clover(geom, "random", scale=0.3, seed=7)
@@ -114,7 +139,6 @@ def test_clover_blocks_hermitian():
     assert np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max() < 1e-14
     # the unpack copies and conjugates packed entries, so both hold exactly
     assert np.array_equal(blocks, blocks.conj().swapaxes(-1, -2))
-    from lqcdlab.fields import CloverField
     repacked = CloverField.from_blocks(geom, blocks)
     assert np.array_equal(repacked.data, clover.data)
 
@@ -225,6 +249,20 @@ def test_matrix_snapshot_names_the_file_for_an_odd_extent(tmp_path, magic, s, b)
     with pytest.raises(ValueError, match="extent 3 in direction 0 is not an even number") as err:
         reader(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def test_snapshot_reads_are_writable_and_their_own(tmp_path):
+    # each read returns a fresh array: writing to it changes no later read of the file
+    geom = LatticeGeometry((2, 2, 2, 4))
+    write_spinor(tmp_path / "s.snap", gen_spinor(geom.n_sites, 2, Layout.COLUMN, seed=5, geom=geom))
+    write_gauge(tmp_path / "g.snap", gen_gauge(geom, "random", seed=6))
+    write_clover(tmp_path / "c.snap", gen_clover(geom, "random", scale=0.2, seed=7))
+    for name, reader in (("s.snap", read_spinor), ("g.snap", read_gauge), ("c.snap", read_clover)):
+        first = reader(tmp_path / name).data
+        kept = first.copy()
+        assert first.flags.writeable
+        first[...] = 0
+        assert np.array_equal(reader(tmp_path / name).data, kept)
 
 
 def test_snapshot_rejects_wrong_magic(tmp_path):

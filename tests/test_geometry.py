@@ -59,29 +59,25 @@ def test_neighbor_wraps(geom44):
 
 
 def test_neighbor_table_is_permutation(geom44):
-    for mu in range(4):
-        for step in (1, -1):
-            table = geom44.neighbor_table(mu, step)
-            assert sorted(table) == list(range(geom44.n_sites))
-    fwd = geom44.neighbor_table(1, 1)
-    back = geom44.neighbor_table(1, -1)
+    for table in geom44.neighbor_tables:
+        assert sorted(table) == list(range(geom44.n_sites))
+    # row 2mu + 1 (step -1) inverts row 2mu (step +1)
+    fwd, back = geom44.neighbor_tables[2], geom44.neighbor_tables[3]
     assert np.array_equal(back[fwd], np.arange(geom44.n_sites))
 
 
 def test_neighbor_table_cached_read_only(geom44):
-    table = geom44.neighbor_table(2, -1)
-    assert geom44.neighbor_table(2, -1) is table
-    # the row of the read-only (8, n) table in slot order, 2mu + 1 for step -1
     tables = geom44.neighbor_tables
-    assert tables.shape == (8, 256) and not tables.flags.writeable and np.shares_memory(tables[5], table)
+    assert geom44.neighbor_tables is tables
+    assert tables.shape == (8, 256) and not tables.flags.writeable
     with pytest.raises(ValueError):
-        table[0] = 1
+        tables[5, 0] = 1
 
 
 def test_neighbor_parity_flips(geom44):
     par = geom44.parities
-    for mu in range(4):
-        assert np.array_equal(par[geom44.neighbor_table(mu, 1)], 1 - par)
+    for table in geom44.neighbor_tables:
+        assert np.array_equal(par[table], 1 - par)
 
 
 def test_rank_grid_roundtrip():

@@ -435,21 +435,6 @@ def test_mismatched_initial_guess_raises_before_any_apply(bad):
         assert "COMPONENT_MAJOR" in message
 
 
-@pytest.mark.parametrize("dims", [(4, 4, 4, 8), (4, 4, 4, 2)])
-def test_odd_even_rejects_mismatched_initial_guess(problem, monkeypatch, dims):
-    # a guess from a larger lattice was silently sliced by the kept sites, a
-    # smaller one raised a bare IndexError; both now fail before any work
-    geom, gauge, clover = problem
-    eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=91, geom=geom)
-    other = LatticeGeometry(dims)
-    psi0 = gen_spinor(other.n_sites, 2, Layout.RHS_MAJOR, seed=92, geom=other)
-    calls = []
-    monkeypatch.setattr(gmres, "SchurOperator", lambda *args: calls.append("schur build"))
-    with pytest.raises(ValueError, match="psi0"):
-        solve_dirac(DiracParams(m0=-0.5), gauge, clover, eta, GmresConfig(), odd_even=True, psi0=psi0)
-    assert calls == []
-
-
 @pytest.mark.parametrize("odd_even", [False, True])
 @pytest.mark.parametrize("field, dims", [("eta", (4, 4, 4, 2)), ("eta", (4, 4, 4, 8)),
                                          ("clover", (4, 4, 4, 2)), ("clover", (4, 4, 4, 8)),
@@ -482,20 +467,15 @@ def test_lattice_mismatch_fails_before_any_build(problem, monkeypatch, odd_even,
         assert runs == []
         return
     if field == "psi0":
-        # the initial guess, checked by solve_dirac before its build and by gmres_solve before any apply
+        # the initial guess, checked by gmres_solve before any apply of either full-lattice operator
         message = re.escape(f"psi0 (n_sites={other.n_sites}, b=2) in RHS_MAJOR on lattice {dims} does not match eta")
-        if not odd_even:
-            calls = []
-            op = _counted(DiracOperator(DiracParams(m0=1.0), gauge, clover), calls, "op")
-            with pytest.raises(ValueError, match=message):
-                gmres_solve(op, eta, wrong, GmresConfig())
-            assert calls == []
-        builds = []
-        for module in (dirac, oddeven):
-            monkeypatch.setattr(module, "site_blocks", lambda *args: builds.append("site blocks"))
+        params = DiracParams(m0=1.0)
+        full = (oddeven.SchurOperator(params, gauge, clover).apply_full if odd_even
+                else DiracOperator(params, gauge, clover))
+        calls = []
         with pytest.raises(ValueError, match=message):
-            solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(), odd_even=odd_even, psi0=wrong)
-        assert builds == []
+            gmres_solve(_counted(full, calls, "op"), eta, wrong, GmresConfig())
+        assert calls == []
         return
     if field == "eta":
         eta = gen_spinor(other.n_sites, 2, Layout.RHS_MAJOR, seed=93, geom=other)

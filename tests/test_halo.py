@@ -93,8 +93,9 @@ def test_epoch_stats_exchange():
     assert stats.wait_seconds >= 0
 
 
-def test_recv_timeout_names_channel():
-    cs = CommunicatorSet(RankGrid((2, 1, 1, 1)), timeout=0.05)
+def test_recv_timeout_names_channel(monkeypatch):
+    monkeypatch.setattr(halo, "DEFAULT_TIMEOUT", 0.05)
+    cs = CommunicatorSet(RankGrid((2, 1, 1, 1)))
     cs.begin_epoch()
     with pytest.raises(HaloTimeoutError) as err:
         cs.rank_comm(1).complete_recv(2, -1)

@@ -6,7 +6,6 @@ import pytest
 from lqcdlab.perf import (
     ROOFLINE_COLUMNS,
     CounterSample,
-    RooflineInputs,
     arch_efficiency,
     arithmetic_intensity,
     effective_bandwidth,
@@ -99,13 +98,12 @@ def test_stream_rejects_cache_sized_arrays():
 
 
 def test_roofline_report_rows_and_warnings():
-    inputs = RooflineInputs(stream_triad_bw=155e9)
     theor1 = theoretical_perf(155e9, 1) / 1e9
     runs = [
         {"b": 1, "layout": 1, "gflops": theor1 / 2},
         {"b": 1, "layout": 2, "gflops": theor1 * 1.5},
     ]
-    rep = roofline_report(runs, inputs)
+    rep = roofline_report(runs, 155e9)
     assert rep.rows[0].arch_eff == pytest.approx(0.5)
     assert len(rep.warnings) == 1 and "layout=2" in rep.warnings[0]
 
@@ -113,10 +111,11 @@ def test_roofline_report_rows_and_warnings():
     assert csv_text.splitlines()[0] == ",".join(ROOFLINE_COLUMNS)
     assert len(csv_text.splitlines()) == 3
 
-    empty = roofline_report([], inputs)
+    empty = roofline_report([], 155e9)
     assert empty.to_csv().splitlines() == [",".join(ROOFLINE_COLUMNS)]
 
 
 def test_roofline_inputs_validation():
-    with pytest.raises(ValueError):
-        RooflineInputs(stream_triad_bw=0.0)
+    for bw in (0.0, -1e9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="triad bandwidth must be positive and finite"):
+            roofline_report([], bw)

@@ -17,6 +17,10 @@ Names that the benchmark calls or patches pass by that caller, so the
 shims that only the benchmark reads stay until the benchmark stops
 reading them.  The few names kept without a caller are in
 ``ALLOWED``, each with its reason.
+
+A second check holds the same files to every optional parameter: each
+must be set by some call (see the section below), and the few kept unset
+are in ``ALLOWED_PARAMETERS``.
 """
 
 import ast
@@ -101,3 +105,97 @@ def test_every_allowed_name_still_exists_and_still_lacks_a_caller():
     names, attrs = _references(_program_files())
     stale = [name for name in ALLOWED if name not in public or name in names or name in attrs]
     assert not stale, f"stale ALLOWED entries: {stale}"
+
+
+# -- optional parameters ------------------------------------------------------
+#
+# The same program files must also set every optional parameter.  A
+# parameter with a default, of a public function or of a public method or
+# ``__init__`` of a public class, counts as set when some call of that name
+# (``f(...)``, ``obj.f(...)``, ``Class(...)`` for ``__init__``) passes it by
+# keyword, or passes at least as many positional arguments as reach it.  A
+# call that spreads ``*args`` or ``**kwargs`` sets every parameter it could.
+# Other dunders are skipped, and so are dataclass fields, which are not
+# parameters of a written function.  The match is by name alone, so a call
+# of another function of the same name can pass for a caller.
+
+ALLOWED_PARAMETERS = {
+    "main(argv)": "the console script calls main() and argparse reads sys.argv; the CLI tests pass argv",
+    "batched_vs_independent_audit(inner)": "audits the complex64 cycles that solve_dirac runs; the gate's call omits them",
+    "dense_solve(rcond_floor)": "dense oracle (in ALLOWED); the solver tests set the singularity bound",
+    "element_offset(n_sites)": "the layouts' definition (in ALLOWED); the field tests place Layout 3 elements with it",
+}
+
+
+def _optional_parameters() -> dict[str, tuple[str, str, int | None, str]]:
+    """'f(param)', 'Class(param)' or 'Class.f(param)' -> (callee, param, position or None, defining file)."""
+    found = {}
+
+    def add(node: ast.FunctionDef, qualified: str, callee: str, where: str, bound: bool) -> None:
+        args = node.args
+        positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+        first_default = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first_default:], start=first_default):
+            found[f"{qualified}({arg.arg})"] = (callee, arg.arg, i, where)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{qualified}({arg.arg})"] = (callee, arg.arg, None, where)
+
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                add(node, node.name, node.name, path.name, bound=False)
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                if item.name == "__init__":
+                    add(item, node.name, node.name, path.name, bound=True)
+                elif not item.name.startswith("_"):
+                    add(item, f"{node.name}.{item.name}", item.name, path.name, bound=not static)
+    return found
+
+
+def _calls(paths: list[Path]) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """Callee name -> (positional count, keyword names or None for **kwargs) of each call in the files."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            positional = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            keywords = None if any(k.arg is None for k in node.keywords) else {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((positional, keywords))
+    return calls
+
+
+def _is_set(calls: dict, callee: str, param: str, position: int | None) -> bool:
+    return any(
+        keywords is None or param in keywords or (position is not None and positional > position)
+        for positional, keywords in calls.get(callee, ())
+    )
+
+
+def test_every_optional_parameter_has_a_caller_that_sets_it():
+    calls = _calls(_program_files())
+    unset = [
+        f"{found[-1]}: {key}"
+        for key, found in _optional_parameters().items()
+        if key not in ALLOWED_PARAMETERS and not _is_set(calls, *found[:3])
+    ]
+    assert not unset, "optional parameters that no call in the program sets: " + ", ".join(unset)
+
+
+def test_every_allowed_parameter_still_exists_and_is_still_unset():
+    # an entry whose parameter was deleted, or that gained a caller, is stale
+    params = _optional_parameters()
+    calls = _calls(_program_files())
+    stale = [key for key in ALLOWED_PARAMETERS if key not in params or _is_set(calls, *params[key][:3])]
+    assert not stale, f"stale ALLOWED_PARAMETERS entries: {stale}"
