@@ -67,13 +67,15 @@ table the sweep reads, in the hop matrices' slot order.
 periodic tables, or, through the multi-rank executor (halo module), one
 per rank, built on the rank's thread, with the rank-local periodic tables
 and the rank's face sets; the even/odd Schur operator (oddeven module)
-keeps one per parity, with cross-parity tables on half-lattice fields.
-Every row's slot 2mu + 1 holds the link of its true global -mu neighbor,
-whoever owns that site.  One function, :func:`subtract_hops`, runs the
-sweep of any record, and with a rank's communicator.  A rank gathers its psi
-rows straight into row order, as a Layout-1 field whatever psi's layout,
-so its sweep copies nothing more, and writes its eta rows back with one
-transposing put.  It posts the compressed half spinors of both faces,
+keeps one of the whole lattice in parity order, whose halves are its
+parity records.  Every row's slot 2mu + 1 holds the link of its true
+global -mu neighbor, whoever owns that site.  One function,
+:func:`subtract_hops`, runs the sweep of any record, and with a rank's
+communicator; one, :func:`apply_rows`, a record's whole apply, for each
+rank and for the Schur operator's whole lattice.  It gathers the psi rows
+straight into row order, as a Layout-1 field whatever psi's layout, so the
+sweep copies nothing more, and writes the eta rows back with one
+transposing put.  A rank posts the compressed half spinors of both faces,
 the +mu side of its -mu face and the -mu side of its +mu face, completes
 its receives, and the sweep takes the half spinors of the face rows that
 the local tables get wrong from the received halos, before its own link
@@ -503,6 +505,19 @@ def subtract_hops(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, 
         out[chunk, :, 6:] -= lower.reshape(m, b, 6)
 
 
+def apply_rows(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, comm=None) -> None:
+    """Write D psi into eta's rows at ``rows.sites``, the sweep through ``comm`` if given; other rows stay as they are.
+
+    psi's rows are gathered in ``rows.sites`` order, the rows ``rows.tables``
+    index, as a Layout-1 field, so the sweep copies nothing more, and put
+    into eta, of any layout, with one transposing put.
+    """
+    loc = _gather_rows(psi, rows.sites)
+    part = apply_self_coupling(rows.blocks, loc)
+    subtract_hops(rows, loc, part, comm=comm)
+    _rows(eta)[rows.sites] = _rows(part)
+
+
 class DiracOperator:
     """D for one ``(params, gauge, clover)``, as a snapshot taken at build time.
 
@@ -517,11 +532,11 @@ class DiracOperator:
     With a :class:`lqcdlab.halo.MultiRankExecutor` as ``comm``, it is one
     record per rank instead, of the rank's domain with its local periodic
     tables and face sets, built on the rank's thread, and every call runs
-    the ranks on the executor's threads: each rank gathers its own psi rows
-    into row order (a Layout-1 field, one copy), runs the self coupling and
-    the hop sweep through its communicator, and writes its own eta rows out
-    in eta's layout.  The ranks' rows are disjoint, so they share eta
-    without a lock.
+    :func:`apply_rows` of each rank's record on the executor's threads: each
+    rank gathers its own psi rows into row order (a Layout-1 field, one
+    copy), runs the self coupling and the hop sweep through its
+    communicator, and writes its own eta rows out in eta's layout.  The
+    ranks' rows are disjoint, so they share eta without a lock.
 
     The operator runs at one precision, ``dtype``: complex128 as built, or
     complex64 for the twin that :meth:`astype` returns.  A field of the
@@ -576,17 +591,7 @@ class DiracOperator:
             subtract_hops(rows, psi, eta)
             return eta
 
-        def run_rank(rank: int, comm) -> None:
-            # the hops use the rank-local periodic tables; subtract_hops
-            # replaces the face rows they get wrong with the received halos
-            rows = self._rows[rank]
-            loc = _gather_rows(psi, rows.sites)
-            part = apply_self_coupling(rows.blocks, loc)
-            subtract_hops(rows, loc, part, comm=comm)
-            # the ranks' rows cover the lattice, so eta needs no zeroing
-            _rows(eta)[rows.sites] = _rows(part)
-
-        self.comm.run_ranks(run_rank)
+        self.comm.run_ranks(lambda rank, comm: apply_rows(self._rows[rank], psi, eta, comm))
         return eta
 
 

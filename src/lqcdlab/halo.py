@@ -44,12 +44,13 @@ call the one hop sweep :func:`lqcdlab.dirac.subtract_hops`, each on a
 :class:`lqcdlab.dirac.DiracOperator` snapshot: each rank with the record of
 its own sites (built from the global lattice, with its local periodic
 tables and face sets) and its communicator, the single-rank apply with the
-whole lattice's and none.  Each rank builds its record, gathers its psi
-rows in row order (a Layout-1 field, so the sweep reads them without
-another copy) and writes its eta rows out in eta's layout, all on its own
-worker.  A rank's rows are the single-rank operator's rows of its sites
-and the posted half spinors come from the same helper as the sweep's, so
-every site sees the same operations in the same order.
+whole lattice's and none.  Each rank builds its record and runs
+:func:`lqcdlab.dirac.apply_rows` on it, on its own worker: that gathers its
+psi rows in row order (a Layout-1 field, so the sweep reads them without
+another copy) and writes its eta rows out in eta's layout.  A rank's rows
+are the single-rank operator's rows of its sites and the posted half
+spinors come from the same helper as the sweep's, so every site sees the
+same operations in the same order.
 
 A fault on one rank poisons every mailbox, so its peers stop at their next
 receive instead of waiting out the timeout, and the executor re-raises it as

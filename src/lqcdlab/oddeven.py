@@ -47,14 +47,15 @@ field; the hop sweep runs on one parity's sites with cross-parity
 neighbor tables.  :meth:`SchurOperator.apply` allocates its temporaries t
 and N t in row order (Layout 1), the order the sweep reads, so only its
 first sweep transposes a Layout-2 input and the second copies nothing.
-Each parity keeps one :class:`lqcdlab.dirac.SiteRows` record, its rows
-built from the global lattice by site set as any operator's are: the kept
-one holds D_ee and H_eo, the hop matrices of the even sites, whose -mu
-slots hold the transposed link matrices of their odd -mu neighbors; the
-eliminated one holds N and H_oe, those of the odd sites.  Each record's
-tables map its sites to the other parity's half-field rows.  The two hop
-arrays together hold the rows of the whole lattice once, and no sweep
-gathers a link matrix.  D_oo stays beside the records.
+The operator builds one :class:`lqcdlab.dirac.SiteRows` record of the
+whole lattice in parity order, even sites first, as any operator's rows are
+built; its tables map each row to its neighbors' parity-ordered rows.  Every
+hop flips parity, so each parity's record is a view of one half, its tables
+indexing the other parity's half field: the kept one holds D_ee and H_eo,
+the eliminated one N and H_oe.  Every row is held once, and no sweep gathers
+a link matrix.  D_oo is the record's odd half, and
+:meth:`SchurOperator.apply_full` runs :func:`lqcdlab.dirac.apply_rows` on
+the record, as a rank of the full operator runs it on its own.
 """
 
 from __future__ import annotations
@@ -64,10 +65,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dirac import (DiracParams, SiteRows, _check_field, apply_self_coupling, check_lattices, hop_matrices,
-                    left_real_form, site_blocks, subtract_hops)
+from .dirac import (DiracParams, SiteRows, _check_field, apply_rows, apply_self_coupling, check_lattices,
+                    hop_matrices, left_real_form, site_blocks, subtract_hops)
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching, result_field
-from .geometry import LatticeGeometry
 
 # eliminated blocks with a larger condition estimate are rejected as singular
 _COND_LIMIT = 1e12
@@ -84,18 +84,6 @@ class SingularBlockError(np.linalg.LinAlgError):
         super().__init__(
             f"site-local block {block} at site {site} {what} (condition estimate {cond:.3e})"
         )
-
-
-def _cross_rows(geom: LatticeGeometry, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """(8, len(dst)) slot-ordered tables from each ``dst`` site to the ``src``-half rows of its neighbors.
-
-    Row 2mu holds the +mu neighbor and row 2mu + 1 the -mu neighbor of each
-    destination site, as indices into the half field of the ``src`` sites,
-    which are the other parity's.
-    """
-    src_index = np.empty(geom.n_sites, dtype=np.int64)
-    src_index[src] = np.arange(len(src))
-    return src_index[geom.neighbor_tables[:, dst]]
 
 
 def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -138,11 +126,12 @@ class SchurOperator:
     with N = -D_oo^-1, and D_ee) and one hop sweep per off-diagonal block
     that subtracts into the destination field; the module docstring gives
     the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
-    taken at build time: its records ``_kept`` (D_ee, H_eo) and ``_elim``
-    (N, H_oe) and D_oo, every block array in
-    :func:`lqcdlab.dirac.left_real_form` (N inverted from the complex
-    blocks first), are copies, so editing the fields in place afterwards
-    does not change it.  Build a new operator for new fields.
+    taken at build time: its parity-ordered record ``_full`` (D_ee, D_oo,
+    H_eo, H_oe), viewed by ``_kept`` (D_ee, H_eo) and ``_elim`` (N, H_oe),
+    every block array in :func:`lqcdlab.dirac.left_real_form` (N inverted
+    from the complex blocks first), are copies, so editing the fields in
+    place afterwards does not change it.  Build a new operator for new
+    fields.
 
     As :class:`lqcdlab.dirac.DiracOperator`, it runs at one precision,
     ``dtype``, and :meth:`astype` returns its complex64 twin.
@@ -154,16 +143,18 @@ class SchurOperator:
         check_lattices(gauge, clover)
         self.geom = geom = gauge.geom
         self.keep_sites, self.elim_sites = keep, elim = geom.even_sites, geom.odd_sites
-        diag_kept, diag_elim = (site_blocks(params, clover, sites) for sites in (keep, elim))
-        neg_inv = _invert_blocks(diag_elim, elim)
+        h, sites = len(keep), np.concatenate([keep, elim])
+        blocks = site_blocks(params, clover, sites)
+        neg_inv = _invert_blocks(blocks[h:], elim)
         np.negative(neg_inv, out=neg_inv)
-        # each block array in its left real form, made in its own storage
-        diag_kept, self._diag_elim, neg_inv = (left_real_form(a) for a in (diag_kept, diag_elim, neg_inv))
-        # the eliminated parity's rows first, each record's tables before its
-        # hop matrices: the process's peak memory moves with the order of
-        # build temporaries
-        self._elim = SiteRows(elim, neg_inv, tables=_cross_rows(geom, elim, keep), hops=hop_matrices(gauge, elim))
-        self._kept = SiteRows(keep, diag_kept, tables=_cross_rows(geom, keep, elim), hops=hop_matrices(gauge, keep))
+        # each block array in its left real form, in its own storage, and the
+        # tables before the hop matrices: peak memory moves with this order
+        blocks, neg_inv = left_real_form(blocks), left_real_form(neg_inv)
+        # sites is a permutation, and argsort its inverse: the neighbors' parity-ordered rows
+        tables = np.argsort(sites)[geom.neighbor_tables[:, sites]]
+        self._full = full = SiteRows(sites, blocks, hop_matrices(gauge, sites), tables)
+        self._kept = SiteRows(keep, blocks[:h], full.hops[:, :h], tables[:, :h] - h)
+        self._elim = SiteRows(elim, neg_inv, full.hops[:, h:], tables[:, h:])
 
     @property
     def n_sites(self) -> int:
@@ -173,11 +164,11 @@ class SchurOperator:
         """The operator's twin at precision ``dtype`` (itself if it has that precision already).
 
         The twin holds the :meth:`lqcdlab.dirac.SiteRows.astype` copy of
-        both records (cast D_ee, N and hop matrices, shared sites and
-        tables) and shares, uncast, the eliminated blocks D_oo that only
+        both parity records (cast D_ee, N and hop matrices, shared sites
+        and tables) and shares, uncast, the whole-lattice record that only
         :meth:`apply_full` reads: the twin's :meth:`apply_full` raises a
-        ``ValueError`` for their precision, where casting them would cost
-        half a site-block array more in every twin.
+        ``ValueError`` for its precision, where casting it would cost half
+        a site-block array (D_oo) more in every twin.
         """
         if np.dtype(dtype) == self.dtype:
             return self
@@ -228,14 +219,11 @@ class SchurOperator:
         return self.solve_eliminated(t)
 
     def apply_full(self, psi: BlockSpinorField) -> BlockSpinorField:
-        """D psi on the whole lattice: D_ee x_e - H_eo x_o on the even sites, D_oo x_o - H_oe x_e on the odd ones."""
+        """D psi: :func:`lqcdlab.dirac.apply_rows` of ``_full`` into a field on the operator's lattice, in psi's layout."""
         _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
-        x_kept, x_elim = psi.take_sites(self.keep_sites), psi.take_sites(self.elim_sites)
-        out_kept = apply_self_coupling(self._kept.blocks, x_kept)
-        subtract_hops(self._kept, x_elim, out_kept)
-        out_elim = apply_self_coupling(self._diag_elim, x_elim)
-        subtract_hops(self._elim, x_kept, out_elim)
-        return self.merge(out_kept, out_elim)
+        out = BlockSpinorField.zeros(self.geom.n_sites, psi.b, psi.layout, self.geom, psi.dtype)
+        apply_rows(self._full, psi, out)
+        return out
 
     def merge(self, x_kept: BlockSpinorField, x_elim: BlockSpinorField) -> BlockSpinorField:
         """The whole-lattice field of the even half ``x_kept`` and the odd half ``x_elim``, at the halves' precision."""

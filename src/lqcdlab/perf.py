@@ -39,12 +39,13 @@ class CounterSample:
     ranks: int = 1
 
     def __post_init__(self) -> None:
-        if self.l2_refill < 0 or self.l2_writeback < 0:
-            raise ValueError("counters must be nonnegative")
-        if self.cycles <= 0:
-            raise ValueError("cycles must be positive")
-        if self.frequency <= 0 or self.cache_line <= 0 or self.ranks < 1:
-            raise ValueError("frequency, cache_line, ranks must be positive")
+        # every check fails for NaN, which compares False, and for infinity
+        for name, low in (("l2_refill", 0), ("l2_writeback", 0), ("ranks", 1)):
+            if not low <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= {low}, got {getattr(self, name)}")
+        for name in ("cycles", "frequency", "cache_line"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def arithmetic_intensity(b: int, dtype=np.complex128) -> Fraction:
@@ -57,16 +58,16 @@ def arithmetic_intensity(b: int, dtype=np.complex128) -> Fraction:
 
 def theoretical_perf(bw: float, b: int, dtype=np.complex128) -> float:
     """Bandwidth-bound performance ceiling in flops/second."""
-    if bw <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bw < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bw}")
     return bw * float(arithmetic_intensity(b, dtype))
 
 
 def arch_efficiency(measured: float, theoretical: float) -> float:
-    if theoretical <= 0:
-        raise ValueError("theoretical performance must be positive")
-    if measured < 0:
-        raise ValueError("measured performance must be nonnegative")
+    if not 0 < theoretical < math.inf:
+        raise ValueError(f"theoretical performance must be positive and finite, got {theoretical}")
+    if not 0 <= measured < math.inf:
+        raise ValueError(f"measured performance must be nonnegative and finite, got {measured}")
     return measured / theoretical
 
 

@@ -73,12 +73,12 @@ def test_oracle_check_single_precision_suite_checks_the_schur_twin(capsys, monke
     assert "single-precision-dense: FAIL (rel err " in out and "> 1e-6" in out
     monkeypatch.setattr(SchurOperator, "reconstruct", real_reconstruct)
 
-    def casting_elim(self, dtype):  # a twin whose D_oo is cast: apply_full no longer raises
+    def casting_full(self, dtype):  # a twin whose D_oo is cast: apply_full no longer raises
         twin = real_astype(self, dtype)
-        twin._diag_elim = self._diag_elim.astype(np.float32)
+        twin._full = self._full.astype(dtype)
         return twin
 
-    monkeypatch.setattr(SchurOperator, "astype", casting_elim)
+    monkeypatch.setattr(SchurOperator, "astype", casting_full)
     code, out, _ = run_cli(capsys, "oracle-check", "--set", "lattice.dims=2 2 2 4")
     assert code == 2
     assert "single-precision-dense: FAIL (the complex64 S twin's apply_full did not raise" in out

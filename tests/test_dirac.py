@@ -153,8 +153,10 @@ def test_site_block_arrays_keep_the_complex_bytes(problem, grid):
         hops = (s._kept.hops, s._elim.hops)
         assert all(a.dtype == np.finfo(dtype).dtype for a in hops)
         assert sum(a.size for a in hops) == hop_floats
-    # the eliminated blocks are read only at complex128, and shared by the twin
-    assert schur._diag_elim.nbytes == complex_bytes[np.complex128] // 2
+    # the eliminated blocks D_oo, the odd half of the whole-lattice record's
+    # blocks, are read only at complex128, and the twin shares that record
+    assert all(schur.astype(dtype)._full is schur._full for dtype in complex_bytes)
+    assert schur._full.blocks[schur.n_sites:].nbytes == complex_bytes[np.complex128] // 2
 
 
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
@@ -394,7 +396,8 @@ def test_operators_keep_one_site_rows_record(problem, monkeypatch):
             assert np.array_equal(rows.tables, dom.local_geom.neighbor_tables)
         operators.append(multi)
     schur = SchurOperator(params, gauge, clover)
-    parities = ((schur._kept, geom.even_sites, geom.odd_sites), (schur._elim, geom.odd_sites, geom.even_sites))
+    parities = ((schur._kept, geom.even_sites, geom.odd_sites), (schur._elim, geom.odd_sites, geom.even_sites),
+                (schur._full, schur._full.sites, schur._full.sites))
     for rows, dst, src in parities:
         assert isinstance(rows, dirac.SiteRows) and rows.sites is dst and rows.boundary is None
         # each table entry is the source-half row of the destination site's global neighbor

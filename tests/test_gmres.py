@@ -643,14 +643,17 @@ def test_one_operator_build_per_solve(problem, monkeypatch, grid):
 def test_one_operator_build_per_odd_even_solve(problem, monkeypatch):
     # the Schur operator's one build also serves the final full-system
     # residual: each site's block rows and hop rows are built once, one call
-    # per parity, and no DiracOperator (oddeven imports both builders by name)
+    # per builder over all sites in parity order, and no DiracOperator
+    # (oddeven imports both builders by name)
     geom, gauge, clover = problem
     eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=96, geom=geom)
     builds = _count_row_builds(monkeypatch, (dirac, oddeven))
     monkeypatch.setattr(dirac.DiracOperator, "__init__", lambda *args, **kwargs: pytest.fail("DiracOperator built"))
     report = solve_dirac(DiracParams(m0=1.0), gauge, clover, eta, GmresConfig(tol=1e-8), odd_even=True)
     assert report.iterations > 2 and (report.full_relnorms <= 1e-8).all()
-    _assert_each_site_built_once(builds, geom, 2)
+    _assert_each_site_built_once(builds, geom, 1)
+    parity_order = np.concatenate([geom.even_sites, geom.odd_sites])
+    assert all(np.array_equal(sites[0], parity_order) for sites in builds.values())
 
 
 def test_odd_even_solve_ignores_the_executor(problem):

@@ -294,7 +294,7 @@ def test_schur_apply_peak_temporaries(layout):
 
 
 @pytest.mark.parametrize("lattice", [0, 1])  # index into (problem, noncubic)
-@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR, Layout.COLUMN])
 @pytest.mark.parametrize("b", [1, 3, 16])
 def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypatch, lattice, layout, b):
     geom, gauge, clover, params = (problem, noncubic)[lattice]
@@ -307,8 +307,10 @@ def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypa
     # each parity record of the twin holds its own hop matrices, float32 copies of the operator's
     for rows, ref in ((twin._kept, schur._kept), (twin._elim, schur._elim)):
         assert rows.hops.dtype == np.float32 and np.array_equal(rows.hops, ref.hops.astype(np.float32))
-    # the eliminated blocks are read only by apply_full, at complex128: the twin shares them uncast
-    assert twin._diag_elim is schur._diag_elim
+    # the eliminated blocks are read only by apply_full, at complex128: the
+    # twin shares the whole-lattice record that holds them, uncast
+    assert twin._full is schur._full
+    assert twin._full.blocks.dtype == np.float64
     v = gen_spinor(schur.n_sites, b, layout, seed=79)
     ref = schur(v)
     got = twin(v.astype(np.complex64))
@@ -317,6 +319,34 @@ def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypa
     # the whole-lattice D from the parity blocks is bitwise the full operator's apply
     psi = gen_spinor(geom.n_sites, b, layout, seed=82, geom=geom)
     assert np.array_equal(schur.apply_full(psi).data, apply_dirac(params, gauge, clover, psi).data)
+
+
+def test_parity_records_are_views_of_the_one_row_build(problem):
+    # the rows are built once, over all sites in parity order: the parity
+    # records' hop matrices and the kept blocks D_ee are views of them
+    geom, gauge, clover, params = problem
+    schur = SchurOperator(params, gauge, clover)
+    full, kept, elim, h = schur._full, schur._kept, schur._elim, schur.n_sites
+    assert np.array_equal(full.sites, np.concatenate([geom.even_sites, geom.odd_sites]))
+    assert np.shares_memory(kept.hops, full.hops) and np.shares_memory(elim.hops, full.hops)
+    assert np.shares_memory(kept.blocks, full.blocks)
+    assert np.array_equal(kept.hops, full.hops[:, :h]) and np.array_equal(elim.hops, full.hops[:, h:])
+    assert np.array_equal(kept.blocks, full.blocks[:h])
+    # N is the one block array of its own
+    assert not np.shares_memory(elim.blocks, full.blocks)
+
+
+@pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR, Layout.COLUMN])
+def test_apply_full_result_is_on_the_operator_lattice(problem, layout):
+    # a psi without a geometry, as the solver's fields are, still gives a D psi
+    # on the operator's lattice, in psi's layout and precision
+    geom, gauge, clover, params = problem
+    schur = SchurOperator(params, gauge, clover)
+    psi = gen_spinor(geom.n_sites, 2, layout, seed=83)
+    assert psi.geom is None
+    out = schur.apply_full(psi)
+    assert out.geom is schur.geom and (out.layout, out.dtype) == (psi.layout, psi.dtype)
+    assert np.array_equal(out.data, apply_dirac(params, gauge, clover, psi).data)
 
 
 def test_schur_rejects_a_field_of_the_other_precision(problem):

@@ -65,6 +65,33 @@ def test_counter_sample_validation():
         CounterSample(l2_refill=0, l2_writeback=0, cycles=0, frequency=1.0)
 
 
+# NaN compares False with everything, so a `bw <= 0`-style check let it
+# through and the model returned nan; infinity is no measurement either
+_NON_FINITE = (float("nan"), float("inf"))
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_theoretical_perf_rejects_a_non_finite_bandwidth(bad):
+    with pytest.raises(ValueError, match="bandwidth"):
+        theoretical_perf(bad, 1)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_arch_efficiency_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="theoretical"):
+        arch_efficiency(1.0, bad)
+    with pytest.raises(ValueError, match="measured"):
+        arch_efficiency(bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize("name", ["l2_refill", "l2_writeback", "cycles", "frequency", "cache_line", "ranks"])
+def test_counter_sample_rejects_non_finite_values(name, bad):
+    fields = dict(l2_refill=1, l2_writeback=1, cycles=10, frequency=1.0)
+    with pytest.raises(ValueError, match=name.split("_")[0]):
+        CounterSample(**{**fields, name: bad})
+
+
 def test_read_write_ratio():
     assert read_write_ratio(1) == Fraction(534, 204)
     assert float(read_write_ratio(1)) == pytest.approx(2.618, abs=1e-3)
