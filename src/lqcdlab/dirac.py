@@ -97,11 +97,14 @@ as float32, and pick the spin matrices of that precision (their entries
 are 0 and +-1, so the float32 copies are exact).  Both stages raise a
 ``ValueError`` naming both dtypes when an operator array's real dtype is
 not the field's, rather than view the field's bytes at the wrong width.
-An operator holds its arrays at one precision; :meth:`DiracOperator.astype`
-makes the complex64 twin from :meth:`SiteRows.astype` copies of its
-records, float32 site blocks and hop matrices beside the shared tables,
-and the twin is again bitwise equal across rank grids.  The solver applies the twin inside its Krylov cycles and the
-complex128 operator for every residual (gmres module).
+Both operators, D and the Schur operator, are :class:`StencilOperator`
+objects: records in ``_rows`` at one precision.  The one
+:meth:`StencilOperator.astype` makes the complex64 twin from
+:meth:`SiteRows.astype` copies of the records in ``_rows``, float32 site
+blocks and hop matrices beside the shared tables, and shares everything
+else uncast; D's twin is again bitwise equal across rank grids.  The
+solver applies the twin inside its Krylov cycles and the complex128
+operator for every residual (gmres module).
 
 Flop accounting counts the structured operations the operator needs: a
 complex multiply costs 6 flops, a complex add 2, a real-by-complex scale 2,
@@ -133,8 +136,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (PRECISIONS, BlockSpinorField, CloverField, GaugeField, Layout, chunk_sites, result_field,
-                     site_chunks)
+from .fields import (PRECISIONS, BlockSpinorField, CloverField, GaugeField, Layout, as_precision, chunk_sites,
+                     result_field, site_chunks)
 from .geometry import NDIM
 from .projectors import A_BLOCKS, N_COLOR, compression
 
@@ -161,9 +164,7 @@ def account_traffic(b: int, dtype=np.complex128) -> dict:
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    dtype = np.dtype(dtype)
-    if dtype not in PRECISIONS:
-        raise ValueError(f"operator dtype must be complex128 or complex64, got {dtype}")
+    dtype = as_precision(dtype)
     return {
         "flops_per_site": FLOPS_PER_SITE_RHS * b,
         "bytes_per_site": (VALUES_PER_SITE_RHS * b + VALUES_PER_SITE_FIXED) * dtype.itemsize,
@@ -182,25 +183,6 @@ def _check_field(psi: BlockSpinorField, n_sites: int, system: str, dtype=None, d
         raise ValueError(f"field lattice {psi.geom.dims} is not the {system} {dims}")
     if dtype is not None and psi.dtype != dtype:
         raise ValueError(f"field of dtype {psi.dtype} given to an operator of dtype {dtype}")
-
-
-def _cast(arrays: tuple, dtype) -> tuple:
-    """Copies of an operator's arrays (site blocks in left real form, hop matrices) at precision ``dtype``.
-
-    Complex arrays are cast to ``dtype``, real ones to its real counterpart.
-    """
-    dtype = np.dtype(dtype)
-    if dtype not in PRECISIONS:
-        raise ValueError(f"operator dtype must be complex128 or complex64, got {dtype}")
-    real = np.finfo(dtype).dtype
-    return tuple(a.astype(dtype if np.iscomplexobj(a) else real) for a in arrays)
-
-
-def check_lattices(gauge: GaugeField, clover: CloverField) -> None:
-    """Raise unless the gauge and clover fields live on the same lattice, not merely on as many sites."""
-    if clover.geom.dims != gauge.geom.dims:
-        raise ValueError(f"clover lattice {clover.geom.dims} is not the gauge lattice {gauge.geom.dims}: "
-                         f"clover field has {len(clover.data)} sites, gauge field has {len(gauge.data)}")
 
 
 _DIAG6 = np.arange(6)
@@ -426,9 +408,9 @@ class SiteRows:
     boundary: dict | None = None
 
     def astype(self, dtype) -> "SiteRows":
-        """The record at precision ``dtype``: cast copies of ``blocks`` and ``hops``, the rest shared."""
-        blocks, hops = _cast((self.blocks, self.hops), dtype)
-        return replace(self, blocks=blocks, hops=hops)
+        """The record at precision ``dtype``: copies of ``blocks`` and ``hops`` cast to its real counterpart, the rest shared."""
+        real = np.finfo(as_precision(dtype)).dtype
+        return replace(self, blocks=self.blocks.astype(real), hops=self.hops.astype(real))
 
 
 def site_rows(params: DiracParams, gauge: GaugeField, clover: CloverField, sites: np.ndarray,
@@ -444,8 +426,9 @@ def subtract_hops(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, 
     ``rows`` are the :class:`SiteRows` of eta's sites: its ``tables`` map
     each eta row to the psi rows of its neighbors, and each chunk of eta
     rows reads its own rows of its ``hops``, slot 2mu on the +mu side and
-    slot 2mu + 1 on the -mu side.  Their real dtype must be psi's, or a
-    ``ValueError`` names both dtypes.
+    slot 2mu + 1 on the -mu side.  Their real dtype must be psi's and
+    eta's, or a ``ValueError`` names both dtypes before anything is posted
+    or written.
 
     With a rank endpoint ``comm``, the tables are the rank-local periodic
     ones and ``rows.boundary`` holds the rank's face sets.  The rank first
@@ -461,6 +444,7 @@ def subtract_hops(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, 
     neither side transposes them.
     """
     _check_precision(rows.hops, psi)
+    _check_precision(rows.hops, eta)
     src = np.ascontiguousarray(_rows(psi))  # a copy only for a psi whose rows are not contiguous
     tables, hops, boundary = rows.tables, rows.hops, rows.boundary
     n, b = eta.n_sites, eta.b
@@ -518,7 +502,45 @@ def apply_rows(rows: SiteRows, psi: BlockSpinorField, eta: BlockSpinorField, com
     _rows(eta)[rows.sites] = _rows(part)
 
 
-class DiracOperator:
+class StencilOperator:
+    """An operator held as :class:`SiteRows` records in ``_rows``, on the lattice ``geom`` of its gauge and clover fields.
+
+    The operator runs at one precision, ``dtype``: complex128 as built, or
+    complex64 for the twin that :meth:`astype` returns.  A field of the
+    other precision is rejected with a ``ValueError`` naming both dtypes.
+    """
+
+    dtype = np.dtype(np.complex128)
+
+    def __init__(self, gauge: GaugeField, clover: CloverField):
+        if clover.geom.dims != gauge.geom.dims:
+            raise ValueError(f"clover lattice {clover.geom.dims} is not the gauge lattice {gauge.geom.dims}: "
+                             f"clover field has {len(clover.data)} sites, gauge field has {len(gauge.data)}")
+        self.geom = gauge.geom
+
+    def astype(self, dtype) -> "StencilOperator":
+        """The operator's twin at precision ``dtype`` (itself if it has that precision already).
+
+        The twin holds the :meth:`SiteRows.astype` copy of every record in
+        ``_rows``: cast site blocks and hop matrices, shared sites, tables
+        and face sets.  It builds no array again, and shares every other
+        attribute uncast.  Its sweep runs real products at the real
+        counterpart of ``dtype``.
+        """
+        dtype = as_precision(dtype)
+        if dtype == self.dtype:
+            return self
+        twin = copy.copy(self)
+        twin.dtype = dtype
+        twin._rows = [rows.astype(dtype) for rows in self._rows]
+        return twin
+
+    def _check_lattice_field(self, psi: BlockSpinorField) -> None:
+        """Raise unless psi is a field of the operator's precision on its whole lattice."""
+        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
+
+
+class DiracOperator(StencilOperator):
     """D for one ``(params, gauge, clover)``, as a snapshot taken at build time.
 
     The operator holds only :class:`SiteRows` records in ``_rows``, built
@@ -537,17 +559,10 @@ class DiracOperator:
     copy), runs the self coupling and the hop sweep through its
     communicator, and writes its own eta rows out in eta's layout.  The
     ranks' rows are disjoint, so they share eta without a lock.
-
-    The operator runs at one precision, ``dtype``: complex128 as built, or
-    complex64 for the twin that :meth:`astype` returns.  A field of the
-    other precision is rejected with a ``ValueError`` naming both dtypes.
     """
 
-    dtype = np.dtype(np.complex128)
-
     def __init__(self, params: DiracParams, gauge: GaugeField, clover: CloverField, comm=None):
-        check_lattices(gauge, clover)
-        self.geom = gauge.geom
+        super().__init__(gauge, clover)
         self.comm = comm
         if comm is None:
             self._rows = [site_rows(params, gauge, clover, np.arange(self.geom.n_sites), self.geom.neighbor_tables)]
@@ -562,28 +577,13 @@ class DiracOperator:
 
             comm.run_ranks(build_rank)
 
-    def astype(self, dtype) -> "DiracOperator":
-        """The operator's twin at precision ``dtype`` (itself if it has that precision already).
-
-        The twin holds the :meth:`SiteRows.astype` copy of every record:
-        cast site blocks and hop matrices, shared sites, tables and face
-        sets; it builds neither array again.  Its sweep runs real products
-        at the real counterpart of ``dtype``.
-        """
-        if np.dtype(dtype) == self.dtype:
-            return self
-        twin = copy.copy(self)
-        twin.dtype = np.dtype(dtype)
-        twin._rows = [rows.astype(dtype) for rows in self._rows]
-        return twin
-
     def __call__(self, psi: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
         """eta = D psi over all rhs columns, written into ``out`` if given and returned.
 
         ``out`` is checked by :func:`lqcdlab.fields.result_field`, and psi
         must be on the operator's lattice, both before any rank runs.
         """
-        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
+        self._check_lattice_field(psi)
         eta = result_field(psi, out)
         if self.comm is None:
             (rows,) = self._rows

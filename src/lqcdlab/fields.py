@@ -83,6 +83,14 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def as_precision(dtype) -> np.dtype:
+    """``dtype`` as one of :data:`PRECISIONS`, the precision of a field or an operator; a ValueError names any other."""
+    dtype = np.dtype(dtype)
+    if dtype not in PRECISIONS:
+        raise ValueError(f"dtype must be complex128 or complex64, got {dtype}")
+    return dtype
+
+
 class Layout(enum.IntEnum):
     RHS_MAJOR = 1
     COMPONENT_MAJOR = 2
@@ -138,9 +146,7 @@ class BlockSpinorField:
     ) -> "BlockSpinorField":
         if n_sites < 1 or b < 1:
             raise ValueError(f"bad field shape: n_sites={n_sites}, b={b}")
-        if np.dtype(dtype) not in PRECISIONS:
-            raise ValueError(f"field dtype must be complex128 or complex64, got {np.dtype(dtype)}")
-        data = np.zeros(n_sites * cls.s * b, dtype=dtype)
+        data = np.zeros(n_sites * cls.s * b, dtype=as_precision(dtype))
         return cls(n_sites, b, Layout(layout), data, geom)
 
     @classmethod

@@ -60,12 +60,11 @@ the record, as a rank of the full operator runs it on its own.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 
 import numpy as np
 
-from .dirac import (DiracParams, SiteRows, _check_field, apply_rows, apply_self_coupling, check_lattices,
+from .dirac import (DiracParams, SiteRows, StencilOperator, _check_field, apply_rows, apply_self_coupling,
                     hop_matrices, left_real_form, site_blocks, subtract_hops)
 from .fields import BlockSpinorField, CloverField, GaugeField, Layout, check_matching, result_field
 
@@ -119,7 +118,7 @@ def _invert_blocks(blocks: np.ndarray, sites: np.ndarray) -> np.ndarray:
     return np.linalg.inv(blocks) if inv is None else inv
 
 
-class SchurOperator:
+class SchurOperator(StencilOperator):
     """S = D_ee - D_eo D_oo^-1 D_oe on the even sites, the odd ones eliminated.
 
     Each piece is one or two site-block products (:meth:`solve_eliminated`
@@ -127,21 +126,20 @@ class SchurOperator:
     that subtracts into the destination field; the module docstring gives
     the algebra.  The operator is a snapshot of ``(params, gauge, clover)``
     taken at build time: its parity-ordered record ``_full`` (D_ee, D_oo,
-    H_eo, H_oe), viewed by ``_kept`` (D_ee, H_eo) and ``_elim`` (N, H_oe),
-    every block array in :func:`lqcdlab.dirac.left_real_form` (N inverted
-    from the complex blocks first), are copies, so editing the fields in
-    place afterwards does not change it.  Build a new operator for new
-    fields.
+    H_eo, H_oe), viewed by the two parity records in ``_rows``, the kept
+    one (D_ee, H_eo) and then the eliminated one (N, H_oe), every block
+    array in :func:`lqcdlab.dirac.left_real_form` (N inverted from the
+    complex blocks first), are copies, so editing the fields in place
+    afterwards does not change it.  Build a new operator for new fields.
 
-    As :class:`lqcdlab.dirac.DiracOperator`, it runs at one precision,
-    ``dtype``, and :meth:`astype` returns its complex64 twin.
+    Its complex64 twin (:meth:`lqcdlab.dirac.StencilOperator.astype`) casts
+    the parity records and shares ``_full``, which is not in ``_rows``,
+    uncast, so the twin's :meth:`apply_full` raises a ``ValueError``.
     """
 
-    dtype = np.dtype(np.complex128)
-
     def __init__(self, params: DiracParams, gauge: GaugeField, clover: CloverField):
-        check_lattices(gauge, clover)
-        self.geom = geom = gauge.geom
+        super().__init__(gauge, clover)
+        geom = self.geom
         self.keep_sites, self.elim_sites = keep, elim = geom.even_sites, geom.odd_sites
         h, sites = len(keep), np.concatenate([keep, elim])
         blocks = site_blocks(params, clover, sites)
@@ -153,29 +151,12 @@ class SchurOperator:
         # sites is a permutation, and argsort its inverse: the neighbors' parity-ordered rows
         tables = np.argsort(sites)[geom.neighbor_tables[:, sites]]
         self._full = full = SiteRows(sites, blocks, hop_matrices(gauge, sites), tables)
-        self._kept = SiteRows(keep, blocks[:h], full.hops[:, :h], tables[:, :h] - h)
-        self._elim = SiteRows(elim, neg_inv, full.hops[:, h:], tables[:, h:])
+        self._rows = [SiteRows(keep, blocks[:h], full.hops[:, :h], tables[:, :h] - h),
+                      SiteRows(elim, neg_inv, full.hops[:, h:], tables[:, h:])]
 
     @property
     def n_sites(self) -> int:
         return len(self.keep_sites)
-
-    def astype(self, dtype) -> "SchurOperator":
-        """The operator's twin at precision ``dtype`` (itself if it has that precision already).
-
-        The twin holds the :meth:`lqcdlab.dirac.SiteRows.astype` copy of
-        both parity records (cast D_ee, N and hop matrices, shared sites
-        and tables) and shares, uncast, the whole-lattice record that only
-        :meth:`apply_full` reads: the twin's :meth:`apply_full` raises a
-        ``ValueError`` for its precision, where casting it would cost half
-        a site-block array (D_oo) more in every twin.
-        """
-        if np.dtype(dtype) == self.dtype:
-            return self
-        twin = copy.copy(self)
-        twin.dtype = np.dtype(dtype)
-        twin._kept, twin._elim = self._kept.astype(dtype), self._elim.astype(dtype)
-        return twin
 
     def __call__(self, v: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
         """w = S v, through :meth:`apply`."""
@@ -183,7 +164,7 @@ class SchurOperator:
 
     def solve_eliminated(self, v: BlockSpinorField) -> BlockSpinorField:
         """N v = -D_oo^-1 v on the odd sites: one batched product with the negated inverses."""
-        return apply_self_coupling(self._elim.blocks, v)
+        return apply_self_coupling(self._rows[1].blocks, v)
 
     def apply(self, v: BlockSpinorField, out: BlockSpinorField | None = None) -> BlockSpinorField:
         """w = S v on the even sites, written into ``out`` if given and returned.
@@ -194,33 +175,36 @@ class SchurOperator:
         _check_field(v, self.n_sites, "Schur system", self.dtype)
         if out is not None:  # checked now; a new output is allocated only after t is made
             result_field(v, out)
+        kept, elim = self._rows
         # in row order, so the second sweep reads t's rows without a copy
         t = BlockSpinorField.zeros(len(self.elim_sites), v.b, Layout.RHS_MAJOR, dtype=v.dtype)
-        subtract_hops(self._elim, v, t)  # t = 0 - H_oe v = D_oe v
+        subtract_hops(elim, v, t)  # t = 0 - H_oe v = D_oe v
         t = self.solve_eliminated(t)
-        out = apply_self_coupling(self._kept.blocks, v, out=out)
-        subtract_hops(self._kept, t, out)  # out = D_ee v - H_eo N t
+        out = apply_self_coupling(kept.blocks, v, out=out)
+        subtract_hops(kept, t, out)  # out = D_ee v - H_eo N t
         return out
 
     def reduce_rhs(self, eta: BlockSpinorField) -> tuple[BlockSpinorField, BlockSpinorField]:
         """(eta_e - D_eo D_oo^-1 eta_o, eta_o) for the half solve: eta_e - H_eo N eta_o."""
-        _check_field(eta, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
+        self._check_lattice_field(eta)
         eta_elim = eta.take_sites(self.elim_sites)
         reduced = eta.take_sites(self.keep_sites)
-        subtract_hops(self._kept, self.solve_eliminated(eta_elim), reduced)
+        subtract_hops(self._rows[0], self.solve_eliminated(eta_elim), reduced)
         return reduced, eta_elim
 
     def reconstruct(self, x_kept: BlockSpinorField, eta_elim: BlockSpinorField) -> BlockSpinorField:
         """x_o = D_oo^-1 (eta_o - D_oe x_e) = N (-eta_o - H_oe x_e), for x_e = ``x_kept`` and eta_o = ``eta_elim``."""
         _check_field(x_kept, self.n_sites, "Schur system", self.dtype)
         check_matching(eta_elim, x_kept, "eta_elim", "x_kept")
+        if eta_elim.dtype != self.dtype:
+            raise ValueError(f"eta_elim of dtype {eta_elim.dtype} given to an operator of dtype {self.dtype}")
         t = replace(eta_elim, data=-eta_elim.data)
-        subtract_hops(self._elim, x_kept, t)
+        subtract_hops(self._rows[1], x_kept, t)
         return self.solve_eliminated(t)
 
     def apply_full(self, psi: BlockSpinorField) -> BlockSpinorField:
         """D psi: :func:`lqcdlab.dirac.apply_rows` of ``_full`` into a field on the operator's lattice, in psi's layout."""
-        _check_field(psi, self.geom.n_sites, "gauge lattice", self.dtype, self.geom.dims)
+        self._check_lattice_field(psi)
         out = BlockSpinorField.zeros(self.geom.n_sites, psi.b, psi.layout, self.geom, psi.dtype)
         apply_rows(self._full, psi, out)
         return out

@@ -132,7 +132,8 @@ def test_self_coupling_holds_no_field_sized_temporary():
 def test_site_block_arrays_keep_the_complex_bytes(problem, grid):
     # every operator and twin holds its site blocks in left real form, in
     # exactly the bytes of the complex (n, 2, 6, 6) blocks they replace, and
-    # its hop matrices as n * 8 * 36 floats, all at its real dtype
+    # its hop matrices as n * 8 * 36 floats, all at its real dtype; D and S
+    # make their twins by one rule: each record in _rows cast, all else shared
     geom, gauge, clover, params, _ = problem
     complex_bytes = {dtype: geom.n_sites * 72 * np.dtype(dtype).itemsize for dtype in (np.complex128, np.complex64)}
     hop_floats = geom.n_sites * 8 * 36
@@ -148,15 +149,30 @@ def test_site_block_arrays_keep_the_complex_bytes(problem, grid):
     schur = SchurOperator(params, gauge, clover)
     for dtype, nbytes in complex_bytes.items():
         s = schur.astype(dtype)
-        for a in (s._kept.blocks, s._elim.blocks):
+        for a in (rows.blocks for rows in s._rows):
             assert a.dtype == np.finfo(dtype).dtype and a.nbytes == nbytes // 2
-        hops = (s._kept.hops, s._elim.hops)
+        hops = [rows.hops for rows in s._rows]
         assert all(a.dtype == np.finfo(dtype).dtype for a in hops)
         assert sum(a.size for a in hops) == hop_floats
     # the eliminated blocks D_oo, the odd half of the whole-lattice record's
     # blocks, are read only at complex128, and the twin shares that record
     assert all(schur.astype(dtype)._full is schur._full for dtype in complex_bytes)
     assert schur._full.blocks[schur.n_sites:].nbytes == complex_bytes[np.complex128] // 2
+    for parent, shared in ((op, ("comm",)), (schur, ("_full", "keep_sites", "elim_sites"))):
+        assert parent.astype(parent.dtype) is parent
+        twin = parent.astype(np.complex64)
+        assert twin.dtype == np.complex64 and len(twin._rows) == len(parent._rows)
+        for rows, ref in zip(twin._rows, parent._rows):
+            assert rows.blocks.dtype == rows.hops.dtype == np.float32
+            assert rows.sites is ref.sites and rows.tables is ref.tables and rows.boundary is ref.boundary
+        # every attribute but the records and the precision is the parent's object
+        assert set(vars(twin)) == set(vars(parent)) | {"dtype"}
+        assert all(getattr(twin, name) is getattr(parent, name) for name in vars(parent) if name != "_rows")
+        assert all(getattr(twin, name) is getattr(parent, name) for name in shared)
+        # the float32 bytes of the twin: S's are D_ee + N + both hop halves, not D_oo
+        float32_bytes = sum(a.nbytes for rows in twin._rows for a in (rows.blocks, rows.hops))
+        assert float32_bytes == complex_bytes[np.complex64] + 4 * hop_floats
+    assert schur.astype(np.complex64)._full.blocks.dtype == np.float64
 
 
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR])
@@ -366,8 +382,9 @@ def test_hop_matrices_are_destination_ordered(problem):
     (rows,) = DiracOperator(params, gauge, clover)._rows
     check(rows.hops, np.arange(geom.n_sites))
     schur = SchurOperator(params, gauge, clover)
-    check(schur._kept.hops, geom.even_sites)
-    check(schur._elim.hops, geom.odd_sites)
+    kept, elim = schur._rows
+    check(kept.hops, geom.even_sites)
+    check(elim.hops, geom.odd_sites)
     for grid in ((1, 1, 1, 2), (2, 2, 2, 2)):
         multi = DiracOperator(params, gauge, clover, MultiRankExecutor(RankGrid(grid)))
         for rows in multi._rows:
@@ -396,7 +413,8 @@ def test_operators_keep_one_site_rows_record(problem, monkeypatch):
             assert np.array_equal(rows.tables, dom.local_geom.neighbor_tables)
         operators.append(multi)
     schur = SchurOperator(params, gauge, clover)
-    parities = ((schur._kept, geom.even_sites, geom.odd_sites), (schur._elim, geom.odd_sites, geom.even_sites),
+    kept, elim = schur._rows
+    parities = ((kept, geom.even_sites, geom.odd_sites), (elim, geom.odd_sites, geom.even_sites),
                 (schur._full, schur._full.sites, schur._full.sites))
     for rows, dst, src in parities:
         assert isinstance(rows, dirac.SiteRows) and rows.sites is dst and rows.boundary is None
@@ -404,8 +422,7 @@ def test_operators_keep_one_site_rows_record(problem, monkeypatch):
         for slot in range(2 * NDIM):
             assert np.array_equal(src[rows.tables[slot]], geom.neighbor_tables[slot, dst])
     twin_schur = schur.astype(np.complex64)
-    pairs = [(t, r) for op in operators for t, r in zip(op.astype(np.complex64)._rows, op._rows)]
-    pairs += [(twin_schur._kept, schur._kept), (twin_schur._elim, schur._elim)]
+    pairs = [(t, r) for op in operators + [schur] for t, r in zip(op.astype(np.complex64)._rows, op._rows)]
     for twin, ref in pairs:
         assert twin.sites is ref.sites and twin.tables is ref.tables and twin.boundary is ref.boundary
         for a, b in ((twin.blocks, ref.blocks), (twin.hops, ref.hops)):
@@ -443,6 +460,41 @@ def test_operator_array_of_another_precision_raises(problem):
     # the Schur twin shares the float64 D_oo, read only by apply_full
     with pytest.raises(ValueError, match=message):
         SchurOperator(params, gauge, clover).astype(np.complex64).apply_full(psi)
+
+
+def test_hop_sweep_rejects_an_eta_of_the_other_precision(problem):
+    # the sweep checked its hop matrices against psi only, so a twin's sweep
+    # wrote complex64-accurate values into a complex128 eta, and a complex128
+    # sweep rounded into a complex64 one; both now raise before any write
+    geom, gauge, clover, params, _ = problem
+    op = DiracOperator(params, gauge, clover)
+    psi = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=54, geom=geom)
+    for rows_dtype, eta_dtype in ((np.complex64, np.complex128), (np.complex128, np.complex64)):
+        (rows,) = op.astype(rows_dtype)._rows
+        eta = gen_spinor(geom.n_sites, 2, Layout.RHS_MAJOR, seed=55, geom=geom).astype(eta_dtype)
+        before = eta.data.copy()
+        message = f"operator array of dtype {np.finfo(rows_dtype).dtype} given a field of dtype {np.dtype(eta_dtype)}"
+        with pytest.raises(ValueError, match=message):
+            dirac.subtract_hops(rows, psi.astype(rows_dtype), eta)
+        assert np.array_equal(eta.data, before)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "complex256"])
+def test_one_precision_rule(problem, monkeypatch, dtype):
+    # every operator, every twin, the traffic ledger and a new field take a
+    # precision through one normalizer, which names what it rejects before
+    # any record is cast
+    geom, gauge, clover, params, _ = problem
+    operators = [DiracOperator(params, gauge, clover, comm) for comm in (None, MultiRankExecutor(RankGrid((1, 1, 1, 2))))]
+    operators.append(SchurOperator(params, gauge, clover))
+    operators += [op.astype(np.complex64) for op in operators]
+    monkeypatch.setattr(dirac.SiteRows, "astype", lambda *args: pytest.fail("a record was cast"))
+    message = f"dtype must be complex128 or complex64, got {np.dtype(dtype)}"
+    calls = [lambda op=op: op.astype(dtype) for op in operators]
+    calls += [lambda: account_traffic(4, dtype), lambda: BlockSpinorField.zeros(geom.n_sites, 2, dtype=dtype)]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_operator_rejects_a_field_of_the_other_precision(problem):

@@ -5,7 +5,7 @@ import pytest
 
 from lqcdlab import oddeven
 from lqcdlab.blas import block_norms
-from lqcdlab.dirac import DiracParams, apply_dirac
+from lqcdlab.dirac import DiracOperator, DiracParams, apply_dirac
 from lqcdlab.fields import (
     BlockSpinorField,
     CloverField,
@@ -15,7 +15,8 @@ from lqcdlab.fields import (
     gen_gauge,
     gen_spinor,
 )
-from lqcdlab.geometry import LatticeGeometry
+from lqcdlab.geometry import LatticeGeometry, RankGrid
+from lqcdlab.halo import MultiRankExecutor
 from lqcdlab.oddeven import SchurOperator, SingularBlockError
 from lqcdlab.oracle import assemble_dirac_dense, assemble_schur_dense, dense_solve
 
@@ -305,7 +306,7 @@ def test_single_precision_twin_matches_float64_apply(problem, noncubic, monkeypa
     assert (schur.dtype, twin.dtype) == (np.complex128, np.complex64)
     assert schur.astype(np.complex128) is schur
     # each parity record of the twin holds its own hop matrices, float32 copies of the operator's
-    for rows, ref in ((twin._kept, schur._kept), (twin._elim, schur._elim)):
+    for rows, ref in zip(twin._rows, schur._rows):
         assert rows.hops.dtype == np.float32 and np.array_equal(rows.hops, ref.hops.astype(np.float32))
     # the eliminated blocks are read only by apply_full, at complex128: the
     # twin shares the whole-lattice record that holds them, uncast
@@ -326,7 +327,7 @@ def test_parity_records_are_views_of_the_one_row_build(problem):
     # records' hop matrices and the kept blocks D_ee are views of them
     geom, gauge, clover, params = problem
     schur = SchurOperator(params, gauge, clover)
-    full, kept, elim, h = schur._full, schur._kept, schur._elim, schur.n_sites
+    (kept, elim), full, h = schur._rows, schur._full, schur.n_sites
     assert np.array_equal(full.sites, np.concatenate([geom.even_sites, geom.odd_sites]))
     assert np.shares_memory(kept.hops, full.hops) and np.shares_memory(elim.hops, full.hops)
     assert np.shares_memory(kept.blocks, full.blocks)
@@ -334,6 +335,20 @@ def test_parity_records_are_views_of_the_one_row_build(problem):
     assert np.array_equal(kept.blocks, full.blocks[:h])
     # N is the one block array of its own
     assert not np.shares_memory(elim.blocks, full.blocks)
+    # D on one rank and on two, and S, by the one twin rule: a twin's records
+    # are cast copies that share no memory with the parent's arrays, their
+    # sites, tables and face sets are the parent's, and S's twin keeps the
+    # one row build itself, uncast
+    operators = [DiracOperator(params, gauge, clover, comm) for comm in (None, MultiRankExecutor(RankGrid((1, 1, 1, 2))))]
+    for op in operators + [schur]:
+        twin = op.astype(np.complex64)
+        assert op.astype(op.dtype) is op and twin.astype(np.complex64) is twin
+        arrays = [a for rows in op._rows for a in (rows.blocks, rows.hops)]
+        for rows, ref in zip(twin._rows, op._rows):
+            assert rows.sites is ref.sites and rows.tables is ref.tables and rows.boundary is ref.boundary
+            for a in (rows.blocks, rows.hops):
+                assert a.dtype == np.float32 and not any(np.shares_memory(a, b) for b in arrays)
+    assert schur.astype(np.complex64)._full is full
 
 
 @pytest.mark.parametrize("layout", [Layout.RHS_MAJOR, Layout.COMPONENT_MAJOR, Layout.COLUMN])
@@ -347,6 +362,22 @@ def test_apply_full_result_is_on_the_operator_lattice(problem, layout):
     out = schur.apply_full(psi)
     assert out.geom is schur.geom and (out.layout, out.dtype) == (psi.layout, psi.dtype)
     assert np.array_equal(out.data, apply_dirac(params, gauge, clover, psi).data)
+
+
+def test_reconstruct_checks_eta_elim_precision_before_any_sweep(problem, monkeypatch):
+    # an eta_elim of the other precision once ran a whole sweep before the
+    # self coupling raised, naming an internal array; it now raises first,
+    # naming eta_elim, on the operator and on its twin alike
+    geom, gauge, clover, params = problem
+    schur = SchurOperator(params, gauge, clover)
+    v = gen_spinor(schur.n_sites, 2, Layout.RHS_MAJOR, seed=84)
+    sweeps = []
+    monkeypatch.setattr(oddeven, "subtract_hops", lambda *args, **kwargs: sweeps.append(args))
+    for op, other in ((schur, np.complex64), (schur.astype(np.complex64), np.complex128)):
+        x_kept = v.astype(op.dtype)
+        with pytest.raises(ValueError, match=f"eta_elim of dtype {np.dtype(other)} given to an operator of dtype {op.dtype}"):
+            op.reconstruct(x_kept, v.astype(other))
+    assert sweeps == []
 
 
 def test_schur_rejects_a_field_of_the_other_precision(problem):
